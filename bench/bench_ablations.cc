@@ -1,18 +1,22 @@
 // Ablations of the design choices DESIGN.md calls out:
 //   A1. diff-tree anchor stride (the persistent-structure substitution of
 //       Theorem 2.11): storage vs label-retrieval time;
-//   A2. Monte-Carlo backend: Delaunay (the paper's Voronoi + point
-//       location) vs kd-tree;
+//   A2. Monte-Carlo round structure: Delaunay (the paper's Voronoi + point
+//       location) vs the kd-tree the engines use, built directly on the
+//       same instantiations;
 //   A3. expected-NN best-first pruning vs a linear scan of E[d].
 
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "src/core/nnquery/expected_nn.h"
-#include "src/core/prob/monte_carlo.h"
 #include "src/core/v0/labeled_subdivision.h"
 #include "src/core/v0/nonzero_voronoi.h"
+#include "src/delaunay/delaunay.h"
+#include "src/spatial/kdtree.h"
+#include "src/util/alloc_hook.h"
 #include "src/util/table.h"
 #include "src/util/timer.h"
 #include "src/workload/generators.h"
@@ -59,37 +63,74 @@ void AnchorStride() {
       "stride inf stores only roots (min space, deep walks).\n");
 }
 
-void McBackend() {
-  std::printf("\n### A2: Monte-Carlo backend, Delaunay vs kd-tree (s = 400)\n\n");
-  Table table({"n", "backend", "build_ms", "us/query"});
-  for (int n : {50, 200, 800}) {
+// Builds one structure per instantiation, then answers every query on
+// every round (queries outer, rounds inner: the access order of a
+// Monte-Carlo query). Reports per-round build time, per-lookup time and
+// the heap bytes a round retains, and returns the squared NN distances.
+template <typename Build, typename Nearest>
+std::vector<double> MeasureRoundStructure(const char* name, int n,
+                                          const std::vector<std::vector<Point2>>& rounds,
+                                          const std::vector<Point2>& queries,
+                                          Build build, Nearest nearest, Table* table) {
+  using Structure = typename decltype(build(rounds[0]))::element_type;
+  std::vector<std::unique_ptr<Structure>> built;
+  built.reserve(rounds.size());
+  int64_t bytes_before = util::LiveAllocatedBytes();
+  Timer tb;
+  for (const auto& sample : rounds) built.push_back(build(sample));
+  double build_ms = tb.Millis() / rounds.size();
+  double bytes = static_cast<double>(util::LiveAllocatedBytes() - bytes_before) /
+                 static_cast<double>(rounds.size());
+  std::vector<double> sq;
+  sq.reserve(queries.size() * rounds.size());
+  Timer tq;
+  for (Point2 q : queries) {
+    for (size_t r = 0; r < built.size(); ++r) {
+      sq.push_back(SquaredDistance(q, rounds[r][nearest(*built[r], q)]));
+    }
+  }
+  double us = tq.Micros() / static_cast<double>(sq.size());
+  table->AddRow({Table::Int(n), name, Table::Num(build_ms, 4), Table::Num(us, 4),
+                 Table::Num(bytes / 1024.0, 4), Table::Num(bytes / n, 4)});
+  return sq;
+}
+
+void RoundStructure() {
+  const int kRounds = 32;
+  std::printf(
+      "\n### A2: Monte-Carlo round structure, Delaunay (the paper's Voronoi + point "
+      "location) vs kd-tree, on the same %d instantiations\n\n",
+      kRounds);
+  Table table({"n", "structure", "build_ms/round", "us/NN query", "KiB/round",
+               "bytes/point"});
+  bool agree = true;
+  for (int n : {200, 2000}) {
     Rng rng(79 + n);
     auto pts =
         ToUniformUncertain(RandomDiscreteLocations(n, 3, 4.0 * std::sqrt(double(n)),
                                                    3.0, &rng));
+    std::vector<std::vector<Point2>> rounds(kRounds);
+    for (auto& sample : rounds) {
+      for (const auto& p : pts) sample.push_back(p.Sample(&rng));
+    }
     std::vector<Point2> queries;
     double span = 5.0 * std::sqrt(double(n));
-    for (int i = 0; i < 100; ++i) {
+    for (int i = 0; i < 200; ++i) {
       queries.push_back({rng.Uniform(-span, span), rng.Uniform(-span, span)});
     }
-    for (auto backend : {MonteCarloPNN::Backend::kDelaunay,
-                         MonteCarloPNN::Backend::kKdTree}) {
-      MonteCarloPNN::Options opt;
-      opt.rounds_override = 400;
-      opt.backend = backend;
-      Timer tb;
-      MonteCarloPNN mc(pts, opt);
-      double build = tb.Millis();
-      Timer t;
-      size_t acc = 0;
-      for (Point2 q : queries) acc += mc.Query(q).size();
-      (void)acc;
-      table.AddRow({Table::Int(n),
-                    backend == MonteCarloPNN::Backend::kDelaunay ? "delaunay" : "kdtree",
-                    Table::Num(build, 4), Table::Num(t.Micros() / queries.size(), 4)});
-    }
+    auto dt = MeasureRoundStructure(
+        "delaunay", n, rounds, queries,
+        [](const std::vector<Point2>& s) { return std::make_unique<Delaunay>(s); },
+        [](const Delaunay& d, Point2 q) { return d.Nearest(q); }, &table);
+    auto kd = MeasureRoundStructure(
+        "kdtree", n, rounds, queries,
+        [](const std::vector<Point2>& s) { return std::make_unique<KdTree>(s); },
+        [](const KdTree& t, Point2 q) { return t.NearestSquared(q); }, &table);
+    agree = agree && dt == kd;
   }
   table.Print();
+  std::printf("\nNN squared distances identical on every lookup: %s\n",
+              agree ? "yes" : "NO");
 }
 
 void ExpectedPruning() {
@@ -138,7 +179,7 @@ void ExpectedPruning() {
 int main() {
   std::printf("# Ablations of implementation design choices\n");
   pnn::AnchorStride();
-  pnn::McBackend();
+  pnn::RoundStructure();
   pnn::ExpectedPruning();
   return 0;
 }

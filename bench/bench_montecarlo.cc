@@ -103,7 +103,7 @@ void Continuous() {
 }
 
 void QueryCost() {
-  std::printf("\n### query cost vs s (Delaunay backend, n = 50)\n\n");
+  std::printf("\n### query cost vs s (kd-tree rounds, n = 50)\n\n");
   Rng rng(47);
   auto pts = ToUniformUncertain(RandomDiscreteLocations(50, 3, 30, 3, &rng));
   Table table({"s", "us/query"});

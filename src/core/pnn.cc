@@ -283,7 +283,8 @@ std::shared_ptr<const MonteCarloPNN> Engine::EnsureMonteCarlo(double eps) const 
     mco.seed = options_.seed;
     mco.rounds_override = options_.mc_rounds_override;
     mco.stream_ids = options_.mc_stream_ids;
-    mco.build_pool = options_.build_pool;
+    mco.build = KdBuildOptions{options_.build_pool, options_.build_parallel_cutoff,
+                               options_.kd_leaf_size};
     cur = std::make_shared<const MonteCarloPNN>(points_, mco);
     std::atomic_store_explicit(&monte_carlo_, cur, std::memory_order_release);
   }

@@ -3,10 +3,39 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/exec/thread_pool.h"
 #include "src/util/arena.h"
 #include "src/util/check.h"
+#include "src/util/rng.h"
 
 namespace pnn {
+
+void BuildMcRounds(const UncertainSet& points, uint64_t seed, size_t from, size_t to,
+                   const std::vector<uint64_t>& stream_ids, const KdBuildOptions& build,
+                   McRounds* out) {
+  PNN_CHECK_MSG(stream_ids.empty() || stream_ids.size() == points.size(),
+                "stream_ids must be empty or have one id per point");
+  PNN_CHECK(from <= to);
+  if (out->trees.size() < to) out->trees.resize(to);
+  const size_t n = points.size();
+  auto build_round = [&](size_t i) {
+    const size_t r = from + i;
+    std::vector<Point2> samples(n);
+    if (stream_ids.empty()) {
+      Rng rng = MakeStreamRng(seed, r);
+      for (size_t j = 0; j < n; ++j) samples[j] = points[j].Sample(&rng);
+    } else {
+      uint64_t round_seed = SplitSeed(seed, r);
+      for (size_t j = 0; j < n; ++j) {
+        Rng rng = MakeStreamRng(round_seed, stream_ids[j]);
+        samples[j] = points[j].Sample(&rng);
+      }
+    }
+    out->trees[r] = std::make_shared<const KdTree>(
+        std::move(samples), std::vector<double>(), Metric::kEuclidean, build);
+  };
+  exec::MaybeParallelFor(build.pool, to - from, build_round);
+}
 
 size_t MonteCarloPNN::TheoreticalRounds(size_t n, size_t max_k, double eps,
                                         double delta) {
@@ -19,7 +48,7 @@ size_t MonteCarloPNN::TheoreticalRounds(size_t n, size_t max_k, double eps,
 }
 
 MonteCarloPNN::MonteCarloPNN(const UncertainSet& points, const Options& options)
-    : n_(points.size()), target_eps_(options.eps), backend_(options.backend) {
+    : n_(points.size()), target_eps_(options.eps) {
   PNN_CHECK_MSG(!points.empty(), "MonteCarloPNN needs at least one point");
   PNN_CHECK_MSG(options.eps > 0 && options.eps < 1, "eps must be in (0,1)");
   PNN_CHECK_MSG(options.delta > 0 && options.delta < 1, "delta must be in (0,1)");
@@ -27,60 +56,22 @@ MonteCarloPNN::MonteCarloPNN(const UncertainSet& points, const Options& options)
   for (const auto& p : points) {
     max_k = std::max(max_k, std::max<size_t>(p.DescriptionComplexity(), 1));
   }
-  rounds_ = options.rounds_override > 0
-                ? options.rounds_override
-                : TheoreticalRounds(n_, max_k, options.eps, options.delta);
-
-  PNN_CHECK_MSG(options.stream_ids.empty() || options.stream_ids.size() == n_,
-                "stream_ids must be empty or have one id per point");
-
-  // Round r draws from stream SplitSeed(seed, r) rather than one shared
-  // sequential stream: each instantiation depends only on (seed, r), so
-  // structures are bit-identical no matter which thread builds them or in
-  // what order — the property the parallel batch executor relies on for
-  // reproducible Monte-Carlo results, and what makes the round-indexed
-  // parallel build below exact. With stream_ids, the round stream is
-  // split once more per point (see Options::stream_ids).
-  if (backend_ == Backend::kDelaunay) {
-    delaunay_.resize(rounds_);
-  } else {
-    kd_.resize(rounds_);
-  }
-  auto build_round = [&](size_t r) {
-    Rng rng = MakeStreamRng(options.seed, r);
-    std::vector<Point2> instance(n_);
-    if (options.stream_ids.empty()) {
-      for (size_t i = 0; i < n_; ++i) instance[i] = points[i].Sample(&rng);
-    } else {
-      uint64_t round_seed = SplitSeed(options.seed, r);
-      for (size_t i = 0; i < n_; ++i) {
-        Rng prng = MakeStreamRng(round_seed, options.stream_ids[i]);
-        instance[i] = points[i].Sample(&prng);
-      }
-    }
-    if (backend_ == Backend::kDelaunay) {
-      delaunay_[r] = std::make_unique<Delaunay>(instance, rng.engine()());
-    } else {
-      kd_[r] = std::make_unique<KdTree>(std::move(instance));
-    }
-  };
-  exec::MaybeParallelFor(options.build_pool, rounds_, build_round);
+  size_t rounds = options.rounds_override > 0
+                      ? options.rounds_override
+                      : TheoreticalRounds(n_, max_k, options.eps, options.delta);
+  BuildMcRounds(points, options.seed, 0, rounds, options.stream_ids, options.build, &mc_);
 }
 
 std::vector<Quantification> MonteCarloPNN::Query(Point2 q) const {
   util::ScratchVec<int> lease;
   std::vector<int>& counts = *lease;
   counts.assign(n_, 0);
-  if (backend_ == Backend::kDelaunay) {
-    for (const auto& dt : delaunay_) ++counts[dt->Nearest(q)];
-  } else {
-    for (const auto& kd : kd_) ++counts[kd->Nearest(q)];
-  }
+  for (const auto& tree : mc_.trees) ++counts[tree->NearestSquared(q)];
   std::vector<Quantification> out;
+  const double rounds = static_cast<double>(mc_.trees.size());
   for (size_t i = 0; i < n_; ++i) {
     if (counts[i] > 0) {
-      out.push_back({static_cast<int>(i),
-                     static_cast<double>(counts[i]) / static_cast<double>(rounds_)});
+      out.push_back({static_cast<int>(i), static_cast<double>(counts[i]) / rounds});
     }
   }
   return out;

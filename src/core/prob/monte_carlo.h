@@ -1,10 +1,17 @@
 // The Monte-Carlo quantification structure of Section 4.2 (Theorems 4.3
-// and 4.5): s random instantiations of P, each preprocessed into a
-// certain-point nearest-neighbor structure (Delaunay/Voronoi by default,
-// matching the paper; a kd-tree backend is provided for comparison). A
-// query locates its NN in every instantiation and reports counts / s,
-// which estimates every pi_i(q) within additive eps with probability
-// >= 1 - delta when s = O(eps^-2 log(N / delta)).
+// and 4.5): s random instantiations of P, each preprocessed into an exact
+// certain-point nearest-neighbor structure. A query locates its NN in every
+// instantiation and reports counts / s, which estimates every pi_i(q)
+// within additive eps with probability >= 1 - delta when
+// s = O(eps^-2 log(N / delta)).
+//
+// Theorem 4.3 needs nothing of the per-round structure beyond exact NN
+// answers. The paper uses Voronoi diagrams with point location; here each
+// round is a kd-tree queried in the squared-distance domain with ties
+// pinned to the lowest point index (KdTree::NearestSquared). The static
+// Engine and the dynamic engine's buckets build their rounds through the
+// one BuildMcRounds below, so static and dynamic Monte Carlo are the same
+// code and answer bit-identically even on exactly equidistant samples.
 
 #ifndef PNN_CORE_PROB_MONTE_CARLO_H_
 #define PNN_CORE_PROB_MONTE_CARLO_H_
@@ -13,37 +20,51 @@
 #include <vector>
 
 #include "src/core/prob/quantify.h"
-#include "src/delaunay/delaunay.h"
-#include "src/exec/thread_pool.h"
 #include "src/spatial/kdtree.h"
 #include "src/uncertain/uncertain_point.h"
 
 namespace pnn {
 
+/// Per-round Monte-Carlo search structures: trees[r] is a kd-tree over
+/// round r's instantiation of a point set, in the set's index order.
+/// Shared pointers let an extension (the dynamic engine's bucket cache)
+/// reuse an already-built prefix structurally.
+struct McRounds {
+  std::vector<std::shared_ptr<const KdTree>> trees;
+};
+
+/// Builds rounds [from, to) into out->trees[from, to), growing the vector
+/// to `to`. Round r instantiates every point, then builds one KdTree with
+/// `build`'s leaf width and cutoff. Without stream ids, points draw in
+/// index order from the round's sequential stream MakeStreamRng(seed, r);
+/// with them (one per point), point i draws from its own stream
+/// MakeStreamRng(SplitSeed(seed, r), stream_ids[i]), so its samples depend
+/// only on (seed, r, id) — not on which other points are in the set.
+/// Either way round r is a pure function of (points, seed, r, ids), so
+/// the rounds fan out across build.pool and the result is bit-identical to
+/// the sequential build.
+void BuildMcRounds(const UncertainSet& points, uint64_t seed, size_t from, size_t to,
+                   const std::vector<uint64_t>& stream_ids, const KdBuildOptions& build,
+                   McRounds* out);
+
 /// Monte-Carlo PNN structure. Works for any uncertain-point mix
 /// (continuous and/or discrete) since it only needs sampling.
 class MonteCarloPNN {
  public:
-  enum class Backend { kDelaunay, kKdTree };
-
   struct Options {
     double eps = 0.1;     // Target additive error.
     double delta = 0.05;  // Failure probability.
     uint64_t seed = 1;
-    Backend backend = Backend::kDelaunay;
     size_t rounds_override = 0;  // If nonzero, use exactly this many rounds.
-    /// When non-empty (size n), point i draws round r from the dedicated
-    /// stream SplitSeed(SplitSeed(seed, r), stream_ids[i]) instead of the
-    /// round's shared sequential stream. A point's instantiations then
-    /// depend only on (seed, r, its id) — not on which other points are in
-    /// the set — which is what lets the dynamic engine's per-bucket round
-    /// structures reproduce this structure's samples exactly under
+    /// When non-empty (size n), per-point round streams (see
+    /// BuildMcRounds). This is what lets the dynamic engine's per-bucket
+    /// round structures reproduce this structure's samples exactly under
     /// arbitrary insert/erase histories.
     std::vector<uint64_t> stream_ids;
-    /// When set, round structures build in parallel across the pool.
-    /// Every round's samples and structure depend only on (seed, r), so
-    /// the result is bit-identical to the sequential build.
-    exec::ThreadPool* build_pool = nullptr;
+    /// Round-tree construction: rounds build in parallel across
+    /// build.pool, each tree with build.leaf_size. Answers are identical
+    /// at any pool, cutoff and width.
+    KdBuildOptions build;
   };
 
   MonteCarloPNN(const UncertainSet& points, const Options& options);
@@ -52,7 +73,10 @@ class MonteCarloPNN {
   /// entries are nonzero; everything else is implicitly 0.
   std::vector<Quantification> Query(Point2 q) const;
 
-  size_t rounds() const { return rounds_; }
+  size_t rounds() const { return mc_.trees.size(); }
+
+  /// The per-round trees (exposed for layout checks such as leaf width).
+  const McRounds& round_trees() const { return mc_; }
 
   /// The eps this structure was built for (Options::eps).
   double target_eps() const { return target_eps_; }
@@ -63,11 +87,8 @@ class MonteCarloPNN {
 
  private:
   size_t n_ = 0;
-  size_t rounds_ = 0;
   double target_eps_ = 0.0;
-  Backend backend_;
-  std::vector<std::unique_ptr<Delaunay>> delaunay_;
-  std::vector<std::unique_ptr<KdTree>> kd_;
+  McRounds mc_;
 };
 
 }  // namespace pnn

@@ -1,8 +1,10 @@
 // Delaunay triangulation with exact predicates, plus exact nearest-neighbor
 // queries by greedy walking — the "Voronoi diagram + point location"
-// substrate the Monte-Carlo quantifier of Section 4.2 builds once per
-// random instantiation. (The Voronoi diagram is the dual; the greedy walk
-// on the Delaunay graph locates the Voronoi cell containing the query.)
+// structure Section 4.2 names for each random instantiation. (The Voronoi
+// diagram is the dual; the greedy walk on the Delaunay graph locates the
+// Voronoi cell containing the query.) No query path uses it: Monte-Carlo
+// rounds are kd-trees (core/prob/monte_carlo.h), and the tests use this as
+// their exact nearest-neighbor oracle.
 //
 // Implementation: randomized-incremental Bowyer–Watson over a far-away
 // super-triangle; all orientation / in-circle decisions use the exact

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/util/check.h"
-#include "src/util/rng.h"
 
 namespace pnn {
 namespace dyn {
@@ -23,7 +22,6 @@ Engine::Options BucketEngineOptions(Engine::Options options) {
 
 Bucket::Bucket(std::vector<Id> ids, UncertainSet points, Engine::Options options)
     : ids_(std::move(ids)),
-      seed_(options.seed),
       engine_(std::make_unique<Engine>(std::move(points),
                                        BucketEngineOptions(std::move(options)))) {
   PNN_CHECK_MSG(ids_.size() == engine_->points().size(),
@@ -32,9 +30,7 @@ Bucket::Bucket(std::vector<Id> ids, UncertainSet points, Engine::Options options
 }
 
 Bucket::Bucket(std::vector<Id> ids, std::unique_ptr<Engine> engine)
-    : ids_(std::move(ids)),
-      seed_(engine->options().seed),
-      engine_(std::move(engine)) {
+    : ids_(std::move(ids)), engine_(std::move(engine)) {
   PNN_CHECK_MSG(ids_.size() == engine_->points().size(),
                 "bucket ids/points size mismatch");
   PNN_CHECK_MSG(std::is_sorted(ids_.begin(), ids_.end()), "bucket ids must ascend");
@@ -65,19 +61,11 @@ std::shared_ptr<const McRounds> Bucket::EnsureRounds(size_t rounds,
 
   auto next = std::make_shared<McRounds>();
   if (cur) next->trees = cur->trees;  // Share the already-built prefix.
-  size_t from = next->trees.size();
-  next->trees.resize(rounds);
-  const UncertainSet& pts = engine_->points();
-  auto build_round = [&](size_t r) {
-    uint64_t round_seed = SplitSeed(seed_, r);
-    std::vector<Point2> samples(pts.size());
-    for (size_t j = 0; j < pts.size(); ++j) {
-      Rng rng = MakeStreamRng(round_seed, static_cast<uint64_t>(ids_[j]));
-      samples[j] = pts[j].Sample(&rng);
-    }
-    next->trees[r] = std::make_shared<const KdTree>(std::move(samples));
-  };
-  exec::MaybeParallelFor(pool, rounds - from, [&](size_t i) { build_round(from + i); });
+  const Engine::Options& eo = engine_->options();
+  std::vector<uint64_t> stream_ids(ids_.begin(), ids_.end());
+  BuildMcRounds(engine_->points(), eo.seed, next->trees.size(), rounds, stream_ids,
+                KdBuildOptions{pool, eo.build_parallel_cutoff, eo.kd_leaf_size},
+                next.get());
   std::atomic_store_explicit(&mc_, std::shared_ptr<const McRounds>(next),
                              std::memory_order_release);
   return next;

@@ -15,7 +15,6 @@
 
 #include "src/core/pnn.h"
 #include "src/exec/thread_pool.h"
-#include "src/spatial/kdtree.h"
 
 namespace pnn {
 namespace dyn {
@@ -24,15 +23,6 @@ namespace dyn {
 /// ascending-id order equals insertion order equals the rank order of a
 /// fresh static Engine over the live set).
 using Id = int;
-
-/// Per-round Monte-Carlo search structures over a bucket's members. Round r
-/// holds a kd-tree over the samples drawn from the per-point streams
-/// SplitSeed(SplitSeed(seed, r), id_j) — exactly the samples a monolithic
-/// MonteCarloPNN with stream_ids = member ids draws, so a cross-bucket
-/// argmin per round reproduces its per-round nearest neighbor.
-struct McRounds {
-  std::vector<std::shared_ptr<const KdTree>> trees;  // trees[r], local order.
-};
 
 class Bucket {
  public:
@@ -55,15 +45,18 @@ class Bucket {
   int LocalIndex(Id id) const;
 
   /// Rounds [0, rounds) of the Monte-Carlo cache, building any missing
-  /// suffix (on `pool` when provided). Builds serialize on an internal
-  /// mutex; the completed prefix is shared structurally between extensions,
-  /// and readers holding an older McRounds keep it alive via shared_ptr.
+  /// suffix (on `pool` when provided) with BuildMcRounds over the members,
+  /// stream ids = member ids, at the engine's seed and kd leaf width —
+  /// exactly the rounds a static MonteCarloPNN with those stream ids
+  /// builds, so a cross-bucket argmin per round reproduces its per-round
+  /// nearest neighbor. Builds serialize on an internal mutex; the
+  /// completed prefix is shared structurally between extensions, and
+  /// readers holding an older McRounds keep it alive via shared_ptr.
   std::shared_ptr<const McRounds> EnsureRounds(size_t rounds,
                                                exec::ThreadPool* pool) const;
 
  private:
   std::vector<Id> ids_;
-  uint64_t seed_;
   std::unique_ptr<Engine> engine_;  // Never null.
 
   mutable std::mutex mc_mu_;  // Serializes round-cache extensions.

@@ -26,14 +26,14 @@
 //     tie-grouped sweep (QuantifyPrefixSweep) a monolithic structure runs;
 //   * Monte-Carlo Quantify: samples are keyed by (seed, round, point id)
 //     (MonteCarloPNN::Options::stream_ids), so the per-round global NN is
-//     the cross-part argmin of per-part NNs over identical samples;
+//     the cross-part argmin of per-part NNs over identical samples, exact
+//     ties going to the lowest id as in the static round trees;
 //   * QuantifyExact (discrete): per-part survival profiles multiply by the
 //     paper's independence structure (SurvivalProfile in core/prob).
 // Consequently answers match a fresh Engine(LiveSet(),
 // ReferenceEngineOptions()) — bit-identically for NonzeroNN/Quantify/
 // ThresholdNN — regardless of the update history, the merge schedule, or
-// the thread count, up to the same measure-zero distance ties the batch
-// executor documents.
+// the thread count.
 
 #ifndef PNN_DYN_DYNAMIC_ENGINE_H_
 #define PNN_DYN_DYNAMIC_ENGINE_H_

@@ -306,8 +306,8 @@ void MergedMonteCarloQuantifyInto(const Snapshot& snap, Point2 q, size_t rounds,
   // Tail samples come from the snapshot's cache when it has one (built
   // once per snapshot, shared by every query); hand-built snapshots
   // without a cache fall back to drawing the streams directly. Both paths
-  // visit the live tail in tail order with identical per-(round, id)
-  // samples, so winners are bit-identical.
+  // draw identical per-(round, id) samples and break ties by lowest id, so
+  // winners are bit-identical.
   std::shared_ptr<const TailSamples> tail_samples;
   if (snap.tail_mc != nullptr) {
     tail_samples = snap.tail_mc->Ensure(snap, rounds, seed);
@@ -330,21 +330,27 @@ void MergedMonteCarloQuantifyInto(const Snapshot& snap, Point2 q, size_t rounds,
   winners.assign(rounds, -1);
   const TailSamples* ts = tail_samples.get();
   // The whole round runs in the squared-distance domain (no sqrt anywhere:
-  // comparisons are monotone, only the winner id survives) — the same
-  // domain Delaunay::Nearest compares in, so dyn-vs-static winners stay
-  // bit-identical, and the tail row collapses to one fused argmin kernel.
+  // comparisons are monotone, only the winner id survives) with ties going
+  // to the lowest id — the static structure's rule (KdTree::NearestSquared,
+  // lowest index, and a static reference's index order is ascending id),
+  // so dyn-vs-static winners stay bit-identical even on exact ties. Each
+  // part already reports its lowest tied id (bucket locals and the cached
+  // tail row ascend by id), and the tail row is one fused argmin kernel.
   auto body = [&](size_t r) {
     double best_sq = kInf;
     Id best = -1;
+    auto offer = [&](double sq, Id id) {
+      if (sq < best_sq || (sq == best_sq && id < best)) {
+        best_sq = sq;
+        best = id;
+      }
+    };
     for (size_t b = 0; b < snap.buckets.size(); ++b) {
       const auto& bref = snap.buckets[b];
       if (bref.live_count == 0) continue;
       double sq;
       int li = mc[b]->trees[r]->NearestSquared(q, &sq, bref.dead.get());
-      if (li >= 0 && sq < best_sq) {
-        best_sq = sq;
-        best = bref.bucket->ids()[li];
-      }
+      if (li >= 0) offer(sq, bref.bucket->ids()[li]);
     }
     if (ts != nullptr) {
       size_t m = ts->ids.size();
@@ -352,19 +358,12 @@ void MergedMonteCarloQuantifyInto(const Snapshot& snap, Point2 q, size_t rounds,
       ptrdiff_t j = simd::ArgminSquaredDist(ts->xs.data() + r * m,
                                             ts->ys.data() + r * m, m, q.x, q.y,
                                             &row_sq);
-      if (j >= 0 && row_sq < best_sq) {
-        best_sq = row_sq;
-        best = ts->ids[j];
-      }
+      if (j >= 0) offer(row_sq, ts->ids[j]);
     } else {
       uint64_t round_seed = SplitSeed(seed, r);
       for (const TailEntry* e : tail_live) {
         Rng rng = MakeStreamRng(round_seed, static_cast<uint64_t>(e->id));
-        double sq = SquaredDistance(q, e->point.Sample(&rng));
-        if (sq < best_sq) {
-          best_sq = sq;
-          best = e->id;
-        }
+        offer(SquaredDistance(q, e->point.Sample(&rng)), e->id);
       }
     }
     winners[r] = best;

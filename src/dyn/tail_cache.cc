@@ -1,5 +1,7 @@
 #include "src/dyn/tail_cache.h"
 
+#include <algorithm>
+
 #include "src/util/check.h"
 #include "src/util/rng.h"
 
@@ -28,11 +30,15 @@ std::shared_ptr<const TailSamples> TailMcCache::Ensure(const Snapshot& snap,
     next->ys = cur->ys;
     next->rounds = cur->rounds;
   } else {
+    // Ascending id order, so the row argmin's first-index tie-break is the
+    // lowest-id rule of the cross-part merge (tails need not ascend:
+    // InsertWithId may re-add an older id).
     for (size_t i = 0; i < tail.size(); ++i) {
-      if (!snap.TailAlive(i)) continue;
-      next->ids.push_back(tail[i].id);
-      next->tail_index.push_back(static_cast<uint32_t>(i));
+      if (snap.TailAlive(i)) next->tail_index.push_back(static_cast<uint32_t>(i));
     }
+    std::sort(next->tail_index.begin(), next->tail_index.end(),
+              [&](uint32_t a, uint32_t b) { return tail[a].id < tail[b].id; });
+    for (uint32_t i : next->tail_index) next->ids.push_back(tail[i].id);
   }
   size_t m = next->ids.size();
   next->xs.resize(rounds * m);

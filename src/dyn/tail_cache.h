@@ -33,7 +33,7 @@ namespace dyn {
 struct TailSamples {
   uint64_t seed = 0;
   size_t rounds = 0;
-  std::vector<Id> ids;               // Live tail ids, tail order.
+  std::vector<Id> ids;               // Live tail ids, ascending.
   std::vector<uint32_t> tail_index;  // Position of ids[j] in the snapshot tail.
   std::vector<double> xs, ys;
 };

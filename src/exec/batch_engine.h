@@ -16,13 +16,9 @@
 // fan-out and queried through const, side-effect-free paths, and (b) the
 // Monte-Carlo structure derives round r from the seed stream
 // SplitSeed(seed, r) (see util/rng.h), so it is the same structure no
-// matter which thread triggers its construction.
-//
-// One degenerate caveat: on inputs where a query is EXACTLY equidistant
-// (to the last double bit) from two sampled locations, the underlying
-// Delaunay walk may break the tie by walk position, which depends on a
-// scheduling-sensitive locality hint. Such ties have measure zero for the
-// randomly sampled instantiations the Monte-Carlo path queries.
+// matter which thread triggers its construction. Exact distance ties
+// included: every round answers through KdTree::NearestSquared, whose
+// winner is the lowest tied index.
 
 #ifndef PNN_EXEC_BATCH_ENGINE_H_
 #define PNN_EXEC_BATCH_ENGINE_H_

@@ -26,8 +26,7 @@
 // The plan rule and Monte-Carlo round count are evaluated over the UNION's
 // aggregates (PlanForSnapshot/McRoundsForSnapshot), so answers bit-match a
 // single DynamicEngine — and hence a fresh static Engine — over the live
-// set, regardless of shard count, placement, or rebalance history (same
-// measure-zero tie caveats as the batch executor).
+// set, regardless of shard count, placement, or rebalance history.
 //
 // Consistency: queries never lock and never block on updates. A query
 // gathers the N shard snapshots under a seqlock epoch: plain updates touch

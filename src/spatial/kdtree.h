@@ -125,11 +125,11 @@ class KdTree {
   /// Nearest in the SQUARED-distance domain (Euclidean metric only): same
   /// winner rule as Nearest but every comparison — leaf argmin, box
   /// pruning, child ordering — runs on fl(dx^2)+fl(dy^2) with no sqrt, so
-  /// leaves go through the fused simd::ArgminSquaredDist kernel. This is
-  /// the dynamic engine's per-round Monte-Carlo scan; it compares in the
-  /// same domain as Delaunay::Nearest, keeping dyn-vs-static winners
-  /// bit-identical. *out_sq receives the squared distance (+inf when all
-  /// points are skipped).
+  /// leaves go through the fused simd::ArgminSquaredDist kernel. Ties go
+  /// to the lowest index. This is the per-round Monte-Carlo scan of both
+  /// the static and the dynamic engine (core/prob/monte_carlo.h).
+  /// *out_sq receives the squared distance (+inf when all points are
+  /// skipped).
   int NearestSquared(Point2 q, double* out_sq = nullptr,
                      const std::vector<char>* skip = nullptr) const;
 

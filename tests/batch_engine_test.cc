@@ -209,6 +209,84 @@ TEST(BatchEngine, DynamicBackendMatchesStaticReference) {
   }
 }
 
+TEST(BatchEngine, MonteCarloExactTiesAreDeterministic) {
+  // Discrete points that share exact locations, some of them symmetric
+  // about the origin, so nearly every round has exact distance ties —
+  // between copies of one location and between distinct equidistant
+  // locations. Every round answers through KdTree::NearestSquared (lowest
+  // tied index), so batches are bit-identical at any thread count and a
+  // static Engine with per-point stream ids matches a DynamicEngine.
+  Rng rng(2015);
+  const std::vector<Point2> shared = {{1, 0}, {-1, 0}, {0, 1}, {0, -1}, {3, 2}, {-2, 3}};
+  UncertainSet pts;
+  for (int i = 0; i < 48; ++i) {
+    std::vector<Point2> locs(3);
+    for (auto& l : locs) {
+      l = rng.Bernoulli(0.8) ? shared[rng.UniformInt(0, shared.size() - 1)]
+                             : Point2{rng.Uniform(-4, 4), rng.Uniform(-4, 4)};
+    }
+    pts.push_back(UncertainPoint::Discrete(std::move(locs), {0.2, 0.3, 0.5}));
+  }
+  std::vector<Point2> queries = RandomQueries(60, 5, &rng);
+  queries.push_back({0, 0});  // Equidistant from four shared locations.
+  queries.push_back(shared[4]);
+
+  Engine::Options eopt;
+  eopt.seed = 21;
+  eopt.mc_rounds_override = 200;
+  eopt.spiral_budget_fraction = 1e-9;  // Force the Monte-Carlo plan.
+  Engine engine(pts, eopt);
+  ASSERT_EQ(engine.PlanForQuantify(0.1), QuantifyPlan::kMonteCarlo);
+  std::vector<std::vector<Quantification>> by_threads[2];
+  for (size_t threads : {1u, 4u}) {
+    BatchOptions opt;
+    opt.num_threads = threads;
+    opt.min_parallel_batch = 1;
+    BatchEngine batch(&engine, opt);
+    auto result = batch.QuantifyBatch(queries, 0.1);
+    EXPECT_EQ(result.stats.monte_carlo_plans, queries.size());
+    by_threads[threads == 1 ? 0 : 1] = std::move(result.values);
+  }
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ExpectIdentical(by_threads[1][i], by_threads[0][i]);
+  }
+
+  // Dynamic and sharded backends against a static reference over the live
+  // set. Small tails mean several buckets per engine, and the shard
+  // router's union snapshot concatenates per-shard tails out of id order.
+  auto expect_matches_reference = [&](auto* backend) {
+    std::vector<dyn::Id> inserted;
+    for (const auto& p : pts) inserted.push_back(backend->Insert(p));
+    for (int i = 0; i < 6; ++i) backend->Erase(inserted[static_cast<size_t>(i) * 7]);
+    std::vector<dyn::Id> ids;
+    Engine reference(backend->LiveSet(&ids), backend->ReferenceEngineOptions());
+    ASSERT_EQ(backend->PlanForQuantify(0.1), QuantifyPlan::kMonteCarlo);
+    BatchOptions opt;
+    opt.num_threads = 4;
+    opt.min_parallel_batch = 1;
+    BatchEngine batch(backend, opt);
+    auto got = batch.QuantifyBatch(queries, 0.1);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      auto want = reference.Quantify(queries[i], 0.1);
+      ASSERT_EQ(got.values[i].size(), want.size());
+      for (size_t j = 0; j < want.size(); ++j) {
+        EXPECT_EQ(got.values[i][j].index, ids[want[j].index]);
+        EXPECT_EQ(got.values[i][j].probability, want[j].probability);
+      }
+    }
+  };
+  dyn::Options dopt;
+  dopt.engine = eopt;
+  dopt.tail_limit = 8;
+  dyn::DynamicEngine dynamic(dopt);
+  expect_matches_reference(&dynamic);
+  shard::Options sopt;
+  sopt.num_shards = 3;
+  sopt.shard = dopt;
+  shard::ShardedEngine sharded(sopt);
+  expect_matches_reference(&sharded);
+}
+
 TEST(BatchEngine, MixedBatchMatchesSequentialReplay) {
   // The same streaming-churn op stream, applied (a) via MixedBatch with a
   // pool and (b) op-by-op against a second engine, must produce identical

@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/prob/monte_carlo.h"
 #include "src/dyn/dynamic_engine.h"
 #include "src/shard/sharded_engine.h"
 #include "src/spatial/kdtree.h"
@@ -272,6 +273,46 @@ TEST(KdWidth, LeafWidthReportsBuiltExtent) {
     // A split halves >width ranges, so the widest leaf exceeds width/2
     // whenever the tree has enough points to fill one.
     if (static_cast<int>(pts.size()) > width) EXPECT_GT(tree.leaf_width(), width / 2);
+  }
+}
+
+// Monte-Carlo round trees are built at the requested width on both paths
+// that build them: MonteCarloPNN (the static Engine's structure) and the
+// dynamic engine's per-bucket round caches, which take the width from
+// Engine::Options::kd_leaf_size. Each round tree must have exactly the
+// layout a fresh build of its samples at that width produces.
+TEST(KdWidth, McRoundTreesHonorWidth) {
+  Rng rng(9106);
+  UncertainSet set = TieProneContinuousSet(120, &rng);
+  constexpr size_t kRounds = 4;
+  auto expect_width = [](const KdTree& tree, int width) {
+    KdBuildOptions build;
+    build.leaf_size = width;
+    KdTree fresh(tree.points(), {}, Metric::kEuclidean, build);
+    EXPECT_TRUE(tree.SameStructure(fresh)) << "width " << width;
+    EXPECT_LE(tree.leaf_width(), width);
+    if (static_cast<int>(tree.size()) > width) {
+      EXPECT_GT(tree.leaf_width(), width / 2);
+    }
+  };
+  for (int width : kWidths) {
+    MonteCarloPNN::Options mco;
+    mco.rounds_override = kRounds;
+    mco.build.leaf_size = width;
+    MonteCarloPNN mc(set, mco);
+    ASSERT_EQ(mc.rounds(), kRounds);
+    for (const auto& tree : mc.round_trees().trees) expect_width(*tree, width);
+
+    dyn::Options dopt;
+    dopt.engine.kd_leaf_size = width;
+    dopt.tail_limit = 8;
+    dyn::DynamicEngine engine(set, dopt);
+    auto snap = engine.snapshot();
+    ASSERT_FALSE(snap->buckets.empty());
+    for (const auto& bref : snap->buckets) {
+      auto rounds = bref.bucket->EnsureRounds(kRounds, nullptr);
+      for (const auto& tree : rounds->trees) expect_width(*tree, width);
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 // Tests for the Monte-Carlo quantifier (Theorems 4.3 / 4.5): error within
-// eps against the exact quantifiers, both backends, continuous and
-// discrete inputs, and the round-count formula.
+// eps against the exact quantifiers, the round trees against a Delaunay
+// nearest-neighbor oracle, continuous and discrete inputs, and the
+// round-count formula.
 
 #include "src/core/prob/monte_carlo.h"
 
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/prob/quantify.h"
+#include "src/delaunay/delaunay.h"
 #include "src/util/rng.h"
 
 namespace pnn {
@@ -66,30 +68,56 @@ TEST(MonteCarloPNN, DiscreteErrorWithinEps) {
   }
 }
 
-TEST(MonteCarloPNN, KdBackendMatchesDelaunayBackend) {
+// Exact oracle for the round structure: every round tree's NearestSquared
+// winner is at exactly the squared distance of the Delaunay nearest
+// neighbor (the paper's Voronoi + point location), and is the same point
+// wherever the minimum is attained once. Half the instances share exact
+// locations across points, so rounds contain duplicate samples.
+TEST(MonteCarloPNN, RoundTreesMatchDelaunayOracle) {
   Rng rng(703);
-  auto pts = RandomDiscrete(6, 2, &rng);
-  MonteCarloPNN::Options opt;
-  opt.rounds_override = 4000;
-  opt.seed = 7;
-  opt.backend = MonteCarloPNN::Backend::kDelaunay;
-  MonteCarloPNN mc_dt(pts, opt);
-  opt.backend = MonteCarloPNN::Backend::kKdTree;
-  // The backends consume the RNG stream differently (Delaunay also draws
-  // shuffle seeds), so instantiations are independent: estimates agree
-  // statistically (stderr ~ 0.008 at 4000 rounds; use a 4-sigma band).
-  MonteCarloPNN mc_kd(pts, opt);
-  for (int t = 0; t < 20; ++t) {
-    Point2 q{rng.Uniform(-25, 25), rng.Uniform(-25, 25)};
-    auto a = mc_dt.Query(q);
-    auto b = mc_kd.Query(q);
-    std::vector<double> da(pts.size(), 0.0), db(pts.size(), 0.0);
-    for (const auto& e : a) da[e.index] = e.probability;
-    for (const auto& e : b) db[e.index] = e.probability;
-    for (size_t i = 0; i < pts.size(); ++i) {
-      EXPECT_NEAR(da[i], db[i], 0.035);
+  int unique_checked = 0, tied_checked = 0;
+  for (int instance = 0; instance < 8; ++instance) {
+    bool duplicates = instance % 2 == 1;
+    UncertainSet pts;
+    std::vector<Point2> shared(5);
+    for (auto& p : shared) p = {rng.Uniform(-20, 20), rng.Uniform(-20, 20)};
+    for (int i = 0; i < 60; ++i) {
+      std::vector<Point2> locs(2);
+      for (auto& l : locs) {
+        l = duplicates && rng.Bernoulli(0.5)
+                ? shared[rng.UniformInt(0, shared.size() - 1)]
+                : Point2{rng.Uniform(-20, 20), rng.Uniform(-20, 20)};
+      }
+      pts.push_back(UncertainPoint::Discrete(std::move(locs), {0.5, 0.5}));
+    }
+    McRounds rounds;
+    BuildMcRounds(pts, 11 + instance, 0, 6, {}, KdBuildOptions(), &rounds);
+    for (const auto& tree : rounds.trees) {
+      const std::vector<Point2>& sample = tree->points();
+      Delaunay dt(sample);
+      std::vector<Point2> queries(40);
+      for (auto& q : queries) q = {rng.Uniform(-25, 25), rng.Uniform(-25, 25)};
+      queries.push_back(shared[0]);  // Distance-zero ties on duplicates.
+      for (Point2 q : queries) {
+        double kd_sq;
+        int kd = tree->NearestSquared(q, &kd_sq);
+        int oracle = dt.Nearest(q);
+        ASSERT_EQ(kd_sq, SquaredDistance(q, sample[oracle]));
+        int attained = 0;
+        for (Point2 s : sample) attained += SquaredDistance(q, s) == kd_sq;
+        if (attained == 1) {
+          EXPECT_EQ(kd, oracle);
+          ++unique_checked;
+        } else {
+          // Ties go to the lowest index attaining the minimum.
+          for (int i = 0; i < kd; ++i) EXPECT_GT(SquaredDistance(q, sample[i]), kd_sq);
+          ++tied_checked;
+        }
+      }
     }
   }
+  EXPECT_GT(unique_checked, 1000);
+  EXPECT_GT(tied_checked, 0);
 }
 
 TEST(MonteCarloPNN, ContinuousDisksWithinEps) {
