@@ -5,7 +5,8 @@
 // Part 1 (discrete): observed max error over queries vs s — should track
 // the sqrt(log/s) envelope; the theoretical s for each eps is reported.
 // Part 2 (continuous): same against the Eq. (1) quadrature ground truth.
-// Part 3: preprocessing/query time scaling in s.
+// Part 3: preprocessing/query time scaling in s, and the cost of building
+// rounds from per-(round, id) streams (one fresh stream per sample).
 
 #include <cmath>
 #include <cstdio>
@@ -13,6 +14,7 @@
 
 #include "src/core/prob/monte_carlo.h"
 #include "src/core/prob/quantify.h"
+#include "src/util/rng.h"
 #include "src/util/table.h"
 #include "src/util/timer.h"
 #include "src/workload/generators.h"
@@ -123,6 +125,59 @@ void QueryCost() {
   table.Print();
 }
 
+// Every sample comes from its own stream MakeStreamRng(SplitSeed(seed, r),
+// id), so the round build pays one stream seeding per sample. The draw-only
+// rows isolate that: SplitMix64 (StreamRng, what the build uses) against a
+// freshly seeded mt19937_64 (Rng) per sample.
+void RoundBuildCost() {
+  const size_t n = 2000, s = 256;
+  std::printf("\n### round build from per-id streams (n = %zu disks, s = %zu)\n\n", n, s);
+  Rng rng(53);
+  UncertainSet pts;
+  for (size_t i = 0; i < n; ++i) {
+    Point2 c{rng.Uniform(-100, 100), rng.Uniform(-100, 100)};
+    pts.push_back(UncertainPoint::UniformDisk(c, rng.Uniform(0.5, 3)));
+  }
+  std::vector<uint64_t> ids(n);
+  for (size_t i = 0; i < n; ++i) ids[i] = 3 * i + 1;
+  const double samples = static_cast<double>(n * s);
+  Table table({"stage", "ms", "ns/sample"});
+
+  Timer build;
+  McRounds rounds;
+  BuildMcRounds(pts, 7, 0, s, ids, KdBuildOptions(), &rounds);
+  double build_ms = build.Millis();
+  table.AddRow({"BuildMcRounds (draws + kd builds)", Table::Num(build_ms, 4),
+                Table::Num(build_ms * 1e6 / samples, 4)});
+
+  double acc = 0;
+  Timer split;
+  for (size_t r = 0; r < s; ++r) {
+    uint64_t round_seed = SplitSeed(7, r);
+    for (size_t j = 0; j < n; ++j) {
+      StreamRng stream = MakeStreamRng(round_seed, ids[j]);
+      acc += pts[j].Sample(&stream).x;
+    }
+  }
+  double split_ms = split.Millis();
+  table.AddRow({"draws only, StreamRng (SplitMix64)", Table::Num(split_ms, 4),
+                Table::Num(split_ms * 1e6 / samples, 4)});
+
+  Timer twister;
+  for (size_t r = 0; r < s; ++r) {
+    uint64_t round_seed = SplitSeed(7, r);
+    for (size_t j = 0; j < n; ++j) {
+      Rng stream(SplitSeed(round_seed, ids[j]));
+      acc += pts[j].Sample(&stream).x;
+    }
+  }
+  double twister_ms = twister.Millis();
+  table.AddRow({"draws only, Rng (mt19937_64) per sample", Table::Num(twister_ms, 4),
+                Table::Num(twister_ms * 1e6 / samples, 4)});
+  table.Print();
+  std::printf("(checksum %.3f)\n", acc);
+}
+
 }  // namespace
 }  // namespace pnn
 
@@ -131,5 +186,6 @@ int main() {
   pnn::ErrorVsRounds();
   pnn::Continuous();
   pnn::QueryCost();
+  pnn::RoundBuildCost();
   return 0;
 }

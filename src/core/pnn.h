@@ -56,8 +56,10 @@ class Engine {
     /// Spiral search is preferred while rho * k * ln(rho/eps) stays below
     /// this fraction of N; beyond it Monte Carlo wins. Must be in (0,1].
     double spiral_budget_fraction = 0.5;
-    /// Per-point Monte-Carlo sample streams (see
-    /// MonteCarloPNN::Options::stream_ids). Empty, or one id per point.
+    /// Per-point Monte-Carlo stream ids (see
+    /// MonteCarloPNN::Options::stream_ids). Empty, or one id per point;
+    /// empty means ids 0..n-1, so an engine without ids samples exactly
+    /// as one given its indices.
     std::vector<uint64_t> mc_stream_ids;
     /// When set, every structure build fans out across this pool: the
     /// constructor's kd builds recurse per-subtree (KdBuildOptions), the

@@ -20,16 +20,11 @@ void BuildMcRounds(const UncertainSet& points, uint64_t seed, size_t from, size_
   const size_t n = points.size();
   auto build_round = [&](size_t i) {
     const size_t r = from + i;
+    const uint64_t round_seed = SplitSeed(seed, r);
     std::vector<Point2> samples(n);
-    if (stream_ids.empty()) {
-      Rng rng = MakeStreamRng(seed, r);
-      for (size_t j = 0; j < n; ++j) samples[j] = points[j].Sample(&rng);
-    } else {
-      uint64_t round_seed = SplitSeed(seed, r);
-      for (size_t j = 0; j < n; ++j) {
-        Rng rng = MakeStreamRng(round_seed, stream_ids[j]);
-        samples[j] = points[j].Sample(&rng);
-      }
+    for (size_t j = 0; j < n; ++j) {
+      StreamRng rng = MakeStreamRng(round_seed, stream_ids.empty() ? j : stream_ids[j]);
+      samples[j] = points[j].Sample(&rng);
     }
     out->trees[r] = std::make_shared<const KdTree>(
         std::move(samples), std::vector<double>(), Metric::kEuclidean, build);

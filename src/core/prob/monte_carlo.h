@@ -12,6 +12,14 @@
 // Engine and the dynamic engine's buckets build their rounds through the
 // one BuildMcRounds below, so static and dynamic Monte Carlo are the same
 // code and answer bit-identically even on exactly equidistant samples.
+//
+// Theorem 4.3 asks for s independent instantiations of P. Point id's
+// round-r sample is drawn from its own stream MakeStreamRng(SplitSeed(seed,
+// r), id) — there is one sampling scheme, with or without explicit ids —
+// so a sample never depends on which other points share its set or round.
+// That is what lets the dynamic engine's buckets and tail reproduce the
+// static structure exactly. A fresh stream per sample is affordable because
+// the streams are SplitMix64 (util/rng.h): seeding one is a single word.
 
 #ifndef PNN_CORE_PROB_MONTE_CARLO_H_
 #define PNN_CORE_PROB_MONTE_CARLO_H_
@@ -35,14 +43,14 @@ struct McRounds {
 
 /// Builds rounds [from, to) into out->trees[from, to), growing the vector
 /// to `to`. Round r instantiates every point, then builds one KdTree with
-/// `build`'s leaf width and cutoff. Without stream ids, points draw in
-/// index order from the round's sequential stream MakeStreamRng(seed, r);
-/// with them (one per point), point i draws from its own stream
-/// MakeStreamRng(SplitSeed(seed, r), stream_ids[i]), so its samples depend
-/// only on (seed, r, id) — not on which other points are in the set.
-/// Either way round r is a pure function of (points, seed, r, ids), so
-/// the rounds fan out across build.pool and the result is bit-identical to
-/// the sequential build.
+/// `build`'s leaf width and cutoff. Point j draws its round-r sample from
+/// its own stream MakeStreamRng(SplitSeed(seed, r), id_j), where id_j is
+/// stream_ids[j] or, without ids, j itself. A sample therefore depends only
+/// on (seed, r, id) — not on which other points are in the set, nor on the
+/// order they are drawn in — and the streams are SplitMix64, so a fresh
+/// stream per sample costs one word of state. Round r is a pure function
+/// of (points, seed, r, ids), so the rounds fan out across build.pool and
+/// the result is bit-identical to the sequential build.
 void BuildMcRounds(const UncertainSet& points, uint64_t seed, size_t from, size_t to,
                    const std::vector<uint64_t>& stream_ids, const KdBuildOptions& build,
                    McRounds* out);
@@ -56,10 +64,10 @@ class MonteCarloPNN {
     double delta = 0.05;  // Failure probability.
     uint64_t seed = 1;
     size_t rounds_override = 0;  // If nonzero, use exactly this many rounds.
-    /// When non-empty (size n), per-point round streams (see
-    /// BuildMcRounds). This is what lets the dynamic engine's per-bucket
-    /// round structures reproduce this structure's samples exactly under
-    /// arbitrary insert/erase histories.
+    /// When non-empty (size n), point i's stream id (see BuildMcRounds);
+    /// empty means ids 0..n-1. Ids are what let the dynamic engine's
+    /// per-bucket round structures reproduce this structure's samples
+    /// exactly under arbitrary insert/erase histories.
     std::vector<uint64_t> stream_ids;
     /// Round-tree construction: rounds build in parallel across
     /// build.pool, each tree with build.leaf_size. Answers are identical

@@ -129,10 +129,10 @@ struct Snapshot {
   std::shared_ptr<const std::vector<char>> tail_dead;
   /// Lazily built per-(seed, rounds) Monte-Carlo tail samples, shared by
   /// every query against this snapshot so repeated quantifications sample
-  /// the tail once (null when the tail has no live entries — notably on
-  /// hand-built snapshots, where the merge layer falls back to direct
-  /// sampling). A snapshot publish starts a fresh cache: that is the
-  /// invalidation on insert/erase/merge/compaction.
+  /// the tail once (null when the tail has no live entries; hand-built
+  /// snapshots may omit it, and the merge layer then samples through a
+  /// query-local cache). A snapshot publish starts a fresh cache: that is
+  /// the invalidation on insert/erase/merge/compaction.
   std::shared_ptr<TailMcCache> tail_mc;
   /// Cross-query answer memoization for this snapshot (null on hand-built
   /// snapshots and when Options::answer_cache is off — queries then just

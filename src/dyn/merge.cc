@@ -10,7 +10,6 @@
 #include "src/dyn/tail_cache.h"
 #include "src/util/arena.h"
 #include "src/util/check.h"
-#include "src/util/rng.h"
 #include "src/util/simd.h"
 
 namespace pnn {
@@ -303,22 +302,20 @@ void MergedMonteCarloQuantifyInto(const Snapshot& snap, Point2 q, size_t rounds,
       mc[b] = snap.buckets[b].bucket->EnsureRounds(rounds, pool);
     }
   }
-  // Tail samples come from the snapshot's cache when it has one (built
-  // once per snapshot, shared by every query); hand-built snapshots
-  // without a cache fall back to drawing the streams directly. Both paths
-  // draw identical per-(round, id) samples and break ties by lowest id, so
-  // winners are bit-identical.
+  // Tail samples come from the snapshot's cache (built once per snapshot,
+  // shared by every query). Both publishers attach one whenever the tail
+  // has a live entry; a hand-built snapshot may not, and samples through a
+  // query-local cache instead, so every tail sample is drawn by
+  // TailMcCache::Ensure either way.
   std::shared_ptr<const TailSamples> tail_samples;
   if (snap.tail_mc != nullptr) {
     tail_samples = snap.tail_mc->Ensure(snap, rounds, seed);
-  }
-  util::ScratchVec<const TailEntry*> tail_lease;
-  std::vector<const TailEntry*>& tail_live = *tail_lease;
-  tail_live.clear();
-  if (snap.tail_mc == nullptr && snap.tail != nullptr) {
-    const std::vector<TailEntry>& entries = *snap.tail;
-    for (size_t i = 0; i < entries.size(); ++i) {
-      if (snap.TailAlive(i)) tail_live.push_back(&entries[i]);
+  } else if (snap.tail != nullptr) {
+    for (size_t i = 0; i < snap.tail->size(); ++i) {
+      if (snap.TailAlive(i)) {
+        tail_samples = TailMcCache().Ensure(snap, rounds, seed);
+        break;
+      }
     }
   }
 
@@ -359,12 +356,6 @@ void MergedMonteCarloQuantifyInto(const Snapshot& snap, Point2 q, size_t rounds,
                                             ts->ys.data() + r * m, m, q.x, q.y,
                                             &row_sq);
       if (j >= 0) offer(row_sq, ts->ids[j]);
-    } else {
-      uint64_t round_seed = SplitSeed(seed, r);
-      for (const TailEntry* e : tail_live) {
-        Rng rng = MakeStreamRng(round_seed, static_cast<uint64_t>(e->id));
-        offer(SquaredDistance(q, e->point.Sample(&rng)), e->id);
-      }
     }
     winners[r] = best;
   };
@@ -383,11 +374,10 @@ void MergedMonteCarloQuantifyInto(const Snapshot& snap, Point2 q, size_t rounds,
         {sorted[i], static_cast<double>(j - i) / static_cast<double>(rounds)});
     i = j;
   }
-  // Drop the round-table refs (and stale tail pointers) before the leases
-  // return to the arena: a pooled buffer must not pin retired buckets'
-  // sample structures on an idle thread.
+  // Drop the round-table refs before the lease returns to the arena: a
+  // pooled buffer must not pin retired buckets' sample structures on an
+  // idle thread.
   mc.clear();
-  tail_live.clear();
 }
 
 std::vector<Quantification> MergedQuantifyExact(const Snapshot& snap, Point2 q) {
@@ -457,7 +447,6 @@ void PrewarmWorkerScratch(size_t points_hint, size_t rounds_hint) {
   util::ScratchVec<WeightedLocation>::Prewarm(1, cap);
   // Monte-Carlo recombination (MergedMonteCarloQuantifyInto).
   util::ScratchVec<std::shared_ptr<const McRounds>>::Prewarm(1, 16);
-  util::ScratchVec<const TailEntry*>::Prewarm(1, 256);
   // Quantify sweep accumulators + survival gather buffer
   // (QuantifyPrefixSweepInto) and the shard router's per-shard delta table.
   util::ScratchVec<double>::Prewarm(4, cap);

@@ -48,7 +48,7 @@ std::shared_ptr<const TailSamples> TailMcCache::Ensure(const Snapshot& snap,
     double* row_x = next->xs.data() + r * m;
     double* row_y = next->ys.data() + r * m;
     for (size_t j = 0; j < m; ++j) {
-      Rng rng = MakeStreamRng(round_seed, static_cast<uint64_t>(next->ids[j]));
+      StreamRng rng = MakeStreamRng(round_seed, static_cast<uint64_t>(next->ids[j]));
       Point2 p = tail[next->tail_index[j]].point.Sample(&rng);
       row_x[j] = p.x;
       row_y[j] = p.y;

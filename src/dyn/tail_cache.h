@@ -1,12 +1,16 @@
-// Per-snapshot cache of Monte-Carlo tail samples: MergedMonteCarloQuantify
-// draws every live tail entry's round-r sample from the dedicated stream
-// SplitSeed(SplitSeed(seed, r), id) — a pure function of (seed, r, id) —
-// so the samples can be computed once per snapshot and shared by every
-// query against it, instead of re-constructing one Rng per (round, tail
-// entry) per query. The cache object rides on the Snapshot (see
-// Snapshot::tail_mc): a new snapshot publish (insert/erase/merge, or a new
-// combined union in the shard router) starts a fresh empty cache, which is
-// exactly the required invalidation.
+// Per-snapshot cache of Monte-Carlo tail samples: every live tail entry's
+// round-r sample comes from its own stream
+// MakeStreamRng(SplitSeed(seed, r), id) — a pure function of (seed, r, id),
+// the same stream BuildMcRounds gives that id inside a bucket — so the
+// samples are computed once per snapshot and shared by every query against
+// it. This is the only place tail samples are drawn: MergedMonteCarloQuantify
+// reads them from the snapshot's cache (or, for a hand-built snapshot
+// without one, from a query-local cache). The streams are SplitMix64
+// (util/rng.h), so one stream per (round, entry) costs a single word of
+// seeding. The cache object rides on the Snapshot (see Snapshot::tail_mc):
+// a new snapshot publish (insert/erase/merge, or a new combined union in
+// the shard router) starts a fresh empty cache, which is exactly the
+// required invalidation.
 //
 // Concurrency mirrors Bucket::EnsureRounds: extensions serialize on a
 // mutex, readers take lock-free atomic-shared_ptr snapshots, and an

@@ -14,11 +14,11 @@
 // to answering the queries one by one on a single thread, at any thread
 // count. This holds because (a) all structures are prewarmed before the
 // fan-out and queried through const, side-effect-free paths, and (b) the
-// Monte-Carlo structure derives round r from the seed stream
-// SplitSeed(seed, r) (see util/rng.h), so it is the same structure no
-// matter which thread triggers its construction. Exact distance ties
-// included: every round answers through KdTree::NearestSquared, whose
-// winner is the lowest tied index.
+// Monte-Carlo structure derives point id's round-r sample from the stream
+// MakeStreamRng(SplitSeed(seed, r), id) (see util/rng.h), so it is the
+// same structure no matter which thread triggers its construction. Exact
+// distance ties included: every round answers through
+// KdTree::NearestSquared, whose winner is the lowest tied index.
 
 #ifndef PNN_EXEC_BATCH_ENGINE_H_
 #define PNN_EXEC_BATCH_ENGINE_H_

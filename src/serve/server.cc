@@ -392,8 +392,10 @@ void Server::QueueResponse(Connection* conn, uint64_t request_id,
 
 void Server::FlushConnection(uint64_t conn_id, Connection* conn) {
   while (conn->tx_sent < conn->tx.size()) {
-    ssize_t w = write(conn->fd, conn->tx.data() + conn->tx_sent,
-                      conn->tx.size() - conn->tx_sent);
+    // MSG_NOSIGNAL: a peer that reset the connection must cost only this
+    // connection (EPIPE below), never SIGPIPE the whole server process.
+    ssize_t w = send(conn->fd, conn->tx.data() + conn->tx_sent,
+                     conn->tx.size() - conn->tx_sent, MSG_NOSIGNAL);
     if (w > 0) {
       conn->tx_sent += static_cast<size_t>(w);
       continue;

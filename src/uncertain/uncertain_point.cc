@@ -215,7 +215,8 @@ double UncertainPoint::DistancePdf(Point2 q, double r) const {
   return r * integral / z;
 }
 
-Point2 UncertainPoint::Sample(Rng* rng) const {
+template <typename Gen>
+Point2 UncertainPoint::Sample(Gen* rng) const {
   if (is_discrete_) {
     double u = rng->Uniform(0.0, 1.0);
     const auto& cum = discrete_.cumulative;
@@ -238,6 +239,9 @@ Point2 UncertainPoint::Sample(Rng* rng) const {
   double theta = rng->Uniform(0.0, 2.0 * M_PI);
   return s.center + rho * UnitVector(theta);
 }
+
+template Point2 UncertainPoint::Sample(Rng* rng) const;
+template Point2 UncertainPoint::Sample(StreamRng* rng) const;
 
 double UncertainPoint::ExpectedDistance(Point2 q) const {
   if (is_discrete_) {

@@ -90,8 +90,11 @@ class UncertainPoint {
   /// density is a sum of Dirac masses; this returns 0 (use DistanceCdf).
   double DistancePdf(Point2 q, double r) const;
 
-  /// Draws a random location according to the distribution.
-  Point2 Sample(Rng* rng) const;
+  /// Draws a random location according to the distribution: one uniform
+  /// for a discrete point, two for a disk. Instantiated for Rng and
+  /// StreamRng (uncertain_point.cc).
+  template <typename Gen>
+  Point2 Sample(Gen* rng) const;
 
   /// E[d(q, P_i)] — the expected-distance semantics of [AESZ12]. Exact for
   /// discrete; quadrature for continuous pdfs.

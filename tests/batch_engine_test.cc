@@ -61,8 +61,8 @@ TEST(BatchEngine, DiscreteBatchMatchesSequential) {
 TEST(BatchEngine, MonteCarloBatchMatchesSequentialAcrossEngines) {
   // Continuous inputs route through the Monte-Carlo structure. A separate
   // engine with the same seed must produce the same batch answers: the
-  // structure depends only on (points, seed, rounds), and round seeds are
-  // split per round, not drawn from a shared sequential stream.
+  // structure depends only on (points, seed, rounds), and every sample
+  // comes from its own (round, id) stream, not a shared sequential one.
   Rng rng(2003);
   UncertainSet pts;
   for (int i = 0; i < 12; ++i) {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "src/dyn/merge.h"
+#include "src/dyn/tail_cache.h"
 #include "src/workload/generators.h"
 
 namespace pnn {
@@ -240,6 +241,35 @@ TEST(MergedEdges, AllTombstonedPartsAnswerEmpty) {
   EXPECT_TRUE(SnapshotLiveSet(snap, nullptr).empty());
   EXPECT_EQ(SnapshotNonzeroDelta(snap, q),
             std::numeric_limits<double>::infinity());
+}
+
+TEST(MergedEdges, HandBuiltTailWithoutCacheMatchesCachedTail) {
+  // A hand-built snapshot with live tail entries but no tail_mc samples the
+  // tail through a query-local cache: the answer must be bit-identical to
+  // the same snapshot with a cache attached, as the publishers build it.
+  Engine::Options eopt;
+  auto bucket = std::make_shared<const Bucket>(
+      std::vector<Id>{0, 1, 2}, UncertainSet{Loc(0, 0), Loc(1, 0), Loc(0, 1)}, eopt);
+  Snapshot snap;
+  snap.buckets.push_back({bucket, nullptr, 3});
+  snap.tail = std::make_shared<const std::vector<TailEntry>>(std::vector<TailEntry>{
+      {5, Loc(1, 1)}, {3, Loc(0.5, 0.5)}, {4, UncertainPoint::UniformDisk({1, 0.5}, 1)}});
+  snap.tail_dead = std::make_shared<const std::vector<char>>(std::vector<char>{0, 1, 0});
+  snap.live_count = 5;
+
+  Point2 q{0.6, 0.4};
+  std::vector<Quantification> local = MergedMonteCarloQuantify(snap, q, 64, 9, nullptr);
+  snap.tail_mc = std::make_shared<TailMcCache>();
+  std::vector<Quantification> cached = MergedMonteCarloQuantify(snap, q, 64, 9, nullptr);
+  ASSERT_EQ(local.size(), cached.size());
+  bool tail_won = false;
+  for (size_t i = 0; i < local.size(); ++i) {
+    EXPECT_EQ(local[i].index, cached[i].index);
+    EXPECT_EQ(local[i].probability, cached[i].probability);
+    EXPECT_NE(local[i].index, 3);  // Tombstoned tail entry.
+    tail_won |= local[i].index >= 4;
+  }
+  EXPECT_TRUE(tail_won);
 }
 
 TEST(MergedEdges, DeadBucketAlongsideLiveTail) {

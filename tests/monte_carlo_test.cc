@@ -152,6 +152,40 @@ TEST(MonteCarloPNN, EstimatesSumToAtMostOne) {
   }
 }
 
+// One sampling scheme: without stream ids, point i draws from the stream
+// of id i, so the structure is bit-identical to one given ids 0..n-1.
+TEST(MonteCarloPNN, DefaultStreamIdsAreIndices) {
+  Rng rng(713);
+  auto pts = RandomDiscrete(30, 3, &rng);
+  pts.push_back(UncertainPoint::UniformDisk({1, 2}, 3));
+  pts.push_back(UncertainPoint::TruncatedGaussian({-4, 0}, 2, 0.7));
+  MonteCarloPNN::Options opt;
+  opt.rounds_override = 64;
+  opt.seed = 5;
+  MonteCarloPNN implicit(pts, opt);
+  for (size_t i = 0; i < pts.size(); ++i) opt.stream_ids.push_back(i);
+  MonteCarloPNN explicit_ids(pts, opt);
+  ASSERT_EQ(implicit.rounds(), explicit_ids.rounds());
+  for (size_t r = 0; r < implicit.rounds(); ++r) {
+    const std::vector<Point2>& a = implicit.round_trees().trees[r]->points();
+    const std::vector<Point2>& b = explicit_ids.round_trees().trees[r]->points();
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t j = 0; j < a.size(); ++j) {
+      EXPECT_EQ(a[j].x, b[j].x);
+      EXPECT_EQ(a[j].y, b[j].y);
+    }
+  }
+  for (int t = 0; t < 20; ++t) {
+    Point2 q{rng.Uniform(-25, 25), rng.Uniform(-25, 25)};
+    auto ra = implicit.Query(q), rb = explicit_ids.Query(q);
+    ASSERT_EQ(ra.size(), rb.size());
+    for (size_t i = 0; i < ra.size(); ++i) {
+      EXPECT_EQ(ra[i].index, rb[i].index);
+      EXPECT_EQ(ra[i].probability, rb[i].probability);
+    }
+  }
+}
+
 TEST(MonteCarloPNN, DeterministicGivenSeed) {
   Rng rng(711);
   auto pts = RandomDiscrete(5, 2, &rng);

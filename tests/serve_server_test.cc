@@ -9,6 +9,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -50,6 +51,34 @@ std::unique_ptr<shard::ShardedEngine> MakeBackend(int points = 40) {
   return engine;
 }
 
+// Continuous points, so every Quantify runs Monte Carlo; the first one
+// builds all `rounds` round structures inside the worker (about 0.1 s
+// for 2,000 points and 256 rounds in an optimized build).
+std::unique_ptr<shard::ShardedEngine> MakeDiskBackend(int points, size_t rounds) {
+  shard::Options sopt;
+  sopt.num_shards = 2;
+  sopt.shard.engine.seed = 78;
+  sopt.shard.engine.mc_rounds_override = rounds;
+  auto engine = std::make_unique<shard::ShardedEngine>(sopt);
+  Rng rng(903);
+  for (int i = 0; i < points; ++i) {
+    engine->Insert(UncertainPoint::UniformDisk(
+        {rng.Uniform(-100, 100), rng.Uniform(-100, 100)}, rng.Uniform(0.5, 2)));
+  }
+  return engine;
+}
+
+// Polls `done` every millisecond for up to ten seconds.
+template <typename Pred>
+bool WaitFor(Pred done) {
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
 // Raw loopback socket for protocol-abuse tests (Client is too polite).
 class RawConn {
  public:
@@ -76,6 +105,15 @@ class RawConn {
       sent += static_cast<size_t>(w);
     }
     return true;
+  }
+  /// Sends `bytes` corked, then closes: the bytes and the FIN leave in one
+  /// segment, so the server reads every frame before it can see the EOF.
+  bool SendAllThenClose(const std::string& bytes) {
+    int one = 1;
+    if (setsockopt(fd_, IPPROTO_TCP, TCP_CORK, &one, sizeof(one)) != 0) return false;
+    bool sent = SendAll(bytes);
+    Close();
+    return sent;
   }
   /// Reads until one full frame is buffered or the peer closes; true with
   /// the payload on success, false on EOF.
@@ -264,16 +302,68 @@ TEST(ServeServer, PartialFrameThenCompletionIsAnswered) {
   EXPECT_TRUE(resp.response.ok());
 }
 
+// A vanished peer costs only its own connection. The reset case is
+// deterministic: while the worker is busy and the one-slot queue is full,
+// a peer sends frames and its FIN in one segment, so the server sheds the
+// frames one by one before it reads the EOF. The first shed response hits
+// the closed peer, which answers with a reset; the next one is written to
+// a reset connection, where a plain write() raises SIGPIPE and kills the
+// whole process.
 TEST(ServeServer, DisconnectMidRequestDoesNotCrash) {
-  auto backend = MakeBackend();
-  Server server(api::EngineRef(backend.get()));
+  auto backend = MakeDiskBackend(2000, 256);
+  ServerOptions opts;
+  opts.queue_limit = 1;
+  opts.batch_max = 1;
+  Server server(api::EngineRef(backend.get()), opts);
   ASSERT_TRUE(server.Start());
+
+  // Occupy the worker with the first Quantify (it builds every round),
+  // then fill the queue: a filler admitted without a shed means the
+  // worker has taken the slow request.
+  RawConn busy;
+  ASSERT_TRUE(busy.Connect(server.port()));
+  std::string frame;
+  AppendRequestFrame(0, api::QueryRequest::Quantify({0, 0}, 0.1), &frame);
+  ASSERT_TRUE(busy.SendAll(frame));
+  ASSERT_TRUE(WaitFor([&] { return server.stats().requests_received == 1; }));
+  uint64_t busy_requests = 1;
+  for (;;) {
+    uint64_t shed_before = server.stats().shed_overloaded;
+    frame.clear();
+    AppendRequestFrame(busy_requests, api::QueryRequest::NonzeroNN({0, 0}), &frame);
+    ASSERT_TRUE(busy.SendAll(frame));
+    ++busy_requests;
+    ASSERT_TRUE(
+        WaitFor([&] { return server.stats().requests_received == busy_requests; }));
+    if (server.stats().shed_overloaded == shed_before) break;
+  }
+
+  // Frames plus FIN in one segment, then vanish.
+  {
+    uint64_t shed_before = server.stats().shed_overloaded;
+    RawConn conn;
+    ASSERT_TRUE(conn.Connect(server.port()));
+    std::string frames;
+    for (int i = 0; i < 8; ++i) {
+      AppendRequestFrame(static_cast<uint64_t>(i), api::QueryRequest::NonzeroNN({0, 0}),
+                         &frames);
+    }
+    ASSERT_TRUE(conn.SendAllThenClose(frames));
+    // The server has answered at least two of them with kOverloaded.
+    ASSERT_TRUE(
+        WaitFor([&] { return server.stats().shed_overloaded >= shed_before + 2; }));
+  }
+  // The busy connection still gets every response.
+  for (uint64_t i = 0; i < busy_requests; ++i) {
+    std::string payload;
+    ASSERT_TRUE(busy.ReadFrame(&payload)) << "response " << i;
+  }
 
   // Half a frame, then vanish.
   {
     RawConn conn;
     ASSERT_TRUE(conn.Connect(server.port()));
-    std::string frame;
+    frame.clear();
     AppendRequestFrame(1, api::QueryRequest::Quantify({0, 0}, 0.1), &frame);
     ASSERT_TRUE(conn.SendAll(frame.substr(0, frame.size() / 2)));
   }

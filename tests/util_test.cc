@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -74,12 +75,68 @@ TEST(SplitSeed, DeterministicAndStreamDependent) {
   EXPECT_NE(SplitSeed(42, 0), SplitSeed(42, 1));
   EXPECT_NE(SplitSeed(42, 0), SplitSeed(43, 0));
   // Streams of the same seed produce decorrelated draws.
-  Rng a = MakeStreamRng(7, 0), b = MakeStreamRng(7, 1);
+  StreamRng a = MakeStreamRng(7, 0), b = MakeStreamRng(7, 1);
   int agree = 0;
   for (int i = 0; i < 100; ++i) {
     agree += a.UniformInt(0, 9) == b.UniformInt(0, 9);
   }
   EXPECT_LT(agree, 50);
+}
+
+TEST(SplitMix64, MatchesReferenceOutputs) {
+  // The published reference sequence for state 0.
+  SplitMix64 g(0);
+  EXPECT_EQ(g(), 0xe220a8397b1dcdafull);
+  EXPECT_EQ(g(), 0x6e789e6aa1b965f4ull);
+  EXPECT_EQ(g(), 0x06c45d188009454full);
+  // SplitSeed(seed, s) is output s + 1 of the generator started at seed.
+  SplitMix64 h(42);
+  for (uint64_t s = 0; s < 4; ++s) EXPECT_EQ(h(), SplitSeed(42, s));
+}
+
+// First uniform of the Monte-Carlo stream MakeStreamRng(SplitSeed(seed, r),
+// id) — exactly what one UncertainPoint::Sample consumes first.
+double FirstUniform(uint64_t seed, uint64_t round, uint64_t id) {
+  StreamRng rng = MakeStreamRng(SplitSeed(seed, round), id);
+  return rng.Uniform(0.0, 1.0);
+}
+
+double Lag1Correlation(const std::vector<double>& u) {
+  double mean = 0;
+  for (double v : u) mean += v;
+  mean /= static_cast<double>(u.size());
+  double num = 0, den = 0;
+  for (size_t i = 0; i < u.size(); ++i) {
+    den += (u[i] - mean) * (u[i] - mean);
+    if (i + 1 < u.size()) num += (u[i] - mean) * (u[i + 1] - mean);
+  }
+  return num / den;
+}
+
+TEST(StreamRng, ConsecutiveIdsAreIndependent) {
+  constexpr int kIds = 100000;
+  constexpr int kBins = 64;
+  std::vector<double> u(kIds);
+  std::vector<int> bins(kBins, 0);
+  for (int id = 0; id < kIds; ++id) {
+    u[id] = FirstUniform(1, 3, static_cast<uint64_t>(id));
+    ASSERT_GE(u[id], 0.0);
+    ASSERT_LT(u[id], 1.0);
+    ++bins[static_cast<int>(u[id] * kBins)];
+  }
+  // 63 degrees of freedom: the 0.9999 quantile is about 112.
+  const double expected = static_cast<double>(kIds) / kBins;
+  double chi2 = 0;
+  for (int c : bins) chi2 += (c - expected) * (c - expected) / expected;
+  EXPECT_LT(chi2, 112.0);
+  EXPECT_LT(std::abs(Lag1Correlation(u)), 0.01);
+}
+
+TEST(StreamRng, ConsecutiveRoundsAreIndependent) {
+  constexpr int kRounds = 100000;
+  std::vector<double> u(kRounds);
+  for (int r = 0; r < kRounds; ++r) u[r] = FirstUniform(1, static_cast<uint64_t>(r), 17);
+  EXPECT_LT(std::abs(Lag1Correlation(u)), 0.01);
 }
 
 TEST(Percentile, MatchesOrderStatistics) {
