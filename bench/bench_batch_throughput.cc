@@ -49,19 +49,23 @@ MixResult RunMix(const Engine& engine, const std::vector<Point2>& nn_q,
                  const std::vector<Point2>& thresh_q, size_t threads) {
   exec::BatchOptions opt;
   opt.num_threads = threads;
-  exec::BatchEngine batch(&engine, opt);
+  exec::BatchEngine batch(api::EngineRef(&engine), opt);
+  std::vector<api::QueryRequest> nn_r, quant_r, thresh_r;
+  for (Point2 q : nn_q) nn_r.push_back(api::QueryRequest::NonzeroNN(q));
+  for (Point2 q : quant_q) quant_r.push_back(api::QueryRequest::Quantify(q, 0.05));
+  for (Point2 q : thresh_q) thresh_r.push_back(api::QueryRequest::ThresholdNN(q, 0.2, 0.05));
   MixResult out;
   Timer t;
-  auto nn = batch.NonzeroNNBatch(nn_q);
-  auto quant = batch.QuantifyBatch(quant_q, 0.05);
-  auto thresh = batch.ThresholdNNBatch(thresh_q, 0.2, 0.05);
+  auto nn = batch.RequestBatch(nn_r);
+  auto quant = batch.RequestBatch(quant_r);
+  auto thresh = batch.RequestBatch(thresh_r);
   out.seconds = t.Seconds();
   out.nn_stats = nn.stats;
   out.quantify_stats = quant.stats;
   out.threshold_stats = thresh.stats;
-  out.nn = std::move(nn.values);
-  out.quantify = std::move(quant.values);
-  out.threshold = std::move(thresh.values);
+  for (api::QueryResponse& r : nn.values) out.nn.push_back(std::move(r.ids));
+  for (api::QueryResponse& r : quant.values) out.quantify.push_back(std::move(r.quants));
+  for (api::QueryResponse& r : thresh.values) out.threshold.push_back(std::move(r.quants));
   return out;
 }
 

@@ -107,9 +107,9 @@ int Run(int n, int ops, int baseline_ops, const char* json_path, bool gate) {
     dyn::DynamicEngine dynamic;
     exec::BatchOptions bopt;
     bopt.num_threads = 1;  // Single-thread ops/sec; parallelism is bonus.
-    exec::BatchEngine batch(&dynamic, bopt);
-    batch.MixedBatch(setup);  // Bulk fill, untimed on both sides.
-    auto result = batch.MixedBatch(stream);
+    exec::BatchEngine batch(api::EngineRef(&dynamic), bopt);
+    batch.RequestBatch(exec::ToRequests(setup));  // Bulk fill, untimed on both sides.
+    auto result = batch.RequestBatch(exec::ToRequests(stream));
     const exec::BatchStats& s = result.stats;
     double dyn_ops_per_sec =
         s.wall_seconds > 0 ? static_cast<double>(stream.size()) / s.wall_seconds : 0;
@@ -158,9 +158,9 @@ int Run(int n, int ops, int baseline_ops, const char* json_path, bool gate) {
     std::vector<exec::MixedOp> setup(full.begin(), full.begin() + sopt.initial);
     std::vector<exec::MixedOp> stream(full.begin() + sopt.initial, full.end());
     dyn::DynamicEngine dynamic;
-    exec::BatchEngine batch(&dynamic, exec::BatchOptions{1, 32});
-    batch.MixedBatch(setup);
-    auto result = batch.MixedBatch(stream, 0.1);
+    exec::BatchEngine batch(api::EngineRef(&dynamic), exec::BatchOptions{1, 32});
+    batch.RequestBatch(exec::ToRequests(setup));
+    auto result = batch.RequestBatch(exec::ToRequests(stream, 0.1));
     const exec::BatchStats& s = result.stats;
     double ops_per_sec =
         s.wall_seconds > 0 ? static_cast<double>(stream.size()) / s.wall_seconds : 0;

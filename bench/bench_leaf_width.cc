@@ -10,7 +10,7 @@
 //
 // Part 2 measures the cross-query answer cache at the default width: p50
 // of a cache miss vs a cache hit on the same snapshot, plus a hot-spot
-// MixedBatch stream (workload/streaming.h, repeat_fraction > 0) run with
+// churn stream (workload/streaming.h, repeat_fraction > 0) run with
 // the cache on and off.
 //
 //   ./bench_leaf_width [--quick] [--json PATH]
@@ -214,11 +214,12 @@ void RunHotspot(int initial, int ops, Table* table, BenchJson* json) {
     dopt.prewarm_after_build = true;
     dopt.answer_cache = cache;
     dyn::DynamicEngine engine(dopt);
-    exec::BatchEngine batch(&engine, {});
+    exec::BatchEngine batch(api::EngineRef(&engine), {});
     double eps = 0.1;
     engine.Prewarm(eps);
-    auto result = batch.MixedBatch(stream, eps);  // Warm-up + fill.
-    result = batch.MixedBatch(stream, eps);
+    std::vector<api::QueryRequest> requests = exec::ToRequests(stream, eps);
+    auto result = batch.RequestBatch(requests);  // Warm-up + fill.
+    result = batch.RequestBatch(requests);
 
     const exec::BatchStats& s = result.stats;
     const char* name = cache ? "hotspot_cache_on" : "hotspot_cache_off";

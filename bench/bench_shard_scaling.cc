@@ -75,12 +75,12 @@ int Run(int n, int ops, const char* json_path) {
 
     exec::BatchOptions bopt;
     bopt.num_threads = cores;
-    exec::BatchEngine batch(&engine, bopt);
-    batch.MixedBatch(setup, 0.1);  // Bulk fill, untimed.
+    exec::BatchEngine batch(api::EngineRef(&engine), bopt);
+    batch.RequestBatch(exec::ToRequests(setup, 0.1));  // Bulk fill, untimed.
     engine.WaitForMaintenance();
 
     Timer t;
-    auto result = batch.MixedBatch(stream, 0.1);
+    auto result = batch.RequestBatch(exec::ToRequests(stream, 0.1));
     double seconds = t.Seconds();
     engine.WaitForMaintenance();
     const exec::BatchStats& s = result.stats;

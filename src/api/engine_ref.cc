@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "src/dyn/view_query.h"
+
 namespace pnn {
 namespace api {
 
@@ -12,17 +14,32 @@ namespace {
 constexpr const char* kMixedExactMessage =
     "QuantifyExact needs an all-discrete or all-continuous set";
 
+/// A durable backend's refusal: the op was NOT applied, and a retry after
+/// its disk heals will succeed.
+QueryResponse Unavailable(QueryKind kind, const util::Status& status) {
+  return QueryResponse::Error(StatusCode::kUnavailable, kind, status.ToString());
+}
+
 }  // namespace
 
-EngineRef::Pin EngineRef::Capture() const {
-  Pin pin;
-  if (dyn_view() != nullptr) {
-    pin.snap = dyn_view()->snapshot();
-  } else if (sharded_view() != nullptr) {
-    pin.view = sharded_view()->View();
-  }
-  return pin;
+std::shared_ptr<const dyn::CombinedView> EngineRef::ViewOf(const Pin* pin) const {
+  if (pin != nullptr && pin->view != nullptr) return pin->view;
+  if (dyn_view() != nullptr) return dyn_view()->View();
+  if (sharded_view() != nullptr) return sharded_view()->View();
+  return nullptr;
 }
+
+const Engine::Options& EngineRef::view_options() const {
+  return dyn_view() != nullptr ? dyn_view()->options().engine
+                               : sharded_view()->options().shard.engine;
+}
+
+exec::ThreadPool* EngineRef::view_pool() const {
+  return dyn_view() != nullptr ? dyn_view()->options().pool
+                               : sharded_view()->options().pool;
+}
+
+EngineRef::Pin EngineRef::Capture() const { return Pin{ViewOf(nullptr)}; }
 
 QueryResponse EngineRef::Call(const QueryRequest& request) const {
   return Dispatch(request, nullptr);
@@ -33,8 +50,6 @@ QueryResponse EngineRef::Call(const QueryRequest& request, const Pin& pin) const
 }
 
 QueryResponse EngineRef::Dispatch(const QueryRequest& request, const Pin* pin) const {
-  QueryResponse r;
-  r.kind = request.kind;
   if (!valid()) {
     return QueryResponse::Error(StatusCode::kInternal, request.kind,
                                 "EngineRef has no backend");
@@ -44,40 +59,30 @@ QueryResponse EngineRef::Dispatch(const QueryRequest& request, const Pin* pin) c
   if (valid_status != StatusCode::kOk) {
     return QueryResponse::Error(valid_status, request.kind, std::move(detail));
   }
+  if (request.is_update()) return ApplyUpdate(request);
 
-  // Resolve the pinned state once: queries below answer as of `snap`/
-  // `view` on the mutable backends (identical to the snapshot overloads
-  // the batch executor already used), the static Engine needs no pin.
-  const dyn::DynamicEngine* dv = dyn_view();
-  const shard::ShardedEngine* sv = sharded_view();
-  std::shared_ptr<const dyn::Snapshot> snap;
-  std::shared_ptr<const shard::CombinedView> view;
-  if (!request.is_update()) {
-    if (dv != nullptr) {
-      snap = (pin != nullptr && pin->snap != nullptr) ? pin->snap : dv->snapshot();
-    } else if (sv != nullptr) {
-      view = (pin != nullptr && pin->view != nullptr) ? pin->view : sv->View();
+  // Every query answers either through the static Engine's own methods or
+  // through the shared pipeline over the (pinned or live) view.
+  std::shared_ptr<const dyn::CombinedView> view = ViewOf(pin);
+  auto quantify = [&](std::vector<Quantification>* out) {
+    if (engine_ != nullptr) {
+      *out = engine_->Quantify(request.q, request.eps);
+    } else {
+      dyn::QuantifyInto(*view, view_options(), view_pool(), request.q, request.eps, out);
     }
-  }
-
+  };
+  QueryResponse r;
+  r.kind = request.kind;
   switch (request.kind) {
     case QueryKind::kNonzeroNN:
       if (engine_ != nullptr) {
         r.ids = engine_->NonzeroNN(request.q);
-      } else if (dv != nullptr) {
-        r.ids = dv->NonzeroNN(*snap, request.q);
       } else {
-        r.ids = sv->NonzeroNN(*view, request.q);
+        dyn::NonzeroNNInto(*view, view_pool(), request.q, &r.ids);
       }
       break;
     case QueryKind::kQuantify:
-      if (engine_ != nullptr) {
-        r.quants = engine_->Quantify(request.q, request.eps);
-      } else if (dv != nullptr) {
-        r.quants = dv->Quantify(*snap, request.q, request.eps);
-      } else {
-        r.quants = sv->Quantify(*view, request.q, request.eps);
-      }
+      quantify(&r.quants);
       break;
     case QueryKind::kQuantifyExact: {
       // Pre-check what the direct call would abort on.
@@ -86,7 +91,7 @@ QueryResponse EngineRef::Dispatch(const QueryRequest& request, const Pin* pin) c
         empty = engine_->points().empty();
         mixed = !engine_->all_discrete() && !engine_->all_continuous();
       } else {
-        const dyn::Snapshot& s = dv != nullptr ? *snap : *view->combined;
+        const dyn::Snapshot& s = *view->combined;
         empty = s.live_count == 0;
         mixed = !empty && !s.all_discrete() && !s.all_continuous();
       }
@@ -95,110 +100,87 @@ QueryResponse EngineRef::Dispatch(const QueryRequest& request, const Pin* pin) c
                                     kMixedExactMessage);
       }
       if (!empty) {
-        if (engine_ != nullptr) {
-          r.quants = engine_->QuantifyExact(request.q);
-        } else if (dv != nullptr) {
-          r.quants = dv->QuantifyExact(*snap, request.q);
-        } else {
-          r.quants = sv->QuantifyExact(*view, request.q);
-        }
+        r.quants = engine_ != nullptr ? engine_->QuantifyExact(request.q)
+                                      : dyn::QuantifyExact(*view, request.q);
       }
       break;
     }
     case QueryKind::kThresholdNN:
-      if (engine_ != nullptr) {
-        r.quants = engine_->ThresholdNN(request.q, request.tau, request.eps);
-      } else if (dv != nullptr) {
-        r.quants = dv->ThresholdNN(*snap, request.q, request.tau, request.eps);
-      } else {
-        r.quants = sv->ThresholdNN(*view, request.q, request.tau, request.eps);
-      }
+      quantify(&r.quants);
+      r.quants = ThresholdFilter(r.quants, request.tau);
       break;
-    case QueryKind::kMostLikelyNN:
-      if (engine_ != nullptr) {
-        r.id = engine_->MostLikelyNN(request.q, request.eps);
-      } else if (dv != nullptr) {
-        r.id = dv->MostLikelyNN(*snap, request.q, request.eps);
-      } else {
-        r.id = sv->MostLikelyNN(*view, request.q, request.eps);
-      }
+    case QueryKind::kMostLikelyNN: {
+      std::vector<Quantification> all;
+      quantify(&all);
+      r.id = pnn::MostLikelyNN(all);
       break;
+    }
     case QueryKind::kInsert:
-      // A degraded durable store refuses mutations with kUnavailable: the
-      // op was NOT applied and a retry after its disk heals will succeed.
-      // Queries above never take this path — they keep answering kOk.
-      if (store_ != nullptr) {
-        util::StatusOr<dyn::Id> id = store_->Insert(*request.point);
-        if (!id.ok()) {
-          return QueryResponse::Error(StatusCode::kUnavailable, request.kind,
-                                      id.status().ToString());
-        }
-        r.id = *id;
-      } else if (sharded_store_ != nullptr) {
-        util::StatusOr<dyn::Id> id = sharded_store_->Insert(*request.point);
-        if (!id.ok()) {
-          return QueryResponse::Error(StatusCode::kUnavailable, request.kind,
-                                      id.status().ToString());
-        }
-        r.id = *id;
-      } else if (dyn_ != nullptr) {
-        r.id = dyn_->Insert(*request.point);
-      } else if (sharded_ != nullptr) {
-        r.id = sharded_->Insert(*request.point);
-      } else {
-        return QueryResponse::Error(StatusCode::kUnimplemented, request.kind,
-                                    "static Engine backends are immutable");
-      }
-      break;
     case QueryKind::kErase:
-      if (store_ != nullptr) {
-        util::StatusOr<bool> erased = store_->Erase(request.id);
-        if (!erased.ok()) {
-          return QueryResponse::Error(StatusCode::kUnavailable, request.kind,
-                                      erased.status().ToString());
-        }
-        r.id = *erased ? request.id : -1;
-      } else if (sharded_store_ != nullptr) {
-        util::StatusOr<bool> erased = sharded_store_->Erase(request.id);
-        if (!erased.ok()) {
-          return QueryResponse::Error(StatusCode::kUnavailable, request.kind,
-                                      erased.status().ToString());
-        }
-        r.id = *erased ? request.id : -1;
-      } else if (dyn_ != nullptr) {
-        r.id = dyn_->Erase(request.id) ? request.id : -1;
-      } else if (sharded_ != nullptr) {
-        r.id = sharded_->Erase(request.id) ? request.id : -1;
-      } else {
-        return QueryResponse::Error(StatusCode::kUnimplemented, request.kind,
-                                    "static Engine backends are immutable");
-      }
-      break;
+      break;  // Handled by ApplyUpdate above.
   }
   return r;
 }
 
-void EngineRef::Prewarm(std::optional<double> eps) const {
+QueryResponse EngineRef::ApplyUpdate(const QueryRequest& request) const {
+  QueryResponse r;
+  r.kind = request.kind;
+  if (!supports_updates()) {
+    return QueryResponse::Error(StatusCode::kUnimplemented, request.kind,
+                                "static Engine backends are immutable");
+  }
+  // A degraded durable store refuses mutations with kUnavailable; queries
+  // never take this path — they keep answering kOk.
+  if (request.kind == QueryKind::kInsert) {
+    if (store_ != nullptr) {
+      util::StatusOr<dyn::Id> id = store_->Insert(*request.point);
+      if (!id.ok()) return Unavailable(request.kind, id.status());
+      r.id = *id;
+    } else if (sharded_store_ != nullptr) {
+      util::StatusOr<dyn::Id> id = sharded_store_->Insert(*request.point);
+      if (!id.ok()) return Unavailable(request.kind, id.status());
+      r.id = *id;
+    } else if (dyn_ != nullptr) {
+      r.id = dyn_->Insert(*request.point);
+    } else {
+      r.id = sharded_->Insert(*request.point);
+    }
+    return r;
+  }
+  bool erased;
+  if (store_ != nullptr) {
+    util::StatusOr<bool> status = store_->Erase(request.id);
+    if (!status.ok()) return Unavailable(request.kind, status.status());
+    erased = *status;
+  } else if (sharded_store_ != nullptr) {
+    util::StatusOr<bool> status = sharded_store_->Erase(request.id);
+    if (!status.ok()) return Unavailable(request.kind, status.status());
+    erased = *status;
+  } else if (dyn_ != nullptr) {
+    erased = dyn_->Erase(request.id);
+  } else {
+    erased = sharded_->Erase(request.id);
+  }
+  r.id = erased ? request.id : -1;
+  return r;
+}
+
+void EngineRef::Prewarm(std::optional<double> eps, const Pin& pin) const {
   if (engine_ != nullptr) {
     engine_->Prewarm(eps);
-  } else if (dyn_view() != nullptr) {
-    dyn_view()->Prewarm(eps);
-  } else if (sharded_view() != nullptr) {
-    sharded_view()->Prewarm(eps);
+  } else if (valid()) {
+    dyn::Prewarm(*ViewOf(&pin), view_options(), view_pool(), eps);
   }
 }
 
-QuantifyPlan EngineRef::PlanForQuantify(std::optional<double> eps) const {
+QuantifyPlan EngineRef::PlanForQuantify(std::optional<double> eps, const Pin& pin) const {
   if (engine_ != nullptr) return engine_->PlanForQuantify(eps);
-  if (dyn_view() != nullptr) return dyn_view()->PlanForQuantify(eps);
-  return sharded_view()->PlanForQuantify(eps);
+  return dyn::PlanFor(*ViewOf(&pin), view_options(), eps);
 }
 
 size_t EngineRef::live_size() const {
   if (engine_ != nullptr) return engine_->points().size();
-  if (dyn_view() != nullptr) return dyn_view()->live_size();
-  if (sharded_view() != nullptr) return sharded_view()->live_size();
-  return 0;
+  return valid() ? ViewOf(nullptr)->combined->live_count : 0;
 }
 
 }  // namespace api

@@ -4,22 +4,24 @@
 // dispatches api::QueryRequest.
 //
 // This is the seam the serving layer and the batch executor stand on: the
-// server decodes wire frames into QueryRequests and calls one EngineRef;
-// exec::BatchEngine's per-backend switch quintets collapsed into the same
-// dispatch. Answers are bit-identical to the direct method calls they
-// replace (tests/api_engine_ref_test.cc differential-tests randomized op
-// streams on all three backends).
+// server decodes wire frames into QueryRequests and calls one EngineRef,
+// and exec::BatchEngine::RequestBatch fans runs of them out. Queries go
+// one of two ways: the static Engine's own methods, or — for every mutable
+// backend — the shared pipeline of dyn/view_query.h over the backend's
+// dyn::CombinedView. Answers are bit-identical to the backends' direct
+// methods, which answer through the same pipeline
+// (tests/api_engine_ref_test.cc differential-tests randomized op streams
+// on every backend).
 //
-// Pinning: Capture() grabs the backend's current immutable state (the
-// dynamic engine's Snapshot / the shard router's CombinedView; nothing for
-// the static Engine, which never changes) and Call(request, pin) answers
-// as of that capture — the batch executor pins once per query run, the
-// server once per coalesced network batch. Updates always apply to the
-// live backend regardless of any pin.
+// Pinning: Capture() returns the backend's current View() (nothing for the
+// static Engine, which never changes) and Call(request, pin) answers as of
+// that capture — the batch executor pins once per query run, the server
+// once per coalesced network batch. Updates always apply to the live
+// backend regardless of any pin.
 //
-// Thread safety: EngineRef is a pair of pointers — copy it freely. Calls
-// are as safe as the backend's own methods: queries may run concurrently
-// with anything; updates serialize inside the backend.
+// Thread safety: EngineRef is a handful of pointers — copy it freely.
+// Calls are as safe as the backend's own methods: queries may run
+// concurrently with anything; updates serialize inside the backend.
 
 #ifndef PNN_API_ENGINE_REF_H_
 #define PNN_API_ENGINE_REF_H_
@@ -73,11 +75,14 @@ class EngineRef {
 
   /// The backend's immutable state for pinned calls. Holding a Pin keeps
   /// the captured structures alive; an empty Pin (static backend, or
-  /// default-constructed) makes Call(request, pin) answer the live state.
+  /// default-constructed) makes the pinned calls below answer the live
+  /// state.
   struct Pin {
-    std::shared_ptr<const dyn::Snapshot> snap;
-    std::shared_ptr<const shard::CombinedView> view;
+    std::shared_ptr<const dyn::CombinedView> view;
   };
+  /// The View() of the backend queries read from. With a warm view (the
+  /// shard router's cache hit, or always for a dynamic engine) this
+  /// allocates nothing.
   Pin Capture() const;
 
   /// Dispatches one request against the current live state. Never aborts
@@ -87,16 +92,18 @@ class EngineRef {
   /// a server must outlive its clients' mistakes.
   QueryResponse Call(const QueryRequest& request) const;
 
-  /// Dispatches against pinned state: queries answer as of the capture
-  /// (bit-identical to the direct snapshot/view overloads), updates apply
-  /// to the live backend and invalidate nothing the pin holds.
+  /// Dispatches against pinned state: queries answer as of the capture,
+  /// updates apply to the live backend and invalidate nothing the pin
+  /// holds.
   QueryResponse Call(const QueryRequest& request, const Pin& pin) const;
 
-  // Backend pass-throughs the batch executor and server need:
+  // Backend pass-throughs the batch executor and server need, over the
+  // pinned state (the live state when `pin` is empty):
   /// Builds every structure Quantify(·, eps) may need.
-  void Prewarm(std::optional<double> eps = std::nullopt) const;
+  void Prewarm(std::optional<double> eps = std::nullopt, const Pin& pin = Pin()) const;
   /// The spiral-vs-Monte-Carlo routing decision at this eps.
-  QuantifyPlan PlanForQuantify(std::optional<double> eps = std::nullopt) const;
+  QuantifyPlan PlanForQuantify(std::optional<double> eps = std::nullopt,
+                               const Pin& pin = Pin()) const;
   size_t live_size() const;
 
   /// The raw backends (null unless this ref wraps that kind).
@@ -108,8 +115,15 @@ class EngineRef {
 
  private:
   QueryResponse Dispatch(const QueryRequest& request, const Pin* pin) const;
-  /// The dynamic engine queries read from (the store's live engine for
-  /// the durable backend); null when this ref is not dynamic-shaped.
+  QueryResponse ApplyUpdate(const QueryRequest& request) const;
+  /// The pinned view, or the live one when `pin` holds none; null for the
+  /// static backend.
+  std::shared_ptr<const dyn::CombinedView> ViewOf(const Pin* pin) const;
+  /// The engine options and pool of the mutable backend queries read from
+  /// (the store's live engine for the durable backends).
+  const Engine::Options& view_options() const;
+  exec::ThreadPool* view_pool() const;
+  /// The dynamic engine queries read from; null unless dynamic-shaped.
   const dyn::DynamicEngine* dyn_view() const {
     return store_ != nullptr ? &store_->engine() : dyn_;
   }

@@ -1,19 +1,19 @@
-// pnn::api — the unified query surface: one request/response pair instead
-// of five-method mirrors.
+// pnn::api — the unified query surface: one request/response pair for
+// every backend.
 //
-// The engines grew the same five query kinds (NonzeroNN, Quantify,
-// QuantifyExact, ThresholdNN, MostLikelyNN) as near-identical method
-// quintets on Engine, dyn::DynamicEngine and shard::ShardedEngine, plus a
-// switch-dispatched batch variant in exec::BatchEngine. A wire protocol
-// cannot serialize "a method overload", so the serving layer forces the
-// consolidation the codebase already wanted: QueryRequest is a tagged
-// union over the five query kinds plus Insert/Erase, QueryResponse is the
-// matching result variant plus a status and server-side timing, and
-// api::EngineRef (engine_ref.h) dispatches either against any backend.
+// Every backend answers the same five query kinds (NonzeroNN, Quantify,
+// QuantifyExact, ThresholdNN, MostLikelyNN) plus, when mutable,
+// Insert/Erase. QueryRequest is a tagged union over those seven kinds,
+// QueryResponse the matching result variant plus a status and server-side
+// timing, and api::EngineRef (engine_ref.h) dispatches either against any
+// backend: the static Engine through its own methods, the mutable
+// backends through the one evaluator over a pinned view
+// (dyn/view_query.h). The wire protocol (serve/protocol.h) serializes
+// exactly these types, and exec::BatchEngine::RequestBatch batches them.
 //
-// Semantics are exactly the methods they replace: answers through the api
-// are bit-identical to the direct calls (tests/api_engine_ref_test.cc
-// differential-tests randomized op streams on all three backends). The
+// Semantics are exactly the direct methods': answers through the api are
+// bit-identical to the direct calls (tests/api_engine_ref_test.cc
+// differential-tests randomized op streams on every backend). The
 // one deliberate difference is error handling — direct calls PNN_CHECK
 // (abort) on vacuous arguments, while a server must keep running, so
 // Validate()/EngineRef return kInvalidArgument statuses instead.

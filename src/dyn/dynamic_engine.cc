@@ -5,8 +5,8 @@
 #include <utility>
 
 #include "src/dyn/answer_cache.h"
-#include "src/dyn/merge.h"
 #include "src/dyn/tail_cache.h"
+#include "src/dyn/view_query.h"
 #include "src/util/check.h"
 
 namespace pnn {
@@ -187,7 +187,10 @@ void DynamicEngine::PublishLocked() {
   s->wmin = live_weights_.empty() ? 1.0 : std::min(1.0, *live_weights_.begin());
   s->wmax = live_weights_.empty() ? 0.0 : *live_weights_.rbegin();
   s->rho = s->wmax / s->wmin;
-  std::atomic_store_explicit(&snapshot_, std::shared_ptr<const Snapshot>(std::move(s)),
+  auto view = std::make_shared<CombinedView>();
+  view->parts.push_back(s);
+  view->combined = std::move(s);
+  std::atomic_store_explicit(&view_, std::shared_ptr<const CombinedView>(std::move(view)),
                              std::memory_order_release);
 }
 
@@ -480,10 +483,11 @@ bool DynamicEngine::MaintenanceStep() {
       // against it never pays the lazy Monte-Carlo construction. A merge
       // preserves the live set, so the pre-splice aggregates give the same
       // plan and round count the post-splice snapshot will.
-      auto snap = Snap();
+      auto snap = snapshot();
       double eps = options_.engine.default_eps;
-      if (snap->live_count > 0 && PlanFor(*snap, eps) == QuantifyPlan::kMonteCarlo) {
-        job.prewarm_rounds = RoundsFor(*snap, eps);
+      if (snap->live_count > 0 &&
+          PlanForSnapshot(*snap, options_.engine, eps) == QuantifyPlan::kMonteCarlo) {
+        job.prewarm_rounds = McRoundsForSnapshot(*snap, options_.engine, eps);
       }
     }
     return true;
@@ -511,11 +515,12 @@ bool DynamicEngine::MaintenanceStep() {
     // The splice published a fresh snapshot (and a fresh tail cache):
     // warm the tail samples too, so the whole post-build query path is
     // construction-free.
-    auto snap = Snap();
+    auto snap = snapshot();
     double eps = options_.engine.default_eps;
     if (snap->live_count > 0 && snap->tail_mc != nullptr &&
-        PlanFor(*snap, eps) == QuantifyPlan::kMonteCarlo) {
-      snap->tail_mc->Ensure(*snap, RoundsFor(*snap, eps), options_.engine.seed);
+        PlanForSnapshot(*snap, options_.engine, eps) == QuantifyPlan::kMonteCarlo) {
+      snap->tail_mc->Ensure(*snap, McRoundsForSnapshot(*snap, options_.engine, eps),
+                            options_.engine.seed);
     }
   }
   return true;  // Re-check the predicate: more work may have accumulated.
@@ -524,12 +529,6 @@ bool DynamicEngine::MaintenanceStep() {
 void DynamicEngine::WaitForMaintenance() const {
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [&] { return !maintenance_running_; });
-}
-
-double DynamicEngine::ResolveEps(std::optional<double> eps_opt) const {
-  double eps = eps_opt.value_or(options_.engine.default_eps);
-  PNN_CHECK_MSG(eps > 0 && eps < 1, "eps must be in (0,1)");
-  return eps;
 }
 
 QuantifyPlan PlanForSnapshot(const Snapshot& snap, const Engine::Options& options,
@@ -551,153 +550,54 @@ size_t McRoundsForSnapshot(const Snapshot& snap, const Engine::Options& options,
                                           options.mc_delta);
 }
 
-QuantifyPlan DynamicEngine::PlanFor(const Snapshot& snap, double eps) const {
-  return PlanForSnapshot(snap, options_.engine, eps);
+QuantifyPlan DynamicEngine::PlanForQuantify(std::optional<double> eps) const {
+  return PlanFor(*View(), options_.engine, eps);
 }
 
-size_t DynamicEngine::RoundsFor(const Snapshot& snap, double eps) const {
-  return McRoundsForSnapshot(snap, options_.engine, eps);
-}
-
-QuantifyPlan DynamicEngine::PlanForQuantify(std::optional<double> eps_opt) const {
-  return PlanFor(*Snap(), ResolveEps(eps_opt));
-}
-
-void DynamicEngine::Prewarm(std::optional<double> eps_opt) const {
-  double eps = ResolveEps(eps_opt);
-  auto snap = Snap();
-  if (snap->live_count == 0) return;
-  if (PlanFor(*snap, eps) != QuantifyPlan::kMonteCarlo) return;
-  size_t rounds = RoundsFor(*snap, eps);
-  for (const auto& bref : snap->buckets) {
-    if (bref.live_count > 0) bref.bucket->EnsureRounds(rounds, options_.pool);
-  }
-  if (snap->tail_mc != nullptr) {
-    snap->tail_mc->Ensure(*snap, rounds, options_.engine.seed);
-  }
+void DynamicEngine::Prewarm(std::optional<double> eps) const {
+  dyn::Prewarm(*View(), options_.engine, options_.pool, eps);
 }
 
 std::vector<Id> DynamicEngine::NonzeroNN(Point2 q) const {
-  auto snap = Snap();
-  if (snap->live_count == 0) return {};
-  return NonzeroNN(*snap, q);
-}
-
-std::vector<Id> DynamicEngine::NonzeroNN(const Snapshot& snap, Point2 q) const {
   std::vector<Id> out;
-  NonzeroNNInto(snap, q, &out);
+  NonzeroNNInto(q, &out);
   return out;
 }
 
 void DynamicEngine::NonzeroNNInto(Point2 q, std::vector<Id>* out) const {
-  auto snap = Snap();
-  NonzeroNNInto(*snap, q, out);
-}
-
-void DynamicEngine::NonzeroNNInto(const Snapshot& snap, Point2 q,
-                                  std::vector<Id>* out) const {
-  AnswerCache* cache = snap.answers.get();
-  AnswerCache::Key key{AnswerCache::Kind::kNonzeroNN, q, 0.0};
-  if (cache != nullptr && cache->LookupIds(key, out)) return;
-  MergedNonzeroNNInto(snap, q, out);
-  if (cache != nullptr) cache->InsertIds(key, *out);
+  dyn::NonzeroNNInto(*View(), options_.pool, q, out);
 }
 
 std::vector<Quantification> DynamicEngine::Quantify(Point2 q,
-                                                    std::optional<double> eps_opt) const {
-  auto snap = Snap();
-  return Quantify(*snap, q, eps_opt);
-}
-
-std::vector<Quantification> DynamicEngine::Quantify(const Snapshot& snap, Point2 q,
-                                                    std::optional<double> eps_opt) const {
+                                                    std::optional<double> eps) const {
   std::vector<Quantification> out;
-  QuantifyInto(snap, q, eps_opt, &out);
+  QuantifyInto(q, eps, &out);
   return out;
 }
 
-void DynamicEngine::QuantifyInto(Point2 q, std::optional<double> eps_opt,
+void DynamicEngine::QuantifyInto(Point2 q, std::optional<double> eps,
                                  std::vector<Quantification>* out) const {
-  auto snap = Snap();
-  QuantifyInto(*snap, q, eps_opt, out);
-}
-
-void DynamicEngine::QuantifyInto(const Snapshot& snap, Point2 q,
-                                 std::optional<double> eps_opt,
-                                 std::vector<Quantification>* out) const {
-  double eps = ResolveEps(eps_opt);
-  out->clear();
-  if (snap.live_count == 0) return;
-  // The snapshot is immutable and the evaluation below is a deterministic
-  // function of (snapshot, q, eps), so a memoized answer is exact — a hit
-  // skips plan selection, MC rounds, and the merge entirely.
-  AnswerCache* cache = snap.answers.get();
-  AnswerCache::Key key{AnswerCache::Kind::kQuantify, q, eps};
-  if (cache != nullptr && cache->LookupQuants(key, out)) return;
-  if (PlanFor(snap, eps) == QuantifyPlan::kSpiral) {
-    MergedSpiralQuantifyInto(snap, q, eps, out);
-  } else {
-    MergedMonteCarloQuantifyInto(snap, q, RoundsFor(snap, eps), options_.engine.seed,
-                                 options_.pool, out);
-  }
-  if (cache != nullptr) cache->InsertQuants(key, *out);
+  dyn::QuantifyInto(*View(), options_.engine, options_.pool, q, eps, out);
 }
 
 std::vector<Quantification> DynamicEngine::QuantifyExact(Point2 q) const {
-  auto snap = Snap();
-  return QuantifyExact(*snap, q);
-}
-
-std::vector<Quantification> DynamicEngine::QuantifyExact(const Snapshot& snap,
-                                                         Point2 q) const {
-  if (snap.live_count == 0) return {};
-  AnswerCache* cache = snap.answers.get();
-  AnswerCache::Key key{AnswerCache::Kind::kQuantifyExact, q, 0.0};
-  std::vector<Quantification> cached;
-  if (cache != nullptr && cache->LookupQuants(key, &cached)) return cached;
-  if (snap.all_discrete()) {
-    std::vector<Quantification> out = MergedQuantifyExact(snap, q);
-    if (cache != nullptr) cache->InsertQuants(key, out);
-    return out;
-  }
-  PNN_CHECK_MSG(snap.all_continuous(),
-                "QuantifyExact supports all-discrete or all-continuous inputs");
-  // Gather from the snapshot, not the mutable live set: a concurrent
-  // insert must not leak into (or invalidate the all-continuous check of)
-  // this query's view.
-  std::vector<Id> ids;
-  UncertainSet live = SnapshotLiveSet(snap, &ids);
-  std::vector<Quantification> out = QuantifyNumericContinuous(live, q, 1e-8);
-  for (auto& e : out) e.index = ids[e.index];
-  if (cache != nullptr) cache->InsertQuants(key, out);
-  return out;
+  return dyn::QuantifyExact(*View(), q);
 }
 
 std::vector<Quantification> DynamicEngine::ThresholdNN(
     Point2 q, double tau, std::optional<double> eps) const {
-  auto snap = Snap();
-  return ThresholdNN(*snap, q, tau, eps);
-}
-
-std::vector<Quantification> DynamicEngine::ThresholdNN(
-    const Snapshot& snap, Point2 q, double tau, std::optional<double> eps) const {
   PNN_CHECK_MSG(tau >= 0 && tau <= 1,
                 "ThresholdNN tau must be a probability in [0,1]");
-  return ThresholdFilter(Quantify(snap, q, eps), tau);
+  return ThresholdFilter(Quantify(q, eps), tau);
 }
 
 Id DynamicEngine::MostLikelyNN(Point2 q, std::optional<double> eps) const {
   return pnn::MostLikelyNN(Quantify(q, eps));
 }
 
-Id DynamicEngine::MostLikelyNN(const Snapshot& snap, Point2 q,
-                               std::optional<double> eps) const {
-  return pnn::MostLikelyNN(Quantify(snap, q, eps));
-}
+size_t DynamicEngine::live_size() const { return snapshot()->live_count; }
 
-size_t DynamicEngine::live_size() const { return Snap()->live_count; }
-
-size_t DynamicEngine::num_buckets() const { return Snap()->buckets.size(); }
+size_t DynamicEngine::num_buckets() const { return snapshot()->buckets.size(); }
 
 namespace {
 size_t CountDead(const std::shared_ptr<const std::vector<char>>& mask) {
@@ -710,12 +610,12 @@ size_t CountDead(const std::shared_ptr<const std::vector<char>>& mask) {
 }  // namespace
 
 size_t DynamicEngine::tail_size() const {
-  auto snap = Snap();
+  auto snap = snapshot();
   return snap->tail->size() - CountDead(snap->tail_dead);
 }
 
 size_t DynamicEngine::dead_size() const {
-  auto snap = Snap();
+  auto snap = snapshot();
   size_t dead = CountDead(snap->tail_dead);
   for (const auto& bref : snap->buckets) {
     dead += bref.bucket->size() - bref.live_count;

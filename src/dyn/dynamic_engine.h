@@ -33,7 +33,9 @@
 // Consequently answers match a fresh Engine(LiveSet(),
 // ReferenceEngineOptions()) — bit-identically for NonzeroNN/Quantify/
 // ThresholdNN — regardless of the update history, the merge schedule, or
-// the thread count.
+// the thread count. The decompositions live in merge.h; the per-query
+// pipeline over them (eps, answer cache, plan rule) in view_query.h, which
+// the shard router answers through too.
 
 #ifndef PNN_DYN_DYNAMIC_ENGINE_H_
 #define PNN_DYN_DYNAMIC_ENGINE_H_
@@ -162,6 +164,17 @@ struct Snapshot {
   }
 };
 
+/// One immutable query view: the snapshots it was gathered from plus their
+/// union as one snapshot. A DynamicEngine publishes a one-part view with
+/// every snapshot (parts = {snap}, combined = snap); the shard router
+/// gathers one part per shard under its seqlock and builds the union.
+/// Every query runs over a view through view_query.h; holding one pins its
+/// structures, so queries against it answer as of the gather.
+struct CombinedView {
+  std::vector<std::shared_ptr<const Snapshot>> parts;
+  std::shared_ptr<const Snapshot> combined;
+};
+
 /// One recovered bucket for the recovery constructor: the adopted bucket
 /// (rebuilt from a mapped segment by store::LoadSegment) plus the
 /// tombstone mask its store's log prescribed. An empty mask means fully
@@ -236,26 +249,21 @@ class DynamicEngine {
   /// of a dead one is skipped, not an abort).
   bool IsLive(Id id) const;
 
+  // The query surface: each method answers over the current View()
+  // through the shared pipeline of view_query.h. To answer several queries
+  // against one state, pin a View() (or an api::EngineRef::Capture()).
+
   /// NN!=0(q) over the live set, ascending ids (Lemma 2.1 semantics).
   std::vector<Id> NonzeroNN(Point2 q) const;
-
-  /// NonzeroNN over an explicit snapshot (the batch executor grabs one
-  /// snapshot per batch instead of per query).
-  std::vector<Id> NonzeroNN(const Snapshot& snap, Point2 q) const;
 
   /// NonzeroNN writing into `out` (cleared first) — with a warm scratch
   /// arena and a warm output buffer a steady-state call performs zero
   /// heap allocations (tests/alloc_hotpath_test.cc).
   void NonzeroNNInto(Point2 q, std::vector<Id>* out) const;
-  void NonzeroNNInto(const Snapshot& snap, Point2 q, std::vector<Id>* out) const;
 
   /// Estimates of all positive pi_i(q) within additive eps; Quantification
   /// indices are point ids, ascending.
   std::vector<Quantification> Quantify(Point2 q,
-                                       std::optional<double> eps = std::nullopt) const;
-
-  /// Quantify over an explicit snapshot.
-  std::vector<Quantification> Quantify(const Snapshot& snap, Point2 q,
                                        std::optional<double> eps = std::nullopt) const;
 
   /// Quantify writing into `out` (cleared first) — with warm caches and a
@@ -263,32 +271,18 @@ class DynamicEngine {
   /// and Monte-Carlo paths (asserted by tests/alloc_hotpath_test.cc).
   void QuantifyInto(Point2 q, std::optional<double> eps,
                     std::vector<Quantification>* out) const;
-  void QuantifyInto(const Snapshot& snap, Point2 q, std::optional<double> eps,
-                    std::vector<Quantification>* out) const;
 
   /// Exact pi_i(q) (discrete: per-bucket survival-profile recombination;
   /// continuous: quadrature over the gathered live set).
   std::vector<Quantification> QuantifyExact(Point2 q) const;
 
-  /// QuantifyExact over an explicit snapshot (the api::EngineRef pinned
-  /// dispatch path).
-  std::vector<Quantification> QuantifyExact(const Snapshot& snap, Point2 q) const;
-
   /// Points with pi_i(q) > tau; tau must be in [0, 1] (checked).
   std::vector<Quantification> ThresholdNN(Point2 q, double tau,
-                                          std::optional<double> eps = std::nullopt) const;
-
-  /// ThresholdNN over an explicit snapshot.
-  std::vector<Quantification> ThresholdNN(const Snapshot& snap, Point2 q, double tau,
                                           std::optional<double> eps = std::nullopt) const;
 
   /// Id with the largest estimated quantification probability (-1 when the
   /// live set is empty).
   Id MostLikelyNN(Point2 q, std::optional<double> eps = std::nullopt) const;
-
-  /// MostLikelyNN over an explicit snapshot.
-  Id MostLikelyNN(const Snapshot& snap, Point2 q,
-                  std::optional<double> eps = std::nullopt) const;
 
   /// The plan Quantify() will pick at this eps, by the same rule a fresh
   /// static Engine over the live set applies.
@@ -316,23 +310,23 @@ class DynamicEngine {
   /// Blocks until no background merge/compaction is running or pending.
   void WaitForMaintenance() const;
 
-  /// The current immutable structure version (lock-free acquire load). The
-  /// shard router concatenates these across shards and feeds the union to
-  /// the same Merged* recombination this engine's own queries run.
-  std::shared_ptr<const Snapshot> snapshot() const { return Snap(); }
+  /// The current one-part query view (parts = {snapshot()}, combined =
+  /// snapshot()), published together with each snapshot: one lock-free
+  /// acquire load, no allocation. Holding it pins the structure version.
+  std::shared_ptr<const CombinedView> View() const {
+    return std::atomic_load_explicit(&view_, std::memory_order_acquire);
+  }
+
+  /// The current immutable structure version. The shard router
+  /// concatenates these across shards into its own CombinedView.
+  std::shared_ptr<const Snapshot> snapshot() const { return View()->combined; }
 
  private:
   struct MaintenancePlan;
   struct BuildJob;
 
-  std::shared_ptr<const Snapshot> Snap() const {
-    return std::atomic_load_explicit(&snapshot_, std::memory_order_acquire);
-  }
   void PublishLocked();
   void InsertEntryLocked(Id id, UncertainPoint point);
-  double ResolveEps(std::optional<double> eps) const;
-  size_t RoundsFor(const Snapshot& snap, double eps) const;
-  QuantifyPlan PlanFor(const Snapshot& snap, double eps) const;
   void AddAggregatesLocked(const UncertainPoint& p);
   void RemoveAggregatesLocked(const UncertainPoint& p);
   bool MaintenanceNeededLocked() const;
@@ -358,7 +352,7 @@ class DynamicEngine {
   mutable std::mutex mu_;  // Serializes updates and maintenance swaps.
   mutable std::condition_variable cv_;
   // Accessed with std::atomic_load/atomic_store; queries are lock-free.
-  std::shared_ptr<const Snapshot> snapshot_;
+  std::shared_ptr<const CombinedView> view_;
 
   // Writer state (guarded by mu_):
   // Ascending by id (NOT insertion order once InsertWithId re-adds old
@@ -386,8 +380,8 @@ class DynamicEngine {
 
 /// The spiral-vs-Monte-Carlo routing rule over a snapshot's aggregates —
 /// exactly what a fresh static Engine over the same live set would decide.
-/// Shared between DynamicEngine::PlanForQuantify and the shard router
-/// (which applies it to the union of its shards' snapshots).
+/// The query pipeline (view_query.h) applies it to a view's union
+/// snapshot; maintenance applies it before prewarming a new bucket.
 QuantifyPlan PlanForSnapshot(const Snapshot& snap, const Engine::Options& options,
                              double eps);
 

@@ -429,7 +429,7 @@ void Server::UpdateEpollInterest(uint64_t conn_id, Connection* conn) {
   conn->want_write = want_write;
   epoll_event ev;
   std::memset(&ev, 0, sizeof(ev));
-  ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0);
+  ev.events = EPOLLIN | (want_write ? static_cast<uint32_t>(EPOLLOUT) : 0u);
   ev.data.u64 = conn_id;
   epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
 }

@@ -8,7 +8,7 @@
 #include "src/dyn/answer_cache.h"
 #include "src/dyn/merge.h"
 #include "src/dyn/tail_cache.h"
-#include "src/util/arena.h"
+#include "src/dyn/view_query.h"
 #include "src/util/check.h"
 
 namespace pnn {
@@ -290,197 +290,48 @@ std::shared_ptr<const CombinedView> ShardedEngine::View() const {
   }
 }
 
-double ShardedEngine::ResolveEps(std::optional<double> eps_opt) const {
-  double eps = eps_opt.value_or(options_.shard.engine.default_eps);
-  PNN_CHECK_MSG(eps > 0 && eps < 1, "eps must be in (0,1)");
-  return eps;
-}
-
 std::vector<Id> ShardedEngine::NonzeroNN(Point2 q) const {
-  return NonzeroNN(*View(), q);
-}
-
-std::vector<Id> ShardedEngine::NonzeroNN(const CombinedView& view, Point2 q) const {
   std::vector<Id> out;
-  NonzeroNNInto(view, q, &out);
+  NonzeroNNInto(q, &out);
   return out;
 }
 
 void ShardedEngine::NonzeroNNInto(Point2 q, std::vector<Id>* out) const {
-  NonzeroNNInto(*View(), q, out);
-}
-
-void ShardedEngine::NonzeroNNInto(const CombinedView& view, Point2 q,
-                                  std::vector<Id>* out) const {
-  const auto& parts = view.parts;
-  const dyn::Snapshot& u = *view.combined;
-  out->clear();
-  if (u.live_count == 0) return;
-  // Answer memoization on the view's union snapshot: a hit skips both
-  // fan-out stages and the final sort (invalidation is the view rebuild —
-  // see answer_cache.h).
-  dyn::AnswerCache* cache = u.answers.get();
-  dyn::AnswerCache::Key cache_key{dyn::AnswerCache::Kind::kNonzeroNN, q, 0.0};
-  if (cache != nullptr && cache->LookupIds(cache_key, out)) return;
-
-  // Skip empty shards before scheduling pool work: an empty shard
-  // contributes +inf to stage 1 and nothing to stage 2, so fanning it out
-  // (and allocating its per-shard result vector) is pure overhead.
-  util::ScratchVec<size_t> active_lease;
-  std::vector<size_t>& active = *active_lease;
-  active.clear();
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (parts[i]->live_count > 0) active.push_back(i);
-  }
-
-  // Stage 1: the global Lemma 2.1 bound is the min over the shards'
-  // per-part bounds; stage 2: per-shard threshold reporting against it.
-  // Both stages are per-shard independent, so they fan out on the pool.
-  size_t n = active.size();
-  bool fan_out = options_.pool != nullptr && n > 1;
-  util::ScratchVec<double> deltas_lease;
-  std::vector<double>& deltas = *deltas_lease;
-  deltas.assign(n, kInf);
-  auto stage1 = [&](size_t i) {
-    deltas[i] = dyn::SnapshotNonzeroDelta(*parts[active[i]], q);
-  };
-  if (fan_out) {
-    options_.pool->ParallelFor(n, stage1);
-  } else {
-    for (size_t i = 0; i < n; ++i) stage1(i);
-  }
-  double bound = kInf;
-  for (double d : deltas) bound = std::min(bound, d);
-
-  bool mixed = u.discrete_count > 0 && u.continuous_count > 0;
-  util::ScratchVec<std::vector<Id>> found_lease;
-  std::vector<std::vector<Id>>& found = *found_lease;
-  // Grow-only: shrinking would destroy the tail inner vectors and forfeit
-  // their pooled capacity when the active-shard count oscillates.
-  if (found.size() < n) found.resize(n);
-  for (size_t i = 0; i < n; ++i) found[i].clear();
-  auto stage2 = [&](size_t i) {
-    dyn::AppendNonzeroNNWithin(*parts[active[i]], q, bound, mixed, &found[i]);
-  };
-  if (fan_out) {
-    options_.pool->ParallelFor(n, stage2);
-  } else {
-    for (size_t i = 0; i < n; ++i) stage2(i);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    out->insert(out->end(), found[i].begin(), found[i].end());
-  }
-  std::sort(out->begin(), out->end());
-  if (cache != nullptr) cache->InsertIds(cache_key, *out);
+  dyn::NonzeroNNInto(*View(), options_.pool, q, out);
 }
 
 std::vector<Quantification> ShardedEngine::Quantify(Point2 q,
-                                                    std::optional<double> eps_opt) const {
-  return Quantify(*View(), q, eps_opt);
-}
-
-std::vector<Quantification> ShardedEngine::Quantify(const CombinedView& view, Point2 q,
-                                                    std::optional<double> eps_opt) const {
+                                                    std::optional<double> eps) const {
   std::vector<Quantification> out;
-  QuantifyInto(view, q, eps_opt, &out);
+  QuantifyInto(q, eps, &out);
   return out;
 }
 
-void ShardedEngine::QuantifyInto(Point2 q, std::optional<double> eps_opt,
+void ShardedEngine::QuantifyInto(Point2 q, std::optional<double> eps,
                                  std::vector<Quantification>* out) const {
-  QuantifyInto(*View(), q, eps_opt, out);
-}
-
-void ShardedEngine::QuantifyInto(const CombinedView& view, Point2 q,
-                                 std::optional<double> eps_opt,
-                                 std::vector<Quantification>* out) const {
-  double eps = ResolveEps(eps_opt);
-  const dyn::Snapshot& snap = *view.combined;
-  out->clear();
-  if (snap.live_count == 0) return;
-  dyn::AnswerCache* cache = snap.answers.get();
-  dyn::AnswerCache::Key cache_key{dyn::AnswerCache::Kind::kQuantify, q, eps};
-  if (cache != nullptr && cache->LookupQuants(cache_key, out)) return;
-  if (dyn::PlanForSnapshot(snap, options_.shard.engine, eps) == QuantifyPlan::kSpiral) {
-    dyn::MergedSpiralQuantifyInto(snap, q, eps, out);
-  } else {
-    size_t rounds = dyn::McRoundsForSnapshot(snap, options_.shard.engine, eps);
-    dyn::MergedMonteCarloQuantifyInto(snap, q, rounds, options_.shard.engine.seed,
-                                      options_.pool, out);
-  }
-  if (cache != nullptr) cache->InsertQuants(cache_key, *out);
+  dyn::QuantifyInto(*View(), options_.shard.engine, options_.pool, q, eps, out);
 }
 
 std::vector<Quantification> ShardedEngine::QuantifyExact(Point2 q) const {
-  return QuantifyExact(*View(), q);
-}
-
-std::vector<Quantification> ShardedEngine::QuantifyExact(const CombinedView& view,
-                                                         Point2 q) const {
-  const dyn::Snapshot& snap = *view.combined;
-  if (snap.live_count == 0) return {};
-  dyn::AnswerCache* cache = snap.answers.get();
-  dyn::AnswerCache::Key cache_key{dyn::AnswerCache::Kind::kQuantifyExact, q, 0.0};
-  std::vector<Quantification> cached;
-  if (cache != nullptr && cache->LookupQuants(cache_key, &cached)) return cached;
-  std::vector<Quantification> out;
-  if (snap.all_discrete()) {
-    out = dyn::MergedQuantifyExact(snap, q);
-  } else {
-    PNN_CHECK_MSG(snap.all_continuous(),
-                  "QuantifyExact supports all-discrete or all-continuous inputs");
-    std::vector<Id> ids;
-    UncertainSet live = dyn::SnapshotLiveSet(snap, &ids);
-    out = QuantifyNumericContinuous(live, q, 1e-8);
-    for (auto& e : out) e.index = ids[e.index];
-  }
-  if (cache != nullptr) cache->InsertQuants(cache_key, out);
-  return out;
+  return dyn::QuantifyExact(*View(), q);
 }
 
 std::vector<Quantification> ShardedEngine::ThresholdNN(Point2 q, double tau,
                                                        std::optional<double> eps) const {
-  return ThresholdNN(*View(), q, tau, eps);
-}
-
-std::vector<Quantification> ShardedEngine::ThresholdNN(const CombinedView& view,
-                                                       Point2 q, double tau,
-                                                       std::optional<double> eps) const {
   PNN_CHECK_MSG(tau >= 0 && tau <= 1, "ThresholdNN tau must be a probability in [0,1]");
-  return ThresholdFilter(Quantify(view, q, eps), tau);
+  return ThresholdFilter(Quantify(q, eps), tau);
 }
 
 Id ShardedEngine::MostLikelyNN(Point2 q, std::optional<double> eps) const {
   return pnn::MostLikelyNN(Quantify(q, eps));
 }
 
-Id ShardedEngine::MostLikelyNN(const CombinedView& view, Point2 q,
-                               std::optional<double> eps) const {
-  return pnn::MostLikelyNN(Quantify(view, q, eps));
+QuantifyPlan ShardedEngine::PlanForQuantify(std::optional<double> eps) const {
+  return dyn::PlanFor(*View(), options_.shard.engine, eps);
 }
 
-QuantifyPlan ShardedEngine::PlanForQuantify(std::optional<double> eps_opt) const {
-  auto view = View();
-  return dyn::PlanForSnapshot(*view->combined, options_.shard.engine,
-                              ResolveEps(eps_opt));
-}
-
-void ShardedEngine::Prewarm(std::optional<double> eps_opt) const {
-  double eps = ResolveEps(eps_opt);
-  auto view = View();
-  const dyn::Snapshot& snap = *view->combined;
-  if (snap.live_count == 0) return;
-  if (dyn::PlanForSnapshot(snap, options_.shard.engine, eps) !=
-      QuantifyPlan::kMonteCarlo) {
-    return;
-  }
-  size_t rounds = dyn::McRoundsForSnapshot(snap, options_.shard.engine, eps);
-  for (const auto& bref : snap.buckets) {
-    if (bref.live_count > 0) bref.bucket->EnsureRounds(rounds, options_.pool);
-  }
-  if (snap.tail_mc != nullptr) {
-    snap.tail_mc->Ensure(snap, rounds, options_.shard.engine.seed);
-  }
+void ShardedEngine::Prewarm(std::optional<double> eps) const {
+  dyn::Prewarm(*View(), options_.shard.engine, options_.pool, eps);
 }
 
 size_t ShardedEngine::live_size() const {

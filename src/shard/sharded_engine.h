@@ -11,22 +11,17 @@
 // Equivalence contract: ids are assigned globally (sequential from 0) and
 // passed through to the shards (dyn::DynamicEngine::InsertWithId), so the
 // union of the shards' snapshots is just a bigger buckets+tail partition
-// of the same live set a single DynamicEngine would hold — and every
-// query recombines through the exact per-part primitives of src/dyn/merge:
-//   * NonzeroNN: per-shard Delta(q) min-reduced to the global bound
-//     (SnapshotNonzeroDelta), then per-shard threshold reporting against
-//     it (AppendNonzeroNNWithin), fanned out on the exec::ThreadPool;
-//   * spiral Quantify: the shards' per-bucket location streams k-way
-//     merged into one global distance order (MergedSpiralQuantify over the
-//     combined snapshot);
-//   * Monte-Carlo Quantify: per-(seed, round, id) sample streams make the
-//     per-round NN a cross-shard argmin (MergedMonteCarloQuantify), rounds
-//     fanned out on the pool;
-//   * QuantifyExact: per-part SurvivalProfile products (MergedQuantifyExact).
-// The plan rule and Monte-Carlo round count are evaluated over the UNION's
-// aggregates (PlanForSnapshot/McRoundsForSnapshot), so answers bit-match a
-// single DynamicEngine — and hence a fresh static Engine — over the live
-// set, regardless of shard count, placement, or rebalance history.
+// of the same live set a single DynamicEngine would hold. Every query
+// answers through the same pipeline a single DynamicEngine runs
+// (dyn/view_query.h), over a view with one part per shard: NonzeroNN
+// min-reduces the per-shard Lemma 2.1 bounds and reports per shard
+// against the global bound (both stages fanned out on the
+// exec::ThreadPool), and the quantifications recombine the union snapshot
+// through the exact per-part primitives of dyn/merge.h. The plan rule and
+// Monte-Carlo round count are evaluated over the UNION's aggregates, so
+// answers bit-match a single DynamicEngine — and hence a fresh static
+// Engine — over the live set, regardless of shard count, placement, or
+// rebalance history.
 //
 // Consistency: queries never lock and never block on updates. A query
 // gathers the N shard snapshots under a seqlock epoch: plain updates touch
@@ -134,17 +129,14 @@ struct RebalanceStats {
   size_t points_moved = 0;   // Total erase+reinsert migrations.
 };
 
-/// One immutable cross-shard query view: the per-shard snapshots gathered
-/// under a seqlock epoch plus their combined union snapshot. Published
-/// through the engine's snapshot cache, so query bursts against an
-/// unchanged live set share one view; any shard publish (insert, erase,
+/// The cross-shard query view: the per-shard snapshots gathered under a
+/// seqlock epoch plus their combined union snapshot (the struct is
+/// dyn::CombinedView, which the single engine publishes with one part).
+/// Published through the engine's snapshot cache, so query bursts against
+/// an unchanged live set share one view; any shard publish (insert, erase,
 /// background merge/compaction, rebalance move) makes the next View() call
-/// rebuild it. Holding a view pins its structures: queries against it stay
-/// valid and answer as of the gather.
-struct CombinedView {
-  std::vector<std::shared_ptr<const dyn::Snapshot>> parts;
-  std::shared_ptr<const dyn::Snapshot> combined;
-};
+/// rebuild it.
+using CombinedView = dyn::CombinedView;
 
 /// Hit/miss counters of the combined-snapshot cache (process-lifetime,
 /// monotone; hit rate = hits / (hits + misses)).
@@ -216,21 +208,22 @@ class ShardedEngine {
   /// threads one view through a whole batch.
   std::shared_ptr<const CombinedView> View() const;
 
+  // The query surface: each method answers over the current View()
+  // through the shared pipeline of dyn/view_query.h. To answer several
+  // queries against one state, pin a View() (or an
+  // api::EngineRef::Capture()).
+
   /// NN!=0(q) over the union, ascending ids (Lemma 2.1 semantics).
   std::vector<Id> NonzeroNN(Point2 q) const;
-  std::vector<Id> NonzeroNN(const CombinedView& view, Point2 q) const;
 
   /// NonzeroNN writing into `out` (cleared first) — with a warm view and
   /// a warm scratch arena a steady-state call performs zero heap
   /// allocations (tests/alloc_hotpath_test.cc).
   void NonzeroNNInto(Point2 q, std::vector<Id>* out) const;
-  void NonzeroNNInto(const CombinedView& view, Point2 q, std::vector<Id>* out) const;
 
   /// Estimates of all positive pi_i(q) within additive eps; indices are
   /// global ids, ascending.
   std::vector<Quantification> Quantify(Point2 q,
-                                       std::optional<double> eps = std::nullopt) const;
-  std::vector<Quantification> Quantify(const CombinedView& view, Point2 q,
                                        std::optional<double> eps = std::nullopt) const;
 
   /// Quantify writing into `out` (cleared first) — the zero-allocation
@@ -238,31 +231,18 @@ class ShardedEngine {
   /// scratch arena, a steady-state call allocates nothing.
   void QuantifyInto(Point2 q, std::optional<double> eps,
                     std::vector<Quantification>* out) const;
-  void QuantifyInto(const CombinedView& view, Point2 q, std::optional<double> eps,
-                    std::vector<Quantification>* out) const;
 
   /// Exact pi_i(q) (discrete: survival-profile recombination across every
   /// shard's parts; continuous: quadrature over the gathered union).
   std::vector<Quantification> QuantifyExact(Point2 q) const;
 
-  /// QuantifyExact over an explicit view (the api::EngineRef pinned
-  /// dispatch path).
-  std::vector<Quantification> QuantifyExact(const CombinedView& view, Point2 q) const;
-
   /// Points with pi_i(q) > tau; tau must be in [0, 1] (checked).
   std::vector<Quantification> ThresholdNN(Point2 q, double tau,
-                                          std::optional<double> eps = std::nullopt) const;
-  std::vector<Quantification> ThresholdNN(const CombinedView& view, Point2 q,
-                                          double tau,
                                           std::optional<double> eps = std::nullopt) const;
 
   /// Id with the largest estimated quantification probability (-1 when the
   /// live set is empty).
   Id MostLikelyNN(Point2 q, std::optional<double> eps = std::nullopt) const;
-
-  /// MostLikelyNN over an explicit view.
-  Id MostLikelyNN(const CombinedView& view, Point2 q,
-                  std::optional<double> eps = std::nullopt) const;
 
   /// The plan Quantify() will pick at this eps — the single-engine rule
   /// over the union's aggregates.
@@ -308,7 +288,6 @@ class ShardedEngine {
   /// appears in exactly one snapshot.
   std::vector<std::shared_ptr<const dyn::Snapshot>> Grab() const;
 
-  double ResolveEps(std::optional<double> eps) const;
   uint32_t PlaceLocked(Id id, const UncertainPoint& point) const;
   bool RebalanceOnceLocked(std::unique_lock<std::mutex>* lock);
   bool RebalanceNeededLocked(uint32_t* src, uint32_t* dst, size_t* total) const;

@@ -49,8 +49,9 @@ struct StreamingChurnOptions {
   double repeat_fraction = 0.0;
 };
 
-/// Generates an op stream for exec::BatchEngine::MixedBatch against a
-/// fresh dyn::DynamicEngine: `initial` inserts followed by `ops`
+/// Generates an op stream for a fresh dyn::DynamicEngine (or a shard
+/// router) — replayed through exec::BatchEngine::RequestBatch after
+/// exec::ToRequests: `initial` inserts followed by `ops`
 /// interleaved ops from the churn/query mix. The generator mirrors the
 /// engine's sequential id assignment, so departure/drift ops always
 /// reference ids that are live at their stream position.

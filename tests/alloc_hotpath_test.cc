@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/api/engine_ref.h"
 #include "src/dyn/dynamic_engine.h"
 #include "src/shard/sharded_engine.h"
 #include "src/util/alloc_hook.h"
@@ -164,6 +165,41 @@ TEST(AllocHotpath, ShardedNonzeroNNAllocatesNothing) {
   shard::ShardedEngine engine(sopt);
   Churn(&engine, &rng, 300);
   ExpectZeroAllocNonzeroNN(&engine, TestQueries(&rng, 8));
+}
+
+// EngineRef::Capture() pins every batch-executor query run and every
+// served network batch. With a warm view it is one atomic load on a
+// dynamic engine (the one-part view is published with each snapshot) and
+// the cache validation on a shard router: no allocation either way.
+template <typename EngineT>
+void ExpectZeroAllocCapture(EngineT* engine) {
+  api::EngineRef ref(engine);
+  api::EngineRef::Pin warm = ref.Capture();  // Rebuilds a stale shard view.
+  ASSERT_NE(warm.view, nullptr);
+  for (int i = 0; i < 8; ++i) {
+    int64_t before = util::AllocationCount();
+    api::EngineRef::Pin pin = ref.Capture();
+    int64_t delta = util::AllocationCount() - before;
+    EXPECT_EQ(delta, 0) << "allocations in a warm Capture()";
+    EXPECT_EQ(pin.view, warm.view);
+  }
+}
+
+TEST(AllocHotpath, DynamicCaptureAllocatesNothing) {
+  Rng rng(517);
+  dyn::DynamicEngine engine(DynOptions(false));
+  Churn(&engine, &rng, 300);
+  ExpectZeroAllocCapture(&engine);
+}
+
+TEST(AllocHotpath, ShardedCaptureAllocatesNothing) {
+  Rng rng(519);
+  shard::Options sopt;
+  sopt.num_shards = 3;
+  sopt.shard = DynOptions(false);
+  shard::ShardedEngine engine(sopt);
+  Churn(&engine, &rng, 300);
+  ExpectZeroAllocCapture(&engine);
 }
 
 TEST(AllocHotpath, ByteCountersTrackLiveAndPeak) {

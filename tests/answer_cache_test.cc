@@ -19,6 +19,7 @@
 
 #include "src/dyn/answer_cache.h"
 #include "src/dyn/dynamic_engine.h"
+#include "src/dyn/view_query.h"
 #include "src/exec/batch_engine.h"
 #include "src/shard/sharded_engine.h"
 #include "src/util/alloc_hook.h"
@@ -260,13 +261,15 @@ TEST(DynamicAnswerCache, BatchStatsSeeTheDedup) {
   }
   exec::BatchOptions bopt;
   bopt.num_threads = 1;
-  exec::BatchEngine batch(&engine, bopt);
-  auto result = batch.NonzeroNNBatch(queries);
+  exec::BatchEngine batch(api::EngineRef(&engine), bopt);
+  std::vector<api::QueryRequest> requests;
+  for (Point2 q : queries) requests.push_back(api::QueryRequest::NonzeroNN(q));
+  auto result = batch.RequestBatch(requests);
   EXPECT_EQ(result.stats.answer_cache_misses, unique.size());
   EXPECT_EQ(result.stats.answer_cache_hits, 3 * unique.size());
   for (size_t i = 0; i < unique.size(); ++i) {
     for (int rep = 1; rep < 4; ++rep) {
-      EXPECT_EQ(result.values[i + rep * unique.size()], result.values[i]);
+      EXPECT_EQ(result.values[i + rep * unique.size()].ids, result.values[i].ids);
     }
   }
 }
@@ -285,8 +288,8 @@ TEST(ShardAnswerCache, ViewCacheHitsAndPublishInvalidates) {
   for (Point2 q : queries) engine.NonzeroNNInto(q, &ids);
   dyn::AnswerCache::Stats s0 = view->combined->answers->stats();
   for (Point2 q : queries) {
-    engine.NonzeroNNInto(*view, q, &ids);
-    engine.NonzeroNNInto(*view, q, &again);
+    dyn::NonzeroNNInto(*view, engine.options().pool, q, &ids);
+    dyn::NonzeroNNInto(*view, engine.options().pool, q, &again);
     EXPECT_EQ(again, ids);
   }
   dyn::AnswerCache::Stats s1 = view->combined->answers->stats();

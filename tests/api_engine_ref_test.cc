@@ -1,7 +1,8 @@
 // Differential tests for pnn::api::EngineRef: answers mediated through the
 // type-erased QueryRequest/QueryResponse surface must be bit-identical to
-// calling the backend's methods directly — on all three backends, over
-// randomized op streams, pinned and unpinned. Also covers Validate() and
+// calling the backend's methods directly — on the static, dynamic and
+// sharded backends, over randomized op streams, pinned and unpinned — and
+// the durable backends must answer exactly like their in-memory engines. Also covers Validate() and
 // the status-instead-of-abort contract for requests that would PNN_CHECK
 // on the direct path.
 
@@ -10,14 +11,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <limits>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/api/query.h"
 #include "src/core/pnn.h"
 #include "src/dyn/dynamic_engine.h"
 #include "src/shard/sharded_engine.h"
+#include "src/store/sharded_store.h"
+#include "src/store/store.h"
 #include "src/workload/generators.h"
 
 namespace pnn {
@@ -191,6 +196,87 @@ TEST(ApiEngineRef, PinnedCallsAreStableUnderMutation) {
   QueryResponse fresh = ref.Call(QueryRequest::Quantify(q, 0.1));
   ASSERT_TRUE(fresh.ok());
   EXPECT_NE(fresh.quants.size(), before.quants.size());
+}
+
+void ExpectSameResponse(const QueryResponse& got, const QueryResponse& want) {
+  EXPECT_EQ(got.status, want.status);
+  EXPECT_EQ(got.id, want.id);
+  EXPECT_EQ(got.ids, want.ids);
+  ExpectIdenticalQuants(got.quants, want.quants);
+}
+
+// Applies one seeded op stream through both refs; after every run of
+// updates, all five query kinds must answer bit-identically through both,
+// unpinned and against a pin captured right after the run.
+void ExpectSameUnderOpStream(const EngineRef& durable, const EngineRef& memory,
+                             uint64_t seed) {
+  Rng rng(seed);
+  std::vector<dyn::Id> inserted;
+  for (int run = 0; run < 10; ++run) {
+    int updates = static_cast<int>(rng.UniformInt(1, 10));
+    for (int u = 0; u < updates; ++u) {
+      QueryRequest request =
+          inserted.empty() || rng.Bernoulli(0.7)
+              ? QueryRequest::Insert(RandomDiscretePoint(&rng))
+              // Sometimes an already-erased id: both answer -1.
+              : QueryRequest::Erase(
+                    inserted[static_cast<size_t>(rng.UniformInt(0, inserted.size() - 1))]);
+      QueryResponse got = durable.Call(request);
+      QueryResponse want = memory.Call(request);
+      ASSERT_TRUE(want.ok()) << want.message;
+      ExpectSameResponse(got, want);
+      if (request.kind == QueryKind::kInsert) inserted.push_back(want.id);
+    }
+    EngineRef::Pin durable_pin = durable.Capture();
+    EngineRef::Pin memory_pin = memory.Capture();
+    for (int k = 0; k < 3; ++k) {
+      Point2 q{rng.Uniform(-30, 30), rng.Uniform(-30, 30)};
+      for (const QueryRequest& request :
+           {QueryRequest::NonzeroNN(q), QueryRequest::Quantify(q, 0.1),
+            QueryRequest::QuantifyExact(q), QueryRequest::ThresholdNN(q, 0.2, 0.1),
+            QueryRequest::MostLikelyNN(q, 0.1)}) {
+        ExpectSameResponse(durable.Call(request), memory.Call(request));
+        ExpectSameResponse(durable.Call(request, durable_pin),
+                           memory.Call(request, memory_pin));
+      }
+    }
+  }
+}
+
+std::string FreshDir(const std::string& name) {
+  std::string dir = testing::TempDir() + "/" + name;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+TEST(ApiEngineRef, DurableBackendsMatchInMemory) {
+  dyn::Options dopt;
+  dopt.engine.seed = 77;
+  dopt.engine.mc_rounds_override = 48;
+  dopt.tail_limit = 8;
+  {
+    store::Store::Options options;
+    options.dynamic = dopt;
+    options.fsync = false;
+    auto store = store::Store::Open(FreshDir("api_ref_store"), options);
+    dyn::DynamicEngine memory(dopt);
+    EngineRef durable_ref(store.get());
+    EXPECT_EQ(durable_ref.backend(), EngineRef::Backend::kStore);
+    ExpectSameUnderOpStream(durable_ref, EngineRef(&memory), 507);
+  }
+  {
+    shard::Options sopt;
+    sopt.num_shards = 3;
+    sopt.shard = dopt;
+    store::ShardedStore::Options options;
+    options.sharded = sopt;
+    options.fsync = false;
+    auto store = store::ShardedStore::Open(FreshDir("api_ref_sharded_store"), options);
+    shard::ShardedEngine memory(sopt);
+    EngineRef durable_ref(store.get());
+    EXPECT_EQ(durable_ref.backend(), EngineRef::Backend::kShardedStore);
+    ExpectSameUnderOpStream(durable_ref, EngineRef(&memory), 508);
+  }
 }
 
 // Requests that would abort on the direct path come back as statuses.

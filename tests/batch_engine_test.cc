@@ -21,6 +21,20 @@ std::vector<Point2> RandomQueries(int count, double span, Rng* rng) {
   return out;
 }
 
+// Request vectors for RequestBatch: one request per query point.
+std::vector<api::QueryRequest> NonzeroRequests(const std::vector<Point2>& queries) {
+  std::vector<api::QueryRequest> out;
+  for (Point2 q : queries) out.push_back(api::QueryRequest::NonzeroNN(q));
+  return out;
+}
+
+std::vector<api::QueryRequest> QuantifyRequests(const std::vector<Point2>& queries,
+                                                double eps) {
+  std::vector<api::QueryRequest> out;
+  for (Point2 q : queries) out.push_back(api::QueryRequest::Quantify(q, eps));
+  return out;
+}
+
 void ExpectIdentical(const std::vector<Quantification>& a,
                      const std::vector<Quantification>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -42,16 +56,16 @@ TEST(BatchEngine, DiscreteBatchMatchesSequential) {
     BatchOptions opt;
     opt.num_threads = threads;
     opt.min_parallel_batch = 1;
-    BatchEngine batch(&engine, opt);
+    BatchEngine batch(api::EngineRef(&engine), opt);
     EXPECT_EQ(batch.num_threads(), threads);
 
-    auto nn = batch.NonzeroNNBatch(queries);
-    auto quant = batch.QuantifyBatch(queries, 0.05);
+    auto nn = batch.RequestBatch(NonzeroRequests(queries));
+    auto quant = batch.RequestBatch(QuantifyRequests(queries, 0.05));
     ASSERT_EQ(nn.values.size(), queries.size());
     ASSERT_EQ(quant.values.size(), queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(nn.values[i], engine.NonzeroNN(queries[i]));
-      ExpectIdentical(quant.values[i], engine.Quantify(queries[i], 0.05));
+      EXPECT_EQ(nn.values[i].ids, engine.NonzeroNN(queries[i]));
+      ExpectIdentical(quant.values[i].quants, engine.Quantify(queries[i], 0.05));
     }
     EXPECT_EQ(quant.stats.spiral_plans, queries.size());
     EXPECT_EQ(quant.stats.monte_carlo_plans, 0u);
@@ -80,12 +94,12 @@ TEST(BatchEngine, MonteCarloBatchMatchesSequentialAcrossEngines) {
   BatchOptions opt;
   opt.num_threads = 4;
   opt.min_parallel_batch = 1;
-  BatchEngine batch(&shared, opt);
-  auto result = batch.QuantifyBatch(queries, 0.1);
+  BatchEngine batch(api::EngineRef(&shared), opt);
+  auto result = batch.RequestBatch(QuantifyRequests(queries, 0.1));
   EXPECT_EQ(result.stats.monte_carlo_plans, queries.size());
   EXPECT_EQ(shared.MonteCarloRounds(), 300u);
   for (size_t i = 0; i < queries.size(); ++i) {
-    ExpectIdentical(result.values[i], sequential.Quantify(queries[i], 0.1));
+    ExpectIdentical(result.values[i].quants, sequential.Quantify(queries[i], 0.1));
   }
 }
 
@@ -97,11 +111,13 @@ TEST(BatchEngine, ThresholdBatchMatchesSequential) {
   BatchOptions opt;
   opt.num_threads = 3;
   opt.min_parallel_batch = 1;
-  BatchEngine batch(&engine, opt);
-  auto result = batch.ThresholdNNBatch(queries, 0.25, 0.02);
+  BatchEngine batch(api::EngineRef(&engine), opt);
+  std::vector<api::QueryRequest> requests;
+  for (Point2 q : queries) requests.push_back(api::QueryRequest::ThresholdNN(q, 0.25, 0.02));
+  auto result = batch.RequestBatch(requests);
   for (size_t i = 0; i < queries.size(); ++i) {
-    ExpectIdentical(result.values[i], engine.ThresholdNN(queries[i], 0.25, 0.02));
-    for (const auto& e : result.values[i]) EXPECT_GT(e.probability, 0.25);
+    ExpectIdentical(result.values[i].quants, engine.ThresholdNN(queries[i], 0.25, 0.02));
+    for (const auto& e : result.values[i].quants) EXPECT_GT(e.probability, 0.25);
   }
 }
 
@@ -109,9 +125,9 @@ TEST(BatchEngine, StatsAreConsistent) {
   Rng rng(2007);
   auto pts = ToUniformUncertain(RandomDiscreteLocations(15, 2, 10, 2, &rng));
   Engine engine(pts);
-  BatchEngine batch(&engine, BatchOptions{2, 1});
+  BatchEngine batch(api::EngineRef(&engine), BatchOptions{2, 1});
   auto queries = RandomQueries(64, 12, &rng);
-  auto result = batch.NonzeroNNBatch(queries);
+  auto result = batch.RequestBatch(NonzeroRequests(queries));
   const BatchStats& s = result.stats;
   EXPECT_EQ(s.num_queries, queries.size());
   EXPECT_EQ(s.threads, 2u);
@@ -129,12 +145,12 @@ TEST(BatchEngine, SmallBatchRunsInline) {
   BatchOptions opt;
   opt.num_threads = 4;
   opt.min_parallel_batch = 1000;  // Forces the inline path.
-  BatchEngine batch(&engine, opt);
+  BatchEngine batch(api::EngineRef(&engine), opt);
   auto queries = RandomQueries(10, 12, &rng);
-  auto result = batch.NonzeroNNBatch(queries);
+  auto result = batch.RequestBatch(NonzeroRequests(queries));
   ASSERT_EQ(result.values.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(result.values[i], engine.NonzeroNN(queries[i]));
+    EXPECT_EQ(result.values[i].ids, engine.NonzeroNN(queries[i]));
   }
 }
 
@@ -155,13 +171,13 @@ TEST(BatchEngine, MixedEpsRebuildIsThreadSafe) {
   BatchOptions opt;
   opt.num_threads = 4;
   opt.min_parallel_batch = 1;
-  BatchEngine batch(&shared, opt);
+  BatchEngine batch(api::EngineRef(&shared), opt);
   auto queries = RandomQueries(60, 10, &rng);
-  auto loose = batch.QuantifyBatch(queries, 0.2);
-  auto tight = batch.QuantifyBatch(queries, 0.05);
+  auto loose = batch.RequestBatch(QuantifyRequests(queries, 0.2));
+  auto tight = batch.RequestBatch(QuantifyRequests(queries, 0.05));
   for (size_t i = 0; i < queries.size(); ++i) {
-    ExpectIdentical(loose.values[i], sequential.Quantify(queries[i], 0.2));
-    ExpectIdentical(tight.values[i], sequential.Quantify(queries[i], 0.05));
+    ExpectIdentical(loose.values[i].quants, sequential.Quantify(queries[i], 0.2));
+    ExpectIdentical(tight.values[i].quants, sequential.Quantify(queries[i], 0.05));
   }
 }
 
@@ -190,20 +206,21 @@ TEST(BatchEngine, DynamicBackendMatchesStaticReference) {
     BatchOptions opt;
     opt.num_threads = threads;
     opt.min_parallel_batch = 1;
-    BatchEngine batch(&dynamic, opt);
-    auto nn = batch.NonzeroNNBatch(queries);
-    auto quant = batch.QuantifyBatch(queries, 0.1);
+    BatchEngine batch(api::EngineRef(&dynamic), opt);
+    auto nn = batch.RequestBatch(NonzeroRequests(queries));
+    auto quant = batch.RequestBatch(QuantifyRequests(queries, 0.1));
     EXPECT_EQ(quant.stats.monte_carlo_plans, queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(nn.values[i], dynamic.NonzeroNN(queries[i]));
+      EXPECT_EQ(nn.values[i].ids, dynamic.NonzeroNN(queries[i]));
       std::vector<dyn::Id> want_nn;
       for (int r : reference.NonzeroNN(queries[i])) want_nn.push_back(ids[r]);
-      EXPECT_EQ(nn.values[i], want_nn);
+      EXPECT_EQ(nn.values[i].ids, want_nn);
       auto want_q = reference.Quantify(queries[i], 0.1);
-      ASSERT_EQ(quant.values[i].size(), want_q.size());
+      const std::vector<Quantification>& got_q = quant.values[i].quants;
+      ASSERT_EQ(got_q.size(), want_q.size());
       for (size_t j = 0; j < want_q.size(); ++j) {
-        EXPECT_EQ(quant.values[i][j].index, ids[want_q[j].index]);
-        EXPECT_EQ(quant.values[i][j].probability, want_q[j].probability);
+        EXPECT_EQ(got_q[j].index, ids[want_q[j].index]);
+        EXPECT_EQ(got_q[j].probability, want_q[j].probability);
       }
     }
   }
@@ -242,10 +259,12 @@ TEST(BatchEngine, MonteCarloExactTiesAreDeterministic) {
     BatchOptions opt;
     opt.num_threads = threads;
     opt.min_parallel_batch = 1;
-    BatchEngine batch(&engine, opt);
-    auto result = batch.QuantifyBatch(queries, 0.1);
+    BatchEngine batch(api::EngineRef(&engine), opt);
+    auto result = batch.RequestBatch(QuantifyRequests(queries, 0.1));
     EXPECT_EQ(result.stats.monte_carlo_plans, queries.size());
-    by_threads[threads == 1 ? 0 : 1] = std::move(result.values);
+    for (api::QueryResponse& r : result.values) {
+      by_threads[threads == 1 ? 0 : 1].push_back(std::move(r.quants));
+    }
   }
   for (size_t i = 0; i < queries.size(); ++i) {
     ExpectIdentical(by_threads[1][i], by_threads[0][i]);
@@ -264,14 +283,15 @@ TEST(BatchEngine, MonteCarloExactTiesAreDeterministic) {
     BatchOptions opt;
     opt.num_threads = 4;
     opt.min_parallel_batch = 1;
-    BatchEngine batch(backend, opt);
-    auto got = batch.QuantifyBatch(queries, 0.1);
+    BatchEngine batch(api::EngineRef(backend), opt);
+    auto got = batch.RequestBatch(QuantifyRequests(queries, 0.1));
     for (size_t i = 0; i < queries.size(); ++i) {
       auto want = reference.Quantify(queries[i], 0.1);
-      ASSERT_EQ(got.values[i].size(), want.size());
+      const std::vector<Quantification>& got_q = got.values[i].quants;
+      ASSERT_EQ(got_q.size(), want.size());
       for (size_t j = 0; j < want.size(); ++j) {
-        EXPECT_EQ(got.values[i][j].index, ids[want[j].index]);
-        EXPECT_EQ(got.values[i][j].probability, want[j].probability);
+        EXPECT_EQ(got_q[j].index, ids[want[j].index]);
+        EXPECT_EQ(got_q[j].probability, want[j].probability);
       }
     }
   };
@@ -288,7 +308,7 @@ TEST(BatchEngine, MonteCarloExactTiesAreDeterministic) {
 }
 
 TEST(BatchEngine, MixedBatchMatchesSequentialReplay) {
-  // The same streaming-churn op stream, applied (a) via MixedBatch with a
+  // The same streaming-churn op stream, applied (a) via RequestBatch with a
   // pool and (b) op-by-op against a second engine, must produce identical
   // results — updates are ordered and queries snapshot-deterministic.
   Rng gen_rng(2103);
@@ -309,14 +329,14 @@ TEST(BatchEngine, MixedBatchMatchesSequentialReplay) {
   BatchOptions bopt;
   bopt.num_threads = 4;
   bopt.min_parallel_batch = 2;
-  BatchEngine batch(&batched, bopt);
-  auto result = batch.MixedBatch(ops, 0.1);
+  BatchEngine batch(api::EngineRef(&batched), bopt);
+  auto result = batch.RequestBatch(ToRequests(ops, 0.1));
   ASSERT_EQ(result.values.size(), ops.size());
 
   size_t queries = 0, updates = 0;
   for (size_t i = 0; i < ops.size(); ++i) {
     const MixedOp& op = ops[i];
-    const MixedResult& got = result.values[i];
+    const api::QueryResponse& got = result.values[i];
     switch (op.kind) {
       case MixedOp::Kind::kInsert:
         EXPECT_EQ(got.id, sequential.Insert(*op.point));
@@ -327,7 +347,7 @@ TEST(BatchEngine, MixedBatchMatchesSequentialReplay) {
         ++updates;
         break;
       case MixedOp::Kind::kNonzeroNN:
-        EXPECT_EQ(got.nonzero, sequential.NonzeroNN(op.q));
+        EXPECT_EQ(got.ids, sequential.NonzeroNN(op.q));
         ++queries;
         break;
       case MixedOp::Kind::kQuantify:
@@ -335,10 +355,10 @@ TEST(BatchEngine, MixedBatchMatchesSequentialReplay) {
         auto want = op.kind == MixedOp::Kind::kQuantify
                         ? sequential.Quantify(op.q, 0.1)
                         : sequential.ThresholdNN(op.q, op.tau, 0.1);
-        ASSERT_EQ(got.quant.size(), want.size());
+        ASSERT_EQ(got.quants.size(), want.size());
         for (size_t j = 0; j < want.size(); ++j) {
-          EXPECT_EQ(got.quant[j].index, want[j].index);
-          EXPECT_EQ(got.quant[j].probability, want[j].probability);
+          EXPECT_EQ(got.quants[j].index, want[j].index);
+          EXPECT_EQ(got.quants[j].probability, want[j].probability);
         }
         ++queries;
         break;

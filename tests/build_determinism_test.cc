@@ -161,7 +161,9 @@ TEST(BuildDeterminism, EngineBuilderSlicedMatchesMonolithic) {
       builder.Step();
       ++steps;
     }
-    if (chunk == 1) EXPECT_GE(steps, points.size());  // Genuinely sliced.
+    if (chunk == 1) {
+      EXPECT_GE(steps, points.size());  // Genuinely sliced.
+    }
     std::unique_ptr<Engine> sliced = builder.Finish();
     ExpectSameAnswers(monolithic, *sliced, &rng, 8);
   }

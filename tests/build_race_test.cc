@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "src/dyn/dynamic_engine.h"
+#include "src/dyn/view_query.h"
 #include "src/exec/thread_pool.h"
 #include "src/shard/sharded_engine.h"
 
@@ -132,8 +133,9 @@ TEST(SlicedBuildRace, ShardLanesRaceEachOtherAndQueries) {
       while (!stop.load()) {
         Point2 q{rng.Uniform(-35, 35), rng.Uniform(-35, 35)};
         auto view = engine.View();
-        engine.NonzeroNNInto(*view, q, &nn);
-        engine.QuantifyInto(*view, q, 0.2, &quant);
+        dyn::NonzeroNNInto(*view, engine.options().pool, q, &nn);
+        dyn::QuantifyInto(*view, engine.options().shard.engine, engine.options().pool, q,
+                          0.2, &quant);
         // Every reported id must be unique (the seqlock gather never
         // shows a mid-move point twice).
         for (size_t i = 1; i < nn.size(); ++i) EXPECT_LT(nn[i - 1], nn[i]);

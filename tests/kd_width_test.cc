@@ -272,7 +272,9 @@ TEST(KdWidth, LeafWidthReportsBuiltExtent) {
     EXPECT_LE(tree.leaf_width(), width);
     // A split halves >width ranges, so the widest leaf exceeds width/2
     // whenever the tree has enough points to fill one.
-    if (static_cast<int>(pts.size()) > width) EXPECT_GT(tree.leaf_width(), width / 2);
+    if (static_cast<int>(pts.size()) > width) {
+      EXPECT_GT(tree.leaf_width(), width / 2);
+    }
   }
 }
 

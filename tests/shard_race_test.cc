@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/api/engine_ref.h"
 #include "src/exec/thread_pool.h"
 #include "src/shard/sharded_engine.h"
 #include "src/util/rng.h"
@@ -84,7 +85,9 @@ void RunRace(PlacementKind placement, bool auto_rebalance, uint64_t seed) {
         std::vector<Quantification> quant = engine.Quantify(q, 0.25);
         double total = 0.0;
         for (size_t i = 0; i < quant.size(); ++i) {
-          if (i > 0) EXPECT_LT(quant[i - 1].index, quant[i].index);
+          if (i > 0) {
+            EXPECT_LT(quant[i - 1].index, quant[i].index);
+          }
           EXPECT_GE(quant[i].probability, 0.0);
           EXPECT_LE(quant[i].probability, 1.0 + 1e-9);
           total += quant[i].probability;
@@ -183,10 +186,12 @@ TEST(ShardRace, SnapshotCachePublishRacesUpdaters) {
         if (rng.Bernoulli(0.5)) {
           engine.QuantifyInto(q, 0.25, &out);
         } else {
-          auto view = engine.View();
-          out = engine.Quantify(*view, q, 0.25);
+          api::EngineRef ref(&engine);
+          api::EngineRef::Pin pin = ref.Capture();
+          api::QueryRequest request = api::QueryRequest::Quantify(q, 0.25);
+          out = ref.Call(request, pin).quants;
           // The pinned view must re-answer identically (it is immutable).
-          std::vector<Quantification> again = engine.Quantify(*view, q, 0.25);
+          std::vector<Quantification> again = ref.Call(request, pin).quants;
           ASSERT_EQ(again.size(), out.size());
           for (size_t i = 0; i < out.size(); ++i) {
             EXPECT_EQ(again[i].index, out[i].index);

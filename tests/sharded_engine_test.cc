@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/api/engine_ref.h"
 #include "src/exec/batch_engine.h"
 #include "src/exec/thread_pool.h"
 #include "src/shard/sharded_engine.h"
@@ -423,12 +424,13 @@ TEST(ShardedSnapshotCache, ViewPinsConsistentStateAcrossUpdates) {
   ShardedEngine engine(sopt);
   for (int i = 0; i < 40; ++i) engine.Insert(RandomDiscretePoint(&rng));
 
-  auto view = engine.View();
-  Point2 q{0, 0};
-  std::vector<Quantification> before = engine.Quantify(*view, q, 0.1);
+  api::EngineRef ref(&engine);
+  api::EngineRef::Pin pin{engine.View()};
+  api::QueryRequest request = api::QueryRequest::Quantify({0, 0}, 0.1);
+  std::vector<Quantification> before = ref.Call(request, pin).quants;
   for (int i = 0; i < 20; ++i) engine.Insert(RandomDiscretePoint(&rng));
   // The pinned view still answers as of the gather...
-  ExpectBitIdentical(engine.Quantify(*view, q, 0.1), before);
+  ExpectBitIdentical(ref.Call(request, pin).quants, before);
   // ...while a fresh view sees the inserts.
   EXPECT_EQ(engine.View()->combined->live_count, 60u);
 }
@@ -456,24 +458,25 @@ TEST(ShardedBatch, MixedBatchMatchesDynamicBackend) {
   exec::BatchOptions bopt;
   bopt.num_threads = 2;
   bopt.min_parallel_batch = 8;
-  exec::BatchEngine sharded_batch(&sharded, bopt);
-  exec::BatchEngine reference_batch(&reference, bopt);
+  exec::BatchEngine sharded_batch(api::EngineRef(&sharded), bopt);
+  exec::BatchEngine reference_batch(api::EngineRef(&reference), bopt);
 
-  auto got = sharded_batch.MixedBatch(ops, 0.1);
-  auto want = reference_batch.MixedBatch(ops, 0.1);
+  std::vector<api::QueryRequest> requests = exec::ToRequests(ops, 0.1);
+  auto got = sharded_batch.RequestBatch(requests);
+  auto want = reference_batch.RequestBatch(requests);
   ASSERT_EQ(got.values.size(), want.values.size());
   for (size_t i = 0; i < got.values.size(); ++i) {
     EXPECT_EQ(got.values[i].id, want.values[i].id);
-    EXPECT_EQ(got.values[i].nonzero, want.values[i].nonzero);
-    ASSERT_EQ(got.values[i].quant.size(), want.values[i].quant.size());
-    for (size_t j = 0; j < got.values[i].quant.size(); ++j) {
-      EXPECT_EQ(got.values[i].quant[j].index, want.values[i].quant[j].index);
-      EXPECT_EQ(got.values[i].quant[j].probability,
-                want.values[i].quant[j].probability);
+    EXPECT_EQ(got.values[i].ids, want.values[i].ids);
+    ASSERT_EQ(got.values[i].quants.size(), want.values[i].quants.size());
+    for (size_t j = 0; j < got.values[i].quants.size(); ++j) {
+      EXPECT_EQ(got.values[i].quants[j].index, want.values[i].quants[j].index);
+      EXPECT_EQ(got.values[i].quants[j].probability,
+                want.values[i].quants[j].probability);
     }
   }
   EXPECT_EQ(got.stats.num_updates, want.stats.num_updates);
-  EXPECT_EQ(&sharded_batch.sharded_engine(), &sharded);
+  EXPECT_EQ(sharded_batch.ref().sharded_engine(), &sharded);
 }
 
 }  // namespace
