@@ -16,6 +16,8 @@
 // reproduces the exact schedule:   bench_chaos --seed=N
 //
 // Usage: bench_chaos [--seed=1] [--ops=3000] [--sharded]
+// (a one-shard store::ShardedStore — the single-engine store — by
+// default; --sharded runs two shards)
 
 #include <algorithm>
 #include <cstdio>
@@ -28,7 +30,6 @@
 
 #include "src/fault/fault.h"
 #include "src/store/sharded_store.h"
-#include "src/store/store.h"
 #include "src/uncertain/uncertain_point.h"
 #include "src/util/rng.h"
 
@@ -85,8 +86,7 @@ void ShuffleFaults(const std::vector<std::string>& sites, Rng* rng, long op) {
 
 /// The live set must be exactly `acked` and answer bit-identically to a
 /// fresh static Engine built from it.
-template <typename EngineT>
-void CheckServing(const EngineT& engine, std::vector<dyn::Id> acked,
+void CheckServing(const shard::ShardedEngine& engine, std::vector<dyn::Id> acked,
                   uint64_t query_seed, int queries) {
   std::sort(acked.begin(), acked.end());
   std::vector<dyn::Id> ids;
@@ -112,9 +112,8 @@ void CheckServing(const EngineT& engine, std::vector<dyn::Id> acked,
   }
 }
 
-/// One churn op against either store type; true if acked.
-template <typename StoreT>
-bool ChurnOp(StoreT* store, Rng* rng, std::vector<dyn::Id>* acked,
+/// One churn op; true if acked.
+bool ChurnOp(store::ShardedStore* store, Rng* rng, std::vector<dyn::Id>* acked,
              long* refused) {
   if (acked->empty() || rng->Bernoulli(0.7)) {
     util::StatusOr<dyn::Id> id = store->Insert(ChaosPoint(rng));
@@ -137,9 +136,8 @@ bool ChurnOp(StoreT* store, Rng* rng, std::vector<dyn::Id>* acked,
   return true;
 }
 
-template <typename StoreT, typename OptionsT>
-int RunChaos(const std::string& dir, OptionsT options, uint64_t seed,
-             long ops) {
+int RunChaos(const std::string& dir, const store::ShardedStore::Options& options,
+             uint64_t seed, long ops) {
   std::vector<std::string> sites;
   for (const std::string& s : fault::ListFailpoints()) {
     if (s.rfind("store.", 0) == 0) sites.push_back(s);
@@ -152,7 +150,7 @@ int RunChaos(const std::string& dir, OptionsT options, uint64_t seed,
   long refused = 0;
   uint64_t degraded_probes = 0;
   {
-    auto store = StoreT::Open(dir, options);
+    auto store = store::ShardedStore::Open(dir, options);
     for (long op = 0; op < ops; ++op) {
       if (op % 100 == 0) ShuffleFaults(sites, &rng, op);
       if (op % 100 == 60) {
@@ -180,7 +178,7 @@ int RunChaos(const std::string& dir, OptionsT options, uint64_t seed,
   }
 
   // Reopen: the acked history must recover exactly, bit-identically.
-  auto reopened = StoreT::Open(dir, options);
+  auto reopened = store::ShardedStore::Open(dir, options);
   CheckServing(reopened->engine(), acked, seed + 8888, 6);
 
   std::printf(
@@ -218,21 +216,13 @@ int main(int argc, char** argv) {
                         .string();
   std::filesystem::remove_all(dir);
 
-  int rc;
-  if (sharded) {
-    pnn::store::ShardedStore::Options options;
-    options.sharded.num_shards = 2;
-    options.sharded.shard.engine.seed = 77;
-    options.sharded.shard.engine.mc_rounds_override = 48;
-    options.sharded.shard.tail_limit = 8;
-    rc = pnn::RunChaos<pnn::store::ShardedStore>(dir, options, seed, ops);
-  } else {
-    pnn::store::Store::Options options;
-    options.dynamic.engine.seed = 77;
-    options.dynamic.engine.mc_rounds_override = 48;
-    options.dynamic.tail_limit = 8;
-    rc = pnn::RunChaos<pnn::store::Store>(dir, options, seed, ops);
-  }
+  // The plain leg runs the single-engine store (one shard).
+  pnn::store::ShardedStore::Options options;
+  options.sharded.num_shards = sharded ? 2 : 1;
+  options.sharded.shard.engine.seed = 77;
+  options.sharded.shard.engine.mc_rounds_override = 48;
+  options.sharded.shard.tail_limit = 8;
+  int rc = pnn::RunChaos(dir, options, seed, ops);
   if (rc == 0) std::filesystem::remove_all(dir);
   return rc;
 }

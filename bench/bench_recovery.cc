@@ -1,12 +1,13 @@
 // Durable-store recovery benchmark + crash-recovery harness.
 //
 // Default mode measures the two numbers the persistence layer is sized
-// by: (1) cold recovery (store::Store::Open adopting checkpointed
-// segments + replaying the log tail) versus rebuilding a static Engine
-// from the same live set — segment adoption skips every kd BuildRange,
-// so recovery must be >= 5x faster (the acceptance gate); and (2) the
-// log-append overhead on single-point Insert, p50/p99 with and without
-// fdatasync, which prices the durability contract itself.
+// by: (1) cold recovery (store::ShardedStore::Open of a one-shard store —
+// the single-engine store — adopting checkpointed segments + replaying
+// the log tail) versus rebuilding a static Engine from the same live
+// set — segment adoption skips every kd BuildRange, so recovery must be
+// >= 5x faster (the acceptance gate); and (2) the log-append overhead on
+// single-point Insert, p50/p99 with and without fdatasync, which prices
+// the durability contract itself.
 //
 //   ./bench_recovery [--quick] [--no-gate] [--json PATH] [n]
 //
@@ -35,7 +36,7 @@
 #include <vector>
 
 #include "src/store/io.h"
-#include "src/store/store.h"
+#include "src/store/sharded_store.h"
 #include "src/util/check.h"
 #include "src/util/bench_json.h"
 #include "src/util/stats.h"
@@ -56,12 +57,20 @@ UncertainPoint ChurnPoint(Rng* rng) {
   return UncertainPoint::Discrete(std::move(locs), std::move(w));
 }
 
-store::Store::Options ChurnStoreOptions() {
-  store::Store::Options options;
-  options.dynamic.engine.seed = 4242;
-  options.dynamic.engine.mc_rounds_override = 48;
-  options.dynamic.tail_limit = 32;  // Frequent merges -> frequent
-                                    // checkpoints; a kill lands mid-one.
+/// A one-shard durable store (the single-engine store).
+store::ShardedStore::Options OneShardOptions(uint64_t seed, bool fsync) {
+  store::ShardedStore::Options options;
+  options.sharded.num_shards = 1;
+  options.sharded.shard.engine.seed = seed;
+  options.fsync = fsync;
+  return options;
+}
+
+store::ShardedStore::Options ChurnStoreOptions() {
+  store::ShardedStore::Options options = OneShardOptions(4242, true);
+  options.sharded.shard.engine.mc_rounds_override = 48;
+  options.sharded.shard.tail_limit = 32;  // Frequent merges -> frequent
+                                          // checkpoints; a kill lands mid-one.
   return options;
 }
 
@@ -97,7 +106,7 @@ struct ChurnSim {
 };
 
 int RunChurn(const std::string& dir, uint64_t seed) {
-  auto db = store::Store::Open(dir, ChurnStoreOptions());
+  auto db = store::ShardedStore::Open(dir, ChurnStoreOptions());
   auto acked_or = store::File::OpenAppend(dir + ".acked");
   store::File acked = std::move(acked_or.value());
   ChurnSim sim(seed);
@@ -124,8 +133,8 @@ int RunVerify(const std::string& dir, uint64_t seed) {
     return 1;
   }
   size_t acked_ops = acked_bytes.size();
-  auto db = store::Store::Open(dir, ChurnStoreOptions());
-  store::Stats stats = db->stats();
+  auto db = store::ShardedStore::Open(dir, ChurnStoreOptions());
+  store::Stats stats = db->stats()[0];
   std::printf("recovered: %zu acked ops, %llu segments adopted, %llu log ops "
               "replayed, %llu log bytes truncated\n",
               acked_ops, static_cast<unsigned long long>(stats.recovered_buckets),
@@ -201,31 +210,24 @@ int RunBench(int n, int latency_ops, const char* json_path, bool gate) {
   std::string cmd = "rm -rf " + dir;
   std::system(cmd.c_str());
 
-  store::Store::Options options;
-  options.dynamic.engine.seed = 99;
+  store::ShardedStore::Options options = OneShardOptions(99, true);
   Rng rng(1234);
 
-  // Fill + checkpoint, so recovery is the segment-adoption path.
+  // Fill without fsync, then checkpoint (durable from here on), so
+  // recovery is the segment-adoption path.
   double fill_seconds;
   {
     Timer t;
-    auto db = store::Store::Open(dir, options);
-    std::vector<UncertainPoint> batch;
-    for (int i = 0; i < n; ++i) {
-      batch.push_back(ChurnPoint(&rng));
-      if (batch.size() == 4096 || i + 1 == n) {
-        db->InsertBatch(std::move(batch)).value();
-        batch.clear();
-      }
-    }
+    auto db = store::ShardedStore::Open(dir, OneShardOptions(99, false));
+    for (int i = 0; i < n; ++i) db->Insert(ChurnPoint(&rng)).value();
     PNN_CHECK_MSG(db->Checkpoint().ok(), "fill checkpoint failed");
     fill_seconds = t.Seconds();
   }
 
   Timer recover_timer;
-  auto db = store::Store::Open(dir, options);
+  auto db = store::ShardedStore::Open(dir, options);
   double recovery_seconds = recover_timer.Seconds();
-  store::Stats stats = db->stats();
+  store::Stats stats = db->stats()[0];
 
   std::vector<dyn::Id> ids;
   UncertainSet live = db->engine().LiveSet(&ids);
@@ -237,7 +239,7 @@ int RunBench(int n, int latency_ops, const char* json_path, bool gate) {
   Timer rebuild_timer;
   double replay_seconds;
   {
-    dyn::DynamicEngine fresh(options.dynamic);
+    dyn::DynamicEngine fresh(options.sharded.shard);
     for (size_t i = 0; i < ids.size(); ++i) fresh.InsertWithId(ids[i], live[i]);
     fresh.WaitForMaintenance();
     replay_seconds = rebuild_timer.Seconds();
@@ -276,10 +278,7 @@ int RunBench(int n, int latency_ops, const char* json_path, bool gate) {
   Table lat({"mode", "ops", "p50 us", "p99 us"});
   for (bool fsync : {true, false}) {
     std::system(cmd.c_str());
-    store::Store::Options lopt;
-    lopt.dynamic.engine.seed = 99;
-    lopt.fsync = fsync;
-    auto ldb = store::Store::Open(dir, lopt);
+    auto ldb = store::ShardedStore::Open(dir, OneShardOptions(99, fsync));
     Rng lrng(777);
     std::vector<double> micros;
     micros.reserve(static_cast<size_t>(latency_ops));

@@ -24,19 +24,18 @@ QueryResponse Unavailable(QueryKind kind, const util::Status& status) {
 
 std::shared_ptr<const dyn::CombinedView> EngineRef::ViewOf(const Pin* pin) const {
   if (pin != nullptr && pin->view != nullptr) return pin->view;
-  if (dyn_view() != nullptr) return dyn_view()->View();
+  if (dyn_ != nullptr) return dyn_->View();
   if (sharded_view() != nullptr) return sharded_view()->View();
   return nullptr;
 }
 
 const Engine::Options& EngineRef::view_options() const {
-  return dyn_view() != nullptr ? dyn_view()->options().engine
-                               : sharded_view()->options().shard.engine;
+  return dyn_ != nullptr ? dyn_->options().engine
+                         : sharded_view()->options().shard.engine;
 }
 
 exec::ThreadPool* EngineRef::view_pool() const {
-  return dyn_view() != nullptr ? dyn_view()->options().pool
-                               : sharded_view()->options().pool;
+  return dyn_ != nullptr ? dyn_->options().pool : sharded_view()->options().pool;
 }
 
 EngineRef::Pin EngineRef::Capture() const { return Pin{ViewOf(nullptr)}; }
@@ -132,11 +131,7 @@ QueryResponse EngineRef::ApplyUpdate(const QueryRequest& request) const {
   // A degraded durable store refuses mutations with kUnavailable; queries
   // never take this path — they keep answering kOk.
   if (request.kind == QueryKind::kInsert) {
-    if (store_ != nullptr) {
-      util::StatusOr<dyn::Id> id = store_->Insert(*request.point);
-      if (!id.ok()) return Unavailable(request.kind, id.status());
-      r.id = *id;
-    } else if (sharded_store_ != nullptr) {
+    if (sharded_store_ != nullptr) {
       util::StatusOr<dyn::Id> id = sharded_store_->Insert(*request.point);
       if (!id.ok()) return Unavailable(request.kind, id.status());
       r.id = *id;
@@ -148,11 +143,7 @@ QueryResponse EngineRef::ApplyUpdate(const QueryRequest& request) const {
     return r;
   }
   bool erased;
-  if (store_ != nullptr) {
-    util::StatusOr<bool> status = store_->Erase(request.id);
-    if (!status.ok()) return Unavailable(request.kind, status.status());
-    erased = *status;
-  } else if (sharded_store_ != nullptr) {
+  if (sharded_store_ != nullptr) {
     util::StatusOr<bool> status = sharded_store_->Erase(request.id);
     if (!status.ok()) return Unavailable(request.kind, status.status());
     erased = *status;

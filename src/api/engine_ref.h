@@ -1,7 +1,7 @@
 // pnn::api::EngineRef — a type-erased, non-owning handle over the query
 // backends (static Engine, dyn::DynamicEngine, shard::ShardedEngine, and
-// their durable wrappers store::Store / store::ShardedStore) that
-// dispatches api::QueryRequest.
+// the durable store::ShardedStore, which with one shard is the durable
+// single engine) that dispatches api::QueryRequest.
 //
 // This is the seam the serving layer and the batch executor stand on: the
 // server decodes wire frames into QueryRequests and calls one EngineRef,
@@ -35,7 +35,6 @@
 #include "src/dyn/dynamic_engine.h"
 #include "src/shard/sharded_engine.h"
 #include "src/store/sharded_store.h"
-#include "src/store/store.h"
 
 namespace pnn {
 namespace api {
@@ -43,7 +42,7 @@ namespace api {
 class EngineRef {
  public:
   /// Which backend a ref points at (mostly for logs and tests).
-  enum class Backend { kNone, kStatic, kDynamic, kSharded, kStore, kShardedStore };
+  enum class Backend { kNone, kStatic, kDynamic, kSharded, kShardedStore };
 
   EngineRef() = default;
   /// Static backend: the five query kinds; Insert/Erase answer
@@ -51,17 +50,15 @@ class EngineRef {
   explicit EngineRef(const Engine* engine) : engine_(engine) {}
   explicit EngineRef(dyn::DynamicEngine* engine) : dyn_(engine) {}
   explicit EngineRef(shard::ShardedEngine* engine) : sharded_(engine) {}
-  /// Durable backends: queries run against the store's live engine
+  /// Durable backend: queries run against the store's live router
   /// exactly like the in-memory refs; Insert/Erase route through the
   /// store so they are logged (and synced) before they apply.
-  explicit EngineRef(store::Store* store) : store_(store) {}
   explicit EngineRef(store::ShardedStore* store) : sharded_store_(store) {}
 
   Backend backend() const {
     if (engine_ != nullptr) return Backend::kStatic;
     if (dyn_ != nullptr) return Backend::kDynamic;
     if (sharded_ != nullptr) return Backend::kSharded;
-    if (store_ != nullptr) return Backend::kStore;
     if (sharded_store_ != nullptr) return Backend::kShardedStore;
     return Backend::kNone;
   }
@@ -69,8 +66,7 @@ class EngineRef {
   /// True when Insert/Erase are available (every backend but the static
   /// Engine).
   bool supports_updates() const {
-    return dyn_ != nullptr || sharded_ != nullptr || store_ != nullptr ||
-           sharded_store_ != nullptr;
+    return dyn_ != nullptr || sharded_ != nullptr || sharded_store_ != nullptr;
   }
 
   /// The backend's immutable state for pinned calls. Holding a Pin keeps
@@ -110,7 +106,6 @@ class EngineRef {
   const Engine* static_engine() const { return engine_; }
   dyn::DynamicEngine* dynamic_engine() const { return dyn_; }
   shard::ShardedEngine* sharded_engine() const { return sharded_; }
-  store::Store* store() const { return store_; }
   store::ShardedStore* sharded_store() const { return sharded_store_; }
 
  private:
@@ -120,13 +115,9 @@ class EngineRef {
   /// static backend.
   std::shared_ptr<const dyn::CombinedView> ViewOf(const Pin* pin) const;
   /// The engine options and pool of the mutable backend queries read from
-  /// (the store's live engine for the durable backends).
+  /// (the store's live router for the durable backend).
   const Engine::Options& view_options() const;
   exec::ThreadPool* view_pool() const;
-  /// The dynamic engine queries read from; null unless dynamic-shaped.
-  const dyn::DynamicEngine* dyn_view() const {
-    return store_ != nullptr ? &store_->engine() : dyn_;
-  }
   /// The shard router queries read from; null unless sharded-shaped.
   const shard::ShardedEngine* sharded_view() const {
     return sharded_store_ != nullptr ? &sharded_store_->engine() : sharded_;
@@ -135,7 +126,6 @@ class EngineRef {
   const Engine* engine_ = nullptr;
   dyn::DynamicEngine* dyn_ = nullptr;
   shard::ShardedEngine* sharded_ = nullptr;
-  store::Store* store_ = nullptr;
   store::ShardedStore* sharded_store_ = nullptr;
 };
 

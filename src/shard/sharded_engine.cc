@@ -162,28 +162,54 @@ bool ShardedEngine::RecoverErase(uint32_t shard, Id id) {
   return shards_[shard]->Erase(id);
 }
 
-void ShardedEngine::FinishRecovery(Id next_id_floor) {
+Id ShardedEngine::FinishRecovery(Id next_id_floor, const DuplicateResolver& resolve) {
   std::lock_guard<std::mutex> lock(mu_);
-  Id max_id = -1;
-  UncertainSet all_live;
+  // Live ids straight from each shard's snapshot: the buckets' contiguous
+  // id arrays and the tail, no point copies.
+  std::vector<std::vector<Id>> live(shards_.size());
+  size_t total = 0;
   for (uint32_t s = 0; s < shards_.size(); ++s) {
-    std::vector<Id> ids;
-    UncertainSet pts = shards_[s]->LiveSet(&ids);
-    for (Id id : ids) {
-      bool inserted = shard_of_.emplace(id, s).second;
-      PNN_CHECK_MSG(inserted, "FinishRecovery: id live on two shards — the "
-                              "caller must resolve mid-move duplicates (by "
-                              "move_seq) before sealing");
-      max_id = std::max(max_id, id);
+    std::shared_ptr<const dyn::Snapshot> snap = shards_[s]->snapshot();
+    live[s].reserve(snap->live_count);
+    for (const auto& bref : snap->buckets) {
+      const std::vector<Id>& ids = bref.bucket->ids();
+      for (size_t j = 0; j < ids.size(); ++j) {
+        if (bref.dead == nullptr || !(*bref.dead)[j]) live[s].push_back(ids[j]);
+      }
     }
-    if (options_.placement == PlacementKind::kSpatialKdMedian) {
-      all_live.insert(all_live.end(), pts.begin(), pts.end());
+    if (snap->tail != nullptr) {
+      for (size_t i = 0; i < snap->tail->size(); ++i) {
+        if (snap->TailAlive(i)) live[s].push_back((*snap->tail)[i].id);
+      }
+    }
+    total += live[s].size();
+  }
+  shard_of_.reserve(total);
+  Id max_id = -1;
+  for (uint32_t s = 0; s < shards_.size(); ++s) {
+    for (Id id : live[s]) {
+      max_id = std::max(max_id, id);
+      auto [it, inserted] = shard_of_.emplace(id, s);
+      if (inserted) continue;
+      uint32_t loser = resolve(id, it->second, s);
+      PNN_CHECK_MSG(loser == it->second || loser == s,
+                    "FinishRecovery: the loser must be one of the two shards");
+      PNN_CHECK(shards_[loser]->Erase(id));
+      if (loser != s) it->second = s;
     }
   }
   next_id_ = std::max(next_id_floor, max_id + 1);
-  if (options_.placement == PlacementKind::kSpatialKdMedian && !all_live.empty()) {
-    spatial_ = std::make_unique<SpatialRouter>(options_.num_shards, all_live);
+  if (options_.placement == PlacementKind::kSpatialKdMedian) {
+    UncertainSet all_live;
+    for (const auto& shard : shards_) {
+      UncertainSet pts = shard->LiveSet();
+      all_live.insert(all_live.end(), pts.begin(), pts.end());
+    }
+    if (!all_live.empty()) {
+      spatial_ = std::make_unique<SpatialRouter>(options_.num_shards, all_live);
+    }
   }
+  return next_id_;
 }
 
 ShardedEngine::~ShardedEngine() { WaitForMaintenance(); }

@@ -43,6 +43,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -186,15 +187,18 @@ class ShardedEngine {
   bool RecoverInsert(uint32_t shard, Id id, UncertainPoint point);
   /// Replays an erase; false if the id is not live on that shard.
   bool RecoverErase(uint32_t shard, Id id);
-  /// Seals recovery: builds the id->shard map from the shards' live sets
-  /// (aborting on an id live in two shards — the caller resolves
-  /// cross-shard duplicates from mid-move crashes FIRST, by move_seq),
-  /// sets the id counter to max(next_id_floor, max live id + 1), and —
-  /// for spatial placement — rebuilds the router's partition from the
+  /// Picks the shard that loses an id recovered live on two shards `a`
+  /// and `b` (a mid-move crash); returns `a` or `b`.
+  using DuplicateResolver = std::function<uint32_t(Id id, uint32_t a, uint32_t b)>;
+  /// Seals recovery in one pass over the shards' live ids: builds the
+  /// id->shard map, hands every id live on two shards to `resolve` and
+  /// erases it from the loser, sets the id counter to
+  /// max(next_id_floor, max live id + 1) and returns it, and — for
+  /// spatial placement — rebuilds the router's partition from the
   /// recovered live set (a heuristic reseed: past SplitShard refinements
   /// are not persisted; the map stays authoritative, so only future
   /// insert locality is affected).
-  void FinishRecovery(Id next_id_floor);
+  Id FinishRecovery(Id next_id_floor, const DuplicateResolver& resolve);
 
   /// Shard `s`'s current snapshot (the durable store checkpoints against
   /// it inside UpdateListener::OnApplied).

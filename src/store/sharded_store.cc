@@ -1,6 +1,7 @@
 #include "src/store/sharded_store.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <unordered_map>
 #include <utility>
 
@@ -20,6 +21,27 @@ uint64_t PlacedSeq(const std::unordered_map<dyn::Id, uint64_t>& m, dyn::Id id) {
   return it == m.end() ? 0 : it->second;
 }
 
+/// Open-time layout guard: a store opened with fewer shards than its
+/// directory holds would silently serve a subset of the acked points, and
+/// the retired single-engine layout (MANIFEST at the root) would open as
+/// an empty store beside it. Both abort, like any open-time corruption.
+void RefuseForeignLayout(const std::string& dir, uint32_t num_shards) {
+  PNN_CHECK_MSG(!PathExists(dir + "/MANIFEST"),
+                "sharded store: the directory holds a root MANIFEST (the "
+                "retired single-engine layout); refusing to open it");
+  std::vector<std::string> names;
+  PNN_CHECK_MSG(ListDir(dir, &names).ok(), "sharded store: cannot list root dir");
+  for (const std::string& name : names) {
+    unsigned shard = 0;
+    char tail = 0;
+    if (std::sscanf(name.c_str(), "shard-%u%c", &shard, &tail) != 1) continue;
+    PNN_CHECK_MSG(shard < num_shards || !PathExists(dir + "/" + name + "/MANIFEST"),
+                  "sharded store: the directory holds a shard at or beyond "
+                  "num_shards; reopen with at least as many shards as it "
+                  "was written with");
+  }
+}
+
 }  // namespace
 
 ShardedStore::ShardedStore(const std::string& dir, Options options)
@@ -27,6 +49,7 @@ ShardedStore::ShardedStore(const std::string& dir, Options options)
   PNN_CHECK_MSG(options_.sharded.num_shards >= 1, "num_shards must be >= 1");
   options_.sharded.listener = this;
   PNN_CHECK_MSG(EnsureDir(dir_).ok(), "sharded store: cannot create root dir");
+  RefuseForeignLayout(dir_, options_.sharded.num_shards);
   Engine::Options engine_options = options_.sharded.shard.engine;
   engine_options.mc_stream_ids.clear();
   cores_.reserve(options_.sharded.num_shards);
@@ -67,7 +90,8 @@ void ShardedStore::Recover() {
 
   // Replay each shard's log tail through the router's recovery surface
   // (idempotent: duplicated records are skipped), tracking per shard the
-  // move_seq that last placed each live id there.
+  // move_seq that last placed each live id there by a move (absent = 0:
+  // a plain insert, or a placement the checkpoint folded away).
   std::vector<std::unordered_map<dyn::Id, uint64_t>> placed_seq(n);
   for (uint32_t s = 0; s < n; ++s) {
     uint64_t replayed = 0;
@@ -79,14 +103,14 @@ void ShardedStore::Recover() {
           PNN_CHECK_MSG(rec.point.has_value(),
                         "sharded store: insert/move-in record without a point");
           floor = std::max(floor, rec.id + 1);
-          uint64_t seq = 0;
           if (rec.type == LogRecordType::kMoveIn) {
-            seq = rec.move_seq;
             next_move_seq = std::max(next_move_seq, rec.move_seq + 1);
           }
           if (engine_->RecoverInsert(s, static_cast<dyn::Id>(rec.id),
                                      *rec.point)) {
-            placed_seq[s][rec.id] = seq;
+            if (rec.type == LogRecordType::kMoveIn) {
+              placed_seq[s][rec.id] = rec.move_seq;
+            }
             ++replayed;
           } else {
             ++skipped;
@@ -115,57 +139,30 @@ void ShardedStore::Recover() {
     cores_[s]->NoteRecoveredOps(replayed, skipped);
   }
 
-  // Resolve mid-move duplicates: a crash between the destination's
-  // kMoveIn and the apply leaves the id live on both shards' logged
-  // state. The shard whose placement move_seq is highest keeps it — the
-  // destination's kMoveIn is strictly newer than whatever last placed the
-  // id on the source — and the loser gets a durable erase so the next
-  // recovery agrees without re-deciding.
-  std::unordered_map<dyn::Id, uint32_t> owner;
-  dyn::Id max_live = -1;
-  for (uint32_t s = 0; s < n; ++s) {
-    std::shared_ptr<const dyn::Snapshot> snap = engine_->ShardSnapshot(s);
-    dyn::SnapshotIntrospection in = dyn::Introspect(*snap);
-    std::vector<dyn::Id> live;
-    for (const dyn::SnapshotIntrospection::BucketView& bv : in.buckets) {
-      const std::vector<dyn::Id>& ids = bv.bucket->ids();
-      for (size_t i = 0; i < ids.size(); ++i) {
-        if (bv.dead == nullptr || (*bv.dead)[i] == 0) live.push_back(ids[i]);
-      }
-    }
-    for (size_t i = 0; i < in.tail->size(); ++i) {
-      if (in.tail_dead == nullptr || (*in.tail_dead)[i] == 0) {
-        live.push_back((*in.tail)[i].id);
-      }
-    }
-    for (dyn::Id id : live) {
-      max_live = std::max(max_live, id);
-      auto emplaced = owner.emplace(id, s);
-      if (emplaced.second) continue;
-      uint32_t other = emplaced.first->second;
-      uint64_t seq_here = PlacedSeq(placed_seq[s], id);
-      uint64_t seq_other = PlacedSeq(placed_seq[other], id);
-      PNN_CHECK_MSG(seq_here != seq_other,
-                    "sharded store: id live on two shards with equal "
-                    "placement seq — logs are inconsistent beyond a "
-                    "single torn move");
-      uint32_t loser = seq_here > seq_other ? other : s;
-      if (loser == other) emplaced.first->second = s;
-      PNN_CHECK(engine_->RecoverErase(loser, id));
-      LogRecord rec;
-      rec.type = LogRecordType::kErase;
-      rec.id = id;
-      // Open-time, like StoreCore::Open: no acked state to protect yet, so
-      // a failure to durably resolve the duplicate is fatal.
-      PNN_CHECK_MSG(cores_[loser]->Append(std::move(rec), /*sync=*/true).ok(),
-                    "sharded store: cannot log mid-move duplicate resolution");
-    }
-  }
-
-  engine_->FinishRecovery(static_cast<dyn::Id>(floor));
-  // == the router's counter after FinishRecovery.
-  next_id_ = static_cast<dyn::Id>(
-      std::max<int64_t>(floor, static_cast<int64_t>(max_live) + 1));
+  // Seal the router; it reports each mid-move duplicate — a crash between
+  // the destination's kMoveIn and the apply leaves the id live on both
+  // shards' logged state. The shard whose placement move_seq is highest
+  // keeps it (the destination's kMoveIn is strictly newer than whatever
+  // last placed the id on the source), and the loser gets a durable erase
+  // so the next recovery agrees without re-deciding.
+  next_id_ = engine_->FinishRecovery(
+      static_cast<dyn::Id>(floor), [&](dyn::Id id, uint32_t a, uint32_t b) {
+        uint64_t seq_a = PlacedSeq(placed_seq[a], id);
+        uint64_t seq_b = PlacedSeq(placed_seq[b], id);
+        PNN_CHECK_MSG(seq_a != seq_b,
+                      "sharded store: id live on two shards with equal "
+                      "placement seq — logs are inconsistent beyond a "
+                      "single torn move");
+        uint32_t loser = seq_a > seq_b ? b : a;
+        LogRecord rec;
+        rec.type = LogRecordType::kErase;
+        rec.id = id;
+        // Open-time, like StoreCore::Open: no acked state to protect yet,
+        // so a failure to durably resolve the duplicate is fatal.
+        PNN_CHECK_MSG(cores_[loser]->Append(std::move(rec)).ok(),
+                      "sharded store: cannot log mid-move duplicate resolution");
+        return loser;
+      });
   next_move_seq_ = next_move_seq;
 
   // Fold recovered logs forward: if replay's inserts triggered merges (or
@@ -263,7 +260,7 @@ bool ShardedStore::OnInsert(uint32_t shard, dyn::Id id,
   rec.type = LogRecordType::kInsert;
   rec.id = id;
   rec.point = point;
-  st = cores_[shard]->Append(std::move(rec), /*sync=*/true);
+  st = cores_[shard]->Append(std::move(rec));
   if (!st.ok()) return Veto(std::move(st));
   return true;
 }
@@ -275,7 +272,7 @@ bool ShardedStore::OnErase(uint32_t shard, dyn::Id id) {
   LogRecord rec;
   rec.type = LogRecordType::kErase;
   rec.id = id;
-  st = cores_[shard]->Append(std::move(rec), /*sync=*/true);
+  st = cores_[shard]->Append(std::move(rec));
   if (!st.ok()) return Veto(std::move(st));
   return true;
 }
@@ -297,13 +294,13 @@ bool ShardedStore::OnMove(uint32_t src, uint32_t dst, dyn::Id id,
   in.id = id;
   in.move_seq = seq;
   in.point = point;
-  st = cores_[dst]->Append(std::move(in), /*sync=*/true);
+  st = cores_[dst]->Append(std::move(in));
   if (!st.ok()) return Veto(std::move(st));
   LogRecord out;
   out.type = LogRecordType::kMoveOut;
   out.id = id;
   out.move_seq = seq;
-  st = cores_[src]->Append(std::move(out), /*sync=*/true);
+  st = cores_[src]->Append(std::move(out));
   if (!st.ok()) {
     // The destination's kMoveIn is durable but the move is being refused;
     // left in place it would resurrect the id there after a crash (its

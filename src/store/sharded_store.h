@@ -1,8 +1,11 @@
-// Durable N-shard store: one StoreCore (segments + op log + manifest) per
+// The durable store: one StoreCore (segments + op log + manifest) per
 // shard under <dir>/shard-<i>/, wired into shard::ShardedEngine through
 // its UpdateListener write-ahead hook — every acked Insert/Erase/move is
 // appended (and by default fdatasync'd) to the owning shard's log BEFORE
-// the router applies it.
+// the router applies it. With sharded.num_shards = 1 it is the durable
+// single engine. Open refuses a directory it would open half-empty: one
+// holding a shard at or beyond num_shards, or a root MANIFEST (the retired
+// single-engine layout).
 //
 // Rebalance moves are the cross-shard case: OnMove logs the move as an
 // (id, point, move_seq) delta on BOTH shards — kMoveIn on the destination
@@ -53,7 +56,9 @@ class ShardedStore : public shard::UpdateListener {
   /// Opens or initializes <dir>/shard-<i>/ for every shard, recovers each
   /// (segments + log replay), resolves mid-move cross-shard duplicates by
   /// move_seq, and seals the router. Corruption beyond a torn log tail
-  /// aborts.
+  /// aborts, and so does a directory holding <dir>/MANIFEST or a
+  /// <dir>/shard-<i>/MANIFEST with i >= num_shards (reopening with MORE
+  /// shards is fine: the new shards start empty).
   static std::unique_ptr<ShardedStore> Open(const std::string& dir,
                                             Options options);
 

@@ -214,7 +214,7 @@ void StoreCore::CleanupOrphans(const std::vector<uint64_t>& live_segments) {
   }
 }
 
-util::Status StoreCore::Append(LogRecord rec, bool sync) {
+util::Status StoreCore::Append(LogRecord rec) {
   if (failed_) {
     return util::Status::Unavailable("store: degraded read-only (" +
                                      last_error_.ToString() + ")");
@@ -228,24 +228,12 @@ util::Status StoreCore::Append(LogRecord rec, bool sync) {
   // HealTear truncates the tear away before the next append.
   if (!st.ok()) return Fail(std::move(st));
   log_bytes_ += frame.size();
-  dirty_ = true;
   ++stats_.log_appends;
-  if (sync) return Sync();
-  return util::Status::Ok();
-}
-
-util::Status StoreCore::Sync() {
-  if (failed_) {
-    return util::Status::Unavailable("store: degraded read-only (" +
-                                     last_error_.ToString() + ")");
-  }
-  if (!dirty_) return util::Status::Ok();
   if (fsync_) {
-    util::Status st = log_.Sync();
+    st = log_.Sync();
     if (!st.ok()) return Fail(std::move(st));
     ++stats_.log_syncs;
   }
-  dirty_ = false;
   healthy_bytes_ = log_bytes_;  // The ack boundary heals roll back to.
   return util::Status::Ok();
 }
@@ -412,7 +400,6 @@ util::Status StoreCore::Checkpoint(const dyn::Snapshot& snap, int64_t next_id,
     }
   }
   log_ = std::move(next_log);
-  dirty_ = false;
   generation_ = next_generation;
   tracked_ = std::move(tracked);
   seqno_ = seq;
@@ -452,9 +439,9 @@ util::Status StoreCore::Heal(const dyn::Snapshot& snap, int64_t next_id,
 
 util::Status StoreCore::HealTear() {
   // Truncate whatever reached the file past the acked boundary (a torn
-  // append, or synced frames of a mutation whose later group-commit step
-  // failed), reopen, and probe the device with the same fdatasync a real
-  // append needs. Only a full round trip flips the core back to healthy.
+  // append, or a written frame whose fdatasync failed), reopen, and probe
+  // the device with the same fdatasync a real append needs. Only a full
+  // round trip flips the core back to healthy.
   log_.Close();
   util::Status st = TruncateFile(LogPath(generation_), healthy_bytes_);
   if (!st.ok()) return Fail(std::move(st));
@@ -468,7 +455,6 @@ util::Status StoreCore::HealTear() {
     if (!st.ok()) return Fail(std::move(st));
   }
   log_bytes_ = healthy_bytes_;
-  dirty_ = false;
   failed_ = false;
   last_error_ = util::Status::Ok();
   ++stats_.heals;
@@ -490,174 +476,6 @@ util::Status StoreCore::RollbackTo(uint64_t offset) {
 void StoreCore::NoteRecoveredOps(uint64_t replayed, uint64_t skipped) {
   stats_.recovered_ops = replayed;
   stats_.skipped_duplicate_ops = skipped;
-}
-
-// --- Store ----------------------------------------------------------------
-
-Store::Store(const std::string& dir, Options options)
-    : options_(std::move(options)),
-      core_(dir,
-            [&] {
-              Engine::Options eo = options_.dynamic.engine;
-              eo.mc_stream_ids.clear();
-              return eo;
-            }(),
-            options_.fsync) {}
-
-Store::~Store() {
-  if (engine_ != nullptr) engine_->WaitForMaintenance();
-}
-
-std::unique_ptr<Store> Store::Open(const std::string& dir, Options options) {
-  std::unique_ptr<Store> store(new Store(dir, std::move(options)));
-  std::lock_guard<std::mutex> lock(store->mu_);
-  store->RecoverLocked(store->core_.Open());
-  return store;
-}
-
-void Store::RecoverLocked(StoreCore::OpenResult result) {
-  if (result.fresh) {
-    engine_ = std::make_unique<dyn::DynamicEngine>(options_.dynamic);
-    next_id_ = 0;
-    return;
-  }
-  dyn::Id floor = static_cast<dyn::Id>(result.manifest.next_id);
-  engine_ = std::make_unique<dyn::DynamicEngine>(std::move(result.recovered),
-                                                 floor, options_.dynamic);
-  // Replay the op tail through the normal mutation path. Tolerant of
-  // duplicated records (a re-sent frame, or overlap between the delta and
-  // a pre-crash rotation): an insert of a live id / erase of a dead one is
-  // skipped, never an abort — idempotent replay is what makes "recovered
-  // state = some logged prefix ⊇ acked prefix" hold unconditionally.
-  uint64_t replayed = 0, skipped = 0;
-  for (LogRecord& rec : result.ops) {
-    switch (rec.type) {
-      case LogRecordType::kInsert:
-      case LogRecordType::kMoveIn: {
-        dyn::Id id = static_cast<dyn::Id>(rec.id);
-        if (engine_->IsLive(id)) {
-          ++skipped;
-        } else {
-          engine_->InsertWithId(id, std::move(*rec.point));
-          ++replayed;
-        }
-        floor = std::max(floor, id + 1);
-        break;
-      }
-      case LogRecordType::kErase:
-      case LogRecordType::kMoveOut: {
-        if (engine_->Erase(static_cast<dyn::Id>(rec.id))) {
-          ++replayed;
-        } else {
-          ++skipped;
-        }
-        break;
-      }
-      case LogRecordType::kCheckpoint:
-      case LogRecordType::kMask:
-        PNN_CHECK_MSG(false, "store: unexpected record type in op tail");
-    }
-  }
-  core_.NoteRecoveredOps(replayed, skipped);
-  next_id_ = floor;
-  // Replay may have spliced buckets (a merge mid-replay); fold that into a
-  // fresh generation now so the log shrinks back to the tail. A failure
-  // just opens the store degraded — the first mutation retries via Heal.
-  engine_->WaitForMaintenance();
-  (void)core_.MaybeCheckpoint(*engine_->snapshot(), next_id_, 0);
-}
-
-util::Status Store::EnsureHealthyLocked() {
-  if (core_.healthy()) return util::Status::Ok();
-  engine_->WaitForMaintenance();
-  return core_.Heal(*engine_->snapshot(), next_id_, 0);
-}
-
-util::StatusOr<dyn::Id> Store::Insert(UncertainPoint point) {
-  std::lock_guard<std::mutex> lock(mu_);
-  PNN_RETURN_IF_ERROR(EnsureHealthyLocked());
-  dyn::Id id = next_id_++;
-  LogRecord rec;
-  rec.type = LogRecordType::kInsert;
-  rec.id = id;
-  rec.point = point;
-  util::Status st = core_.Append(std::move(rec));  // Logged + synced before
-  if (!st.ok()) {                                  // applied: WAL.
-    --next_id_;  // Not acked; the id was never observable.
-    return st;
-  }
-  engine_->InsertWithId(id, std::move(point));
-  // The op is acked whatever happens to the rotation — a failure here only
-  // degrades FUTURE mutations.
-  (void)core_.MaybeCheckpoint(*engine_->snapshot(), next_id_, 0);
-  return id;
-}
-
-util::StatusOr<std::vector<dyn::Id>> Store::InsertBatch(
-    std::vector<UncertainPoint> points) {
-  std::lock_guard<std::mutex> lock(mu_);
-  PNN_RETURN_IF_ERROR(EnsureHealthyLocked());
-  const dyn::Id first = next_id_;
-  std::vector<dyn::Id> ids;
-  ids.reserve(points.size());
-  util::Status st = util::Status::Ok();
-  for (const UncertainPoint& p : points) {
-    dyn::Id id = next_id_++;
-    ids.push_back(id);
-    LogRecord rec;
-    rec.type = LogRecordType::kInsert;
-    rec.id = id;
-    rec.point = p;
-    st = core_.Append(std::move(rec), /*sync=*/false);
-    if (!st.ok()) break;
-  }
-  if (st.ok()) st = core_.Sync();  // One group fdatasync for the whole batch.
-  if (!st.ok()) {
-    // All-or-nothing: nothing was applied, and the un-synced frames sit
-    // past the ack boundary, so the next heal truncates them.
-    next_id_ = first;
-    return st;
-  }
-  for (size_t i = 0; i < points.size(); ++i) {
-    engine_->InsertWithId(ids[i], std::move(points[i]));
-  }
-  (void)core_.MaybeCheckpoint(*engine_->snapshot(), next_id_, 0);
-  return ids;
-}
-
-util::StatusOr<bool> Store::Erase(dyn::Id id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!engine_->IsLive(id)) return false;  // No-op erases are not logged.
-  PNN_RETURN_IF_ERROR(EnsureHealthyLocked());
-  LogRecord rec;
-  rec.type = LogRecordType::kErase;
-  rec.id = id;
-  PNN_RETURN_IF_ERROR(core_.Append(std::move(rec)));
-  PNN_CHECK(engine_->Erase(id));
-  (void)core_.MaybeCheckpoint(*engine_->snapshot(), next_id_, 0);
-  return true;
-}
-
-util::Status Store::Checkpoint() {
-  std::lock_guard<std::mutex> lock(mu_);
-  PNN_RETURN_IF_ERROR(EnsureHealthyLocked());
-  engine_->WaitForMaintenance();
-  return core_.Checkpoint(*engine_->snapshot(), next_id_, 0);
-}
-
-bool Store::healthy() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return core_.healthy();
-}
-
-util::Status Store::status() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return core_.last_error();
-}
-
-Stats Store::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return core_.stats();
 }
 
 }  // namespace store

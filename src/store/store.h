@@ -1,10 +1,12 @@
 // pnn::store — durable bucket snapshots + append-only op log with crash
-// recovery and degraded-mode serving.
+// recovery and degraded-mode serving, for one shard's directory.
 //
-// A Store wraps a dyn::DynamicEngine with write-ahead durability:
-//   * every acked Insert/Erase is appended to the op log (CRC-framed) and —
-//     by default — fdatasync'd BEFORE the engine applies it and the call
-//     returns, so an acked op is never lost;
+// StoreCore is the per-shard bookkeeping behind store::ShardedStore (the
+// only durable store; one shard is the single-engine store). The owner
+// logs every acked Insert/Erase through it BEFORE applying it:
+//   * each op is appended to the op log (CRC-framed) and — by default —
+//     fdatasync'd before the engine applies it and the call returns, so
+//     an acked op is never lost;
 //   * whenever maintenance changes the bucket set (merge/compaction), the
 //     next mutation rotates the log: new buckets are serialized to
 //     checksummed segment files, a fresh log generation re-describes the
@@ -12,15 +14,15 @@
 //     to point at them — keeping the log proportional to the brute-force
 //     tail instead of the history;
 //   * Open() recovers by mapping the manifest's segments (adopting their
-//     kd layouts — no rebuilds), replaying the log tail through the normal
-//     insert/erase path, and truncating a torn final record. A corrupt
-//     frame is never accepted; recovered answers are bit-identical to a
-//     fresh static Engine over exactly the acked live set
-//     (tests/store_recovery_test.cc).
+//     kd layouts — no rebuilds) and handing the log tail back for replay
+//     through the engine's normal insert/erase path, after truncating a
+//     torn final record. A corrupt frame is never accepted; recovered
+//     answers are bit-identical to a fresh static Engine over exactly the
+//     acked live set (tests/store_recovery_test.cc).
 //
 // Failure model (docs/persistence.md "Failure model", docs/faults.md):
 // IO failures after open do NOT abort. Any failed append, sync or
-// checkpoint step puts the store in DEGRADED READ-ONLY state: the failing
+// checkpoint step puts the core in DEGRADED READ-ONLY state: the failing
 // op is refused (never acked), every subsequent mutation returns
 // kUnavailable, and queries keep serving from the in-memory engine —
 // which holds exactly the acked history. Each refused mutation first
@@ -29,7 +31,7 @@
 // fdatasync; if a checkpoint's manifest install failed ambiguously, heal
 // instead requires a full re-checkpoint under a fresh generation number
 // (failed generations are never reused — a failed install may still have
-// reached disk). Once a heal succeeds the store acks mutations again.
+// reached disk). Once a heal succeeds the core acks mutations again.
 //
 // Ordering invariant behind all of it: segment data and directory entries
 // are fsynced before the log that references them, and the log before the
@@ -40,7 +42,6 @@
 #define PNN_STORE_STORE_H_
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -72,10 +73,10 @@ struct Stats {
   uint64_t truncated_log_bytes = 0;     // Torn tail discarded by recovery.
 };
 
-/// Log/segment/manifest bookkeeping for one directory — the reusable guts
-/// shared by Store (one engine) and ShardedStore (one core per shard).
-/// Not thread-safe; the owner serializes all calls (Store's mutex, or the
-/// sharded engine's update lock via its listener).
+/// Log/segment/manifest bookkeeping for one shard's directory
+/// (ShardedStore owns one core per shard). Not thread-safe; the owner
+/// serializes all calls (the router's update lock via its listener, plus
+/// the store's own mutex).
 class StoreCore {
  public:
   /// What Open() recovered, for the owner to build its engine from.
@@ -83,7 +84,8 @@ class StoreCore {
     bool fresh = false;                 // No manifest: initialized empty.
     Manifest manifest;                  // Valid when !fresh.
     /// Buckets loaded from segments with their log-prescribed masks, in
-    /// snapshot order. Feed to DynamicEngine's recovery constructor.
+    /// snapshot order: this shard's list for ShardedEngine's recovery
+    /// constructor.
     std::vector<dyn::RecoveredBucket> recovered;
     /// Op records to replay on top (the checkpoint's tail re-description
     /// followed by post-checkpoint mutations), in log order. kMask records
@@ -107,17 +109,13 @@ class StoreCore {
   /// torn log tail.
   OpenResult Open();
 
-  /// Frames and appends one record (seqno assigned here). `sync` false
-  /// defers the fdatasync for group commit — call Sync() before acking.
-  /// On failure the record is NOT acked, the core enters the failed state
+  /// Frames, appends and fdatasyncs one record (seqno assigned here; no
+  /// sync when fsync is disabled). A successful return is the ack
+  /// boundary: the record is durable and survives Heal()'s rollback. On
+  /// failure the record is NOT acked, the core enters the failed state
   /// (healthy() false, all further appends refused), and any torn bytes
   /// are reclaimed by the next successful Heal().
-  util::Status Append(LogRecord rec, bool sync = true);
-
-  /// Flushes deferred appends (no-op when fsync is disabled). A successful
-  /// return is the ack boundary: everything appended so far is durable and
-  /// will survive Heal()'s rollback.
-  util::Status Sync();
+  util::Status Append(LogRecord rec);
 
   /// Rotates iff `snap`'s bucket pointer set differs from the one the
   /// current log generation describes. Call after applying a mutation.
@@ -191,10 +189,9 @@ class StoreCore {
   uint64_t next_generation_ = 1;  // Ticket counter; failed attempts burn one.
   uint64_t seqno_ = 1;
   uint64_t next_file_id_ = 1;
-  bool dirty_ = false;  // Appends since the last Sync().
   /// Degraded state. log_bytes_ is the logical log length (every byte of
   /// every successful append); healthy_bytes_ trails it at the last ack
-  /// boundary (successful Sync) and is where Heal() truncates back to.
+  /// boundary (successful Append) and is where Heal() truncates back to.
   bool failed_ = false;
   bool manifest_dirty_ = false;  // Failed install may be durable.
   util::Status last_error_;
@@ -206,72 +203,6 @@ class StoreCore {
   /// equality is version equality.
   std::vector<std::pair<std::shared_ptr<const dyn::Bucket>, uint64_t>> tracked_;
   Stats stats_;
-};
-
-/// Durable single-engine store. Thread safety matches DynamicEngine:
-/// queries (through engine()) are lock-free and concurrent; mutations
-/// serialize on an internal mutex.
-class Store {
- public:
-  struct Options {
-    /// Engine configuration. engine.engine.seed is pinned into the
-    /// manifest on first open and must match on every later one.
-    dyn::Options dynamic;
-    /// Fdatasync the log before acking each mutation (the durability
-    /// contract). Disable only to measure its cost.
-    bool fsync = true;
-  };
-
-  /// Opens an existing store (recovering if it crashed) or initializes an
-  /// empty one. Never returns a partially recovered store: corruption
-  /// beyond a torn log tail aborts.
-  static std::unique_ptr<Store> Open(const std::string& dir, Options options);
-
-  ~Store();
-
-  /// Logs, syncs, applies, acks. An OK id is durable: a crash after return
-  /// replays it. A non-OK status (kUnavailable once degraded, the
-  /// underlying kIoError on the transition) means the op was NOT applied
-  /// and will not resurface after recovery; the store is degraded until a
-  /// later mutation heals it.
-  util::StatusOr<dyn::Id> Insert(UncertainPoint point);
-
-  /// Group commit: one fdatasync for the whole batch, then all applies.
-  /// All-or-nothing — on a non-OK status no point of the batch is applied
-  /// or will survive recovery.
-  util::StatusOr<std::vector<dyn::Id>> InsertBatch(
-      std::vector<UncertainPoint> points);
-
-  /// OK(false) if `id` is not live (nothing logged); OK(true) once the
-  /// erase is durable; non-OK and not applied when degraded.
-  util::StatusOr<bool> Erase(dyn::Id id);
-
-  /// Forces a log rotation against the current snapshot.
-  util::Status Checkpoint();
-
-  /// False while the store is degraded read-only: mutations return
-  /// kUnavailable, queries keep working. status() carries the cause.
-  bool healthy() const;
-  util::Status status() const;
-
-  /// The live engine; all its const query methods are safe to call
-  /// concurrently with mutations on this store.
-  const dyn::DynamicEngine& engine() const { return *engine_; }
-
-  Stats stats() const;
-  const std::string& dir() const { return core_.dir(); }
-
- private:
-  Store(const std::string& dir, Options options);
-  void RecoverLocked(StoreCore::OpenResult result);
-  util::Status EnsureHealthyLocked();
-
-  Options options_;
-  mutable std::mutex mu_;  // Serializes mutations and checkpoints.
-  StoreCore core_;
-  std::unique_ptr<dyn::DynamicEngine> engine_;
-  dyn::Id next_id_ = 0;  // Mirror of the engine's id counter (WAL needs
-                         // the id before the engine assigns it).
 };
 
 }  // namespace store

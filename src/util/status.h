@@ -7,7 +7,8 @@
 // failures — a transient ENOSPC during an op-log append must not kill a
 // process that can still answer every read it has. Status is how such a
 // failure travels up from the syscall to the layer that can decide
-// (store::Store degrades to read-only; serve answers kUnavailable).
+// (store::ShardedStore degrades a shard to read-only; serve answers
+// kUnavailable).
 //
 // Deliberately tiny: a code, a message, and the errno when one exists.
 // Not a general-purpose absl::Status clone — only what the store needs.

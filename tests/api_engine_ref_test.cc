@@ -22,7 +22,6 @@
 #include "src/dyn/dynamic_engine.h"
 #include "src/shard/sharded_engine.h"
 #include "src/store/sharded_store.h"
-#include "src/store/store.h"
 #include "src/workload/generators.h"
 
 namespace pnn {
@@ -255,13 +254,15 @@ TEST(ApiEngineRef, DurableBackendsMatchInMemory) {
   dopt.engine.mc_rounds_override = 48;
   dopt.tail_limit = 8;
   {
-    store::Store::Options options;
-    options.dynamic = dopt;
+    // One shard: the durable single engine answers like a DynamicEngine.
+    store::ShardedStore::Options options;
+    options.sharded.num_shards = 1;
+    options.sharded.shard = dopt;
     options.fsync = false;
-    auto store = store::Store::Open(FreshDir("api_ref_store"), options);
+    auto store = store::ShardedStore::Open(FreshDir("api_ref_store"), options);
     dyn::DynamicEngine memory(dopt);
     EngineRef durable_ref(store.get());
-    EXPECT_EQ(durable_ref.backend(), EngineRef::Backend::kStore);
+    EXPECT_EQ(durable_ref.backend(), EngineRef::Backend::kShardedStore);
     ExpectSameUnderOpStream(durable_ref, EngineRef(&memory), 507);
   }
   {

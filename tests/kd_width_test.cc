@@ -25,7 +25,7 @@
 #include "src/dyn/dynamic_engine.h"
 #include "src/shard/sharded_engine.h"
 #include "src/spatial/kdtree.h"
-#include "src/store/store.h"
+#include "src/store/sharded_store.h"
 #include "src/util/simd.h"
 
 namespace pnn {
@@ -324,22 +324,23 @@ TEST(KdWidth, McRoundTreesHonorWidth) {
 TEST(KdWidth, StoreRecoveryAdoptsBuiltWidth) {
   std::string dir = testing::TempDir() + "/kd_width_store";
   std::filesystem::remove_all(dir);
-  store::Store::Options sopt;
-  sopt.dynamic.engine.kd_leaf_size = 32;
-  sopt.dynamic.tail_limit = 16;
+  store::ShardedStore::Options sopt;
+  sopt.sharded.num_shards = 1;
+  sopt.sharded.shard.engine.kd_leaf_size = 32;
+  sopt.sharded.shard.tail_limit = 16;
 
   Rng rng(9105);
   UncertainSet set = TieProneDiscreteSet(200, &rng);
   std::vector<Point2> queries = Queries(25, &rng);
   Answers before;
   {
-    auto store = store::Store::Open(dir, sopt);
+    auto store = store::ShardedStore::Open(dir, sopt);
     ASSERT_NE(store, nullptr);
     for (const auto& p : set) ASSERT_TRUE(store->Insert(p).ok());
     ASSERT_TRUE(store->Checkpoint().ok());
     before = Collect(store->engine(), queries, 0.1);
   }
-  auto reopened = store::Store::Open(dir, sopt);
+  auto reopened = store::ShardedStore::Open(dir, sopt);
   ASSERT_NE(reopened, nullptr);
   Answers after = Collect(reopened->engine(), queries, 0.1);
   ExpectSame(after, before, 32);
@@ -347,7 +348,7 @@ TEST(KdWidth, StoreRecoveryAdoptsBuiltWidth) {
   // Every recovered bucket's kd trees carry the built width: > the
   // default 8 would allow (buckets here are big enough to fill leaves),
   // and <= the configured 32.
-  auto snap = reopened->engine().snapshot();
+  auto snap = reopened->engine().ShardSnapshot(0);
   ASSERT_FALSE(snap->buckets.empty());
   for (const auto& ref : snap->buckets) {
     const Engine& e = ref.bucket->engine();

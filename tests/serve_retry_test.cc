@@ -32,7 +32,7 @@
 #include "src/serve/protocol.h"
 #include "src/serve/server.h"
 #include "src/shard/sharded_engine.h"
-#include "src/store/store.h"
+#include "src/store/sharded_store.h"
 #include "src/workload/generators.h"
 
 namespace pnn {
@@ -188,10 +188,11 @@ TEST(ServeRetry, RetryReconnectsToRestartedServer) {
 TEST(ServeRetry, UnavailableIsRetriedUntilTheStoreHeals) {
   std::string dir = testing::TempDir() + "/serve_retry_store";
   fs::remove_all(dir);
-  store::Store::Options sopt;
-  sopt.dynamic.engine.seed = 77;
-  sopt.dynamic.engine.mc_rounds_override = 48;
-  auto db = store::Store::Open(dir, sopt);
+  store::ShardedStore::Options sopt;
+  sopt.sharded.num_shards = 1;
+  sopt.sharded.shard.engine.seed = 77;
+  sopt.sharded.shard.engine.mc_rounds_override = 48;
+  auto db = store::ShardedStore::Open(dir, sopt);
   Server server(api::EngineRef(db.get()));
   ASSERT_TRUE(server.Start());
   Client client;

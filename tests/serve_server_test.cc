@@ -2,7 +2,9 @@
 // on every query kind (answers bit-identical to direct engine calls),
 // pipelining, protocol-error handling (malformed / oversized frames,
 // partial writes, disconnect mid-request), already-expired deadlines, and
-// admission-control shedding. The suite runs under ASan and TSan in CI —
+// admission-control shedding, and a durable StoreServer restart
+// recovering exactly the updates acked over the wire. The suite runs
+// under ASan and TSan in CI —
 // the server must never crash or leak, whatever the client does.
 
 #include "src/serve/server.h"
@@ -19,6 +21,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -28,6 +31,7 @@
 #include "src/api/query.h"
 #include "src/serve/client.h"
 #include "src/serve/protocol.h"
+#include "src/serve/store_server.h"
 #include "src/shard/sharded_engine.h"
 #include "src/workload/generators.h"
 
@@ -513,6 +517,79 @@ TEST(ServeServer, ManyConnectionsConcurrently) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(server.stats().connections_accepted, static_cast<uint64_t>(kClients));
   server.Stop();
+}
+
+// Inserts and erases acked over the wire survive a StoreServer restart:
+// the reopened store holds exactly the acked live set and serves answers
+// bit-identical to a fresh static Engine over it.
+TEST(ServeStoreServer, RestartRecoversAckedUpdates) {
+  for (uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE(shards);
+    std::string dir =
+        testing::TempDir() + "/serve_store_restart_" + std::to_string(shards);
+    std::filesystem::remove_all(dir);
+    StoreServer::Options options;
+    options.num_shards = shards;
+    options.sharded.sharded.shard.engine.seed = 77;
+    options.sharded.sharded.shard.engine.mc_rounds_override = 48;
+    options.sharded.sharded.shard.tail_limit = 8;  // Merges -> segments.
+
+    std::vector<dyn::Id> acked;
+    {
+      auto store_server = StoreServer::Open(dir, options);
+      ASSERT_TRUE(store_server->Start());
+      Client client;
+      ASSERT_TRUE(client.Connect(store_server->port()));
+      Rng rng(1200 + shards);
+      auto locs = RandomDiscreteLocations(60, 3, 25, 4, &rng);
+      for (const auto& l : locs) {
+        if (acked.empty() || rng.Bernoulli(0.7)) {
+          std::vector<double> w(l.size(), 1.0 / static_cast<double>(l.size()));
+          auto ins =
+              client.Call(api::QueryRequest::Insert(UncertainPoint::Discrete(l, w)));
+          ASSERT_TRUE(ins && ins->ok());
+          acked.push_back(ins->id);
+        } else {
+          size_t pick = static_cast<size_t>(rng.UniformInt(0, acked.size() - 1));
+          auto del = client.Call(api::QueryRequest::Erase(acked[pick]));
+          ASSERT_TRUE(del && del->ok());
+          EXPECT_EQ(del->id, acked[pick]);
+          acked.erase(acked.begin() + static_cast<long>(pick));
+        }
+      }
+      store_server->Stop();
+    }
+    std::sort(acked.begin(), acked.end());
+
+    auto store_server = StoreServer::Open(dir, options);
+    ASSERT_TRUE(store_server->Start());
+    const shard::ShardedEngine& engine = store_server->sharded_store()->engine();
+    EXPECT_EQ(engine.num_shards(), shards);
+    std::vector<dyn::Id> ids;
+    UncertainSet live = engine.LiveSet(&ids);
+    ASSERT_EQ(ids, acked);
+    Engine reference(live, engine.ReferenceEngineOptions());
+    Client client;
+    ASSERT_TRUE(client.Connect(store_server->port()));
+    Rng rng(1300 + shards);
+    for (int t = 0; t < 15; ++t) {
+      Point2 q{rng.Uniform(-30, 30), rng.Uniform(-30, 30)};
+      auto nn = client.Call(api::QueryRequest::NonzeroNN(q));
+      ASSERT_TRUE(nn && nn->ok());
+      std::vector<dyn::Id> want_nn;
+      for (int i : reference.NonzeroNN(q)) want_nn.push_back(ids[i]);
+      EXPECT_EQ(nn->ids, want_nn);
+      auto quant = client.Call(api::QueryRequest::Quantify(q, 0.1));
+      ASSERT_TRUE(quant && quant->ok());
+      std::vector<Quantification> want = reference.Quantify(q, 0.1);
+      ASSERT_EQ(quant->quants.size(), want.size());
+      for (size_t k = 0; k < want.size(); ++k) {
+        EXPECT_EQ(quant->quants[k].index, ids[want[k].index]);
+        EXPECT_EQ(quant->quants[k].probability, want[k].probability);
+      }
+    }
+    store_server->Stop();
+  }
 }
 
 }  // namespace

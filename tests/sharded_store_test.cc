@@ -3,10 +3,15 @@
 // churn, rebalance moves logged as deltas on both shards, and the torn
 // mid-move crash (kMoveIn durable on the destination, kMoveOut missing on
 // the source) resolving to a single consistent placement by move_seq.
+// Also pins the open-time layout guard (a directory written with more
+// shards, or in the retired single-engine layout, is refused; reopening
+// with more shards keeps every point) and id-space exhaustion being
+// refused before anything is logged.
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -242,6 +247,74 @@ TEST(ShardedStore, EmptyStoreReopens) {
   EXPECT_EQ(reopened->engine().live_size(), 0u);
   Rng rng(1);
   EXPECT_EQ(reopened->Insert(TestPoint(&rng)).value(), 0);
+}
+
+TEST(ShardedStore, ReopenWithMoreShardsKeepsEveryPoint) {
+  std::string dir = FreshDir("sharded_grow");
+  std::vector<dyn::Id> acked;
+  {
+    auto store = ShardedStore::Open(dir, SmallOptions(2));
+    Rng rng(31);
+    for (int i = 0; i < 200; ++i) {
+      acked.push_back(store->Insert(TestPoint(&rng)).value());
+    }
+  }
+  // The two new shards open empty; the id->shard map is rebuilt from the
+  // recovered live sets, so every old point stays where it was logged.
+  auto grown = ShardedStore::Open(dir, SmallOptions(4));
+  EXPECT_EQ(grown->num_shards(), 4u);
+  EXPECT_EQ(LiveIds(grown->engine()), acked);
+  ExpectBitIdenticalToReference(grown->engine(), 8, 50);
+  Rng rng(32);
+  dyn::Id next = grown->Insert(TestPoint(&rng)).value();
+  EXPECT_EQ(next, 200);
+  EXPECT_TRUE(grown->Erase(0).value());
+}
+
+TEST(ShardedStoreDeathTest, FewerShardsThanOnDiskAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::string dir = FreshDir("sharded_shrink");
+  {
+    auto store = ShardedStore::Open(dir, SmallOptions(4));
+    Rng rng(33);
+    for (int i = 0; i < 100; ++i) store->Insert(TestPoint(&rng)).value();
+  }
+  // Opening shards 0 and 1 alone would serve about half the acked points.
+  EXPECT_DEATH(ShardedStore::Open(dir, SmallOptions(2)), "beyond num_shards");
+}
+
+TEST(ShardedStoreDeathTest, RootManifestAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::string dir = FreshDir("sharded_root_manifest");
+  fs::create_directories(dir);
+  // The retired single-engine layout kept its MANIFEST at the root.
+  Manifest m;
+  m.generation = 1;
+  m.engine_seed = 77;
+  ASSERT_TRUE(WriteManifest(dir + "/MANIFEST", m).ok());
+  EXPECT_DEATH(ShardedStore::Open(dir, SmallOptions(1)), "single-engine layout");
+}
+
+TEST(ShardedStoreDeathTest, IdExhaustionAbortsBeforeLogging) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::string dir = FreshDir("sharded_id_exhaustion");
+  { auto store = ShardedStore::Open(dir, SmallOptions(1)); }
+  // Start the id counter at the top of the id space.
+  const std::string manifest_path = dir + "/shard-0/MANIFEST";
+  Manifest m;
+  ASSERT_TRUE(ReadManifest(manifest_path, &m));
+  m.next_id = std::numeric_limits<dyn::Id>::max();
+  ASSERT_TRUE(WriteManifest(manifest_path, m).ok());
+
+  {
+    auto store = ShardedStore::Open(dir, SmallOptions(1));
+    Rng rng(34);
+    EXPECT_DEATH((void)store->Insert(TestPoint(&rng)), "id space exhausted");
+  }
+  // The refused insert never reached the log: nothing to replay.
+  auto reopened = ShardedStore::Open(dir, SmallOptions(1));
+  EXPECT_EQ(LiveIds(reopened->engine()), std::vector<dyn::Id>{});
+  EXPECT_EQ(reopened->stats()[0].recovered_ops, 0u);
 }
 
 }  // namespace

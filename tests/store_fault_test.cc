@@ -13,6 +13,8 @@
 //     next one self-heals;
 //   * a failed checkpoint commits nothing: the old generation keeps
 //     serving and a later checkpoint under a fresh generation succeeds.
+// The single-engine cases run on a one-shard store::ShardedStore; the last
+// one degrades and heals shards independently in a two-shard store.
 
 #include <algorithm>
 #include <filesystem>
@@ -25,7 +27,6 @@
 #include "src/api/query.h"
 #include "src/fault/fault.h"
 #include "src/store/sharded_store.h"
-#include "src/store/store.h"
 
 namespace pnn {
 namespace store {
@@ -49,7 +50,7 @@ UncertainPoint TestPoint(Rng* rng) {
   return UncertainPoint::Discrete(std::move(locs), std::move(w));
 }
 
-std::vector<dyn::Id> LiveIds(const dyn::DynamicEngine& engine) {
+std::vector<dyn::Id> LiveIds(const shard::ShardedEngine& engine) {
   std::vector<dyn::Id> ids;
   engine.LiveSet(&ids);
   return ids;
@@ -57,35 +58,6 @@ std::vector<dyn::Id> LiveIds(const dyn::DynamicEngine& engine) {
 
 /// The recovered engine must answer bit-identically to a fresh static
 /// Engine over its live set.
-void ExpectBitIdenticalToReference(const dyn::DynamicEngine& engine,
-                                   uint64_t query_seed, int queries) {
-  std::vector<dyn::Id> ids;
-  UncertainSet live = engine.LiveSet(&ids);
-  if (live.empty()) return;
-  Engine reference(live, engine.ReferenceEngineOptions());
-  Rng rng(query_seed);
-  for (int t = 0; t < queries; ++t) {
-    Point2 q{rng.Uniform(-25, 25), rng.Uniform(-25, 25)};
-    std::vector<dyn::Id> got_nn = engine.NonzeroNN(q);
-    std::vector<dyn::Id> want_nn;
-    for (int i : reference.NonzeroNN(q)) want_nn.push_back(ids[i]);
-    EXPECT_EQ(got_nn, want_nn);
-    std::vector<Quantification> got = engine.Quantify(q, 0.1);
-    std::vector<Quantification> want = reference.Quantify(q, 0.1);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].index, ids[want[i].index]);
-      EXPECT_EQ(got[i].probability, want[i].probability);
-    }
-  }
-}
-
-std::vector<dyn::Id> LiveIds(const shard::ShardedEngine& engine) {
-  std::vector<dyn::Id> ids;
-  engine.LiveSet(&ids);
-  return ids;
-}
-
 void ExpectBitIdenticalToReference(const shard::ShardedEngine& engine,
                                    uint64_t query_seed, int queries) {
   std::vector<dyn::Id> ids;
@@ -112,11 +84,12 @@ void ExpectBitIdenticalToReference(const shard::ShardedEngine& engine,
 /// tiny tail limit means merges cut buckets and every few mutations
 /// rotate the log (segment writes + manifest installs + log creates — the
 /// whole failpoint surface).
-Store::Options ChurnOptions() {
-  Store::Options options;
-  options.dynamic.engine.seed = 77;
-  options.dynamic.engine.mc_rounds_override = 48;
-  options.dynamic.tail_limit = 8;
+ShardedStore::Options ChurnOptions() {
+  ShardedStore::Options options;
+  options.sharded.num_shards = 1;
+  options.sharded.shard.engine.seed = 77;
+  options.sharded.shard.engine.mc_rounds_override = 48;
+  options.sharded.shard.tail_limit = 8;
   return options;
 }
 
@@ -127,7 +100,7 @@ class StoreFaultTest : public ::testing::Test {
 
 /// One insert-or-erase against `store`, bookkeeping `acked` (ids whose op
 /// was acknowledged OK). Returns true if the op was acked.
-bool ChurnOp(Store* store, Rng* rng, std::vector<dyn::Id>* acked) {
+bool ChurnOp(ShardedStore* store, Rng* rng, std::vector<dyn::Id>* acked) {
   if (acked->empty() || rng->Bernoulli(0.7)) {
     util::StatusOr<dyn::Id> id = store->Insert(TestPoint(rng));
     if (!id.ok()) return false;
@@ -156,7 +129,7 @@ TEST_F(StoreFaultTest, EveryFailpointDegradesCleanlyAndRecovers) {
     std::vector<dyn::Id> acked;
     Rng rng(1000 + query_seed);
     {
-      auto store = Store::Open(dir, ChurnOptions());
+      auto store = ShardedStore::Open(dir, ChurnOptions());
       // Healthy prelude: every op must ack.
       for (int op = 0; op < 40; ++op) {
         ASSERT_TRUE(ChurnOp(store.get(), &rng, &acked)) << "healthy prelude";
@@ -177,7 +150,7 @@ TEST_F(StoreFaultTest, EveryFailpointDegradesCleanlyAndRecovers) {
       }
       bool hit = fault::StatsFor(site).fired > before.fired;
       if (hit) {
-        EXPECT_GE(store->stats().degraded_entries, 1u)
+        EXPECT_GE(store->stats()[0].degraded_entries, 1u)
             << site << " fired but never degraded the store";
       }
       // Sites off the mutation path (store.mkdir fires only at open;
@@ -191,7 +164,7 @@ TEST_F(StoreFaultTest, EveryFailpointDegradesCleanlyAndRecovers) {
       EXPECT_TRUE(store->healthy());
       EXPECT_TRUE(store->status().ok());
       if (hit) {
-        EXPECT_GE(store->stats().heals, 1u);
+        EXPECT_GE(store->stats()[0].heals, 1u);
       }
       // refused may be 0 for sites that degrade only after the op acked
       // (store.unlink: checkpoint step 4); the degraded_entries assertion
@@ -199,7 +172,7 @@ TEST_F(StoreFaultTest, EveryFailpointDegradesCleanlyAndRecovers) {
       (void)refused;
     }
     // Reopen: exactly the acked live set, bit-identical answers.
-    auto reopened = Store::Open(dir, ChurnOptions());
+    auto reopened = ShardedStore::Open(dir, ChurnOptions());
     std::sort(acked.begin(), acked.end());
     EXPECT_EQ(LiveIds(reopened->engine()), acked);
     ExpectBitIdenticalToReference(reopened->engine(), query_seed++, 4);
@@ -209,7 +182,7 @@ TEST_F(StoreFaultTest, EveryFailpointDegradesCleanlyAndRecovers) {
 
 TEST_F(StoreFaultTest, DegradedMutationsAnswerUnavailableQueriesAnswerOk) {
   std::string dir = FreshDir("fp_unavailable");
-  auto store = Store::Open(dir, ChurnOptions());
+  auto store = ShardedStore::Open(dir, ChurnOptions());
   api::EngineRef ref(store.get());
   Rng rng(7);
   std::vector<dyn::Id> acked;
@@ -245,12 +218,12 @@ TEST_F(StoreFaultTest, DegradedMutationsAnswerUnavailableQueriesAnswerOk) {
   api::QueryResponse healed = ref.Call(api::QueryRequest::Insert(TestPoint(&rng)));
   EXPECT_EQ(healed.status, api::StatusCode::kOk);
   EXPECT_TRUE(store->healthy());
-  EXPECT_GE(store->stats().heals, 1u);
+  EXPECT_GE(store->stats()[0].heals, 1u);
 }
 
 TEST_F(StoreFaultTest, SingleTransientFaultSelfHeals) {
   std::string dir = FreshDir("fp_transient");
-  auto store = Store::Open(dir, ChurnOptions());
+  auto store = ShardedStore::Open(dir, ChurnOptions());
   Rng rng(9);
   for (int i = 0; i < 10; ++i) store->Insert(TestPoint(&rng)).value();
 
@@ -263,7 +236,7 @@ TEST_F(StoreFaultTest, SingleTransientFaultSelfHeals) {
   dyn::Id id = store->Insert(TestPoint(&rng)).value();
   EXPECT_GE(id, 0);
   EXPECT_TRUE(store->healthy());
-  Stats stats = store->stats();
+  Stats stats = store->stats()[0];
   EXPECT_GE(stats.degraded_entries, 1u);
   EXPECT_GE(stats.heals, 1u);
 }
@@ -272,7 +245,7 @@ TEST_F(StoreFaultTest, RefusedOpsNeverResurface) {
   std::string dir = FreshDir("fp_unacked");
   std::vector<dyn::Id> acked;
   {
-    auto store = Store::Open(dir, ChurnOptions());
+    auto store = ShardedStore::Open(dir, ChurnOptions());
     Rng rng(11);
     for (int i = 0; i < 20; ++i) {
       acked.push_back(store->Insert(TestPoint(&rng)).value());
@@ -290,7 +263,7 @@ TEST_F(StoreFaultTest, RefusedOpsNeverResurface) {
       acked.push_back(store->Insert(TestPoint(&rng)).value());
     }
   }
-  auto reopened = Store::Open(dir, ChurnOptions());
+  auto reopened = ShardedStore::Open(dir, ChurnOptions());
   std::sort(acked.begin(), acked.end());
   EXPECT_EQ(LiveIds(reopened->engine()), acked)
       << "refused inserts must not resurface after recovery";
@@ -299,13 +272,13 @@ TEST_F(StoreFaultTest, RefusedOpsNeverResurface) {
 
 TEST_F(StoreFaultTest, FailedCheckpointCommitsNothingAndRetries) {
   std::string dir = FreshDir("fp_checkpoint");
-  auto store = Store::Open(dir, ChurnOptions());
+  auto store = ShardedStore::Open(dir, ChurnOptions());
   Rng rng(13);
   std::vector<dyn::Id> acked;
   for (int i = 0; i < 60; ++i) {
     acked.push_back(store->Insert(TestPoint(&rng)).value());
   }
-  uint64_t generation_before = store->stats().checkpoints;
+  uint64_t generation_before = store->stats()[0].checkpoints;
 
   // The manifest install (rename) fails: the rotation must be abandoned
   // with the old generation still live and the store degraded (the
@@ -314,17 +287,17 @@ TEST_F(StoreFaultTest, FailedCheckpointCommitsNothingAndRetries) {
   util::Status failed = store->Checkpoint();
   EXPECT_FALSE(failed.ok());
   EXPECT_FALSE(store->healthy());
-  EXPECT_GE(store->stats().checkpoint_failures, 1u);
+  EXPECT_GE(store->stats()[0].checkpoint_failures, 1u);
 
   fault::Disarm("store.rename");
   // Heal re-runs the rotation under a fresh generation and acks again.
   acked.push_back(store->Insert(TestPoint(&rng)).value());
   EXPECT_TRUE(store->healthy());
-  EXPECT_GT(store->stats().checkpoints, generation_before);
+  EXPECT_GT(store->stats()[0].checkpoints, generation_before);
 
   // The whole history survives a reopen.
   store.reset();
-  auto reopened = Store::Open(dir, ChurnOptions());
+  auto reopened = ShardedStore::Open(dir, ChurnOptions());
   std::sort(acked.begin(), acked.end());
   EXPECT_EQ(LiveIds(reopened->engine()), acked);
   ExpectBitIdenticalToReference(reopened->engine(), 505, 6);

@@ -1,4 +1,5 @@
-// Crash-recovery robustness for pnn::store::Store:
+// Crash-recovery robustness for the durable store (a one-shard
+// pnn::store::ShardedStore, i.e. the single-engine store):
 //   * the op log torn at EVERY byte offset recovers exactly the logged
 //     record prefix (log level and whole-store level);
 //   * a single bit flip anywhere in a record is rejected by the CRC and
@@ -23,7 +24,7 @@
 #include "src/api/engine_ref.h"
 #include "src/store/io.h"
 #include "src/store/log.h"
-#include "src/store/store.h"
+#include "src/store/sharded_store.h"
 
 namespace pnn {
 namespace store {
@@ -69,7 +70,7 @@ UncertainPoint RichPoint(Rng* rng) {
              : UncertainPoint::UniformDisk(c, radius);
 }
 
-std::vector<dyn::Id> LiveIds(const dyn::DynamicEngine& engine) {
+std::vector<dyn::Id> LiveIds(const shard::ShardedEngine& engine) {
   std::vector<dyn::Id> ids;
   engine.LiveSet(&ids);
   return ids;
@@ -77,7 +78,7 @@ std::vector<dyn::Id> LiveIds(const dyn::DynamicEngine& engine) {
 
 /// Asserts the recovered engine answers bit-identically to a fresh static
 /// Engine over its live set (the acceptance bar of the whole store).
-void ExpectBitIdenticalToReference(const dyn::DynamicEngine& engine,
+void ExpectBitIdenticalToReference(const shard::ShardedEngine& engine,
                                    uint64_t query_seed, int queries) {
   std::vector<dyn::Id> ids;
   UncertainSet live = engine.LiveSet(&ids);
@@ -226,22 +227,23 @@ TEST(StoreLog, MissingFileIsEmptyReplay) {
 // Store level
 // ---------------------------------------------------------------------
 
-Store::Options FastOptions() {
-  Store::Options options;
-  options.dynamic.engine.seed = 77;
-  options.dynamic.engine.mc_rounds_override = 48;
+ShardedStore::Options FastOptions() {
+  ShardedStore::Options options;
+  options.sharded.num_shards = 1;
+  options.sharded.shard.engine.seed = 77;
+  options.sharded.shard.engine.mc_rounds_override = 48;
   return options;
 }
 
 TEST(StoreRecovery, EmptyStoreRecovers) {
   std::string dir = FreshDir("store_empty");
   {
-    auto store = Store::Open(dir, FastOptions());
+    auto store = ShardedStore::Open(dir, FastOptions());
     EXPECT_EQ(store->engine().live_size(), 0u);
   }
-  auto reopened = Store::Open(dir, FastOptions());
+  auto reopened = ShardedStore::Open(dir, FastOptions());
   EXPECT_EQ(reopened->engine().live_size(), 0u);
-  EXPECT_EQ(reopened->stats().recovered_ops, 0u);
+  EXPECT_EQ(reopened->stats()[0].recovered_ops, 0u);
   // And it still works as a store.
   Rng rng(1);
   dyn::Id id = reopened->Insert(SmallDiscretePoint(&rng)).value();
@@ -250,11 +252,11 @@ TEST(StoreRecovery, EmptyStoreRecovers) {
 
 TEST(StoreRecovery, ChurnThenReopenIsBitIdentical) {
   std::string dir = FreshDir("store_churn");
-  Store::Options options = FastOptions();
-  options.dynamic.tail_limit = 8;  // Merges -> segments + rotations.
+  ShardedStore::Options options = FastOptions();
+  options.sharded.shard.tail_limit = 8;  // Merges -> segments + rotations.
   std::vector<dyn::Id> acked;
   {
-    auto store = Store::Open(dir, options);
+    auto store = ShardedStore::Open(dir, options);
     Rng rng(55);
     for (int op = 0; op < 300; ++op) {
       if (acked.empty() || rng.Bernoulli(0.65)) {
@@ -268,9 +270,9 @@ TEST(StoreRecovery, ChurnThenReopenIsBitIdentical) {
   }
   std::sort(acked.begin(), acked.end());
 
-  auto reopened = Store::Open(dir, options);
+  auto reopened = ShardedStore::Open(dir, options);
   EXPECT_EQ(LiveIds(reopened->engine()), acked);
-  EXPECT_GE(reopened->stats().recovered_buckets, 1u)
+  EXPECT_GE(reopened->stats()[0].recovered_buckets, 1u)
       << "churn at tail_limit 8 must have cut segments";
   ExpectBitIdenticalToReference(reopened->engine(), 909, 20);
 
@@ -285,11 +287,11 @@ TEST(StoreRecovery, StoreLogTruncatedAtEveryByte) {
   // Build a store whose log holds the full op history (tail_limit high:
   // no rotation), then recover from the image truncated at every byte.
   std::string dir = FreshDir("store_everybyte");
-  Store::Options options = FastOptions();
-  options.dynamic.tail_limit = 1000;
+  ShardedStore::Options options = FastOptions();
+  options.sharded.shard.tail_limit = 1000;
   std::vector<std::pair<LogRecordType, dyn::Id>> ops;
   {
-    auto store = Store::Open(dir, options);
+    auto store = ShardedStore::Open(dir, options);
     Rng rng(11);
     std::set<dyn::Id> live;
     for (int i = 0; i < 12; ++i) {
@@ -306,7 +308,7 @@ TEST(StoreRecovery, StoreLogTruncatedAtEveryByte) {
     }
   }
 
-  std::string log_path = dir + "/oplog-1";
+  std::string log_path = dir + "/shard-0/oplog-1";
   std::string bytes;
   ASSERT_TRUE(ReadFile(log_path, &bytes));
   // Reconstruct the frame boundaries by re-encoding what the log holds
@@ -343,13 +345,13 @@ TEST(StoreRecovery, StoreLogTruncatedAtEveryByte) {
   for (size_t len = boundaries[0]; len <= bytes.size(); ++len) {
     fs::remove_all(crash_dir);
     fs::copy(dir, crash_dir, fs::copy_options::recursive);
-    TruncateFile(crash_dir + "/oplog-1", len);
+    TruncateFile(crash_dir + "/shard-0/oplog-1", len);
     size_t frames = FramesWithin({bytes, boundaries, {}}, len);
-    auto store = Store::Open(crash_dir, options);
+    auto store = ShardedStore::Open(crash_dir, options);
     EXPECT_EQ(LiveIds(store->engine()), expected_after(frames - 1))
         << "truncated at byte " << len;
     if (len != boundaries[frames - 1]) {
-      EXPECT_GT(store->stats().truncated_log_bytes, 0u);
+      EXPECT_GT(store->stats()[0].truncated_log_bytes, 0u);
     }
   }
   fs::remove_all(crash_dir);
@@ -359,24 +361,24 @@ TEST(StoreRecoveryDeathTest, CorruptCheckpointHeadAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   std::string dir = FreshDir("store_corrupt_head");
   {
-    auto store = Store::Open(dir, FastOptions());
+    auto store = ShardedStore::Open(dir, FastOptions());
     Rng rng(3);
     store->Insert(SmallDiscretePoint(&rng)).value();
   }
   // Tear the log inside its checkpoint head: that region was durable
   // before the manifest was installed, so this is corruption, not a
   // crash, and recovery must refuse to invent an empty state.
-  TruncateFile(dir + "/oplog-1", 5);
-  EXPECT_DEATH(Store::Open(dir, FastOptions()), "");
+  TruncateFile(dir + "/shard-0/oplog-1", 5);
+  EXPECT_DEATH(ShardedStore::Open(dir, FastOptions()), "");
 }
 
 TEST(StoreRecovery, DuplicatedTailRecordsAreIdempotent) {
   std::string dir = FreshDir("store_dup_ops");
-  Store::Options options = FastOptions();
+  ShardedStore::Options options = FastOptions();
   Rng rng(21);
   UncertainPoint p0 = SmallDiscretePoint(&rng);
   {
-    auto store = Store::Open(dir, options);
+    auto store = ShardedStore::Open(dir, options);
     store->Insert(p0).value();
     store->Insert(SmallDiscretePoint(&rng)).value();
     store->Insert(SmallDiscretePoint(&rng)).value();
@@ -384,7 +386,7 @@ TEST(StoreRecovery, DuplicatedTailRecordsAreIdempotent) {
   // A replayed mutation re-appended with a fresh seqno (e.g. a retried
   // writer): insert of a live id and erase of a never-live id must both
   // be skipped, not aborted and not double-applied.
-  std::string log_path = dir + "/oplog-1";
+  std::string log_path = dir + "/shard-0/oplog-1";
   LogReplay before = ReadLog(log_path);
   ASSERT_FALSE(before.records.empty());
   uint64_t seqno = before.records.back().seqno;
@@ -405,10 +407,10 @@ TEST(StoreRecovery, DuplicatedTailRecordsAreIdempotent) {
     out.write(extra.data(), static_cast<std::streamsize>(extra.size()));
   }
 
-  auto store = Store::Open(dir, options);
+  auto store = ShardedStore::Open(dir, options);
   EXPECT_EQ(store->engine().live_size(), 3u);
   EXPECT_EQ(LiveIds(store->engine()), (std::vector<dyn::Id>{0, 1, 2}));
-  EXPECT_EQ(store->stats().skipped_duplicate_ops, 2u);
+  EXPECT_EQ(store->stats()[0].skipped_duplicate_ops, 2u);
   ExpectBitIdenticalToReference(store->engine(), 5, 5);
 }
 
@@ -417,9 +419,9 @@ TEST(StoreRecovery, RandomizedCrashPointDifferential) {
   // (every acked op is fsynced, so the copy is exactly what a crash
   // would leave) and later verify each image recovers bit-identically.
   std::string dir = FreshDir("store_crashpoints");
-  Store::Options options = FastOptions();
-  options.dynamic.tail_limit = 8;
-  options.dynamic.max_dead_fraction = 0.3;
+  ShardedStore::Options options = FastOptions();
+  options.sharded.shard.tail_limit = 8;
+  options.sharded.shard.max_dead_fraction = 0.3;
 
   struct CrashImage {
     std::string dir;
@@ -427,7 +429,7 @@ TEST(StoreRecovery, RandomizedCrashPointDifferential) {
   };
   std::vector<CrashImage> images;
   {
-    auto store = Store::Open(dir, options);
+    auto store = ShardedStore::Open(dir, options);
     Rng rng(4242);
     std::vector<dyn::Id> acked;
     for (int op = 0; op < 250; ++op) {
@@ -452,42 +454,20 @@ TEST(StoreRecovery, RandomizedCrashPointDifferential) {
 
   uint64_t seed = 1;
   for (const CrashImage& image : images) {
-    auto store = Store::Open(image.dir, options);
+    auto store = ShardedStore::Open(image.dir, options);
     EXPECT_EQ(LiveIds(store->engine()), image.acked);
     ExpectBitIdenticalToReference(store->engine(), seed++, 6);
     fs::remove_all(image.dir);
   }
 }
 
-TEST(StoreRecovery, InsertBatchGroupCommitsAndRecovers) {
-  std::string dir = FreshDir("store_batch");
-  Store::Options options = FastOptions();
-  std::vector<dyn::Id> ids;
-  uint64_t syncs_for_batch = 0;
-  {
-    auto store = Store::Open(dir, options);
-    Rng rng(9);
-    std::vector<UncertainPoint> batch;
-    for (int i = 0; i < 32; ++i) batch.push_back(RichPoint(&rng));
-    uint64_t syncs_before = store->stats().log_syncs;
-    ids = store->InsertBatch(std::move(batch)).value();
-    syncs_for_batch = store->stats().log_syncs - syncs_before;
-  }
-  ASSERT_EQ(ids.size(), 32u);
-  EXPECT_EQ(syncs_for_batch, 1u) << "group commit = one fdatasync";
-
-  auto reopened = Store::Open(dir, options);
-  EXPECT_EQ(LiveIds(reopened->engine()), ids);
-  ExpectBitIdenticalToReference(reopened->engine(), 77, 10);
-}
-
 TEST(StoreRecovery, EngineRefRoutesUpdatesThroughTheStore) {
   std::string dir = FreshDir("store_engine_ref");
-  Store::Options options = FastOptions();
+  ShardedStore::Options options = FastOptions();
   {
-    auto store = Store::Open(dir, options);
+    auto store = ShardedStore::Open(dir, options);
     api::EngineRef ref(store.get());
-    EXPECT_EQ(ref.backend(), api::EngineRef::Backend::kStore);
+    EXPECT_EQ(ref.backend(), api::EngineRef::Backend::kShardedStore);
     EXPECT_TRUE(ref.supports_updates());
     Rng rng(31);
     for (int i = 0; i < 10; ++i) {
@@ -503,9 +483,10 @@ TEST(StoreRecovery, EngineRefRoutesUpdatesThroughTheStore) {
               store->engine().NonzeroNN(q));
   }
   // The updates went through the WAL: they survive reopen.
-  auto reopened = Store::Open(dir, options);
+  auto reopened = ShardedStore::Open(dir, options);
   EXPECT_EQ(reopened->engine().live_size(), 9u);
-  EXPECT_FALSE(reopened->engine().IsLive(3));
+  std::vector<dyn::Id> live = LiveIds(reopened->engine());
+  EXPECT_EQ(std::count(live.begin(), live.end(), 3), 0);
 }
 
 }  // namespace

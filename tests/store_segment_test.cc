@@ -20,7 +20,7 @@ namespace pnn {
 namespace store {
 namespace {
 
-std::string TempPath(const char* name) {
+std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
 }
 
@@ -94,7 +94,11 @@ void ExpectEnginesAnswerIdentically(const Engine& a, const Engine& b,
 
 std::shared_ptr<const dyn::Bucket> RoundTrip(const dyn::Bucket& bucket,
                                              const Engine::Options& options) {
-  std::string path = TempPath("segment_roundtrip.seg");
+  // One file per test: ctest runs the round-trip tests as parallel
+  // processes, which must not share a path.
+  std::string path = TempPath(
+      std::string("segment_roundtrip_") +
+      testing::UnitTest::GetInstance()->current_test_info()->name() + ".seg");
   WriteSegmentFile(path, bucket);
   std::string error;
   std::shared_ptr<const dyn::Bucket> loaded = LoadSegment(path, options, &error);
