@@ -22,20 +22,27 @@ QueryResponse Unavailable(QueryKind kind, const util::Status& status) {
 
 }  // namespace
 
+EngineRef::EngineRef(const Engine* engine)
+    : engine_(engine),
+      static_view_(engine != nullptr ? dyn::EngineView(engine) : nullptr) {}
+
 std::shared_ptr<const dyn::CombinedView> EngineRef::ViewOf(const Pin* pin) const {
   if (pin != nullptr && pin->view != nullptr) return pin->view;
   if (dyn_ != nullptr) return dyn_->View();
   if (sharded_view() != nullptr) return sharded_view()->View();
-  return nullptr;
+  return static_view_;
 }
 
 const Engine::Options& EngineRef::view_options() const {
-  return dyn_ != nullptr ? dyn_->options().engine
-                         : sharded_view()->options().shard.engine;
+  if (dyn_ != nullptr) return dyn_->options().engine;
+  if (sharded_view() != nullptr) return sharded_view()->options().shard.engine;
+  return engine_->options();
 }
 
 exec::ThreadPool* EngineRef::view_pool() const {
-  return dyn_ != nullptr ? dyn_->options().pool : sharded_view()->options().pool;
+  if (dyn_ != nullptr) return dyn_->options().pool;
+  if (sharded_view() != nullptr) return sharded_view()->options().pool;
+  return nullptr;
 }
 
 EngineRef::Pin EngineRef::Capture() const { return Pin{ViewOf(nullptr)}; }
@@ -60,48 +67,32 @@ QueryResponse EngineRef::Dispatch(const QueryRequest& request, const Pin* pin) c
   }
   if (request.is_update()) return ApplyUpdate(request);
 
-  // Every query answers either through the static Engine's own methods or
-  // through the shared pipeline over the (pinned or live) view.
-  std::shared_ptr<const dyn::CombinedView> view = ViewOf(pin);
+  // Every query answers through the shared pipeline over the (pinned or
+  // live) view. A pinned call reads the pin's view in place, so the calls
+  // of a batch sharing one pin take no reference-count traffic on it.
+  std::shared_ptr<const dyn::CombinedView> live;
+  const dyn::CombinedView& view =
+      pin != nullptr && pin->view != nullptr ? *pin->view : *(live = ViewOf(nullptr));
   auto quantify = [&](std::vector<Quantification>* out) {
-    if (engine_ != nullptr) {
-      *out = engine_->Quantify(request.q, request.eps);
-    } else {
-      dyn::QuantifyInto(*view, view_options(), view_pool(), request.q, request.eps, out);
-    }
+    dyn::QuantifyInto(view, view_options(), view_pool(), request.q, request.eps, out);
   };
   QueryResponse r;
   r.kind = request.kind;
   switch (request.kind) {
     case QueryKind::kNonzeroNN:
-      if (engine_ != nullptr) {
-        r.ids = engine_->NonzeroNN(request.q);
-      } else {
-        dyn::NonzeroNNInto(*view, view_pool(), request.q, &r.ids);
-      }
+      dyn::NonzeroNNInto(view, view_pool(), request.q, &r.ids);
       break;
     case QueryKind::kQuantify:
       quantify(&r.quants);
       break;
     case QueryKind::kQuantifyExact: {
       // Pre-check what the direct call would abort on.
-      bool empty, mixed;
-      if (engine_ != nullptr) {
-        empty = engine_->points().empty();
-        mixed = !engine_->all_discrete() && !engine_->all_continuous();
-      } else {
-        const dyn::Snapshot& s = *view->combined;
-        empty = s.live_count == 0;
-        mixed = !empty && !s.all_discrete() && !s.all_continuous();
-      }
-      if (mixed) {
+      const dyn::Snapshot& s = *view.combined;
+      if (s.live_count > 0 && !s.all_discrete() && !s.all_continuous()) {
         return QueryResponse::Error(StatusCode::kUnimplemented, request.kind,
                                     kMixedExactMessage);
       }
-      if (!empty) {
-        r.quants = engine_ != nullptr ? engine_->QuantifyExact(request.q)
-                                      : dyn::QuantifyExact(*view, request.q);
-      }
+      r.quants = dyn::QuantifyExact(view, request.q);
       break;
     }
     case QueryKind::kThresholdNN:
@@ -157,20 +148,14 @@ QueryResponse EngineRef::ApplyUpdate(const QueryRequest& request) const {
 }
 
 void EngineRef::Prewarm(std::optional<double> eps, const Pin& pin) const {
-  if (engine_ != nullptr) {
-    engine_->Prewarm(eps);
-  } else if (valid()) {
-    dyn::Prewarm(*ViewOf(&pin), view_options(), view_pool(), eps);
-  }
+  if (valid()) dyn::Prewarm(*ViewOf(&pin), view_options(), view_pool(), eps);
 }
 
 QuantifyPlan EngineRef::PlanForQuantify(std::optional<double> eps, const Pin& pin) const {
-  if (engine_ != nullptr) return engine_->PlanForQuantify(eps);
   return dyn::PlanFor(*ViewOf(&pin), view_options(), eps);
 }
 
 size_t EngineRef::live_size() const {
-  if (engine_ != nullptr) return engine_->points().size();
   return valid() ? ViewOf(nullptr)->combined->live_count : 0;
 }
 

@@ -5,19 +5,19 @@
 //
 // This is the seam the serving layer and the batch executor stand on: the
 // server decodes wire frames into QueryRequests and calls one EngineRef,
-// and exec::BatchEngine::RequestBatch fans runs of them out. Queries go
-// one of two ways: the static Engine's own methods, or — for every mutable
-// backend — the shared pipeline of dyn/view_query.h over the backend's
-// dyn::CombinedView. Answers are bit-identical to the backends' direct
-// methods, which answer through the same pipeline
-// (tests/api_engine_ref_test.cc differential-tests randomized op streams
-// on every backend).
+// and exec::BatchEngine::RequestBatch fans runs of them out. Every query,
+// on every backend, answers through the one pipeline of dyn/view_query.h
+// over a dyn::CombinedView: the mutable backends' View(), or for the
+// static Engine a one-part view (dyn::EngineView) built once when the ref
+// is constructed and shared by its copies. Answers are bit-identical to
+// the backends' direct methods (tests/api_engine_ref_test.cc
+// differential-tests randomized op streams on every backend).
 //
-// Pinning: Capture() returns the backend's current View() (nothing for the
-// static Engine, which never changes) and Call(request, pin) answers as of
-// that capture — the batch executor pins once per query run, the server
-// once per coalesced network batch. Updates always apply to the live
-// backend regardless of any pin.
+// Pinning: Capture() returns the backend's current view (always the same
+// one for the static Engine, which never changes) and Call(request, pin)
+// answers as of that capture — the batch executor pins once per query
+// run, the server once per coalesced network batch. Updates always apply
+// to the live backend regardless of any pin.
 //
 // Thread safety: EngineRef is a handful of pointers — copy it freely.
 // Calls are as safe as the backend's own methods: queries may run
@@ -46,8 +46,8 @@ class EngineRef {
 
   EngineRef() = default;
   /// Static backend: the five query kinds; Insert/Erase answer
-  /// kUnimplemented. The engine must outlive every call.
-  explicit EngineRef(const Engine* engine) : engine_(engine) {}
+  /// kUnimplemented. The engine must outlive the ref and its copies.
+  explicit EngineRef(const Engine* engine);
   explicit EngineRef(dyn::DynamicEngine* engine) : dyn_(engine) {}
   explicit EngineRef(shard::ShardedEngine* engine) : sharded_(engine) {}
   /// Durable backend: queries run against the store's live router
@@ -70,15 +70,14 @@ class EngineRef {
   }
 
   /// The backend's immutable state for pinned calls. Holding a Pin keeps
-  /// the captured structures alive; an empty Pin (static backend, or
-  /// default-constructed) makes the pinned calls below answer the live
-  /// state.
+  /// the captured structures alive; an empty (default-constructed) Pin
+  /// makes the pinned calls below answer the live state.
   struct Pin {
     std::shared_ptr<const dyn::CombinedView> view;
   };
-  /// The View() of the backend queries read from. With a warm view (the
-  /// shard router's cache hit, or always for a dynamic engine) this
-  /// allocates nothing.
+  /// The view queries read from. With a warm view (the shard router's
+  /// cache hit, or always for a dynamic or static engine) this allocates
+  /// nothing.
   Pin Capture() const;
 
   /// Dispatches one request against the current live state. Never aborts
@@ -111,11 +110,11 @@ class EngineRef {
  private:
   QueryResponse Dispatch(const QueryRequest& request, const Pin* pin) const;
   QueryResponse ApplyUpdate(const QueryRequest& request) const;
-  /// The pinned view, or the live one when `pin` holds none; null for the
-  /// static backend.
+  /// The pinned view, or the live one when `pin` holds none.
   std::shared_ptr<const dyn::CombinedView> ViewOf(const Pin* pin) const;
-  /// The engine options and pool of the mutable backend queries read from
-  /// (the store's live router for the durable backend).
+  /// The engine options and pool of the backend queries read from (the
+  /// store's live router for the durable backend; no pool for the static
+  /// Engine, whose direct methods run without one).
   const Engine::Options& view_options() const;
   exec::ThreadPool* view_pool() const;
   /// The shard router queries read from; null unless sharded-shaped.
@@ -124,6 +123,7 @@ class EngineRef {
   }
 
   const Engine* engine_ = nullptr;
+  std::shared_ptr<const dyn::CombinedView> static_view_;  // EngineView(engine_).
   dyn::DynamicEngine* dyn_ = nullptr;
   shard::ShardedEngine* sharded_ = nullptr;
   store::ShardedStore* sharded_store_ = nullptr;

@@ -6,8 +6,7 @@
 // Insert/Erase. QueryRequest is a tagged union over those seven kinds,
 // QueryResponse the matching result variant plus a status and server-side
 // timing, and api::EngineRef (engine_ref.h) dispatches either against any
-// backend: the static Engine through its own methods, the mutable
-// backends through the one evaluator over a pinned view
+// backend through the one evaluator over a pinned view
 // (dyn/view_query.h). The wire protocol (serve/protocol.h) serializes
 // exactly these types, and exec::BatchEngine::RequestBatch batches them.
 //

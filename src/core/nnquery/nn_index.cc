@@ -35,13 +35,8 @@ double NonzeroNNIndex::Delta(Point2 q, const std::vector<char>* skip) const {
 }
 
 std::vector<int> NonzeroNNIndex::Query(Point2 q) const {
-  return QueryWithin(q, Delta(q));
-}
-
-std::vector<int> NonzeroNNIndex::QueryWithin(Point2 q, double bound,
-                                             const std::vector<char>* skip) const {
   std::vector<int> out;
-  QueryWithinInto(q, bound, skip, &out);
+  QueryWithinInto(q, Delta(q), nullptr, &out);
   return out;
 }
 
@@ -163,13 +158,8 @@ double DiscreteNonzeroNNIndex::Delta(Point2 q, const std::vector<char>* skip) co
 }
 
 std::vector<int> DiscreteNonzeroNNIndex::Query(Point2 q) const {
-  return QueryWithin(q, Delta(q));
-}
-
-std::vector<int> DiscreteNonzeroNNIndex::QueryWithin(
-    Point2 q, double bound, const std::vector<char>* skip) const {
   std::vector<int> out;
-  QueryWithinInto(q, bound, skip, &out);
+  QueryWithinInto(q, Delta(q), nullptr, &out);
   return out;
 }
 

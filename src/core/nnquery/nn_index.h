@@ -45,14 +45,11 @@ class NonzeroNNIndex {
   /// NN!=0(q): all i with d(q, c_i) - r_i < Delta(q), sorted.
   std::vector<int> Query(Point2 q) const;
 
-  /// Stage 2 against an external bound: all non-skipped i with
-  /// d(q, c_i) - r_i < bound, sorted. The dynamic engine passes the global
-  /// Delta over all buckets, which is at most this bucket's own Delta.
-  std::vector<int> QueryWithin(Point2 q, double bound,
-                               const std::vector<char>* skip = nullptr) const;
-
-  /// QueryWithin writing into `out` (cleared first) — with a warm scratch
-  /// arena and a warm output buffer this allocates nothing.
+  /// Stage 2 against an external bound, into `out` (cleared first): all
+  /// non-skipped i with d(q, c_i) - r_i < bound, sorted. The dynamic
+  /// engine passes the global Delta over all buckets, which is at most this
+  /// bucket's own Delta. With a warm scratch arena and a warm output
+  /// buffer this allocates nothing.
   void QueryWithinInto(Point2 q, double bound, const std::vector<char>* skip,
                        std::vector<int>* out) const;
 
@@ -117,13 +114,10 @@ class DiscreteNonzeroNNIndex {
   /// NN!=0(q): all i with min_j d(q, p_ij) < Delta(q), sorted.
   std::vector<int> Query(Point2 q) const;
 
-  /// All non-skipped i with min_j d(q, p_ij) < bound, sorted (stage 2
-  /// against an externally supplied bound; see NonzeroNNIndex::QueryWithin).
-  std::vector<int> QueryWithin(Point2 q, double bound,
-                               const std::vector<char>* skip = nullptr) const;
-
-  /// QueryWithin writing into `out` (cleared first); the location-hit
-  /// buffer is a scratch lease, so warm calls allocate nothing.
+  /// All non-skipped i with min_j d(q, p_ij) < bound, sorted, into `out`
+  /// (cleared first): stage 2 against an externally supplied bound (see
+  /// NonzeroNNIndex::QueryWithinInto). The location-hit buffer is a
+  /// scratch lease, so warm calls allocate nothing.
   void QueryWithinInto(Point2 q, double bound, const std::vector<char>* skip,
                        std::vector<int>* out) const;
 

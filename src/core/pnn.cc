@@ -18,18 +18,32 @@ Engine::Engine(UncertainSet points, Options options) {
   builder.FinishInto(this);
 }
 
+void Engine::CheckOptions(const Options& options, size_t n) {
+  PNN_CHECK_MSG(options.default_eps > 0 && options.default_eps < 1,
+                "Options::default_eps must be in (0,1)");
+  PNN_CHECK_MSG(options.mc_delta > 0 && options.mc_delta < 1,
+                "Options::mc_delta must be in (0,1)");
+  PNN_CHECK_MSG(
+      options.spiral_budget_fraction > 0 && options.spiral_budget_fraction <= 1,
+      "Options::spiral_budget_fraction must be in (0,1]");
+  PNN_CHECK_MSG(options.mc_stream_ids.empty() || options.mc_stream_ids.size() == n,
+                "Options::mc_stream_ids must be empty or have one id per point");
+  PNN_CHECK_MSG(options.kd_leaf_size >= 1, "Options::kd_leaf_size must be >= 1");
+}
+
 std::unique_ptr<Engine> Engine::FromParts(UncertainSet points, Options options,
                                           Parts parts) {
   PNN_CHECK_MSG(!points.empty(), "Engine needs at least one uncertain point");
-  PNN_CHECK_MSG(!(parts.all_discrete && parts.all_continuous),
-                "a non-empty set cannot be both all-discrete and all-continuous");
-  if (parts.all_continuous) {
+  CheckOptions(options, points.size());
+  std::unique_ptr<Engine> e(new Engine());
+  for (const UncertainPoint& p : points) e->agg_.Add(p);
+  if (e->agg_.all_continuous()) {
     PNN_CHECK_MSG(parts.disk_index != nullptr && parts.disk_index->size() ==
                       points.size(),
                   "all-continuous parts need a disk index over the points");
     PNN_CHECK_MSG(parts.discrete_index == nullptr && parts.spiral == nullptr,
                   "all-continuous parts must not carry discrete structures");
-  } else if (parts.all_discrete) {
+  } else if (e->agg_.all_discrete()) {
     PNN_CHECK_MSG(parts.discrete_index != nullptr &&
                       parts.discrete_index->num_points() == points.size(),
                   "all-discrete parts need a discrete index over the points");
@@ -41,24 +55,8 @@ std::unique_ptr<Engine> Engine::FromParts(UncertainSet points, Options options,
                       parts.spiral == nullptr,
                   "mixed-input parts carry no indexes (brute-force queries)");
   }
-  // Route the option validation through the builder (on a trivial set), so
-  // FromParts rejects exactly what the building constructor rejects.
-  {
-    Engine::Options check = options;
-    check.mc_stream_ids.clear();
-    UncertainSet probe;
-    probe.push_back(points.front());
-    EngineBuilder validate(std::move(probe), std::move(check), 0);
-  }
-  PNN_CHECK_MSG(
-      options.mc_stream_ids.empty() || options.mc_stream_ids.size() == points.size(),
-      "Options::mc_stream_ids must be empty or have one id per point");
-  std::unique_ptr<Engine> e(new Engine());
   e->points_ = std::move(points);
   e->options_ = std::move(options);
-  e->all_discrete_ = parts.all_discrete;
-  e->all_continuous_ = parts.all_continuous;
-  e->total_complexity_ = parts.total_complexity;
   e->disk_index_ = std::move(parts.disk_index);
   e->discrete_index_ = std::move(parts.discrete_index);
   e->spiral_ = std::move(parts.spiral);
@@ -69,17 +67,7 @@ EngineBuilder::EngineBuilder(UncertainSet points, Engine::Options options,
                              size_t chunk)
     : chunk_(chunk), points_(std::move(points)), options_(std::move(options)) {
   PNN_CHECK_MSG(!points_.empty(), "Engine needs at least one uncertain point");
-  PNN_CHECK_MSG(options_.default_eps > 0 && options_.default_eps < 1,
-                "Options::default_eps must be in (0,1)");
-  PNN_CHECK_MSG(options_.mc_delta > 0 && options_.mc_delta < 1,
-                "Options::mc_delta must be in (0,1)");
-  PNN_CHECK_MSG(
-      options_.spiral_budget_fraction > 0 && options_.spiral_budget_fraction <= 1,
-      "Options::spiral_budget_fraction must be in (0,1]");
-  PNN_CHECK_MSG(
-      options_.mc_stream_ids.empty() || options_.mc_stream_ids.size() == points_.size(),
-      "Options::mc_stream_ids must be empty or have one id per point");
-  PNN_CHECK_MSG(options_.kd_leaf_size >= 1, "Options::kd_leaf_size must be >= 1");
+  Engine::CheckOptions(options_, points_.size());
 }
 
 EngineBuilder::~EngineBuilder() = default;
@@ -94,29 +82,24 @@ void EngineBuilder::Step() {
                           options_.kd_leaf_size};
   switch (stage_) {
     case Stage::kScan: {
-      for (size_t end = ChunkEnd(); cursor_ < end; ++cursor_) {
-        const UncertainPoint& p = points_[cursor_];
-        all_discrete_ = all_discrete_ && p.is_discrete();
-        all_continuous_ = all_continuous_ && !p.is_discrete();
-        total_complexity_ += p.DescriptionComplexity();
-      }
+      for (size_t end = ChunkEnd(); cursor_ < end; ++cursor_) agg_.Add(points_[cursor_]);
       if (cursor_ == points_.size()) {
         cursor_ = 0;
-        if (all_continuous_) {
+        if (agg_.all_continuous()) {
           disks_.reserve(points_.size());
           stage_ = Stage::kGatherContinuous;
-        } else if (all_discrete_) {
+        } else if (agg_.all_discrete()) {
           // Reserve the final sizes up front: the gathered arrays ARE the
           // structures' storage, so growth never doubles mid-build and the
           // transient overhead stays one chunk of hull scratch.
           hulls_.reserve(points_.size());
           centroids_.reserve(points_.size());
           counts_.reserve(points_.size());
-          locations_.reserve(total_complexity_);
-          owners_.reserve(total_complexity_);
-          spiral_locations_.reserve(total_complexity_);
-          spiral_owners_.reserve(total_complexity_);
-          spiral_weights_.reserve(total_complexity_);
+          locations_.reserve(agg_.total_complexity);
+          owners_.reserve(agg_.total_complexity);
+          spiral_locations_.reserve(agg_.total_complexity);
+          spiral_owners_.reserve(agg_.total_complexity);
+          spiral_weights_.reserve(agg_.total_complexity);
           stage_ = Stage::kGatherDiscrete;
         } else {
           stage_ = Stage::kReady;  // Mixed inputs: brute-force queries.
@@ -151,7 +134,6 @@ void EngineBuilder::Step() {
         Point2 c{0, 0};
         for (Point2 p : d.locations) c = c + p;
         centroids_.push_back(c / static_cast<double>(d.locations.size()));
-        max_k_ = std::max(max_k_, d.locations.size());
         counts_.push_back(static_cast<int>(d.locations.size()));
         int owner = static_cast<int>(cursor_);
         for (size_t s = 0; s < d.locations.size(); ++s) {
@@ -160,8 +142,6 @@ void EngineBuilder::Step() {
           spiral_locations_.push_back(d.locations[s]);
           spiral_owners_.push_back(owner);
           spiral_weights_.push_back(d.weights[s]);
-          wmin_ = std::min(wmin_, d.weights[s]);
-          wmax_ = std::max(wmax_, d.weights[s]);
         }
       }
       if (cursor_ == points_.size()) {
@@ -180,7 +160,7 @@ void EngineBuilder::Step() {
     case Stage::kBuildSpiral: {
       spiral_ = std::make_unique<SpiralSearchPNN>(
           std::move(spiral_locations_), std::move(spiral_owners_),
-          std::move(spiral_weights_), std::move(counts_), max_k_, wmax_ / wmin_,
+          std::move(spiral_weights_), std::move(counts_), agg_.max_k, agg_.rho(),
           kd_build);
       stage_ = Stage::kReady;
       break;
@@ -194,9 +174,7 @@ void EngineBuilder::FinishInto(Engine* e) {
   PNN_CHECK_MSG(done(), "FinishInto before the build finished");
   e->points_ = std::move(points_);
   e->options_ = std::move(options_);
-  e->all_discrete_ = all_discrete_;
-  e->all_continuous_ = all_continuous_;
-  e->total_complexity_ = total_complexity_;
+  e->agg_ = agg_;
   e->disk_index_ = std::move(disk_index_);
   e->discrete_index_ = std::move(discrete_index_);
   e->spiral_ = std::move(spiral_);
@@ -208,16 +186,26 @@ std::unique_ptr<Engine> EngineBuilder::Finish() {
   return e;
 }
 
-double Engine::ResolveEps(std::optional<double> eps_opt) const {
-  double eps = eps_opt.value_or(options_.default_eps);
+double ResolveEps(const Engine::Options& options, std::optional<double> eps_opt) {
+  double eps = eps_opt.value_or(options.default_eps);
   PNN_CHECK_MSG(eps > 0 && eps < 1, "eps must be in (0,1)");
   return eps;
 }
 
+QuantifyPlan PlanQuantify(const SetAggregates& agg, const Engine::Options& options,
+                          double eps) {
+  if (agg.all_discrete()) {
+    size_t budget = SpiralSearchPNN::RetrievalBoundFor(agg.rho(), agg.max_k, eps);
+    if (static_cast<double>(budget) <=
+        options.spiral_budget_fraction * static_cast<double>(agg.total_complexity)) {
+      return QuantifyPlan::kSpiral;
+    }
+  }
+  return QuantifyPlan::kMonteCarlo;
+}
+
 std::vector<int> Engine::NonzeroNN(Point2 q) const {
-  if (disk_index_) return disk_index_->Query(q);
-  if (discrete_index_) return discrete_index_->Query(q);
-  return NonzeroNNBruteForce(points_, q);  // Mixed inputs: linear scan.
+  return NonzeroNNWithin(q, NonzeroDelta(q));
 }
 
 double Engine::NonzeroDelta(Point2 q, const std::vector<char>* skip) const {
@@ -256,43 +244,37 @@ void Engine::NonzeroNNWithinInto(Point2 q, double bound,
   }
 }
 
-QuantifyPlan Engine::PlanForQuantify(std::optional<double> eps_opt) const {
-  double eps = ResolveEps(eps_opt);
-  if (spiral_) {
-    size_t budget = spiral_->RetrievalBound(eps);
-    if (static_cast<double>(budget) <=
-        options_.spiral_budget_fraction * static_cast<double>(total_complexity_)) {
-      return QuantifyPlan::kSpiral;
-    }
-  }
-  return QuantifyPlan::kMonteCarlo;
+QuantifyPlan Engine::PlanForQuantify(std::optional<double> eps) const {
+  return PlanQuantify(agg_, options_, ResolveEps(options_, eps));
 }
 
-std::shared_ptr<const MonteCarloPNN> Engine::EnsureMonteCarlo(double eps) const {
-  // Lock-free fast path: the prewarmed structure already covers this eps.
-  auto cur = std::atomic_load_explicit(&monte_carlo_, std::memory_order_acquire);
-  if (cur && cur->target_eps() <= eps) return cur;
+size_t Engine::RoundsFor(double eps) const {
+  return MonteCarloPNN::Rounds(agg_.live_count, agg_.max_k, eps, options_.mc_delta,
+                               options_.mc_rounds_override);
+}
+
+std::shared_ptr<const McRounds> Engine::EnsureRounds(size_t rounds,
+                                                     exec::ThreadPool* pool) const {
+  auto cur = std::atomic_load_explicit(&rounds_, std::memory_order_acquire);
+  if (cur && cur->trees.size() >= rounds) return cur;
   std::lock_guard<std::mutex> lock(lazy_mu_);
-  cur = std::atomic_load_explicit(&monte_carlo_, std::memory_order_acquire);
-  // Rebuild if absent or if a tighter eps is requested; queries holding a
-  // snapshot of the old structure keep it alive through their shared_ptr.
-  if (!cur || cur->target_eps() > eps) {
-    MonteCarloPNN::Options mco;
-    mco.eps = eps;
-    mco.delta = options_.mc_delta;
-    mco.seed = options_.seed;
-    mco.rounds_override = options_.mc_rounds_override;
-    mco.stream_ids = options_.mc_stream_ids;
-    mco.build = KdBuildOptions{options_.build_pool, options_.build_parallel_cutoff,
-                               options_.kd_leaf_size};
-    cur = std::make_shared<const MonteCarloPNN>(points_, mco);
-    std::atomic_store_explicit(&monte_carlo_, cur, std::memory_order_release);
-  }
-  return cur;
+  cur = std::atomic_load_explicit(&rounds_, std::memory_order_acquire);
+  if (cur && cur->trees.size() >= rounds) return cur;
+
+  auto next = std::make_shared<McRounds>();
+  if (cur) next->trees = cur->trees;  // Share the already-built prefix.
+  BuildMcRounds(points_, options_.seed, next->trees.size(), rounds,
+                options_.mc_stream_ids,
+                KdBuildOptions{pool != nullptr ? pool : options_.build_pool,
+                               options_.build_parallel_cutoff, options_.kd_leaf_size},
+                next.get());
+  std::atomic_store_explicit(&rounds_, std::shared_ptr<const McRounds>(next),
+                             std::memory_order_release);
+  return next;
 }
 
 std::shared_ptr<const ExpectedNNIndex> Engine::EnsureExpectedNN() const {
-  // Same pattern as EnsureMonteCarlo: lock-free once built, lock to build.
+  // Same pattern as EnsureRounds: lock-free once built, lock to build.
   auto cur = std::atomic_load_explicit(&expected_nn_, std::memory_order_acquire);
   if (cur) return cur;
   std::lock_guard<std::mutex> lock(lazy_mu_);
@@ -308,25 +290,31 @@ std::shared_ptr<const ExpectedNNIndex> Engine::EnsureExpectedNN() const {
 }
 
 void Engine::Prewarm(std::optional<double> eps_opt) const {
-  double eps = ResolveEps(eps_opt);
-  if (PlanForQuantify(eps) == QuantifyPlan::kMonteCarlo) EnsureMonteCarlo(eps);
+  double eps = ResolveEps(options_, eps_opt);
+  if (PlanForQuantify(eps) == QuantifyPlan::kMonteCarlo) EnsureRounds(RoundsFor(eps));
 }
 
 size_t Engine::MonteCarloRounds() const {
-  auto cur = std::atomic_load_explicit(&monte_carlo_, std::memory_order_acquire);
-  return cur ? cur->rounds() : 0;
+  auto cur = std::atomic_load_explicit(&rounds_, std::memory_order_acquire);
+  return cur ? cur->trees.size() : 0;
 }
 
 std::vector<Quantification> Engine::Quantify(Point2 q,
                                              std::optional<double> eps_opt) const {
-  double eps = ResolveEps(eps_opt);
+  double eps = ResolveEps(options_, eps_opt);
   if (PlanForQuantify(eps) == QuantifyPlan::kSpiral) return spiral_->Query(q, eps);
-  return EnsureMonteCarlo(eps)->Query(q);
+  // Exactly the first rounds(eps) trees, however far earlier queries at a
+  // tighter eps have extended the cache: an answer never depends on the
+  // query history.
+  size_t rounds = RoundsFor(eps);
+  std::vector<Quantification> out;
+  McQuantifyInto(*EnsureRounds(rounds), rounds, points_.size(), q, &out);
+  return out;
 }
 
 std::vector<Quantification> Engine::QuantifyExact(Point2 q) const {
-  if (all_discrete_) return QuantifyExactDiscrete(points_, q);
-  PNN_CHECK_MSG(all_continuous_,
+  if (all_discrete()) return QuantifyExactDiscrete(points_, q);
+  PNN_CHECK_MSG(all_continuous(),
                 "QuantifyExact supports all-discrete or all-continuous inputs");
   return QuantifyNumericContinuous(points_, q, 1e-8);
 }

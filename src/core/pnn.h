@@ -43,7 +43,7 @@ enum class QuantifyPlan {
 /// One-stop query engine over a set of uncertain points.
 ///
 /// Thread safety: all query methods are const and safe to call from many
-/// threads concurrently; the lazily-built structures (Monte Carlo,
+/// threads concurrently; the lazily-built structures (Monte-Carlo rounds,
 /// expected-NN) are constructed under an internal mutex. Batch callers
 /// should Prewarm() first so worker threads never contend on construction.
 class Engine {
@@ -56,10 +56,10 @@ class Engine {
     /// Spiral search is preferred while rho * k * ln(rho/eps) stays below
     /// this fraction of N; beyond it Monte Carlo wins. Must be in (0,1].
     double spiral_budget_fraction = 0.5;
-    /// Per-point Monte-Carlo stream ids (see
-    /// MonteCarloPNN::Options::stream_ids). Empty, or one id per point;
-    /// empty means ids 0..n-1, so an engine without ids samples exactly
-    /// as one given its indices.
+    /// Per-point Monte-Carlo stream ids (see BuildMcRounds). Empty, or one
+    /// id per point; empty means ids 0..n-1, so an engine without ids
+    /// samples exactly as one given its indices. A dynamic engine's bucket
+    /// engines carry their bucket's ids here.
     std::vector<uint64_t> mc_stream_ids;
     /// When set, every structure build fans out across this pool: the
     /// constructor's kd builds recurse per-subtree (KdBuildOptions), the
@@ -78,33 +78,34 @@ class Engine {
     int kd_leaf_size = KdBuildOptions().leaf_size;
   };
 
-  /// Construction validates Options (aborts with a message on default_eps
-  /// or mc_delta outside (0,1), spiral_budget_fraction outside (0,1], or a
-  /// mis-sized mc_stream_ids) instead of producing nonsense plans later.
+  /// Construction validates Options (CheckOptions) instead of producing
+  /// nonsense plans later.
   explicit Engine(UncertainSet points) : Engine(std::move(points), Options()) {}
   Engine(UncertainSet points, Options options);
 
+  /// Aborts with a message on default_eps or mc_delta outside (0,1),
+  /// spiral_budget_fraction outside (0,1], kd_leaf_size < 1, or
+  /// mc_stream_ids neither empty nor one id per each of n points.
+  static void CheckOptions(const Options& options, size_t n);
+
   /// Prebuilt index structures for FromParts — the durable store's
   /// recovery path (src/store/segment.cc), which deserializes each index's
-  /// kd layout and adopts it instead of re-running construction. The flags
-  /// and counts must equal what a scan of the points would derive; which
+  /// kd layout and adopts it instead of re-running construction. Which
   /// pointers must be set follows the constructor's rule (disk_index iff
   /// all continuous, discrete_index + spiral iff all discrete, none for
   /// mixed inputs).
   struct Parts {
-    bool all_discrete = true;
-    bool all_continuous = true;
-    size_t total_complexity = 0;
     std::unique_ptr<NonzeroNNIndex> disk_index;
     std::unique_ptr<DiscreteNonzeroNNIndex> discrete_index;
     std::unique_ptr<SpiralSearchPNN> spiral;
   };
 
-  /// Assembles an engine around prebuilt structures. Validates options and
-  /// the flag/part pairing; the parts' internal consistency with `points`
-  /// is the serializer's contract (checksummed together on disk, certified
-  /// by round-trip tests). The result is indistinguishable from
-  /// Engine(points, options) when the parts came from one.
+  /// Assembles an engine around prebuilt structures. Scans the points for
+  /// their aggregates and validates options and the kind/part pairing; the
+  /// parts' internal consistency with `points` is the serializer's contract
+  /// (checksummed together on disk, certified by round-trip tests). The
+  /// result is indistinguishable from Engine(points, options) when the
+  /// parts came from one.
   static std::unique_ptr<Engine> FromParts(UncertainSet points, Options options,
                                            Parts parts);
 
@@ -153,18 +154,32 @@ class Engine {
   QuantifyPlan PlanForQuantify(std::optional<double> eps = std::nullopt) const;
 
   /// Eagerly builds every structure Quantify(·, eps) may need, so
-  /// subsequent const queries are lock- and contention-free. Called by the
-  /// batch executor before fanning out.
+  /// subsequent const queries are lock- and contention-free.
   void Prewarm(std::optional<double> eps = std::nullopt) const;
 
-  /// Rounds of the current Monte-Carlo structure (0 if not built yet).
+  /// Rounds [0, rounds) of the engine's Monte-Carlo round cache, building
+  /// any missing suffix with BuildMcRounds under options.mc_stream_ids (the
+  /// indices when empty), at the engine's seed and kd leaf width, fanning
+  /// out on `pool` (options.build_pool when null). Rounds are a pure
+  /// function of (points, seed, round, ids), so the cache only ever grows
+  /// by a suffix: the built prefix is shared structurally between
+  /// extensions, extensions serialize on an internal mutex, readers are
+  /// lock-free once enough rounds exist, and a reader holding an older
+  /// McRounds keeps it alive. This is the one round cache: Quantify counts
+  /// winners over its first rounds(eps) trees, and the query pipeline of
+  /// dyn/view_query.h reads every bucket engine's through it.
+  std::shared_ptr<const McRounds> EnsureRounds(size_t rounds,
+                                               exec::ThreadPool* pool = nullptr) const;
+
+  /// Length of the round cache (0 until a Monte-Carlo query or Prewarm).
   size_t MonteCarloRounds() const;
 
   const UncertainSet& points() const { return points_; }
   const Options& options() const { return options_; }
-  bool all_discrete() const { return all_discrete_; }
-  bool all_continuous() const { return all_continuous_; }
-  size_t total_complexity() const { return total_complexity_; }
+  const SetAggregates& aggregates() const { return agg_; }
+  bool all_discrete() const { return agg_.all_discrete(); }
+  bool all_continuous() const { return agg_.all_continuous(); }
+  size_t total_complexity() const { return agg_.total_complexity; }
 
   /// The spiral-search structure (null unless all points are discrete).
   /// Exposed for the dynamic engine's per-bucket location streams.
@@ -182,31 +197,37 @@ class Engine {
   /// Shell for EngineBuilder::Finish/FinishInto to assemble into.
   Engine() = default;
 
-  double ResolveEps(std::optional<double> eps) const;
-  /// Snapshot of the Monte-Carlo structure for eps, building (or
-  /// rebuilding at a tighter eps) under lazy_mu_. Returns a shared_ptr so
-  /// in-flight queries keep the old structure alive across a concurrent
-  /// rebuild; the fast path is a lock-free atomic load.
-  std::shared_ptr<const MonteCarloPNN> EnsureMonteCarlo(double eps) const;
+  /// Monte-Carlo rounds at this eps over the engine's aggregates.
+  size_t RoundsFor(double eps) const;
   std::shared_ptr<const ExpectedNNIndex> EnsureExpectedNN() const;
 
   UncertainSet points_;
   Options options_;
-  bool all_discrete_ = true;
-  bool all_continuous_ = true;
-  size_t total_complexity_ = 0;  // Sum of description complexities.
+  SetAggregates agg_;
 
   std::unique_ptr<NonzeroNNIndex> disk_index_;
   std::unique_ptr<DiscreteNonzeroNNIndex> discrete_index_;
   std::unique_ptr<SpiralSearchPNN> spiral_;
 
   mutable std::mutex lazy_mu_;  // Serializes builds of the members below.
-  // Accessed with std::atomic_load/atomic_store: readers snapshot it
-  // lock-free, and a rebuild at a tighter eps swaps the pointer without
-  // invalidating snapshots held by concurrent queries.
-  mutable std::shared_ptr<const MonteCarloPNN> monte_carlo_;
+  // Accessed with std::atomic_load/atomic_store: readers snapshot them
+  // lock-free, and an extension swaps the pointer without invalidating
+  // snapshots held by concurrent queries.
+  mutable std::shared_ptr<const McRounds> rounds_;
   mutable std::shared_ptr<const ExpectedNNIndex> expected_nn_;
 };
+
+/// The eps check of every query path: `eps`, or options.default_eps when
+/// unset; aborts unless the result lies in (0,1).
+double ResolveEps(const Engine::Options& options, std::optional<double> eps);
+
+/// Section 4's routing rule over a set's aggregates: spiral search
+/// (Theorem 4.7) while the set is all-discrete and its retrieval bound
+/// m(rho, eps) stays within options.spiral_budget_fraction of the total
+/// complexity N; Monte Carlo (Theorem 4.3) otherwise. Engine and
+/// dyn::PlanForSnapshot both decide through it.
+QuantifyPlan PlanQuantify(const SetAggregates& agg, const Engine::Options& options,
+                          double eps);
 
 /// Staged Engine construction for the dynamic layer's sliced maintenance
 /// builds: performs exactly the work of the Engine constructor, but split
@@ -248,7 +269,7 @@ class EngineBuilder {
 
  private:
   enum class Stage {
-    kScan,                // Aggregate flags / complexity, chunked.
+    kScan,                // SetAggregates, chunked.
     kGatherContinuous,    // Disk list, chunked.
     kBuildDiskIndex,      // One kd build (pool-parallel).
     kGatherDiscrete,      // Hulls, centroids, flattened locations, chunked.
@@ -267,10 +288,7 @@ class EngineBuilder {
   size_t chunk_ = 0;
   UncertainSet points_;
   Engine::Options options_;
-
-  bool all_discrete_ = true;
-  bool all_continuous_ = true;
-  size_t total_complexity_ = 0;
+  SetAggregates agg_;
 
   // Staging for the index parts (moved into the structures when built).
   std::vector<Circle> disks_;
@@ -282,9 +300,6 @@ class EngineBuilder {
   std::vector<int> spiral_owners_;
   std::vector<double> spiral_weights_;
   std::vector<int> counts_;
-  size_t max_k_ = 1;
-  double wmin_ = 1.0;
-  double wmax_ = 0.0;
 
   std::unique_ptr<NonzeroNNIndex> disk_index_;
   std::unique_ptr<DiscreteNonzeroNNIndex> discrete_index_;

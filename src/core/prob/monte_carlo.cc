@@ -42,33 +42,42 @@ size_t MonteCarloPNN::TheoreticalRounds(size_t n, size_t max_k, double eps,
   return static_cast<size_t>(std::ceil(std::max(s, 1.0)));
 }
 
+size_t MonteCarloPNN::Rounds(size_t n, size_t max_k, double eps, double delta,
+                             size_t rounds_override) {
+  return rounds_override > 0 ? rounds_override : TheoreticalRounds(n, max_k, eps, delta);
+}
+
 MonteCarloPNN::MonteCarloPNN(const UncertainSet& points, const Options& options)
-    : n_(points.size()), target_eps_(options.eps) {
+    : n_(points.size()) {
   PNN_CHECK_MSG(!points.empty(), "MonteCarloPNN needs at least one point");
   PNN_CHECK_MSG(options.eps > 0 && options.eps < 1, "eps must be in (0,1)");
   PNN_CHECK_MSG(options.delta > 0 && options.delta < 1, "delta must be in (0,1)");
-  size_t max_k = 1;
-  for (const auto& p : points) {
-    max_k = std::max(max_k, std::max<size_t>(p.DescriptionComplexity(), 1));
-  }
-  size_t rounds = options.rounds_override > 0
-                      ? options.rounds_override
-                      : TheoreticalRounds(n_, max_k, options.eps, options.delta);
+  SetAggregates agg;
+  for (const auto& p : points) agg.Add(p);
+  size_t rounds =
+      Rounds(n_, agg.max_k, options.eps, options.delta, options.rounds_override);
   BuildMcRounds(points, options.seed, 0, rounds, options.stream_ids, options.build, &mc_);
 }
 
-std::vector<Quantification> MonteCarloPNN::Query(Point2 q) const {
+void McQuantifyInto(const McRounds& mc, size_t rounds, size_t n, Point2 q,
+                    std::vector<Quantification>* out) {
+  PNN_CHECK(rounds <= mc.trees.size());
   util::ScratchVec<int> lease;
   std::vector<int>& counts = *lease;
-  counts.assign(n_, 0);
-  for (const auto& tree : mc_.trees) ++counts[tree->NearestSquared(q)];
-  std::vector<Quantification> out;
-  const double rounds = static_cast<double>(mc_.trees.size());
-  for (size_t i = 0; i < n_; ++i) {
+  counts.assign(n, 0);
+  for (size_t r = 0; r < rounds; ++r) ++counts[mc.trees[r]->NearestSquared(q)];
+  out->clear();
+  const double denom = static_cast<double>(rounds);
+  for (size_t i = 0; i < n; ++i) {
     if (counts[i] > 0) {
-      out.push_back({static_cast<int>(i), static_cast<double>(counts[i]) / rounds});
+      out->push_back({static_cast<int>(i), static_cast<double>(counts[i]) / denom});
     }
   }
+}
+
+std::vector<Quantification> MonteCarloPNN::Query(Point2 q) const {
+  std::vector<Quantification> out;
+  McQuantifyInto(mc_, mc_.trees.size(), n_, q, &out);
   return out;
 }
 

@@ -8,10 +8,12 @@
 // Theorem 4.3 needs nothing of the per-round structure beyond exact NN
 // answers. The paper uses Voronoi diagrams with point location; here each
 // round is a kd-tree queried in the squared-distance domain with ties
-// pinned to the lowest point index (KdTree::NearestSquared). The static
-// Engine and the dynamic engine's buckets build their rounds through the
-// one BuildMcRounds below, so static and dynamic Monte Carlo are the same
-// code and answer bit-identically even on exactly equidistant samples.
+// pinned to the lowest point index (KdTree::NearestSquared). Every engine
+// builds its rounds through the one BuildMcRounds below (Engine::EnsureRounds
+// caches them; the dynamic engine's buckets are engines too), so static and
+// dynamic Monte Carlo are the same code and answer bit-identically even on
+// exactly equidistant samples. MonteCarloPNN is the standalone structure of
+// the theorem, kept as the tests' oracle.
 //
 // Theorem 4.3 asks for s independent instantiations of P. Point id's
 // round-r sample is drawn from its own stream MakeStreamRng(SplitSeed(seed,
@@ -55,6 +57,15 @@ void BuildMcRounds(const UncertainSet& points, uint64_t seed, size_t from, size_
                    const std::vector<uint64_t>& stream_ids, const KdBuildOptions& build,
                    McRounds* out);
 
+/// Theorem 4.3's estimate over the first `rounds` trees of `mc` (at most
+/// mc.trees.size()) for a set of n points: each round's nearest sample
+/// votes for its point, and every point with a vote reports votes /
+/// rounds, ascending by index, into *out. Engine::Quantify,
+/// MonteCarloPNN::Query and the merged estimate over one whole bucket
+/// (dyn::MergedMonteCarloQuantifyInto) all count through it.
+void McQuantifyInto(const McRounds& mc, size_t rounds, size_t n, Point2 q,
+                    std::vector<Quantification>* out);
+
 /// Monte-Carlo PNN structure. Works for any uncertain-point mix
 /// (continuous and/or discrete) since it only needs sampling.
 class MonteCarloPNN {
@@ -86,16 +97,18 @@ class MonteCarloPNN {
   /// The per-round trees (exposed for layout checks such as leaf width).
   const McRounds& round_trees() const { return mc_; }
 
-  /// The eps this structure was built for (Options::eps).
-  double target_eps() const { return target_eps_; }
-
   /// The theoretical round count s(eps, delta) from Theorem 4.3 for the
   /// given instance size (used by default unless overridden).
   static size_t TheoreticalRounds(size_t n, size_t max_k, double eps, double delta);
 
+  /// The round count every Monte-Carlo path uses: `rounds_override` when
+  /// nonzero, else TheoreticalRounds(n, max_k, eps, delta). max_k is the
+  /// points' SetAggregates::max_k.
+  static size_t Rounds(size_t n, size_t max_k, double eps, double delta,
+                       size_t rounds_override);
+
  private:
   size_t n_ = 0;
-  double target_eps_ = 0.0;
   McRounds mc_;
 };
 

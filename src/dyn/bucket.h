@@ -1,6 +1,9 @@
 // One immutable Bentley–Saxe bucket of the dynamic engine: a frozen slice
-// of the live set with its own static pnn::Engine, plus a lazily extended
-// cache of per-round Monte-Carlo instantiations keyed by stable point ids.
+// of the live set under ascending stable ids, with its own static
+// pnn::Engine. The engine samples Monte-Carlo rounds under the bucket's
+// ids (Engine::Options::mc_stream_ids, the only copy of them), so its
+// round cache (Engine::EnsureRounds) holds exactly the per-round trees a
+// static engine over the whole live set draws for these points.
 //
 // A bucket never changes after construction; erases are tombstone masks
 // kept next to the bucket in the engine's snapshot, and growth happens by
@@ -10,11 +13,9 @@
 #define PNN_DYN_BUCKET_H_
 
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "src/core/pnn.h"
-#include "src/exec/thread_pool.h"
 
 namespace pnn {
 namespace dyn {
@@ -27,42 +28,33 @@ using Id = int;
 class Bucket {
  public:
   /// `ids` must be ascending and parallel to `points`; both non-empty.
-  /// `options` is the dynamic engine's shared Engine configuration (its
-  /// mc_stream_ids, if any, are ignored: the bucket engine's own
-  /// Monte-Carlo path is unused).
-  Bucket(std::vector<Id> ids, UncertainSet points, Engine::Options options);
+  /// `options` is the dynamic engine's shared Engine configuration; the
+  /// bucket engine's mc_stream_ids become `ids`, the one copy id() reads.
+  Bucket(const std::vector<Id>& ids, UncertainSet points, Engine::Options options);
 
-  /// Adoption form for SlicedBucketBuilder: wraps an engine built
-  /// elsewhere (in bounded steps) without re-running construction.
-  Bucket(std::vector<Id> ids, std::unique_ptr<Engine> engine);
+  /// Adoption form: wraps an engine built elsewhere (SlicedBucketBuilder's
+  /// bounded steps, a loaded segment) whose mc_stream_ids are the
+  /// bucket's ascending ids. With `by_index` the bucket names the points
+  /// by index instead, whatever stream ids the engine samples under: a
+  /// static engine's one-part view (dyn::EngineView), which borrows the
+  /// engine (a no-op deleter), so the engine must outlive every call.
+  explicit Bucket(std::shared_ptr<const Engine> engine, bool by_index = false);
 
-  const std::vector<Id>& ids() const { return ids_; }
+  /// The stable id of local point `local`.
+  Id id(size_t local) const {
+    return static_cast<Id>(ids_ != nullptr ? ids_[local] : local);
+  }
   const UncertainSet& points() const { return engine_->points(); }
   const Engine& engine() const { return *engine_; }
-  size_t size() const { return ids_.size(); }
+  size_t size() const { return engine_->points().size(); }
 
   /// Local index of `id`, or -1 (binary search; ids are ascending).
   int LocalIndex(Id id) const;
 
-  /// Rounds [0, rounds) of the Monte-Carlo cache, building any missing
-  /// suffix (on `pool` when provided) with BuildMcRounds over the members,
-  /// stream ids = member ids, at the engine's seed and kd leaf width —
-  /// exactly the rounds a static MonteCarloPNN with those stream ids
-  /// builds, so a cross-bucket argmin per round reproduces its per-round
-  /// nearest neighbor. Builds serialize on an internal mutex; the
-  /// completed prefix is shared structurally between extensions, and
-  /// readers holding an older McRounds keep it alive via shared_ptr.
-  std::shared_ptr<const McRounds> EnsureRounds(size_t rounds,
-                                               exec::ThreadPool* pool) const;
-
  private:
-  std::vector<Id> ids_;
-  std::unique_ptr<Engine> engine_;  // Never null.
-
-  mutable std::mutex mc_mu_;  // Serializes round-cache extensions.
-  // Accessed with std::atomic_load/atomic_store (the Engine snapshot
-  // pattern): readers are lock-free once enough rounds exist.
-  mutable std::shared_ptr<const McRounds> mc_;
+  std::shared_ptr<const Engine> engine_;  // Never null.
+  // engine_'s mc_stream_ids, or null when the bucket names points by index.
+  const uint64_t* ids_;
 };
 
 /// Builds a Bucket in bounded steps — the sliced-compaction unit of the
@@ -74,7 +66,7 @@ class SlicedBucketBuilder {
  public:
   /// Same preconditions as the Bucket constructor. chunk = 0 builds in
   /// one Step per stage.
-  SlicedBucketBuilder(std::vector<Id> ids, UncertainSet points,
+  SlicedBucketBuilder(const std::vector<Id>& ids, UncertainSet points,
                       Engine::Options options, size_t chunk);
 
   bool done() const { return builder_.done(); }
@@ -82,7 +74,6 @@ class SlicedBucketBuilder {
   std::shared_ptr<const Bucket> Finish();
 
  private:
-  std::vector<Id> ids_;
   EngineBuilder builder_;
 };
 

@@ -36,8 +36,6 @@ struct DynamicEngine::BuildJob {
 };
 
 DynamicEngine::DynamicEngine(Options options) : options_(std::move(options)) {
-  PNN_CHECK_MSG(options_.engine.mc_stream_ids.empty(),
-                "dyn::Options::engine.mc_stream_ids is managed internally");
   PNN_CHECK_MSG(options_.tail_limit >= 1, "tail_limit must be >= 1");
   PNN_CHECK_MSG(options_.max_dead_fraction > 0 && options_.max_dead_fraction < 1,
                 "max_dead_fraction must be in (0,1)");
@@ -49,14 +47,9 @@ DynamicEngine::DynamicEngine(Options options) : options_(std::move(options)) {
     options_.engine.build_pool = options_.pool;
   }
   // Validate the shared engine options eagerly (Engine would only check
-  // them at the first bucket build).
-  PNN_CHECK_MSG(options_.engine.default_eps > 0 && options_.engine.default_eps < 1,
-                "Options::default_eps must be in (0,1)");
-  PNN_CHECK_MSG(options_.engine.mc_delta > 0 && options_.engine.mc_delta < 1,
-                "Options::mc_delta must be in (0,1)");
-  PNN_CHECK_MSG(options_.engine.spiral_budget_fraction > 0 &&
-                    options_.engine.spiral_budget_fraction <= 1,
-                "Options::spiral_budget_fraction must be in (0,1]");
+  // them at the first bucket build). mc_stream_ids is managed per bucket,
+  // so it must be empty (one id per each of zero points).
+  Engine::CheckOptions(options_.engine, 0);
   std::lock_guard<std::mutex> lock(mu_);
   PublishLocked();
 }
@@ -106,17 +99,17 @@ DynamicEngine::DynamicEngine(std::vector<RecoveredBucket> recovered,
   std::vector<size_t> all_ks;
   for (RecoveredBucket& rb : recovered) {
     PNN_CHECK_MSG(rb.bucket != nullptr, "recovered bucket must not be null");
-    const std::vector<Id>& ids = rb.bucket->ids();
     const UncertainSet& pts = rb.bucket->points();
-    PNN_CHECK_MSG(rb.dead.empty() || rb.dead.size() == ids.size(),
+    PNN_CHECK_MSG(rb.dead.empty() || rb.dead.size() == pts.size(),
                   "recovered dead mask must parallel the bucket");
     size_t live = 0;
-    for (size_t i = 0; i < ids.size(); ++i) {
+    for (size_t i = 0; i < pts.size(); ++i) {
       if (!rb.dead.empty() && rb.dead[i]) continue;
       // Hinted: segment ids ascend, so append is amortized O(1); the
       // size delta still catches duplicate ids across buckets.
       size_t before = live_.size();
-      live_.emplace_hint(live_.end(), ids[i], pts[i]);
+      Id id = rb.bucket->id(i);
+      live_.emplace_hint(live_.end(), id, pts[i]);
       PNN_CHECK_MSG(live_.size() == before + 1,
                     "recovered buckets hold a duplicate live id");
       const UncertainPoint& p = pts[i];
@@ -131,7 +124,7 @@ DynamicEngine::DynamicEngine(std::vector<RecoveredBucket> recovered,
       total_complexity_ += p.DescriptionComplexity();
       all_ks.push_back(std::max<size_t>(p.DescriptionComplexity(), 1));
       ++live;
-      if (ids[i] >= next_id_) next_id_ = ids[i] + 1;
+      if (id >= next_id_) next_id_ = id + 1;
     }
     Snapshot::BucketRef ref;
     ref.bucket = std::move(rb.bucket);
@@ -186,7 +179,6 @@ void DynamicEngine::PublishLocked() {
   // Mirrors SpiralSearchPNN's spread computation (wmin/wmax seeds 1.0/0.0).
   s->wmin = live_weights_.empty() ? 1.0 : std::min(1.0, *live_weights_.begin());
   s->wmax = live_weights_.empty() ? 0.0 : *live_weights_.rbegin();
-  s->rho = s->wmax / s->wmin;
   auto view = std::make_shared<CombinedView>();
   view->parts.push_back(s);
   view->combined = std::move(s);
@@ -386,7 +378,7 @@ DynamicEngine::MaintenancePlan DynamicEngine::DecidePlanLocked() {
       const auto& bref = buckets_[i];
       for (size_t j = 0; j < bref.bucket->size(); ++j) {
         if (bref.dead && (*bref.dead)[j]) continue;
-        members.push_back({bref.bucket->ids()[j], &bref.bucket->points()[j]});
+        members.push_back({bref.bucket->id(j), &bref.bucket->points()[j]});
       }
     }
     std::sort(members.begin(), members.end(),
@@ -502,7 +494,7 @@ bool DynamicEngine::MaintenanceStep() {
           1, options_.build_chunk / std::max<size_t>(1, job.built->size()));
     }
     job.prewarm_done = std::min(job.prewarm_rounds, job.prewarm_done + per);
-    job.built->EnsureRounds(job.prewarm_done, options_.pool);
+    job.built->engine().EnsureRounds(job.prewarm_done, options_.pool);
     return true;
   }
 
@@ -533,21 +525,13 @@ void DynamicEngine::WaitForMaintenance() const {
 
 QuantifyPlan PlanForSnapshot(const Snapshot& snap, const Engine::Options& options,
                              double eps) {
-  if (snap.all_discrete()) {
-    size_t budget = SpiralSearchPNN::RetrievalBoundFor(snap.rho, snap.max_k, eps);
-    if (static_cast<double>(budget) <= options.spiral_budget_fraction *
-                                           static_cast<double>(snap.total_complexity)) {
-      return QuantifyPlan::kSpiral;
-    }
-  }
-  return QuantifyPlan::kMonteCarlo;
+  return PlanQuantify(snap, options, eps);
 }
 
 size_t McRoundsForSnapshot(const Snapshot& snap, const Engine::Options& options,
                            double eps) {
-  if (options.mc_rounds_override > 0) return options.mc_rounds_override;
-  return MonteCarloPNN::TheoreticalRounds(snap.live_count, snap.max_k, eps,
-                                          options.mc_delta);
+  return MonteCarloPNN::Rounds(snap.live_count, snap.max_k, eps, options.mc_delta,
+                               options.mc_rounds_override);
 }
 
 QuantifyPlan DynamicEngine::PlanForQuantify(std::optional<double> eps) const {

@@ -13,8 +13,8 @@
 // exceeds `max_dead_fraction` a compaction rebuilds the structure from the
 // live set. Merges and compactions can run as background jobs on an
 // exec::ThreadPool; structure versions are published with the atomic
-// shared_ptr snapshot pattern of Engine::EnsureMonteCarlo, so queries
-// never block on a rebuild.
+// shared_ptr snapshot pattern of Engine::EnsureRounds, so queries never
+// block on a rebuild.
 //
 // Equivalence contract: every query decomposes exactly across the
 // partition into buckets + tail —
@@ -25,7 +25,7 @@
 //     merged into the global distance order and fed through the same
 //     tie-grouped sweep (QuantifyPrefixSweep) a monolithic structure runs;
 //   * Monte-Carlo Quantify: samples are keyed by (seed, round, point id)
-//     (MonteCarloPNN::Options::stream_ids), so the per-round global NN is
+//     (each bucket engine's mc_stream_ids), so the per-round global NN is
 //     the cross-part argmin of per-part NNs over identical samples, exact
 //     ties going to the lowest id as in the static round trees;
 //   * QuantifyExact (discrete): per-part survival profiles multiply by the
@@ -35,7 +35,8 @@
 // ThresholdNN — regardless of the update history, the merge schedule, or
 // the thread count. The decompositions live in merge.h; the per-query
 // pipeline over them (eps, answer cache, plan rule) in view_query.h, which
-// the shard router answers through too.
+// the shard router and the static Engine's api::EngineRef answer through
+// too.
 
 #ifndef PNN_DYN_DYNAMIC_ENGINE_H_
 #define PNN_DYN_DYNAMIC_ENGINE_H_
@@ -57,8 +58,8 @@ namespace dyn {
 
 struct Options {
   /// Shared by every bucket's static engine: seed, eps defaults and the
-  /// spiral-vs-Monte-Carlo plan rule. mc_stream_ids is managed internally
-  /// and must stay empty.
+  /// spiral-vs-Monte-Carlo plan rule. mc_stream_ids must stay empty: each
+  /// bucket engine samples under its bucket's ids.
   Engine::Options engine;
   /// Live tail entries that trigger a bucket merge.
   size_t tail_limit = 64;
@@ -113,8 +114,11 @@ class AnswerCache;  // Per-snapshot cross-query answers (answer_cache.h).
 /// One immutable version of the structure. Queries snapshot it with a
 /// lock-free atomic load and are unaffected by concurrent updates or
 /// background rebuilds (old versions stay alive through the shared_ptrs a
-/// running query holds).
-struct Snapshot {
+/// running query holds). The SetAggregates base holds the live set's
+/// aggregates — exactly what a fresh static Engine over it derives, kept
+/// as counts and a min/max spread so partitions of snapshots (the shard
+/// router) recombine them without re-scanning every point.
+struct Snapshot : SetAggregates {
   struct BucketRef {
     std::shared_ptr<const Bucket> bucket;
     /// Tombstone mask in bucket-local indexing; null when nothing is dead.
@@ -142,23 +146,6 @@ struct Snapshot {
   /// tail_mc.
   std::shared_ptr<AnswerCache> answers;
 
-  // Aggregates over the live set, mirroring what a fresh static Engine
-  // derives at construction (pnn.cc / spiral.cc):
-  size_t live_count = 0;
-  size_t discrete_count = 0;
-  size_t continuous_count = 0;
-  size_t total_complexity = 0;  // Sum of description complexities.
-  size_t max_k = 1;             // max over live points of max(k, 1).
-  // Location-weight spread over the live set, with SpiralSearchPNN's
-  // seeding (wmin clamped to <= 1, wmax seeded 0). Kept alongside rho so
-  // partitions of snapshots (the shard router) can recombine the global
-  // spread by min/max instead of re-scanning every point.
-  double wmin = 1.0;
-  double wmax = 0.0;
-  double rho = 0.0;  // wmax / wmin.
-
-  bool all_discrete() const { return live_count > 0 && continuous_count == 0; }
-  bool all_continuous() const { return live_count > 0 && discrete_count == 0; }
   bool TailAlive(size_t index) const {
     return tail_dead == nullptr || (*tail_dead)[index] == 0;
   }
@@ -191,7 +178,7 @@ struct RecoveredBucket {
 /// spans instead of poking at engine internals.
 struct SnapshotIntrospection {
   struct BucketView {
-    const Bucket* bucket = nullptr;       // ids() / points() / engine().
+    const Bucket* bucket = nullptr;       // id() / points() / engine().
     const std::vector<char>* dead = nullptr;  // Null when fully alive.
     size_t live_count = 0;
   };
@@ -378,15 +365,16 @@ class DynamicEngine {
   std::unique_ptr<BuildJob> job_;
 };
 
-/// The spiral-vs-Monte-Carlo routing rule over a snapshot's aggregates —
-/// exactly what a fresh static Engine over the same live set would decide.
+/// The spiral-vs-Monte-Carlo routing rule (pnn::PlanQuantify) over a
+/// snapshot's aggregates — exactly what a fresh static Engine over the
+/// same live set decides.
 /// The query pipeline (view_query.h) applies it to a view's union
 /// snapshot; maintenance applies it before prewarming a new bucket.
 QuantifyPlan PlanForSnapshot(const Snapshot& snap, const Engine::Options& options,
                              double eps);
 
-/// Monte-Carlo rounds the plan above needs at this eps (the override, or
-/// MonteCarloPNN::TheoreticalRounds over the snapshot's live aggregates).
+/// Monte-Carlo rounds the plan above needs at this eps
+/// (MonteCarloPNN::Rounds over the snapshot's live aggregates).
 size_t McRoundsForSnapshot(const Snapshot& snap, const Engine::Options& options,
                            double eps);
 

@@ -50,7 +50,7 @@ void AppendNonzeroNNWithin(const Snapshot& snap, Point2 q, double bound, bool mi
       // index's unclamped d - r when both are negative — re-filter to
       // match exactly.
       if (mixed && !(b.points()[local].MinDistance(q) < bound)) continue;
-      out->push_back(b.ids()[local]);
+      out->push_back(b.id(local));
     }
   }
   if (snap.tail != nullptr) {
@@ -69,9 +69,22 @@ std::vector<Id> MergedNonzeroNN(const Snapshot& snap, Point2 q) {
   return out;
 }
 
+const Bucket* WholeBucket(const Snapshot& snap) {
+  if (snap.buckets.size() != 1) return nullptr;
+  const Bucket* b = snap.buckets[0].bucket.get();
+  bool whole = snap.buckets[0].live_count == b->size() && snap.live_count == b->size();
+  return whole ? b : nullptr;
+}
+
 void MergedNonzeroNNInto(const Snapshot& snap, Point2 q, std::vector<Id>* out) {
   out->clear();
   if (snap.live_count == 0) return;
+  if (const Bucket* whole = WholeBucket(snap)) {
+    const Engine& e = whole->engine();
+    e.NonzeroNNWithinInto(q, e.NonzeroDelta(q), nullptr, out);  // Ascending locals.
+    for (Id& id : *out) id = whole->id(id);
+    return;
+  }
   double bound = SnapshotNonzeroDelta(snap, q);
   bool mixed = snap.discrete_count > 0 && snap.continuous_count > 0;
   AppendNonzeroNNWithin(snap, q, bound, mixed, out);
@@ -84,7 +97,7 @@ UncertainSet SnapshotLiveSet(const Snapshot& snap, std::vector<Id>* ids) {
   for (const auto& bref : snap.buckets) {
     for (size_t j = 0; j < bref.bucket->size(); ++j) {
       if (bref.dead && (*bref.dead)[j]) continue;
-      live.push_back({bref.bucket->ids()[j], &bref.bucket->points()[j]});
+      live.push_back({bref.bucket->id(j), &bref.bucket->points()[j]});
     }
   }
   if (snap.tail != nullptr) {
@@ -137,7 +150,7 @@ struct Source {
       int o;
       if (stream->Next(&d, &o, &w)) {
         const SpiralSearchPNN* sp = bucket->engine().spiral();
-        cur = {d, bucket->ids()[o], w, sp->count(o)};
+        cur = {d, bucket->id(o), w, sp->count(o)};
         has = true;
       } else {
         has = false;
@@ -174,7 +187,7 @@ void MergedSpiralQuantifyInto(const Snapshot& snap, Point2 q, double eps,
   out->clear();
   if (snap.live_count == 0) return;  // Every part dead (or none): no stream.
   PNN_CHECK_MSG(snap.all_discrete(), "spiral merge needs an all-discrete live set");
-  size_t m = SpiralSearchPNN::RetrievalBoundFor(snap.rho, snap.max_k, eps);
+  size_t m = SpiralSearchPNN::RetrievalBoundFor(snap.rho(), snap.max_k, eps);
   m = std::min(m, snap.total_complexity);
 
   // Everything without a location tree — mixed buckets' live members (all
@@ -197,7 +210,7 @@ void MergedSpiralQuantifyInto(const Snapshot& snap, Point2 q, double eps,
       const auto& pts = bref.bucket->points();
       for (size_t j = 0; j < pts.size(); ++j) {
         if (bref.dead && (*bref.dead)[j]) continue;
-        AppendDiscreteLocations(pts[j], bref.bucket->ids()[j], q, &extra);
+        AppendDiscreteLocations(pts[j], bref.bucket->id(j), q, &extra);
       }
     }
   }
@@ -294,12 +307,20 @@ void MergedMonteCarloQuantifyInto(const Snapshot& snap, Point2 q, size_t rounds,
   out->clear();
   if (snap.live_count == 0) return;  // Every part dead: nothing to sample.
   PNN_CHECK(rounds > 0);
+  // With a pool, the per-round loop below fans out instead.
+  const Bucket* whole = WholeBucket(snap);
+  if (pool == nullptr && whole != nullptr) {
+    McQuantifyInto(*whole->engine().EnsureRounds(rounds, nullptr), rounds, whole->size(),
+                   q, out);
+    for (Quantification& e : *out) e.index = whole->id(e.index);
+    return;
+  }
   util::ScratchVec<std::shared_ptr<const McRounds>> mc_lease;
   std::vector<std::shared_ptr<const McRounds>>& mc = *mc_lease;
   mc.assign(snap.buckets.size(), nullptr);
   for (size_t b = 0; b < snap.buckets.size(); ++b) {
     if (snap.buckets[b].live_count > 0) {
-      mc[b] = snap.buckets[b].bucket->EnsureRounds(rounds, pool);
+      mc[b] = snap.buckets[b].bucket->engine().EnsureRounds(rounds, pool);
     }
   }
   // Tail samples come from the snapshot's cache (built once per snapshot,
@@ -347,7 +368,7 @@ void MergedMonteCarloQuantifyInto(const Snapshot& snap, Point2 q, size_t rounds,
       if (bref.live_count == 0) continue;
       double sq;
       int li = mc[b]->trees[r]->NearestSquared(q, &sq, bref.dead.get());
-      if (li >= 0) offer(sq, bref.bucket->ids()[li]);
+      if (li >= 0) offer(sq, bref.bucket->id(li));
     }
     if (ts != nullptr) {
       size_t m = ts->ids.size();
@@ -392,7 +413,7 @@ std::vector<Quantification> MergedQuantifyExact(const Snapshot& snap, Point2 q) 
     for (size_t j = 0; j < bref.bucket->size(); ++j) {
       if (bref.dead && (*bref.dead)[j]) continue;
       members.push_back(static_cast<int>(j));
-      ids.push_back(bref.bucket->ids()[j]);
+      ids.push_back(bref.bucket->id(j));
     }
     parts.push_back(QuantifyPartDiscrete(bref.bucket->points(), members, q));
     part_ids.push_back(std::move(ids));

@@ -21,13 +21,21 @@
 namespace pnn {
 namespace dyn {
 
+/// The snapshot's one bucket when it holds the whole live set (no
+/// tombstone, no live tail entry), else null: a static engine's view, or
+/// a fully compacted dynamic engine. Its engine is then the reference
+/// engine over the live set, so NonzeroNN and pool-less Monte Carlo ask
+/// it directly and name its answers by id.
+const Bucket* WholeBucket(const Snapshot& snap);
+
 /// NN!=0(q): global Delta(q) = min over parts, then per-part threshold
 /// reporting. Ascending ids.
 std::vector<Id> MergedNonzeroNN(const Snapshot& snap, Point2 q);
 
 /// MergedNonzeroNN writing into `out` (cleared first). Per-part reports
-/// land in scratch-arena buffers (Engine::NonzeroNNWithinInto), so with a
-/// warm arena and a warm output buffer this allocates nothing.
+/// land in scratch-arena buffers (Engine::NonzeroNNWithinInto; a
+/// WholeBucket's engine reports straight into `out`), so with a warm
+/// arena and a warm output buffer this allocates nothing.
 void MergedNonzeroNNInto(const Snapshot& snap, Point2 q, std::vector<Id>* out);
 
 /// Stage 1 of MergedNonzeroNN on its own: this snapshot's contribution to
@@ -66,7 +74,9 @@ void MergedSpiralQuantifyInto(const Snapshot& snap, Point2 q, double eps,
 /// round, the global nearest sample is the argmin over per-bucket nearest
 /// samples and the snapshot's cached tail samples (drawn directly when the
 /// snapshot carries no cache). Rounds fan out on `pool` when provided
-/// (results are round-indexed, so scheduling cannot change them).
+/// (results are round-indexed, so scheduling cannot change them). Without
+/// a pool, a WholeBucket is counted by McQuantifyInto over its engine's
+/// rounds, the same answer.
 std::vector<Quantification> MergedMonteCarloQuantify(const Snapshot& snap, Point2 q,
                                                      size_t rounds, uint64_t seed,
                                                      exec::ThreadPool* pool);

@@ -12,7 +12,7 @@
 // the shard router) starts a fresh empty cache, which is exactly the
 // required invalidation.
 //
-// Concurrency mirrors Bucket::EnsureRounds: extensions serialize on a
+// Concurrency mirrors Engine::EnsureRounds: extensions serialize on a
 // mutex, readers take lock-free atomic-shared_ptr snapshots, and an
 // extension copies the already-built prefix so winners stay bit-identical
 // at any rounds progression.

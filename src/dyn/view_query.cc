@@ -16,13 +16,21 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-double ResolveEps(const Engine::Options& options, std::optional<double> eps_opt) {
-  double eps = eps_opt.value_or(options.default_eps);
-  PNN_CHECK_MSG(eps > 0 && eps < 1, "eps must be in (0,1)");
-  return eps;
-}
-
 }  // namespace
+
+std::shared_ptr<const CombinedView> EngineView(const Engine* engine) {
+  const SetAggregates& agg = engine->aggregates();
+  auto snap = std::make_shared<Snapshot>();
+  snap->buckets.push_back(
+      {std::make_shared<const Bucket>(
+           std::shared_ptr<const Engine>(engine, [](const Engine*) {}), true),
+       nullptr, agg.live_count});
+  static_cast<SetAggregates&>(*snap) = agg;
+  auto view = std::make_shared<CombinedView>();
+  view->parts.push_back(snap);
+  view->combined = std::move(snap);
+  return view;
+}
 
 void NonzeroNNInto(const CombinedView& view, exec::ThreadPool* pool, Point2 q,
                    std::vector<Id>* out) {
@@ -42,7 +50,9 @@ void NonzeroNNInto(const CombinedView& view, exec::ThreadPool* pool, Point2 q,
   bool mixed = u.discrete_count > 0 && u.continuous_count > 0;
   size_t active = 0;
   for (const auto& part : parts) active += part->live_count > 0;
-  if (pool == nullptr || active <= 1) {
+  if (parts.size() == 1) {
+    MergedNonzeroNNInto(*parts[0], q, out);
+  } else if (pool == nullptr || active <= 1) {
     // Stage 1: the global Lemma 2.1 bound is the min over the parts';
     // stage 2: every part reports against it, straight into `out`.
     double bound = kInf;
@@ -144,7 +154,7 @@ void Prewarm(const CombinedView& view, const Engine::Options& options,
   if (PlanForSnapshot(snap, options, eps) != QuantifyPlan::kMonteCarlo) return;
   size_t rounds = McRoundsForSnapshot(snap, options, eps);
   for (const auto& bref : snap.buckets) {
-    if (bref.live_count > 0) bref.bucket->EnsureRounds(rounds, pool);
+    if (bref.live_count > 0) bref.bucket->engine().EnsureRounds(rounds, pool);
   }
   if (snap.tail_mc != nullptr) snap.tail_mc->Ensure(snap, rounds, options.seed);
 }

@@ -1,14 +1,15 @@
-// The one query pipeline of the mutable backends: every query kind
-// answered over a pinned CombinedView. DynamicEngine (a one-part view of
-// its snapshot), shard::ShardedEngine (one part per shard) and
-// api::EngineRef (pinned or live, either backend) all answer through the
-// functions below, so the per-query steps exist once:
-//   1. eps resolution against Engine::Options::default_eps (checked);
+// The one query pipeline of every backend: every query kind answered over
+// a pinned CombinedView. DynamicEngine (a one-part view of its snapshot),
+// shard::ShardedEngine (one part per shard) and api::EngineRef (any
+// backend, the static Engine through EngineView below) all answer through
+// the functions below, so the per-query steps exist once:
+//   1. eps resolution (pnn::ResolveEps, checked);
 //   2. the empty check (an empty view answers empty);
 //   3. the view's AnswerCache (lookup, then insert after evaluation);
 //   4. the spiral-vs-Monte-Carlo plan rule over the union's aggregates
 //      (PlanForSnapshot / McRoundsForSnapshot);
-//   5. the exact cross-part recombinations of merge.h.
+//   5. the exact cross-part recombinations of merge.h, reading every
+//      bucket engine's Monte-Carlo round cache (Engine::EnsureRounds).
 // Answers are a deterministic function of (view, options, query), so they
 // match a fresh static Engine over the view's live set bit-identically for
 // NonzeroNN / Quantify / ThresholdNN / MostLikelyNN, whatever the number
@@ -18,6 +19,7 @@
 #ifndef PNN_DYN_VIEW_QUERY_H_
 #define PNN_DYN_VIEW_QUERY_H_
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -27,6 +29,13 @@
 
 namespace pnn {
 namespace dyn {
+
+/// A one-part view over a static engine: one bucket that borrows `engine`
+/// under ids 0..n-1, with no tombstones, no tail and no AnswerCache, and
+/// the engine's own aggregates. Monte-Carlo queries read the engine's
+/// round cache, so the view and the engine's direct methods share one set
+/// of rounds. The engine must outlive the view.
+std::shared_ptr<const CombinedView> EngineView(const Engine* engine);
 
 /// NN!=0(q) over the view, ascending ids (Lemma 2.1), into `out` (cleared
 /// first). Two stages over view.parts: the global bound is the min of the

@@ -50,7 +50,6 @@ std::shared_ptr<const dyn::Snapshot> CombineSnapshots(
     c->wmin = std::min(c->wmin, s->wmin);
     c->wmax = std::max(c->wmax, s->wmax);
   }
-  c->rho = c->wmax / c->wmin;
   if (!tail->empty()) c->tail_mc = std::make_shared<dyn::TailMcCache>();
   // The union snapshot gets its own answer cache with the same lifecycle
   // as its tail_mc: any shard's publish invalidates the view (pointer
@@ -172,9 +171,10 @@ Id ShardedEngine::FinishRecovery(Id next_id_floor, const DuplicateResolver& reso
     std::shared_ptr<const dyn::Snapshot> snap = shards_[s]->snapshot();
     live[s].reserve(snap->live_count);
     for (const auto& bref : snap->buckets) {
-      const std::vector<Id>& ids = bref.bucket->ids();
-      for (size_t j = 0; j < ids.size(); ++j) {
-        if (bref.dead == nullptr || !(*bref.dead)[j]) live[s].push_back(ids[j]);
+      for (size_t j = 0; j < bref.bucket->size(); ++j) {
+        if (bref.dead == nullptr || !(*bref.dead)[j]) {
+          live[s].push_back(bref.bucket->id(j));
+        }
       }
     }
     if (snap->tail != nullptr) {
@@ -274,46 +274,31 @@ std::vector<std::shared_ptr<const dyn::Snapshot>> ShardedEngine::Grab() const {
 
 std::shared_ptr<const CombinedView> ShardedEngine::View() const {
   auto cached = std::atomic_load_explicit(&view_cache_, std::memory_order_acquire);
-  for (;;) {
+  if (cached != nullptr) {
+    // Validate: every shard's current snapshot must still be the cached
+    // part, read under an even, unchanged epoch. The cache holds each part
+    // alive, so a pointer match means "still that snapshot" — publishes
+    // always allocate a new object, and a freed address cannot recur while
+    // we pin it. A shard that moved on since the view was built
+    // mismatches, which is exactly the insert/erase/merge/rebalance
+    // invalidation; a rebalance move mid-flight falls through to Grab().
     uint64_t before = epoch_.load(std::memory_order_acquire);
-    if ((before & 1) == 0) {
-      if (cached != nullptr) {
-        // Validate: every shard's current snapshot must still be the
-        // cached part. The cache holds each part alive, so a pointer match
-        // means "still that snapshot" — publishes always allocate a new
-        // object, and a freed address cannot recur while we pin it. A
-        // shard that moved on since the view was built mismatches, which
-        // is exactly the insert/erase/merge/rebalance invalidation.
-        bool match = true;
-        for (size_t i = 0; i < shards_.size(); ++i) {
-          if (shards_[i]->snapshot().get() != cached->parts[i].get()) {
-            match = false;
-            break;
-          }
-        }
-        if (match && epoch_.load(std::memory_order_acquire) == before) {
-          view_hits_.fetch_add(1, std::memory_order_relaxed);
-          return cached;
-        }
-      }
-      std::vector<std::shared_ptr<const dyn::Snapshot>> parts;
-      parts.reserve(shards_.size());
-      for (const auto& s : shards_) parts.push_back(s->snapshot());
-      if (epoch_.load(std::memory_order_acquire) == before) {
-        auto view = std::make_shared<CombinedView>();
-        view->parts = std::move(parts);
-        view->combined = CombineSnapshots(view->parts, options_.shard.answer_cache);
-        std::atomic_store_explicit(&view_cache_,
-                                   std::shared_ptr<const CombinedView>(view),
-                                   std::memory_order_release);
-        view_misses_.fetch_add(1, std::memory_order_relaxed);
-        return view;
-      }
-      cached = std::atomic_load_explicit(&view_cache_, std::memory_order_acquire);
+    bool match = (before & 1) == 0;
+    for (size_t i = 0; match && i < shards_.size(); ++i) {
+      match = shards_[i]->snapshot().get() == cached->parts[i].get();
     }
-    // A rebalance move is mid-flight; retry like Grab().
-    std::this_thread::yield();
+    if (match && epoch_.load(std::memory_order_acquire) == before) {
+      view_hits_.fetch_add(1, std::memory_order_relaxed);
+      return cached;
+    }
   }
+  auto view = std::make_shared<CombinedView>();
+  view->parts = Grab();
+  view->combined = CombineSnapshots(view->parts, options_.shard.answer_cache);
+  std::atomic_store_explicit(&view_cache_, std::shared_ptr<const CombinedView>(view),
+                             std::memory_order_release);
+  view_misses_.fetch_add(1, std::memory_order_relaxed);
+  return view;
 }
 
 std::vector<Id> ShardedEngine::NonzeroNN(Point2 q) const {

@@ -155,7 +155,7 @@ std::string EncodeSegment(const dyn::Bucket& bucket) {
   uint8_t flags = (e.all_discrete() ? 1 : 0) | (e.all_continuous() ? 2 : 0);
   PutU8(&payload, flags);
   PutU64(&payload, e.total_complexity());
-  for (dyn::Id id : bucket.ids()) PutI64(&payload, id);
+  for (size_t j = 0; j < bucket.size(); ++j) PutI64(&payload, bucket.id(j));
   for (const UncertainPoint& p : points) EncodePoint(p, &payload);
   if (e.all_continuous()) {
     EncodeKdBlob(e.disk_index()->tree(), &payload);
@@ -267,31 +267,28 @@ std::shared_ptr<const dyn::Bucket> LoadSegment(const std::string& path,
   }
   UncertainSet points;
   points.reserve(n);
-  size_t seen_complexity = 0;
+  SetAggregates agg;
   for (uint64_t i = 0; i < n; ++i) {
     std::optional<UncertainPoint> p = DecodePoint(&r);
     if (!p.has_value()) {
       Fail(error, "segment: bad point encoding");
       return nullptr;
     }
-    if (p->is_discrete() != all_discrete && (all_discrete || all_continuous)) {
-      // A flagged-uniform segment must actually be uniform; mixed segments
-      // (flags == 0) accept both kinds.
-      Fail(error, "segment: point kind contradicts flags");
-      return nullptr;
-    }
-    seen_complexity += p->DescriptionComplexity();
+    agg.Add(*p);
     points.push_back(std::move(*p));
   }
-  if (seen_complexity != total_complexity) {
+  // The flags must describe the points: a flagged-uniform segment is
+  // uniform, and a mixed one (flags == 0) holds both kinds.
+  if (agg.all_discrete() != all_discrete || agg.all_continuous() != all_continuous) {
+    Fail(error, "segment: point kind contradicts flags");
+    return nullptr;
+  }
+  if (agg.total_complexity != total_complexity) {
     Fail(error, "segment: complexity mismatch");
     return nullptr;
   }
 
   Engine::Parts parts;
-  parts.all_discrete = all_discrete;
-  parts.all_continuous = all_continuous;
-  parts.total_complexity = total_complexity;
   if (all_continuous) {
     KdBlob disk;
     if (!DecodeKdBlob(&r, &disk) || disk.points.size() != n) {
@@ -321,30 +318,25 @@ std::shared_ptr<const dyn::Bucket> LoadSegment(const std::string& path,
       return nullptr;
     }
     // Owners / counts / weights / max_k / rho are reconstructed from the
-    // decoded points with EngineBuilder's exact kGatherDiscrete arithmetic
-    // (same seeds, same order), so they are bit-identical to a fresh build
-    // without occupying segment bytes.
+    // decoded points with EngineBuilder's exact arithmetic (SetAggregates,
+    // then kGatherDiscrete's order), so they are bit-identical to a fresh
+    // build without occupying segment bytes.
     std::vector<int> owners;
     std::vector<double> weights;
     std::vector<int> counts;
     owners.reserve(total_complexity);
     weights.reserve(total_complexity);
     counts.reserve(n);
-    size_t max_k = 1;
-    double wmin = 1.0, wmax = 0.0;
     for (uint64_t i = 0; i < n; ++i) {
       const DiscreteDistribution& d = points[i].discrete();
-      max_k = std::max(max_k, d.locations.size());
       counts.push_back(static_cast<int>(d.locations.size()));
       for (size_t s = 0; s < d.locations.size(); ++s) {
         owners.push_back(static_cast<int>(i));
         weights.push_back(d.weights[s]);
-        wmin = std::min(wmin, d.weights[s]);
-        wmax = std::max(wmax, d.weights[s]);
       }
     }
     parts.spiral = std::make_unique<SpiralSearchPNN>(
-        location.Adopt(), owners, weights, std::move(counts), max_k, wmax / wmin);
+        location.Adopt(), owners, weights, std::move(counts), agg.max_k, agg.rho());
     parts.discrete_index = std::make_unique<DiscreteNonzeroNNIndex>(
         std::move(hulls), centroid.AdoptMove(), location.AdoptMove(),
         std::move(owners));
@@ -355,10 +347,10 @@ std::shared_ptr<const dyn::Bucket> LoadSegment(const std::string& path,
   }
 
   Engine::Options options = engine_options;
-  options.mc_stream_ids.clear();  // Bucket engines never use their own MC path.
+  options.mc_stream_ids.assign(ids.begin(), ids.end());  // Buckets sample by id.
   std::unique_ptr<Engine> engine =
       Engine::FromParts(std::move(points), std::move(options), std::move(parts));
-  return std::make_shared<dyn::Bucket>(std::move(ids), std::move(engine));
+  return std::make_shared<dyn::Bucket>(std::move(engine));
 }
 
 }  // namespace store

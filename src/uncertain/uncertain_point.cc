@@ -303,6 +303,22 @@ size_t DiscretizationSamples(double alpha, double delta_prime) {
       std::ceil(std::log(2.0 / delta_prime) / (2.0 * alpha * alpha)));
 }
 
+void SetAggregates::Add(const UncertainPoint& p) {
+  ++live_count;
+  size_t k = p.DescriptionComplexity();
+  total_complexity += k;
+  max_k = std::max(max_k, std::max<size_t>(k, 1));
+  if (!p.is_discrete()) {
+    ++continuous_count;
+    return;
+  }
+  ++discrete_count;
+  for (double w : p.discrete().weights) {
+    wmin = std::min(wmin, w);
+    wmax = std::max(wmax, w);
+  }
+}
+
 std::vector<int> NonzeroNNBruteForce(const UncertainSet& points, Point2 q) {
   double min_max = std::numeric_limits<double>::infinity();
   for (const auto& p : points) min_max = std::min(min_max, p.MaxDistance(q));

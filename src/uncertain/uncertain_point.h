@@ -117,6 +117,26 @@ class UncertainPoint {
 /// Convenience alias: an input instance is a vector of uncertain points.
 using UncertainSet = std::vector<UncertainPoint>;
 
+/// Aggregates of a point set from one scan in index order: the inputs of
+/// the plan and round-count rules. EngineBuilder derives them while it
+/// scans; dyn::Snapshot carries the same values for its live set.
+struct SetAggregates {
+  size_t live_count = 0;  // Points in the set (all of a static engine's).
+  size_t discrete_count = 0;
+  size_t continuous_count = 0;
+  size_t total_complexity = 0;  // Sum of description complexities.
+  size_t max_k = 1;             // max over the points of max(k, 1).
+  // Location-weight spread with SpiralSearchPNN's seeding (wmin clamped
+  // to <= 1, wmax seeded 0), so rho() is the spiral structure's rho.
+  double wmin = 1.0;
+  double wmax = 0.0;
+
+  void Add(const UncertainPoint& p);
+  bool all_discrete() const { return live_count > 0 && continuous_count == 0; }
+  bool all_continuous() const { return live_count > 0 && discrete_count == 0; }
+  double rho() const { return wmax / wmin; }
+};
+
 /// Lemma 2.1 brute force: returns indices i with
 /// delta_i(q) < min_j Delta_j(q); the ground truth for NN!=0 queries.
 std::vector<int> NonzeroNNBruteForce(const UncertainSet& points, Point2 q);

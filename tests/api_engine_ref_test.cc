@@ -10,11 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <limits>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/api/query.h"
@@ -76,6 +78,19 @@ void ExpectAgreesWithDirect(const EngineRef& ref, Backend& direct, Point2 q,
   }
 }
 
+UncertainSet RandomUniformDisks(int n, Rng* rng) {
+  UncertainSet pts;
+  for (int i = 0; i < n; ++i) {
+    pts.push_back(UncertainPoint::UniformDisk(
+        {rng->Uniform(-20, 20), rng->Uniform(-20, 20)}, rng->Uniform(0.5, 3.0)));
+  }
+  return pts;
+}
+
+// The static backend answers through the view pipeline over a one-part
+// view of the engine; it must agree with the engine's own methods on both
+// plans. Discrete points take the spiral plan; uniform disks take Monte
+// Carlo at eps 0.2, then 0.1 (extending the shared round cache), then 0.2.
 TEST(ApiEngineRef, StaticBackendMatchesDirect) {
   Rng rng(501);
   auto pts = ToUniformUncertain(RandomDiscreteLocations(40, 3, 25, 4, &rng));
@@ -83,10 +98,66 @@ TEST(ApiEngineRef, StaticBackendMatchesDirect) {
   EngineRef ref(&engine);
   EXPECT_EQ(ref.backend(), EngineRef::Backend::kStatic);
   EXPECT_FALSE(ref.supports_updates());
+  ASSERT_EQ(engine.PlanForQuantify(0.1), QuantifyPlan::kSpiral);
   for (int i = 0; i < 40; ++i) {
     Point2 q{rng.Uniform(-30, 30), rng.Uniform(-30, 30)};
     ExpectAgreesWithDirect(ref, engine, q, 0.1, /*exact_ok=*/true);
   }
+
+  Engine disks(RandomUniformDisks(40, &rng));
+  EngineRef disks_ref(&disks);
+  ASSERT_EQ(disks_ref.PlanForQuantify(0.2), QuantifyPlan::kMonteCarlo);
+  for (double eps : {0.2, 0.1, 0.2}) {
+    for (int i = 0; i < 20; ++i) {
+      Point2 q{rng.Uniform(-22, 22), rng.Uniform(-22, 22)};
+      // Quadrature over 40 disks is slow; a few exact queries suffice.
+      ExpectAgreesWithDirect(disks_ref, disks, q, eps, /*exact_ok=*/i < 2);
+    }
+  }
+}
+
+// Four threads call one un-prewarmed static EngineRef at staggered eps, so
+// the engine's round cache extends while other calls read it. Every answer
+// must equal a single-threaded replay on a fresh engine.
+TEST(ApiEngineRef, StaticRoundsExtendUnderConcurrentCalls) {
+  Rng rng(509);
+  UncertainSet pts = RandomUniformDisks(60, &rng);
+  std::vector<Point2> queries;
+  for (int i = 0; i < 24; ++i) {
+    queries.push_back({rng.Uniform(-22, 22), rng.Uniform(-22, 22)});
+  }
+  const double kEps[] = {0.3, 0.2, 0.15, 0.1};
+  constexpr int kThreads = 4;
+  auto eps_of = [&](int t, size_t i) { return kEps[(t + i) % 4]; };
+
+  Engine engine(pts);
+  EngineRef ref(&engine);
+  ASSERT_EQ(engine.MonteCarloRounds(), 0u);
+  std::vector<std::vector<QueryResponse>> got(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      EngineRef copy = ref;
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (size_t i = 0; i < queries.size(); ++i) {
+        got[t].push_back(copy.Call(QueryRequest::Quantify(queries[i], eps_of(t, i))));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  Engine replay_engine(pts);
+  EngineRef replay(&replay_engine);
+  for (int t = 0; t < kThreads; ++t) {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      QueryResponse want = replay.Call(QueryRequest::Quantify(queries[i], eps_of(t, i)));
+      ASSERT_TRUE(got[t][i].ok()) << got[t][i].message;
+      ExpectIdenticalQuants(got[t][i].quants, want.quants);
+    }
+  }
+  EXPECT_EQ(engine.MonteCarloRounds(), replay_engine.MonteCarloRounds());
 }
 
 TEST(ApiEngineRef, StaticBackendRejectsUpdates) {

@@ -30,17 +30,16 @@ UncertainPoint TestPoint(Rng* rng) {
 std::vector<Id> IntrospectedLiveIds(const SnapshotIntrospection& in) {
   std::vector<Id> live;
   for (const SnapshotIntrospection::BucketView& bv : in.buckets) {
-    const std::vector<Id>& ids = bv.bucket->ids();
     size_t bucket_live = 0;
-    for (size_t i = 0; i < ids.size(); ++i) {
+    for (size_t i = 0; i < bv.bucket->size(); ++i) {
       if (bv.dead == nullptr || (*bv.dead)[i] == 0) {
-        live.push_back(ids[i]);
+        live.push_back(bv.bucket->id(i));
         ++bucket_live;
       }
     }
     EXPECT_EQ(bucket_live, bv.live_count);
     if (bv.dead != nullptr) {
-      EXPECT_EQ(bv.dead->size(), ids.size());
+      EXPECT_EQ(bv.dead->size(), bv.bucket->size());
     }
   }
   EXPECT_NE(in.tail, nullptr);

@@ -13,6 +13,7 @@
 
 #include "src/dyn/merge.h"
 #include "src/dyn/tail_cache.h"
+#include "src/exec/thread_pool.h"
 #include "src/workload/generators.h"
 
 namespace pnn {
@@ -270,6 +271,54 @@ TEST(MergedEdges, HandBuiltTailWithoutCacheMatchesCachedTail) {
     tail_won |= local[i].index >= 4;
   }
   EXPECT_TRUE(tail_won);
+}
+
+TEST(MergedEdges, WholeBucketMatchesGeneralMerge) {
+  // A snapshot that is one whole bucket is answered by the bucket engine
+  // itself (NonzeroNN; Monte Carlo without a pool). The general merge must
+  // agree bit-identically and under the same ids: here reached through a
+  // pool, or through a second, fully tombstoned bucket beside it.
+  Rng rng(41);
+  std::vector<Id> ids;
+  UncertainSet points;
+  for (int i = 0; i < 30; ++i) {
+    ids.push_back(3 * i + 2);
+    Point2 c{rng.Uniform(0, 4), rng.Uniform(0, 4)};
+    points.push_back(i % 3 == 0 ? Loc(c.x, c.y) : UncertainPoint::UniformDisk(c, 1));
+  }
+  auto bucket = std::make_shared<const Bucket>(ids, points, Engine::Options{});
+  Snapshot whole;
+  whole.buckets.push_back({bucket, nullptr, ids.size()});
+  whole.live_count = ids.size();
+  whole.discrete_count = 10;
+  whole.continuous_count = 20;
+  Snapshot split = whole;
+  split.buckets.push_back(
+      {std::make_shared<const Bucket>(std::vector<Id>{200}, UncertainSet{Loc(2, 2)},
+                                      Engine::Options{}),
+       std::make_shared<const std::vector<char>>(std::vector<char>{1}), 0});
+  ASSERT_EQ(WholeBucket(whole), bucket.get());
+  ASSERT_EQ(WholeBucket(split), nullptr);
+
+  exec::ThreadPool pool(2);
+  for (Point2 q : {Point2{2, 2}, Point2{0.5, 3}, Point2{6, -1}}) {
+    std::vector<Id> nonzero = MergedNonzeroNN(whole, q);
+    ASSERT_FALSE(nonzero.empty());
+    EXPECT_EQ(nonzero, MergedNonzeroNN(split, q));
+    for (Id id : nonzero) EXPECT_EQ(id % 3, 2);
+
+    std::vector<Quantification> mc = MergedMonteCarloQuantify(whole, q, 64, 1, nullptr);
+    ASSERT_FALSE(mc.empty());
+    for (const auto& other : {MergedMonteCarloQuantify(whole, q, 64, 1, &pool),
+                              MergedMonteCarloQuantify(split, q, 64, 1, nullptr)}) {
+      ASSERT_EQ(mc.size(), other.size());
+      for (size_t i = 0; i < mc.size(); ++i) {
+        EXPECT_EQ(mc[i].index, other[i].index);
+        EXPECT_EQ(mc[i].probability, other[i].probability);
+        EXPECT_EQ(mc[i].index % 3, 2);
+      }
+    }
+  }
 }
 
 TEST(MergedEdges, DeadBucketAlongsideLiveTail) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/gamma/gamma_curves.h"
+#include "src/dyn/dynamic_engine.h"
 #include "src/workload/generators.h"
 
 namespace pnn {
@@ -104,6 +105,44 @@ TEST(Engine, ExpectedDistanceNNDiffersFromMostLikely) {
   for (const auto& e : exact) pi[e.index] = e.probability;
   EXPECT_NEAR(pi[0], 0.6, 1e-12);               // ...but P_0 wins 60/40.
   EXPECT_EQ(engine.MostLikelyNN(q, 0.01), 0);
+}
+
+// A Monte-Carlo answer depends on (points, options, q, eps) only: a
+// Quantify at a tighter eps extends the engine's round cache, and a later
+// query at a looser eps still counts exactly its own first rounds(eps)
+// trees — as a fresh engine and a DynamicEngine over the same points do.
+TEST(Engine, QuantifyIgnoresEarlierTighterEps) {
+  Rng rng(3);
+  UncertainSet pts;
+  for (int i = 0; i < 40; ++i) {
+    pts.push_back(UncertainPoint::UniformDisk(
+        {rng.Uniform(-20, 20), rng.Uniform(-20, 20)}, rng.Uniform(0.5, 3.0)));
+  }
+  std::vector<Point2> queries;
+  for (int i = 0; i < 50; ++i) {
+    queries.push_back({rng.Uniform(-22, 22), rng.Uniform(-22, 22)});
+  }
+  Engine fresh(pts);
+  Engine used(pts);
+  dyn::DynamicEngine dynamic(pts);
+  ASSERT_EQ(fresh.PlanForQuantify(0.2), QuantifyPlan::kMonteCarlo);
+  used.Quantify(queries[0], 0.1);
+  fresh.Prewarm(0.2);
+  ASSERT_GT(used.MonteCarloRounds(), fresh.MonteCarloRounds());
+
+  auto expect_identical = [](const std::vector<Quantification>& got,
+                             const std::vector<Quantification>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].index, want[i].index);
+      EXPECT_EQ(got[i].probability, want[i].probability);
+    }
+  };
+  for (Point2 q : queries) {
+    std::vector<Quantification> want = fresh.Quantify(q, 0.2);
+    expect_identical(used.Quantify(q, 0.2), want);
+    expect_identical(dynamic.Quantify(q, 0.2), want);
+  }
 }
 
 TEST(Engine, RejectsInvalidEps) {

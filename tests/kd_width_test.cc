@@ -312,7 +312,7 @@ TEST(KdWidth, McRoundTreesHonorWidth) {
     auto snap = engine.snapshot();
     ASSERT_FALSE(snap->buckets.empty());
     for (const auto& bref : snap->buckets) {
-      auto rounds = bref.bucket->EnsureRounds(kRounds, nullptr);
+      auto rounds = bref.bucket->engine().EnsureRounds(kRounds);
       for (const auto& tree : rounds->trees) expect_width(*tree, width);
     }
   }

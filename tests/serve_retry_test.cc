@@ -88,9 +88,9 @@ class BlackHole {
   ~BlackHole() {
     shutdown(listen_fd_, SHUT_RDWR);
     close(listen_fd_);
-    if (conn_fd_ >= 0) shutdown(conn_fd_, SHUT_RDWR);
+    if (int fd = conn_fd_.load(); fd >= 0) shutdown(fd, SHUT_RDWR);
     if (thread_.joinable()) thread_.join();
-    if (conn_fd_ >= 0) close(conn_fd_);
+    if (int fd = conn_fd_.load(); fd >= 0) close(fd);
   }
 
   uint16_t port() const { return port_; }
@@ -98,21 +98,23 @@ class BlackHole {
 
  private:
   void Run() {
-    conn_fd_ = accept(listen_fd_, nullptr, nullptr);
-    if (conn_fd_ < 0) return;
+    int fd = accept(listen_fd_, nullptr, nullptr);
+    conn_fd_.store(fd);
+    if (fd < 0) return;
     FrameBuffer rx;
     std::string payload;
     char buf[4096];
     for (;;) {
       while (rx.Next(&payload) == FrameBuffer::Result::kFrame) ++frames_;
-      ssize_t r = read(conn_fd_, buf, sizeof(buf));
+      ssize_t r = read(fd, buf, sizeof(buf));
       if (r <= 0) return;
       rx.Append(buf, static_cast<size_t>(r));
     }
   }
 
   int listen_fd_ = -1;
-  int conn_fd_ = -1;
+  // Written by the accept thread, read by the destructor.
+  std::atomic<int> conn_fd_{-1};
   uint16_t port_ = 0;
   std::atomic<int> frames_{0};
   std::thread thread_;

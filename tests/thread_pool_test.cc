@@ -88,7 +88,8 @@ TEST(ThreadPool, SingleWorkerStillCompletes) {
 
 TEST(ThreadPool, ParallelForUnderHeldLockNeverSelfDeadlocks) {
   // Tasks lock a shared mutex and run ParallelFor while holding it — the
-  // shape of the lazy structure builds (EnsureMonteCarlo, EnsureRounds).
+  // shape of the lazy structure builds (Engine::EnsureRounds,
+  // EnsureExpectedNN).
   // ParallelFor must never execute unrelated stolen tasks on the calling
   // thread mid-wait, or a stolen sibling would re-lock the held mutex on
   // the same thread and self-deadlock.
