@@ -5,12 +5,29 @@
 #include <utility>
 
 #include "src/dyn/answer_cache.h"
+#include "src/dyn/merge.h"
 #include "src/dyn/tail_cache.h"
 #include "src/dyn/view_query.h"
 #include "src/util/check.h"
 
 namespace pnn {
 namespace dyn {
+
+namespace {
+
+// The bulk constructor's ids: 0..n-1.
+std::vector<Id> FirstIds(size_t n) {
+  std::vector<Id> ids(n);
+  for (size_t i = 0; i < n; ++i) ids[i] = static_cast<Id>(i);
+  return ids;
+}
+
+// A point's entry in live_ks_: max(k, 1), as SetAggregates ranks it.
+size_t RankedComplexity(const UncertainPoint& p) {
+  return std::max<size_t>(p.DescriptionComplexity(), 1);
+}
+
+}  // namespace
 
 // What one maintenance round will build: either a tail merge (the frozen
 // tail plus every bucket the doubling rule absorbs) or a full compaction
@@ -55,19 +72,7 @@ DynamicEngine::DynamicEngine(Options options) : options_(std::move(options)) {
 }
 
 DynamicEngine::DynamicEngine(const UncertainSet& initial, Options options)
-    : DynamicEngine(std::move(options)) {
-  if (initial.empty()) return;
-  std::unique_lock<std::mutex> lock(mu_);
-  std::vector<Id> ids(initial.size());
-  for (size_t i = 0; i < initial.size(); ++i) {
-    ids[i] = next_id_++;
-    live_.emplace(ids[i], initial[i]);
-    AddAggregatesLocked(initial[i]);
-  }
-  auto bucket = std::make_shared<const Bucket>(std::move(ids), initial, options_.engine);
-  buckets_.push_back({bucket, nullptr, bucket->size()});
-  PublishLocked();
-}
+    : DynamicEngine(FirstIds(initial.size()), initial, std::move(options)) {}
 
 DynamicEngine::DynamicEngine(std::vector<Id> ids, const UncertainSet& points,
                              Options options)
@@ -78,9 +83,9 @@ DynamicEngine::DynamicEngine(std::vector<Id> ids, const UncertainSet& points,
   for (size_t i = 0; i < points.size(); ++i) {
     PNN_CHECK_MSG(ids[i] >= 0 && (i == 0 || ids[i] > ids[i - 1]),
                   "bulk ids must be nonnegative, ascending and unique");
-    live_.emplace(ids[i], points[i]);
     AddAggregatesLocked(points[i]);
   }
+  PNN_CHECK_MSG(ids.back() < std::numeric_limits<Id>::max(), "id space exhausted");
   next_id_ = ids.back() + 1;
   auto bucket = std::make_shared<const Bucket>(std::move(ids), points, options_.engine);
   buckets_.push_back({bucket, nullptr, bucket->size()});
@@ -92,53 +97,50 @@ DynamicEngine::DynamicEngine(std::vector<RecoveredBucket> recovered,
     : DynamicEngine(std::move(options)) {
   PNN_CHECK_MSG(next_id_floor >= 0, "next_id_floor must be nonnegative");
   std::unique_lock<std::mutex> lock(mu_);
-  // Aggregates are bulk-built below: element-wise multiset inserts
-  // (AddAggregatesLocked) are the recovery bottleneck at scale, while
-  // range-constructing from a sorted vector is linear.
-  std::vector<double> all_weights;
-  std::vector<size_t> all_ks;
   for (RecoveredBucket& rb : recovered) {
     PNN_CHECK_MSG(rb.bucket != nullptr, "recovered bucket must not be null");
-    const UncertainSet& pts = rb.bucket->points();
-    PNN_CHECK_MSG(rb.dead.empty() || rb.dead.size() == pts.size(),
+    PNN_CHECK_MSG(rb.dead.empty() || rb.dead.size() == rb.bucket->size(),
                   "recovered dead mask must parallel the bucket");
-    size_t live = 0;
-    for (size_t i = 0; i < pts.size(); ++i) {
-      if (!rb.dead.empty() && rb.dead[i]) continue;
-      // Hinted: segment ids ascend, so append is amortized O(1); the
-      // size delta still catches duplicate ids across buckets.
-      size_t before = live_.size();
-      Id id = rb.bucket->id(i);
-      live_.emplace_hint(live_.end(), id, pts[i]);
-      PNN_CHECK_MSG(live_.size() == before + 1,
-                    "recovered buckets hold a duplicate live id");
-      const UncertainPoint& p = pts[i];
-      if (p.is_discrete()) {
-        ++discrete_count_;
-        const auto& d = p.discrete();
-        all_weights.insert(all_weights.end(), d.weights.begin(),
-                           d.weights.end());
-      } else {
-        ++continuous_count_;
-      }
-      total_complexity_ += p.DescriptionComplexity();
-      all_ks.push_back(std::max<size_t>(p.DescriptionComplexity(), 1));
-      ++live;
-      if (id >= next_id_) next_id_ = id + 1;
-    }
     Snapshot::BucketRef ref;
+    ref.live_count = rb.dead.empty() ? rb.bucket->size()
+                                     : static_cast<size_t>(std::count(
+                                           rb.dead.begin(), rb.dead.end(), 0));
     ref.bucket = std::move(rb.bucket);
     ref.dead = rb.dead.empty()
                    ? nullptr
                    : std::make_shared<const std::vector<char>>(std::move(rb.dead));
-    ref.live_count = live;
     buckets_.push_back(std::move(ref));
   }
-  std::sort(all_weights.begin(), all_weights.end());
-  live_weights_ = std::multiset<double>(all_weights.begin(), all_weights.end());
-  std::sort(all_ks.begin(), all_ks.end());
-  live_ks_ = std::multiset<size_t>(all_ks.begin(), all_ks.end());
-  if (next_id_floor > next_id_) next_id_ = next_id_floor;
+  std::vector<LiveMember> live = GatherLive(buckets_, nullptr, nullptr);
+  // The multisets are bulk-built: element-wise inserts
+  // (AddAggregatesLocked) are the recovery bottleneck at scale, while
+  // range-constructing from a sorted vector is linear.
+  std::vector<double> weights;
+  std::vector<size_t> ks;
+  ks.reserve(live.size());
+  for (const LiveMember& m : live) {
+    agg_.Add(*m.point);
+    ks.push_back(RankedComplexity(*m.point));
+    if (m.point->is_discrete()) {
+      const std::vector<double>& w = m.point->discrete().weights;
+      weights.insert(weights.end(), w.begin(), w.end());
+    }
+  }
+  std::sort(weights.begin(), weights.end());
+  live_weights_ = std::multiset<double>(weights.begin(), weights.end());
+  std::sort(ks.begin(), ks.end());
+  live_ks_ = std::multiset<size_t>(ks.begin(), ks.end());
+  // An id is live in one place only; sorted, a duplicate is adjacent.
+  PNN_CHECK_MSG(std::adjacent_find(live.begin(), live.end(),
+                                   [](const LiveMember& a, const LiveMember& b) {
+                                     return a.id == b.id;
+                                   }) == live.end(),
+                "recovered buckets hold a duplicate live id");
+  if (!live.empty()) {
+    PNN_CHECK_MSG(live.back().id < std::numeric_limits<Id>::max(), "id space exhausted");
+    next_id_ = live.back().id + 1;
+  }
+  next_id_ = std::max(next_id_, next_id_floor);
   PublishLocked();
 }
 
@@ -168,17 +170,10 @@ void DynamicEngine::PublishLocked() {
                      ? nullptr
                      : std::make_shared<const std::vector<char>>(tail_dead_mask_);
   if (tail_.size() > tail_dead_count_) s->tail_mc = std::make_shared<TailMcCache>();
-  if (options_.answer_cache && !live_.empty()) {
+  if (options_.answer_cache && agg_.live_count > 0) {
     s->answers = std::make_shared<AnswerCache>();
   }
-  s->live_count = live_.size();
-  s->discrete_count = discrete_count_;
-  s->continuous_count = continuous_count_;
-  s->total_complexity = total_complexity_;
-  s->max_k = live_ks_.empty() ? 1 : *live_ks_.rbegin();
-  // Mirrors SpiralSearchPNN's spread computation (wmin/wmax seeds 1.0/0.0).
-  s->wmin = live_weights_.empty() ? 1.0 : std::min(1.0, *live_weights_.begin());
-  s->wmax = live_weights_.empty() ? 0.0 : *live_weights_.rbegin();
+  static_cast<SetAggregates&>(*s) = agg_;
   auto view = std::make_shared<CombinedView>();
   view->parts.push_back(s);
   view->combined = std::move(s);
@@ -187,28 +182,26 @@ void DynamicEngine::PublishLocked() {
 }
 
 void DynamicEngine::AddAggregatesLocked(const UncertainPoint& p) {
+  agg_.Add(p);
+  live_ks_.insert(RankedComplexity(p));
   if (p.is_discrete()) {
-    ++discrete_count_;
-    const auto& d = p.discrete();
-    for (double w : d.weights) live_weights_.insert(w);
-  } else {
-    ++continuous_count_;
+    live_weights_.insert(p.discrete().weights.begin(), p.discrete().weights.end());
   }
-  total_complexity_ += p.DescriptionComplexity();
-  live_ks_.insert(std::max<size_t>(p.DescriptionComplexity(), 1));
 }
 
 void DynamicEngine::RemoveAggregatesLocked(const UncertainPoint& p) {
+  --agg_.live_count;
+  --(p.is_discrete() ? agg_.discrete_count : agg_.continuous_count);
+  agg_.total_complexity -= p.DescriptionComplexity();
+  live_ks_.erase(live_ks_.find(RankedComplexity(p)));
   if (p.is_discrete()) {
-    --discrete_count_;
-    for (double w : p.discrete().weights) {
-      live_weights_.erase(live_weights_.find(w));
-    }
-  } else {
-    --continuous_count_;
+    for (double w : p.discrete().weights) live_weights_.erase(live_weights_.find(w));
   }
-  total_complexity_ -= p.DescriptionComplexity();
-  live_ks_.erase(live_ks_.find(std::max<size_t>(p.DescriptionComplexity(), 1)));
+  // The extremes, re-read under SetAggregates' seeds (max_k 1, wmin <= 1,
+  // wmax 0).
+  agg_.max_k = live_ks_.empty() ? 1 : *live_ks_.rbegin();
+  agg_.wmin = live_weights_.empty() ? 1.0 : std::min(1.0, *live_weights_.begin());
+  agg_.wmax = live_weights_.empty() ? 0.0 : *live_weights_.rbegin();
 }
 
 Id DynamicEngine::Insert(UncertainPoint point) {
@@ -224,7 +217,9 @@ Id DynamicEngine::Insert(UncertainPoint point) {
 void DynamicEngine::InsertWithId(Id id, UncertainPoint point) {
   std::unique_lock<std::mutex> lock(mu_);
   PNN_CHECK_MSG(id >= 0, "ids must be nonnegative");
-  PNN_CHECK_MSG(live_.count(id) == 0, "InsertWithId id is already live");
+  PNN_CHECK_MSG(id < std::numeric_limits<Id>::max(), "id space exhausted");
+  size_t part, index;
+  PNN_CHECK_MSG(!FindLiveLocked(id, &part, &index), "InsertWithId id is already live");
   // A tombstoned copy of this id may still sit in a bucket or the tail
   // (shard migration round trip); deadness is positional, so appending a
   // fresh live entry alongside it is exact.
@@ -236,49 +231,53 @@ void DynamicEngine::InsertWithId(Id id, UncertainPoint point) {
 
 void DynamicEngine::InsertEntryLocked(Id id, UncertainPoint point) {
   AddAggregatesLocked(point);
-  tail_.push_back({id, point});
+  tail_.push_back({id, std::move(point)});
   tail_dead_mask_.push_back(0);
-  live_.emplace(id, std::move(point));
+}
+
+bool DynamicEngine::FindLiveLocked(Id id, size_t* part, size_t* index) const {
+  // Dead-masked copies of the same id may linger in buckets and the tail
+  // after a shard migration round trip; only the unmasked one is live.
+  for (size_t b = 0; b < buckets_.size(); ++b) {
+    const Snapshot::BucketRef& bref = buckets_[b];
+    int local = bref.live_count == 0 ? -1 : bref.bucket->LocalIndex(id);
+    if (local < 0 || (bref.dead && (*bref.dead)[local])) continue;
+    *part = b;
+    *index = static_cast<size_t>(local);
+    return true;
+  }
+  for (size_t i = 0; i < tail_.size(); ++i) {
+    if (tail_[i].id == id && tail_dead_mask_[i] == 0) {
+      *part = buckets_.size();
+      *index = i;
+      return true;
+    }
+  }
+  return false;
 }
 
 bool DynamicEngine::IsLive(Id id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return live_.count(id) != 0;
+  size_t part, index;
+  return FindLiveLocked(id, &part, &index);
 }
 
 bool DynamicEngine::Erase(Id id) {
   std::unique_lock<std::mutex> lock(mu_);
-  auto it = live_.find(id);
-  if (it == live_.end()) return false;
-  RemoveAggregatesLocked(it->second);
-  live_.erase(it);
-
-  // Find the live copy: dead-masked copies of the same id may linger in
-  // buckets (and the tail) after a shard migration round trip; skip them.
-  bool in_bucket = false;
-  for (auto& bref : buckets_) {
-    int local = bref.bucket->LocalIndex(id);
-    if (local < 0) continue;
-    if (bref.dead && (*bref.dead)[local]) continue;  // Stale tombstoned copy.
+  size_t part, index;
+  if (!FindLiveLocked(id, &part, &index)) return false;
+  if (part < buckets_.size()) {
+    Snapshot::BucketRef& bref = buckets_[part];
+    RemoveAggregatesLocked(bref.bucket->points()[index]);
     auto mask = bref.dead ? std::make_shared<std::vector<char>>(*bref.dead)
                           : std::make_shared<std::vector<char>>(bref.bucket->size(), 0);
-    (*mask)[local] = 1;
+    (*mask)[index] = 1;
     bref.dead = std::move(mask);
     --bref.live_count;
-    in_bucket = true;
-    break;
-  }
-  if (!in_bucket) {
-    bool in_tail = false;
-    for (size_t i = 0; i < tail_.size(); ++i) {
-      if (tail_[i].id == id && tail_dead_mask_[i] == 0) {
-        tail_dead_mask_[i] = 1;
-        ++tail_dead_count_;
-        in_tail = true;
-        break;
-      }
-    }
-    PNN_CHECK_MSG(in_tail, "live id missing from both buckets and tail");
+  } else {
+    RemoveAggregatesLocked(tail_[index].point);
+    tail_dead_mask_[index] = 1;
+    ++tail_dead_count_;
   }
   if (building_) erased_during_build_.push_back(id);
 
@@ -287,18 +286,19 @@ bool DynamicEngine::Erase(Id id) {
   return true;
 }
 
-bool DynamicEngine::MaintenanceNeededLocked() const {
+bool DynamicEngine::CompactionDueLocked() const {
   size_t total = tail_.size();
   size_t dead = tail_dead_count_;
   for (const auto& bref : buckets_) {
     total += bref.bucket->size();
     dead += bref.bucket->size() - bref.live_count;
   }
-  if (dead >= 8 && static_cast<double>(dead) >
-                       options_.max_dead_fraction * static_cast<double>(total)) {
-    return true;
-  }
-  return tail_.size() - tail_dead_count_ >= options_.tail_limit;
+  return dead >= 8 && static_cast<double>(dead) >
+                          options_.max_dead_fraction * static_cast<double>(total);
+}
+
+bool DynamicEngine::MaintenanceNeededLocked() const {
+  return CompactionDueLocked() || tail_.size() - tail_dead_count_ >= options_.tail_limit;
 }
 
 void DynamicEngine::MaybeStartMaintenanceLocked(std::unique_lock<std::mutex>& lock) {
@@ -331,69 +331,42 @@ void DynamicEngine::MaintenanceChain() {
 
 DynamicEngine::MaintenancePlan DynamicEngine::DecidePlanLocked() {
   MaintenancePlan plan;
-  size_t total = tail_.size();
-  size_t dead = tail_dead_count_;
-  for (const auto& bref : buckets_) {
-    total += bref.bucket->size();
-    dead += bref.bucket->size() - bref.live_count;
-  }
-  if (dead >= 8 && static_cast<double>(dead) >
-                       options_.max_dead_fraction * static_cast<double>(total)) {
-    // Compaction: rebuild the whole structure from the live set.
-    plan.any = true;
-    plan.frozen_tail = tail_.size();
-    for (size_t i = 0; i < buckets_.size(); ++i) plan.absorbed.push_back(i);
-    plan.ids.reserve(live_.size());
-    plan.points.reserve(live_.size());
-    for (const auto& [id, p] : live_) {
-      plan.ids.push_back(id);
-      plan.points.push_back(p);
-    }
-  } else if (tail_.size() - tail_dead_count_ >= options_.tail_limit) {
-    // Tail merge with the Bentley–Saxe doubling rule: absorb every bucket
-    // no larger than the accumulated merge, so an absorbed bucket at least
-    // doubles — each point is rebuilt O(log n) times.
-    plan.any = true;
-    plan.frozen_tail = tail_.size();
-    std::vector<std::pair<Id, const UncertainPoint*>> members;
-    for (size_t i = 0; i < tail_.size(); ++i) {
-      if (tail_dead_mask_[i] == 0) members.push_back({tail_[i].id, &tail_[i].point});
-    }
-    size_t merged = members.size();
-    std::vector<char> take(buckets_.size(), 0);
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (size_t i = 0; i < buckets_.size(); ++i) {
-        if (!take[i] && buckets_[i].live_count <= merged) {
-          take[i] = 1;
-          merged += buckets_[i].live_count;
-          changed = true;
-        }
-      }
-    }
+  if (!MaintenanceNeededLocked()) return plan;
+  // The frozen tail always goes in. A compaction absorbs every bucket; a
+  // tail merge absorbs, by the Bentley–Saxe doubling rule, every bucket no
+  // larger than the accumulated merge, so an absorbed bucket at least
+  // doubles and each point is rebuilt O(log n) times.
+  std::vector<char> take(buckets_.size(), CompactionDueLocked() ? 1 : 0);
+  size_t merged = tail_.size() - tail_dead_count_;
+  for (bool changed = true; changed;) {
+    changed = false;
     for (size_t i = 0; i < buckets_.size(); ++i) {
-      if (!take[i]) continue;
-      plan.absorbed.push_back(i);
-      const auto& bref = buckets_[i];
-      for (size_t j = 0; j < bref.bucket->size(); ++j) {
-        if (bref.dead && (*bref.dead)[j]) continue;
-        members.push_back({bref.bucket->id(j), &bref.bucket->points()[j]});
+      if (!take[i] && buckets_[i].live_count <= merged) {
+        take[i] = 1;
+        merged += buckets_[i].live_count;
+        changed = true;
       }
     }
-    std::sort(members.begin(), members.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    plan.ids.reserve(members.size());
-    plan.points.reserve(members.size());
-    for (const auto& [id, p] : members) {
-      plan.ids.push_back(id);
-      plan.points.push_back(*p);
-    }
   }
-  if (plan.any) {
-    building_ = true;
-    erased_during_build_.clear();
+  std::vector<Snapshot::BucketRef> absorbed;
+  for (size_t i = 0; i < buckets_.size(); ++i) {
+    if (!take[i]) continue;
+    plan.absorbed.push_back(i);
+    absorbed.push_back(buckets_[i]);
   }
+  // Sorted by id: the new bucket's ids must ascend, and the tail's need
+  // not (InsertWithId).
+  std::vector<LiveMember> members = GatherLive(absorbed, &tail_, &tail_dead_mask_);
+  plan.any = true;
+  plan.frozen_tail = tail_.size();
+  plan.ids.reserve(members.size());
+  plan.points.reserve(members.size());
+  for (const LiveMember& m : members) {
+    plan.ids.push_back(m.id);
+    plan.points.push_back(*m.point);
+  }
+  building_ = true;
+  erased_during_build_.clear();
   return plan;
 }
 
@@ -608,28 +581,11 @@ size_t DynamicEngine::dead_size() const {
 }
 
 UncertainSet DynamicEngine::LiveSet(std::vector<Id>* ids) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  UncertainSet out;
-  out.reserve(live_.size());
-  if (ids != nullptr) {
-    ids->clear();
-    ids->reserve(live_.size());
-  }
-  for (const auto& [id, p] : live_) {
-    out.push_back(p);
-    if (ids != nullptr) ids->push_back(id);
-  }
-  return out;
+  return SnapshotLiveSet(*snapshot(), ids);
 }
 
 Engine::Options DynamicEngine::ReferenceEngineOptions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Engine::Options o = options_.engine;
-  o.mc_stream_ids.reserve(live_.size());
-  for (const auto& [id, p] : live_) {
-    o.mc_stream_ids.push_back(static_cast<uint64_t>(id));
-  }
-  return o;
+  return SnapshotReferenceOptions(*snapshot(), options_.engine);
 }
 
 }  // namespace dyn

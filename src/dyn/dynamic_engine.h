@@ -42,7 +42,6 @@
 #define PNN_DYN_DYNAMIC_ENGINE_H_
 
 #include <condition_variable>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -231,7 +230,8 @@ class DynamicEngine {
   /// Removes a point; false if the id is unknown or already erased.
   bool Erase(Id id);
 
-  /// True while `id` is live. The store's log replay uses this to make
+  /// True while `id` is live: a binary search per bucket plus a tail scan
+  /// under the writer lock. The store's log replay uses this to make
   /// duplicated records idempotent (a replayed insert of a live id / erase
   /// of a dead one is skipped, not an abort).
   bool IsLive(Id id) const;
@@ -285,13 +285,15 @@ class DynamicEngine {
   size_t dead_size() const;  // Tombstones not yet compacted away.
   const Options& options() const { return options_; }
 
-  /// The live set in ascending-id order, optionally with the ids — the
-  /// input a reference static Engine is built over.
+  /// The live set of the current snapshot in ascending-id order,
+  /// optionally with the ids — the input a reference static Engine is
+  /// built over (dyn::SnapshotLiveSet).
   UncertainSet LiveSet(std::vector<Id>* ids = nullptr) const;
 
   /// Options for a static Engine over LiveSet() that answers
   /// bit-identically to this engine: the shared engine options plus
-  /// mc_stream_ids = the live ids (so Monte-Carlo samples coincide).
+  /// mc_stream_ids = the live ids of the current snapshot, so Monte-Carlo
+  /// samples coincide (dyn::SnapshotReferenceOptions).
   Engine::Options ReferenceEngineOptions() const;
 
   /// Blocks until no background merge/compaction is running or pending.
@@ -316,6 +318,11 @@ class DynamicEngine {
   void InsertEntryLocked(Id id, UncertainPoint point);
   void AddAggregatesLocked(const UncertainPoint& p);
   void RemoveAggregatesLocked(const UncertainPoint& p);
+  /// Where the live copy of `id` sits: `part` is its bucket's index, or
+  /// buckets_.size() for the tail, and `index` its position there. False
+  /// when `id` is not live.
+  bool FindLiveLocked(Id id, size_t* part, size_t* index) const;
+  bool CompactionDueLocked() const;
   bool MaintenanceNeededLocked() const;
   /// May release `lock` (inline maintenance mode); callers must not touch
   /// guarded state afterwards.
@@ -341,15 +348,15 @@ class DynamicEngine {
   // Accessed with std::atomic_load/atomic_store; queries are lock-free.
   std::shared_ptr<const CombinedView> view_;
 
-  // Writer state (guarded by mu_):
-  // Ascending by id (NOT insertion order once InsertWithId re-adds old
-  // ids); this ordering is what keeps compaction bucket ids ascending.
-  std::map<Id, UncertainPoint> live_;
+  // Writer state (guarded by mu_). buckets_ and tail_ are the live set's
+  // only copy: an id is live where FindLiveLocked finds it, and a
+  // maintenance build gathers its members from them (sorted by id there,
+  // since tail ids need not ascend once InsertWithId re-adds old ids).
+  // agg_ is the live set's aggregates; the multisets keep its extremes
+  // exact under erase.
+  SetAggregates agg_;
   std::multiset<double> live_weights_;
-  std::multiset<size_t> live_ks_;
-  size_t discrete_count_ = 0;
-  size_t continuous_count_ = 0;
-  size_t total_complexity_ = 0;
+  std::multiset<size_t> live_ks_;  // max(k, 1) per live point.
   Id next_id_ = 0;
   std::vector<Snapshot::BucketRef> buckets_;
   std::vector<TailEntry> tail_;

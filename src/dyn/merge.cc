@@ -91,34 +91,51 @@ void MergedNonzeroNNInto(const Snapshot& snap, Point2 q, std::vector<Id>* out) {
   std::sort(out->begin(), out->end());
 }
 
-UncertainSet SnapshotLiveSet(const Snapshot& snap, std::vector<Id>* ids) {
-  std::vector<std::pair<Id, const UncertainPoint*>> live;
-  live.reserve(snap.live_count);
-  for (const auto& bref : snap.buckets) {
-    for (size_t j = 0; j < bref.bucket->size(); ++j) {
-      if (bref.dead && (*bref.dead)[j]) continue;
-      live.push_back({bref.bucket->id(j), &bref.bucket->points()[j]});
+std::vector<LiveMember> GatherLive(const std::vector<Snapshot::BucketRef>& buckets,
+                                   const std::vector<TailEntry>* tail,
+                                   const std::vector<char>* tail_dead) {
+  std::vector<LiveMember> live;
+  for (const auto& bref : buckets) {
+    const Bucket& b = *bref.bucket;
+    for (size_t j = 0; bref.live_count > 0 && j < b.size(); ++j) {
+      if (bref.dead == nullptr || !(*bref.dead)[j]) {
+        live.push_back({b.id(j), &b.points()[j]});
+      }
     }
   }
-  if (snap.tail != nullptr) {
-    const std::vector<TailEntry>& tail = *snap.tail;
-    for (size_t i = 0; i < tail.size(); ++i) {
-      if (snap.TailAlive(i)) live.push_back({tail[i].id, &tail[i].point});
+  for (size_t i = 0; tail != nullptr && i < tail->size(); ++i) {
+    if (tail_dead == nullptr || !(*tail_dead)[i]) {
+      live.push_back({(*tail)[i].id, &(*tail)[i].point});
     }
   }
   std::sort(live.begin(), live.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+            [](const LiveMember& a, const LiveMember& b) { return a.id < b.id; });
+  return live;
+}
+
+UncertainSet SnapshotLiveSet(const Snapshot& snap, std::vector<Id>* ids) {
+  std::vector<LiveMember> live =
+      GatherLive(snap.buckets, snap.tail.get(), snap.tail_dead.get());
   UncertainSet out;
   out.reserve(live.size());
   if (ids != nullptr) {
     ids->clear();
     ids->reserve(live.size());
   }
-  for (const auto& [id, p] : live) {
-    out.push_back(*p);
-    if (ids != nullptr) ids->push_back(id);
+  for (const LiveMember& m : live) {
+    out.push_back(*m.point);
+    if (ids != nullptr) ids->push_back(m.id);
   }
   return out;
+}
+
+Engine::Options SnapshotReferenceOptions(const Snapshot& snap, Engine::Options engine) {
+  engine.mc_stream_ids.clear();
+  for (const LiveMember& m :
+       GatherLive(snap.buckets, snap.tail.get(), snap.tail_dead.get())) {
+    engine.mc_stream_ids.push_back(static_cast<uint64_t>(m.id));
+  }
+  return engine;
 }
 
 namespace {

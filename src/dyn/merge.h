@@ -51,10 +51,29 @@ double SnapshotNonzeroDelta(const Snapshot& snap, Point2 q);
 void AppendNonzeroNNWithin(const Snapshot& snap, Point2 q, double bound, bool mixed,
                            std::vector<Id>* out);
 
-/// The snapshot's live set in ascending-id order (with the ids when
-/// `ids` is non-null) — the snapshot-consistent counterpart of
-/// DynamicEngine::LiveSet for queries that gather the whole set.
+/// A live member: its id and its point, borrowed from the bucket or tail
+/// entry that holds it (buckets and tails are the live set's only copy).
+struct LiveMember {
+  Id id;
+  const UncertainPoint* point;
+};
+
+/// The live members of `buckets` and of `tail` (`tail_dead` parallels it;
+/// either may be null), ascending by id. The one gather of a live set: the
+/// snapshot functions below, maintenance builds and recovery use it.
+std::vector<LiveMember> GatherLive(const std::vector<Snapshot::BucketRef>& buckets,
+                                   const std::vector<TailEntry>* tail,
+                                   const std::vector<char>* tail_dead);
+
+/// The snapshot's live set in ascending-id order (with the ids when `ids`
+/// is non-null): the input a reference static Engine is built over, and
+/// both engines' LiveSet.
 UncertainSet SnapshotLiveSet(const Snapshot& snap, std::vector<Id>* ids);
+
+/// `engine` with mc_stream_ids = the snapshot's live ids, ascending: the
+/// options of a static Engine over SnapshotLiveSet(snap) that answers
+/// bit-identically. Copies no point; both engines' ReferenceEngineOptions.
+Engine::Options SnapshotReferenceOptions(const Snapshot& snap, Engine::Options engine);
 
 /// Spiral-search quantification: k-way merges the per-bucket best-first
 /// location streams (plus sorted tail locations) into the global distance

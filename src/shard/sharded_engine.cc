@@ -163,24 +163,14 @@ bool ShardedEngine::RecoverErase(uint32_t shard, Id id) {
 
 Id ShardedEngine::FinishRecovery(Id next_id_floor, const DuplicateResolver& resolve) {
   std::lock_guard<std::mutex> lock(mu_);
-  // Live ids straight from each shard's snapshot: the buckets' contiguous
-  // id arrays and the tail, no point copies.
+  // Live ids straight from each shard's snapshot, no point copies.
   std::vector<std::vector<Id>> live(shards_.size());
   size_t total = 0;
   for (uint32_t s = 0; s < shards_.size(); ++s) {
     std::shared_ptr<const dyn::Snapshot> snap = shards_[s]->snapshot();
-    live[s].reserve(snap->live_count);
-    for (const auto& bref : snap->buckets) {
-      for (size_t j = 0; j < bref.bucket->size(); ++j) {
-        if (bref.dead == nullptr || !(*bref.dead)[j]) {
-          live[s].push_back(bref.bucket->id(j));
-        }
-      }
-    }
-    if (snap->tail != nullptr) {
-      for (size_t i = 0; i < snap->tail->size(); ++i) {
-        if (snap->TailAlive(i)) live[s].push_back((*snap->tail)[i].id);
-      }
+    for (const dyn::LiveMember& m :
+         dyn::GatherLive(snap->buckets, snap->tail.get(), snap->tail_dead.get())) {
+      live[s].push_back(m.id);
     }
     total += live[s].size();
   }
@@ -375,12 +365,7 @@ UncertainSet ShardedEngine::LiveSet(std::vector<Id>* ids) const {
 }
 
 Engine::Options ShardedEngine::ReferenceEngineOptions() const {
-  std::vector<Id> ids;
-  LiveSet(&ids);
-  Engine::Options o = options_.shard.engine;
-  o.mc_stream_ids.reserve(ids.size());
-  for (Id id : ids) o.mc_stream_ids.push_back(static_cast<uint64_t>(id));
-  return o;
+  return dyn::SnapshotReferenceOptions(*View()->combined, options_.shard.engine);
 }
 
 bool ShardedEngine::RebalanceNeededLocked(uint32_t* src, uint32_t* dst,

@@ -279,12 +279,14 @@ class ShardedEngine {
   SnapshotCacheStats snapshot_cache_stats() const;
   const Options& options() const { return options_; }
 
-  /// The live union in ascending-id order (with the ids when non-null) —
-  /// a seqlock-consistent gather, the input a reference engine is built on.
+  /// The live union of the current View() in ascending-id order (with the
+  /// ids when non-null) — the input a reference engine is built on
+  /// (dyn::SnapshotLiveSet).
   UncertainSet LiveSet(std::vector<Id>* ids = nullptr) const;
 
   /// Options for a static Engine over LiveSet() answering bit-identically
-  /// to this router (engine options + mc_stream_ids = the live ids).
+  /// to this router: engine options + mc_stream_ids = the live ids of the
+  /// current View() (dyn::SnapshotReferenceOptions).
   Engine::Options ReferenceEngineOptions() const;
 
  private:

@@ -259,8 +259,9 @@ std::shared_ptr<const dyn::Bucket> LoadSegment(const std::string& path,
   std::vector<dyn::Id> ids(n);
   for (uint64_t i = 0; i < n; ++i) {
     int64_t id = r.I64();
-    if (id < 0 || id > INT32_MAX || (i > 0 && id <= ids[i - 1])) {
-      Fail(error, "segment: ids not ascending non-negative");
+    // INT32_MAX is never assigned: it would leave no next id.
+    if (id < 0 || id >= INT32_MAX || (i > 0 && id <= ids[i - 1])) {
+      Fail(error, "segment: ids not ascending in [0, INT32_MAX)");
       return nullptr;
     }
     ids[i] = static_cast<dyn::Id>(id);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <unordered_map>
 #include <utility>
 
@@ -19,6 +20,16 @@ namespace {
 uint64_t PlacedSeq(const std::unordered_map<dyn::Id, uint64_t>& m, dyn::Id id) {
   auto it = m.find(id);
   return it == m.end() ? 0 : it->second;
+}
+
+/// A replayed record's id. Ids on disk are i64, but only [0, max Id) was
+/// ever assigned (the last id would leave no next one), so a CRC-valid
+/// record outside it is corruption, not a crash: abort rather than narrow
+/// it onto some other point's id.
+dyn::Id ReplayedId(const LogRecord& rec) {
+  PNN_CHECK_MSG(rec.id >= 0 && rec.id < std::numeric_limits<dyn::Id>::max(),
+                "sharded store: record id out of range");
+  return static_cast<dyn::Id>(rec.id);
 }
 
 /// Open-time layout guard: a store opened with fewer shards than its
@@ -102,15 +113,13 @@ void ShardedStore::Recover() {
         case LogRecordType::kMoveIn: {
           PNN_CHECK_MSG(rec.point.has_value(),
                         "sharded store: insert/move-in record without a point");
-          floor = std::max(floor, rec.id + 1);
+          dyn::Id id = ReplayedId(rec);
+          floor = std::max<int64_t>(floor, id + 1);
           if (rec.type == LogRecordType::kMoveIn) {
             next_move_seq = std::max(next_move_seq, rec.move_seq + 1);
           }
-          if (engine_->RecoverInsert(s, static_cast<dyn::Id>(rec.id),
-                                     *rec.point)) {
-            if (rec.type == LogRecordType::kMoveIn) {
-              placed_seq[s][rec.id] = rec.move_seq;
-            }
+          if (engine_->RecoverInsert(s, id, *rec.point)) {
+            if (rec.type == LogRecordType::kMoveIn) placed_seq[s][id] = rec.move_seq;
             ++replayed;
           } else {
             ++skipped;
@@ -122,8 +131,9 @@ void ShardedStore::Recover() {
           if (rec.type == LogRecordType::kMoveOut) {
             next_move_seq = std::max(next_move_seq, rec.move_seq + 1);
           }
-          if (engine_->RecoverErase(s, static_cast<dyn::Id>(rec.id))) {
-            placed_seq[s].erase(rec.id);
+          dyn::Id id = ReplayedId(rec);
+          if (engine_->RecoverErase(s, id)) {
+            placed_seq[s].erase(id);
             ++replayed;
           } else {
             ++skipped;
@@ -145,6 +155,8 @@ void ShardedStore::Recover() {
   // keeps it (the destination's kMoveIn is strictly newer than whatever
   // last placed the id on the source), and the loser gets a durable erase
   // so the next recovery agrees without re-deciding.
+  PNN_CHECK_MSG(floor <= std::numeric_limits<dyn::Id>::max(),
+                "sharded store: manifest next id out of range");
   next_id_ = engine_->FinishRecovery(
       static_cast<dyn::Id>(floor), [&](dyn::Id id, uint32_t a, uint32_t b) {
         uint64_t seq_a = PlacedSeq(placed_seq[a], id);

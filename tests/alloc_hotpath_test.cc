@@ -216,6 +216,41 @@ TEST(AllocHotpath, ByteCountersTrackLiveAndPeak) {
   EXPECT_GE(util::PeakAllocatedBytes() - live_before, 1 << 20);
 }
 
+// The dynamic engine stores its live set once: in its buckets (and tail),
+// with no id -> point map beside them. A bulk-loaded engine is one bucket,
+// whose static engine is built exactly like a standalone Engine over the
+// same points; what the dynamic engine holds beyond that (its bucket's
+// stream ids, the aggregate multisets, one snapshot) must stay below the
+// bytes of one more copy of the points.
+TEST(AllocHotpath, DynamicEngineHoldsEachPointOnce) {
+  Rng rng(517);
+  UncertainSet points;
+  for (int i = 0; i < 2000; ++i) points.push_back(SmallDiscrete(&rng));
+  dyn::Options opt = DynOptions(false);
+
+  int64_t base = util::LiveAllocatedBytes();
+  int64_t one_copy;
+  {
+    UncertainSet copy = points;
+    one_copy = util::LiveAllocatedBytes() - base;
+  }
+  int64_t static_bytes;
+  {
+    Engine reference(points, opt.engine);
+    static_bytes = util::LiveAllocatedBytes() - base;
+  }
+  int64_t dynamic_bytes;
+  {
+    dyn::DynamicEngine engine(points, opt);
+    dynamic_bytes = util::LiveAllocatedBytes() - base;
+  }
+  ASSERT_GT(one_copy, 0);
+  EXPECT_GT(dynamic_bytes, static_bytes);
+  EXPECT_LT(dynamic_bytes - static_bytes, one_copy)
+      << "dynamic " << dynamic_bytes << "B vs static " << static_bytes
+      << "B: the live set is held twice";
+}
+
 // Transient memory of a sliced compaction: the maintenance build reuses
 // the gathered live set as the new structure's own storage, so its peak
 // must stay below a naive rebuild that copies the live set and builds an

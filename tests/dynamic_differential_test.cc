@@ -7,6 +7,8 @@
 // thread pool.
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -157,6 +159,91 @@ TEST(DynamicDifferential, DiscreteWithBackgroundPool) {
 TEST(DynamicDifferential, ContinuousWithBackgroundPool) {
   exec::ThreadPool pool(3);
   RunDifferential(Family::kContinuous, 4009, &pool);
+}
+
+// Liveness against a std::map model: inserts, erases of live and unknown
+// ids, and InsertWithId re-adds of erased ids, whose tombstoned copies
+// stay in buckets and the tail until a compaction drops them. A small
+// tail_limit keeps merges and compactions running throughout. After every
+// op, IsLive, Erase's return and LiveSet(&ids) match the model, and the
+// answers match a reference Engine every few ops.
+void RunLivenessModel(uint64_t seed, exec::ThreadPool* pool) {
+  Rng rng(seed);
+  Options dopt;
+  dopt.engine.seed = 91;
+  dopt.engine.mc_rounds_override = 24;
+  dopt.tail_limit = 6;
+  dopt.max_dead_fraction = 0.3;
+  dopt.pool = pool;
+  DynamicEngine dynamic(dopt);
+
+  std::map<Id, Point2> model;  // Live id -> centroid.
+  std::vector<Id> erased;
+  Id next = 0;
+  size_t readds = 0;
+  for (int op = 0; op < 600; ++op) {
+    int r = static_cast<int>(rng.UniformInt(0, 99));
+    Id touched;
+    if (r < 40 || model.empty()) {
+      UncertainPoint p = RandomDiscretePoint(&rng);
+      touched = dynamic.Insert(p);
+      ASSERT_EQ(touched, next++);
+      model[touched] = p.Centroid();
+    } else if (r < 65) {
+      auto it = model.begin();
+      std::advance(it, rng.UniformInt(0, model.size() - 1));
+      touched = it->first;
+      model.erase(it);
+      erased.push_back(touched);
+      ASSERT_TRUE(dynamic.Erase(touched));
+    } else if (r < 80) {
+      // An id never assigned, or one erased and not re-added.
+      touched = rng.Bernoulli(0.5) || erased.empty()
+                    ? next + static_cast<Id>(rng.UniformInt(0, 5))
+                    : erased[rng.UniformInt(0, erased.size() - 1)];
+      ASSERT_EQ(dynamic.Erase(touched), model.count(touched) != 0);
+      model.erase(touched);
+    } else if (!erased.empty()) {
+      size_t pick = static_cast<size_t>(rng.UniformInt(0, erased.size() - 1));
+      touched = erased[pick];
+      erased.erase(erased.begin() + static_cast<long>(pick));
+      if (model.count(touched) != 0) continue;
+      UncertainPoint p = RandomDiscretePoint(&rng);
+      dynamic.InsertWithId(touched, p);
+      model[touched] = p.Centroid();
+      ++readds;
+    } else {
+      continue;
+    }
+    ASSERT_EQ(dynamic.IsLive(touched), model.count(touched) != 0) << "op " << op;
+    ASSERT_FALSE(dynamic.IsLive(next + 7));
+    std::vector<Id> ids;
+    UncertainSet live_set = dynamic.LiveSet(&ids);
+    ASSERT_EQ(ids.size(), model.size()) << "op " << op;
+    auto it = model.begin();
+    for (size_t i = 0; i < ids.size(); ++i, ++it) {
+      ASSERT_EQ(ids[i], it->first) << "op " << op;
+      ASSERT_EQ(live_set[i].Centroid(), it->second) << "op " << op;
+    }
+    if (op % 25 == 0 && !live_set.empty()) {
+      Engine reference(live_set, dynamic.ReferenceEngineOptions());
+      Point2 q{rng.Uniform(-35, 35), rng.Uniform(-35, 35)};
+      std::vector<Id> want_nn;
+      for (int i : reference.NonzeroNN(q)) want_nn.push_back(ids[i]);
+      EXPECT_EQ(dynamic.NonzeroNN(q), want_nn);
+      ExpectBitIdentical(dynamic.Quantify(q, 0.1), reference.Quantify(q, 0.1), ids);
+    }
+  }
+  dynamic.WaitForMaintenance();
+  EXPECT_GT(readds, 50u);
+  EXPECT_EQ(dynamic.live_size(), model.size());
+}
+
+TEST(DynamicDifferential, LivenessMatchesModelInline) { RunLivenessModel(4011, nullptr); }
+
+TEST(DynamicDifferential, LivenessMatchesModelWithPool) {
+  exec::ThreadPool pool(3);
+  RunLivenessModel(4013, &pool);
 }
 
 TEST(DynamicDifferential, AnswersIndependentOfThreadCount) {

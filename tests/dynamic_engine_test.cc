@@ -382,6 +382,46 @@ TEST(DynamicEngineDeath, InsertWithIdRejectsLiveId) {
   EXPECT_DEATH(engine.InsertWithId(-1, Disk(1, 1)), "nonnegative");
 }
 
+TEST(DynamicEngineDeath, InsertWithIdRejectsIdSpaceEnd) {
+  // The last Id would leave no next id (next_id_ = id + 1 overflows); no
+  // caller ever assigns it.
+  DynamicEngine engine;
+  EXPECT_DEATH(engine.InsertWithId(std::numeric_limits<Id>::max(), Disk(0, 0)),
+               "id space exhausted");
+  engine.InsertWithId(std::numeric_limits<Id>::max() - 1, Disk(0, 0));
+  EXPECT_TRUE(engine.IsLive(std::numeric_limits<Id>::max() - 1));
+  EXPECT_DEATH(DynamicEngine(std::vector<Id>{std::numeric_limits<Id>::max()},
+                             UncertainSet{Disk(0, 0)}),
+               "id space exhausted");
+}
+
+// Recovered buckets with their masks, as the durable store hands them over.
+std::vector<RecoveredBucket> TwoRecoveredBuckets(std::vector<char> second_dead) {
+  Engine::Options options;
+  std::vector<RecoveredBucket> out;
+  out.push_back({std::make_shared<const Bucket>(std::vector<Id>{1, 5},
+                                                UncertainSet{Disk(0, 0), Disk(5, 0)},
+                                                options),
+                 {}});
+  out.push_back({std::make_shared<const Bucket>(std::vector<Id>{5, 9},
+                                                UncertainSet{Disk(5, 1), Disk(9, 0)},
+                                                options),
+                 std::move(second_dead)});
+  return out;
+}
+
+TEST(DynamicEngineDeath, RecoveryRejectsDuplicateLiveIds) {
+  // Id 5 sits in both buckets. Dead in the second it is a stale copy (a
+  // shard migration round trip); live in both, the store is corrupt.
+  DynamicEngine ok(TwoRecoveredBuckets({1, 0}), /*next_id_floor=*/0);
+  EXPECT_EQ(ok.live_size(), 3u);
+  EXPECT_TRUE(ok.IsLive(5));
+  EXPECT_EQ(ok.Insert(Disk(20, 20)), 10);
+  EXPECT_TRUE(ok.Erase(5));
+  EXPECT_FALSE(ok.IsLive(5));
+  EXPECT_DEATH(DynamicEngine(TwoRecoveredBuckets({}), 0), "duplicate live id");
+}
+
 TEST(DynamicEngine, TailSampleCacheRepeatsBitIdentically) {
   // Repeated Monte-Carlo quantifications against one snapshot go through
   // the tail-sample cache after the first; the answers must not move, and

@@ -24,6 +24,7 @@
 #include "src/api/engine_ref.h"
 #include "src/store/io.h"
 #include "src/store/log.h"
+#include "src/store/manifest.h"
 #include "src/store/sharded_store.h"
 
 namespace pnn {
@@ -370,6 +371,55 @@ TEST(StoreRecoveryDeathTest, CorruptCheckpointHeadAborts) {
   // crash, and recovery must refuse to invent an empty state.
   TruncateFile(dir + "/shard-0/oplog-1", 5);
   EXPECT_DEATH(ShardedStore::Open(dir, FastOptions()), "");
+}
+
+TEST(StoreRecoveryDeathTest, OutOfRangeRecordIdAborts) {
+  // A CRC-valid record whose i64 id is no dyn::Id is corruption: narrowed,
+  // 2^32 + 0 would replay onto live id 0 (an insert skipped as a
+  // duplicate, an erase deleting the wrong point). Recovery must abort.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const int64_t kAliasOfZero = int64_t{1} << 32;
+  for (LogRecordType type : {LogRecordType::kInsert, LogRecordType::kErase}) {
+    for (int64_t bad : {kAliasOfZero, int64_t{INT32_MAX}, int64_t{-3}}) {
+      std::string dir = FreshDir("store_bad_record_id");
+      Rng rng(5);
+      {
+        auto store = ShardedStore::Open(dir, FastOptions());
+        store->Insert(SmallDiscretePoint(&rng)).value();
+      }
+      std::string log_path = dir + "/shard-0/oplog-1";
+      LogRecord rec;
+      rec.type = type;
+      rec.seqno = ReadLog(log_path).records.back().seqno + 1;
+      rec.id = bad;
+      if (type == LogRecordType::kInsert) rec.point = SmallDiscretePoint(&rng);
+      std::string frame;
+      AppendLogRecord(rec, &frame);
+      {
+        std::ofstream out(log_path, std::ios::binary | std::ios::app);
+        out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+      }
+      ASSERT_EQ(ReadLog(log_path).records.back().id, bad);  // The frame is valid.
+      EXPECT_DEATH(ShardedStore::Open(dir, FastOptions()), "record id out of range")
+          << "id " << bad;
+    }
+  }
+}
+
+TEST(StoreRecoveryDeathTest, OutOfRangeManifestNextIdAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::string dir = FreshDir("store_bad_next_id");
+  {
+    auto store = ShardedStore::Open(dir, FastOptions());
+    Rng rng(7);
+    store->Insert(SmallDiscretePoint(&rng)).value();
+  }
+  std::string manifest_path = dir + "/shard-0/MANIFEST";
+  Manifest m;
+  ASSERT_TRUE(ReadManifest(manifest_path, &m));
+  m.next_id = int64_t{1} << 40;  // Would narrow to 0.
+  ASSERT_TRUE(WriteManifest(manifest_path, m).ok());
+  EXPECT_DEATH(ShardedStore::Open(dir, FastOptions()), "next id out of range");
 }
 
 TEST(StoreRecovery, DuplicatedTailRecordsAreIdempotent) {

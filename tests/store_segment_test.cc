@@ -208,6 +208,29 @@ TEST(StoreSegment, SeedMismatchRefusesToLoad) {
   std::remove(path.c_str());
 }
 
+TEST(StoreSegment, IdSpaceEndIsRejected) {
+  // INT32_MAX is never assigned: it would leave no next id, and recovery
+  // computing one past it would overflow. A segment naming it is corrupt.
+  Engine::Options options;
+  options.seed = 1;
+  Rng rng(43);
+  UncertainSet points = {RandomDiscretePoint(&rng), RandomDiscretePoint(&rng)};
+  std::string path = TempPath("segment_id_end.seg");
+  for (dyn::Id last : {INT32_MAX - 1, INT32_MAX}) {
+    WriteSegmentFile(path, dyn::Bucket({1, last}, points, options));
+    std::string error;
+    std::shared_ptr<const dyn::Bucket> loaded = LoadSegment(path, options, &error);
+    if (last == INT32_MAX) {
+      EXPECT_EQ(loaded, nullptr);
+      EXPECT_FALSE(error.empty());
+    } else {
+      ASSERT_NE(loaded, nullptr) << error;
+      EXPECT_EQ(Ids(*loaded), (std::vector<dyn::Id>{1, last}));
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST(StoreSegment, MissingFileReturnsError) {
   Engine::Options options;
   std::string error;
