@@ -90,7 +90,7 @@ DiscreteNonzeroNNIndex::DiscreteNonzeroNNIndex(
             return centroids;
           }(),
           std::vector<double>(), Metric::kEuclidean, build),
-      location_tree_(
+      location_tree_(std::make_shared<const KdTree>(
           [&] {
             std::vector<Point2> all;
             for (const auto& locs : points) {
@@ -98,40 +98,25 @@ DiscreteNonzeroNNIndex::DiscreteNonzeroNNIndex(
             }
             return all;
           }(),
-          std::vector<double>(), Metric::kEuclidean, build) {
+          std::vector<double>(), Metric::kEuclidean, build)) {
   for (size_t i = 0; i < points.size(); ++i) {
     owners_.insert(owners_.end(), points[i].size(), static_cast<int>(i));
   }
 }
 
-DiscreteNonzeroNNIndex::DiscreteNonzeroNNIndex(std::vector<std::vector<Point2>> hulls,
-                                               std::vector<Point2> centroids,
-                                               std::vector<Point2> locations,
-                                               std::vector<int> owners,
-                                               const KdBuildOptions& build)
-    : hulls_(std::move(hulls)),
-      centroid_tree_(std::move(centroids), std::vector<double>(), Metric::kEuclidean,
-                     build),
-      location_tree_(std::move(locations), std::vector<double>(), Metric::kEuclidean,
-                     build),
-      owners_(std::move(owners)) {
-  PNN_CHECK_MSG(hulls_.size() == centroid_tree_.size(),
-                "hulls must parallel centroids");
-  PNN_CHECK_MSG(owners_.size() == location_tree_.size(),
-                "owners must parallel locations");
-}
-
-DiscreteNonzeroNNIndex::DiscreteNonzeroNNIndex(std::vector<std::vector<Point2>> hulls,
-                                               KdTree centroid_tree,
-                                               KdTree location_tree,
-                                               std::vector<int> owners)
+DiscreteNonzeroNNIndex::DiscreteNonzeroNNIndex(
+    std::vector<std::vector<Point2>> hulls, KdTree centroid_tree,
+    std::shared_ptr<const KdTree> location_tree, std::vector<int> owners)
     : hulls_(std::move(hulls)),
       centroid_tree_(std::move(centroid_tree)),
       location_tree_(std::move(location_tree)),
       owners_(std::move(owners)) {
+  PNN_CHECK_MSG(!location_tree_->weighted() &&
+                    location_tree_->metric() == Metric::kEuclidean,
+                "the location tree must be unweighted and Euclidean");
   PNN_CHECK_MSG(hulls_.size() == centroid_tree_.size(),
                 "hulls must parallel centroids");
-  PNN_CHECK_MSG(owners_.size() == location_tree_.size(),
+  PNN_CHECK_MSG(owners_.size() == location_tree_->size(),
                 "owners must parallel locations");
   for (int o : owners_) {
     PNN_CHECK_MSG(o >= 0 && o < static_cast<int>(hulls_.size()),
@@ -166,15 +151,16 @@ std::vector<int> DiscreteNonzeroNNIndex::Query(Point2 q) const {
 void DiscreteNonzeroNNIndex::QueryWithinInto(Point2 q, double bound,
                                              const std::vector<char>* skip,
                                              std::vector<int>* out) const {
-  // Report all locations strictly within `bound` and deduplicate owners.
+  // Report all locations strictly within `bound` (the unweighted tree's
+  // subtractive report is the open disk) and deduplicate owners.
   util::ScratchVec<int> hits_lease;
   std::vector<int>& hits = *hits_lease;
   hits.clear();
-  location_tree_.ReportWithinInto(q, bound, &hits);
+  location_tree_->ReportSubtractiveLessInto(q, bound, &hits);
   out->clear();
   for (int h : hits) {
     if (skip != nullptr && (*skip)[owners_[h]]) continue;
-    if (Distance(q, location_tree_.points()[h]) < bound) out->push_back(owners_[h]);
+    out->push_back(owners_[h]);
   }
   std::sort(out->begin(), out->end());
   out->erase(std::unique(out->begin(), out->end()), out->end());

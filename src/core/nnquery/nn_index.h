@@ -19,6 +19,7 @@
 #ifndef PNN_CORE_NNQUERY_NN_INDEX_H_
 #define PNN_CORE_NNQUERY_NN_INDEX_H_
 
+#include <memory>
 #include <vector>
 
 #include "src/geometry/circle.h"
@@ -89,22 +90,15 @@ class DiscreteNonzeroNNIndex {
   explicit DiscreteNonzeroNNIndex(const std::vector<std::vector<Point2>>& points,
                                   const KdBuildOptions& build = KdBuildOptions());
 
-  /// Assembly from precomputed parts — the staged EngineBuilder path,
-  /// which gathers hulls/centroids/locations in bounded chunks and then
-  /// pays only the two kd builds here (both fanning out per-subtree on
-  /// build.pool). `hulls`/`centroids` are parallel to the uncertain
-  /// points; `locations`/`owners` are the flattened location list in point
-  /// order. Produces exactly the index the scanning constructor builds.
+  /// Assembly from built or adopted trees — EngineBuilder's staged path
+  /// and the durable store's recovery path, so no kd construction runs
+  /// here. `hulls` and the centroid tree are parallel to the uncertain
+  /// points; the location tree (unweighted, Euclidean) and `owners` cover
+  /// the flattened location list in point order. The location tree is
+  /// shared: an Engine hands the same one to its SpiralSearchPNN.
   DiscreteNonzeroNNIndex(std::vector<std::vector<Point2>> hulls,
-                         std::vector<Point2> centroids,
-                         std::vector<Point2> locations, std::vector<int> owners,
-                         const KdBuildOptions& build);
-
-  /// Adoption from serialized layouts (the durable store's recovery path):
-  /// both trees must be the exports of an index built over the same
-  /// points, so no kd construction runs here.
-  DiscreteNonzeroNNIndex(std::vector<std::vector<Point2>> hulls,
-                         KdTree centroid_tree, KdTree location_tree,
+                         KdTree centroid_tree,
+                         std::shared_ptr<const KdTree> location_tree,
                          std::vector<int> owners);
 
   /// Delta(q) = min_i max_j d(q, p_ij), ignoring uncertain points with
@@ -128,13 +122,14 @@ class DiscreteNonzeroNNIndex {
   /// constructor's parameters).
   const std::vector<std::vector<Point2>>& hulls() const { return hulls_; }
   const KdTree& centroid_tree() const { return centroid_tree_; }
-  const KdTree& location_tree() const { return location_tree_; }
+  const KdTree& location_tree() const { return *location_tree_; }
   const std::vector<int>& owners() const { return owners_; }
 
  private:
   std::vector<std::vector<Point2>> hulls_;  // Convex hull per uncertain point.
   KdTree centroid_tree_;                    // Centroids, for stage-1 pruning.
-  KdTree location_tree_;                    // All locations, for stage 2.
+  // All locations, for stage 2 (shared with the engine's spiral index).
+  std::shared_ptr<const KdTree> location_tree_;
   std::vector<int> owners_;                 // Owner of each location.
 };
 

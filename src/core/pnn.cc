@@ -48,6 +48,8 @@ std::unique_ptr<Engine> Engine::FromParts(UncertainSet points, Options options,
                       parts.discrete_index->num_points() == points.size(),
                   "all-discrete parts need a discrete index over the points");
     PNN_CHECK_MSG(parts.spiral != nullptr, "all-discrete parts need a spiral index");
+    PNN_CHECK_MSG(&parts.spiral->tree() == &parts.discrete_index->location_tree(),
+                  "all-discrete parts must share one location tree");
     PNN_CHECK_MSG(parts.disk_index == nullptr,
                   "all-discrete parts must not carry a disk index");
   } else {
@@ -89,17 +91,16 @@ void EngineBuilder::Step() {
           disks_.reserve(points_.size());
           stage_ = Stage::kGatherContinuous;
         } else if (agg_.all_discrete()) {
-          // Reserve the final sizes up front: the gathered arrays ARE the
-          // structures' storage, so growth never doubles mid-build and the
-          // transient overhead stays one chunk of hull scratch.
+          // Reserve the final sizes up front: the gathered arrays are the
+          // structures' storage or their kd builds' input, so growth never
+          // doubles mid-build and the transient overhead stays one chunk of
+          // hull scratch.
           hulls_.reserve(points_.size());
           centroids_.reserve(points_.size());
           counts_.reserve(points_.size());
           locations_.reserve(agg_.total_complexity);
           owners_.reserve(agg_.total_complexity);
-          spiral_locations_.reserve(agg_.total_complexity);
-          spiral_owners_.reserve(agg_.total_complexity);
-          spiral_weights_.reserve(agg_.total_complexity);
+          location_weights_.reserve(agg_.total_complexity);
           stage_ = Stage::kGatherDiscrete;
         } else {
           stage_ = Stage::kReady;  // Mixed inputs: brute-force queries.
@@ -139,9 +140,7 @@ void EngineBuilder::Step() {
         for (size_t s = 0; s < d.locations.size(); ++s) {
           locations_.push_back(d.locations[s]);
           owners_.push_back(owner);
-          spiral_locations_.push_back(d.locations[s]);
-          spiral_owners_.push_back(owner);
-          spiral_weights_.push_back(d.weights[s]);
+          location_weights_.push_back(d.weights[s]);
         }
       }
       if (cursor_ == points_.size()) {
@@ -151,17 +150,17 @@ void EngineBuilder::Step() {
       break;
     }
     case Stage::kBuildDiscreteIndex: {
-      discrete_index_ = std::make_unique<DiscreteNonzeroNNIndex>(
-          std::move(hulls_), std::move(centroids_), std::move(locations_),
-          std::move(owners_), kd_build);
-      stage_ = Stage::kBuildSpiral;
-      break;
-    }
-    case Stage::kBuildSpiral: {
+      KdTree centroid_tree(std::move(centroids_), std::vector<double>(),
+                           Metric::kEuclidean, kd_build);
+      // One location tree, shared by the stage-2 report and the spiral.
+      auto location_tree = std::make_shared<const KdTree>(
+          std::move(locations_), std::vector<double>(), Metric::kEuclidean, kd_build);
       spiral_ = std::make_unique<SpiralSearchPNN>(
-          std::move(spiral_locations_), std::move(spiral_owners_),
-          std::move(spiral_weights_), std::move(counts_), agg_.max_k, agg_.rho(),
-          kd_build);
+          location_tree, owners_, std::move(location_weights_), std::move(counts_),
+          agg_.max_k, agg_.rho());
+      discrete_index_ = std::make_unique<DiscreteNonzeroNNIndex>(
+          std::move(hulls_), std::move(centroid_tree), std::move(location_tree),
+          std::move(owners_));
       stage_ = Stage::kReady;
       break;
     }

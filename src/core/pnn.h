@@ -92,8 +92,8 @@ class Engine {
   /// recovery path (src/store/segment.cc), which deserializes each index's
   /// kd layout and adopts it instead of re-running construction. Which
   /// pointers must be set follows the constructor's rule (disk_index iff
-  /// all continuous, discrete_index + spiral iff all discrete, none for
-  /// mixed inputs).
+  /// all continuous, discrete_index + spiral iff all discrete — sharing
+  /// one location tree, as a built engine's do — none for mixed inputs).
   struct Parts {
     std::unique_ptr<NonzeroNNIndex> disk_index;
     std::unique_ptr<DiscreteNonzeroNNIndex> discrete_index;
@@ -235,16 +235,20 @@ QuantifyPlan PlanQuantify(const SetAggregates& agg, const Engine::Options& optio
 /// chunks (the caller hops through its pool lane) instead of holding a
 /// worker for the whole build. Stages: one pass over the points in
 /// `chunk`-sized units (aggregates, then per-point gathering — hulls,
-/// centroids, flattened locations), then one Step per index kd build,
-/// each fanning out per-subtree on options.build_pool. The finished
-/// engine is indistinguishable from Engine(points, options) — the Engine
-/// constructor itself routes through a run-to-completion builder.
+/// centroids, flattened locations), then one Step per index — the disk
+/// tree, or the centroid and location trees — whose kd builds fan out
+/// per-subtree on options.build_pool. An all-discrete engine builds its
+/// location tree once and shares it between DiscreteNonzeroNNIndex and
+/// SpiralSearchPNN. The finished engine is indistinguishable from
+/// Engine(points, options) — the Engine constructor itself routes through
+/// a run-to-completion builder.
 ///
-/// Transient memory: the staged arrays are the final structure's own
-/// storage (reserved once, moved into the indexes), so a build's overhead
-/// beyond the finished structure stays bounded by one chunk of gathering
-/// plus kd scratch — not a second copy of the set (asserted with the
-/// alloc-hook peak counter in bench_build_latency).
+/// Transient memory: the staged arrays are reserved once and moved into
+/// the indexes — as their storage, or as a kd build's scratch that the
+/// tree frees once it holds the points in leaf order — so a build's
+/// overhead beyond the finished structure stays bounded by one chunk of
+/// gathering plus kd scratch — not a second copy of the set (asserted
+/// with the alloc-hook peak counter in bench_build_latency).
 ///
 /// Not thread-safe; drive Step() from one thread (or lane) at a time.
 class EngineBuilder {
@@ -273,8 +277,7 @@ class EngineBuilder {
     kGatherContinuous,    // Disk list, chunked.
     kBuildDiskIndex,      // One kd build (pool-parallel).
     kGatherDiscrete,      // Hulls, centroids, flattened locations, chunked.
-    kBuildDiscreteIndex,  // Two kd builds (pool-parallel).
-    kBuildSpiral,         // One kd build (pool-parallel).
+    kBuildDiscreteIndex,  // Two kd builds (pool-parallel), spiral shares one.
     kReady,
   };
 
@@ -294,11 +297,9 @@ class EngineBuilder {
   std::vector<Circle> disks_;
   std::vector<std::vector<Point2>> hulls_;
   std::vector<Point2> centroids_;
-  std::vector<Point2> locations_;        // DiscreteNonzeroNNIndex's copy.
+  std::vector<Point2> locations_;  // The shared location tree's input.
   std::vector<int> owners_;
-  std::vector<Point2> spiral_locations_; // SpiralSearchPNN's copy.
-  std::vector<int> spiral_owners_;
-  std::vector<double> spiral_weights_;
+  std::vector<double> location_weights_;
   std::vector<int> counts_;
 
   std::unique_ptr<NonzeroNNIndex> disk_index_;

@@ -10,19 +10,18 @@ namespace pnn {
 
 SpiralSearchPNN::SpiralSearchPNN(const UncertainSet& points,
                                  const KdBuildOptions& build)
-    : n_(points.size()), tree_(
-                             [&] {
-                               std::vector<Point2> all;
-                               for (const auto& p : points) {
-                                 PNN_CHECK_MSG(p.is_discrete(),
-                                               "SpiralSearchPNN needs discrete points");
-                                 const auto& d = p.discrete();
-                                 all.insert(all.end(), d.locations.begin(),
-                                            d.locations.end());
-                               }
-                               return all;
-                             }(),
-                             std::vector<double>(), Metric::kEuclidean, build) {
+    : n_(points.size()),
+      tree_(std::make_shared<const KdTree>(
+          [&] {
+            std::vector<Point2> all;
+            for (const auto& p : points) {
+              PNN_CHECK_MSG(p.is_discrete(), "SpiralSearchPNN needs discrete points");
+              const auto& d = p.discrete();
+              all.insert(all.end(), d.locations.begin(), d.locations.end());
+            }
+            return all;
+          }(),
+          std::vector<double>(), Metric::kEuclidean, build)) {
   double wmin = 1.0, wmax = 0.0;
   counts_.resize(points.size());
   for (size_t i = 0; i < points.size(); ++i) {
@@ -39,22 +38,8 @@ SpiralSearchPNN::SpiralSearchPNN(const UncertainSet& points,
   rho_ = wmax / wmin;
 }
 
-SpiralSearchPNN::SpiralSearchPNN(std::vector<Point2> locations,
-                                 std::vector<int> owners, std::vector<double> weights,
-                                 std::vector<int> counts, size_t max_k, double rho,
-                                 const KdBuildOptions& build)
-    : n_(counts.size()),
-      max_k_(max_k),
-      rho_(rho),
-      tree_(std::move(locations), std::vector<double>(), Metric::kEuclidean, build),
-      owners_(std::move(owners)),
-      weights_(std::move(weights)),
-      counts_(std::move(counts)) {
-  PNN_CHECK_MSG(owners_.size() == tree_.size() && weights_.size() == tree_.size(),
-                "owners/weights must parallel locations");
-}
-
-SpiralSearchPNN::SpiralSearchPNN(KdTree tree, std::vector<int> owners,
+SpiralSearchPNN::SpiralSearchPNN(std::shared_ptr<const KdTree> tree,
+                                 std::vector<int> owners,
                                  std::vector<double> weights, std::vector<int> counts,
                                  size_t max_k, double rho)
     : n_(counts.size()),
@@ -64,10 +49,10 @@ SpiralSearchPNN::SpiralSearchPNN(KdTree tree, std::vector<int> owners,
       owners_(std::move(owners)),
       weights_(std::move(weights)),
       counts_(std::move(counts)) {
-  PNN_CHECK_MSG(owners_.size() == tree_.size() && weights_.size() == tree_.size(),
+  PNN_CHECK_MSG(owners_.size() == tree_->size() && weights_.size() == tree_->size(),
                 "owners/weights must parallel locations");
   for (int o : owners_) {
-    PNN_CHECK_MSG(o >= 0 && o < static_cast<int>(n_), "adopted owner out of range");
+    PNN_CHECK_MSG(o >= 0 && o < static_cast<int>(n_), "owner out of range");
   }
 }
 
@@ -95,7 +80,7 @@ std::vector<Quantification> SpiralSearchPNN::QueryWithBudget(Point2 q,
   std::vector<WeightedLocation>& locs = *lease;
   locs.clear();
   locs.reserve(m);
-  KdTree::Incremental inc(tree_, q);
+  KdTree::Incremental inc(*tree_, q);
   while (locs.size() < m && inc.HasNext()) {
     double d;
     int idx = inc.Next(&d);
@@ -110,7 +95,7 @@ std::vector<Quantification> SpiralSearchPNN::QueryWithBudget(Point2 q,
 
 SpiralSearchPNN::Stream::Stream(const SpiralSearchPNN& s, Point2 q,
                                 const std::vector<char>* skip_owner)
-    : s_(s), inc_(s.tree_, q), skip_(skip_owner) {}
+    : s_(s), inc_(*s.tree_, q), skip_(skip_owner) {}
 
 bool SpiralSearchPNN::Stream::Next(double* dist, int* owner, double* weight) {
   while (inc_.HasNext()) {

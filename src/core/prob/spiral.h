@@ -9,6 +9,7 @@
 #ifndef PNN_CORE_PROB_SPIRAL_H_
 #define PNN_CORE_PROB_SPIRAL_H_
 
+#include <memory>
 #include <vector>
 
 #include "src/core/prob/quantify.h"
@@ -23,22 +24,18 @@ class SpiralSearchPNN {
   explicit SpiralSearchPNN(const UncertainSet& points,
                            const KdBuildOptions& build = KdBuildOptions());
 
-  /// Assembly from precomputed parts — the staged EngineBuilder path.
-  /// `locations`/`owners`/`weights` are the flattened location list in
-  /// point order, `counts` the per-point location counts; `max_k` and
-  /// `rho` must equal what a scan would derive (seeded 1 and wmax/wmin
-  /// with wmin <= 1, wmax >= 0 seeds). Produces exactly the structure the
-  /// scanning constructor builds; only the kd build is paid here (fanning
-  /// out per-subtree on build.pool).
-  SpiralSearchPNN(std::vector<Point2> locations, std::vector<int> owners,
+  /// Assembly from a built or adopted location tree — EngineBuilder's
+  /// staged path and the durable store's recovery path, so no kd
+  /// construction runs here. `tree` is the unweighted Euclidean tree over
+  /// the flattened location list in point order (shared with the engine's
+  /// DiscreteNonzeroNNIndex); `owners`/`weights` parallel it, `counts` are
+  /// the per-point location counts; `max_k` and `rho` must equal what a
+  /// scan would derive (seeded 1 and wmax/wmin with wmin <= 1, wmax >= 0
+  /// seeds). Produces exactly the structure the scanning constructor
+  /// builds.
+  SpiralSearchPNN(std::shared_ptr<const KdTree> tree, std::vector<int> owners,
                   std::vector<double> weights, std::vector<int> counts,
-                  size_t max_k, double rho, const KdBuildOptions& build);
-
-  /// Adoption from a serialized layout (the durable store's recovery
-  /// path): `tree` is the exported location tree of a structure built over
-  /// the same points, so no kd construction runs here.
-  SpiralSearchPNN(KdTree tree, std::vector<int> owners, std::vector<double> weights,
-                  std::vector<int> counts, size_t max_k, double rho);
+                  size_t max_k, double rho);
 
   /// Estimates pi_i(q) within additive eps: pi_hat <= pi <= pi_hat + eps
   /// (Lemma 4.6). Only nonzero estimates are reported, sorted by index.
@@ -64,7 +61,7 @@ class SpiralSearchPNN {
 
   /// Layout export for serialization (parallel to the adoption
   /// constructor's parameters).
-  const KdTree& tree() const { return tree_; }
+  const KdTree& tree() const { return *tree_; }
   const std::vector<int>& owners() const { return owners_; }
   const std::vector<double>& location_weights() const { return weights_; }
   const std::vector<int>& counts() const { return counts_; }
@@ -92,7 +89,7 @@ class SpiralSearchPNN {
   size_t n_ = 0;
   size_t max_k_ = 1;
   double rho_ = 1.0;
-  KdTree tree_;               // All locations.
+  std::shared_ptr<const KdTree> tree_;  // All locations.
   std::vector<int> owners_;   // Owner uncertain point per location.
   std::vector<double> weights_;
   std::vector<int> counts_;   // Location count per uncertain point.

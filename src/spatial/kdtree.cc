@@ -45,19 +45,41 @@ int SubtreeNodes(int n, int leaf_size) {
   int left = n / 2;
   return 1 + SubtreeNodes(left, leaf_size) + SubtreeNodes(n - left, leaf_size);
 }
+
+// Both constructors' weight rule: all-zero weights are no weights, so an
+// unweighted tree stores none whichever way it was spelled.
+void DropZeroWeights(std::vector<double>* weights) {
+  if (std::all_of(weights->begin(), weights->end(),
+                  [](double w) { return w == 0.0; })) {
+    std::vector<double>().swap(*weights);
+  }
+}
 }  // namespace
 
-void KdTree::BuildScanArrays() {
+void KdTree::BuildScanArrays(const std::vector<Point2>& points,
+                             const std::vector<double>& weights) {
   size_t n = order_.size();
   sx_.resize(n);
   sy_.resize(n);
-  sw_.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    int idx = order_[i];
-    sx_[i] = points_[idx].x;
-    sy_[i] = points_[idx].y;
-    sw_[i] = weights_[idx];
+    sx_[i] = points[order_[i]].x;
+    sy_[i] = points[order_[i]].y;
   }
+  if (weights.empty()) return;
+  sw_.resize(n);
+  for (size_t i = 0; i < n; ++i) sw_[i] = weights[order_[i]];
+}
+
+std::vector<Point2> KdTree::points() const {
+  std::vector<Point2> out(order_.size());
+  for (size_t i = 0; i < order_.size(); ++i) out[order_[i]] = {sx_[i], sy_[i]};
+  return out;
+}
+
+std::vector<double> KdTree::weights() const {
+  std::vector<double> out(order_.size(), 0.0);
+  for (size_t i = 0; i < sw_.size(); ++i) out[order_[i]] = sw_[i];
+  return out;
 }
 
 void KdTree::ScanDists(int first, int cnt, Point2 q, double* out) const {
@@ -81,32 +103,34 @@ double KdTree::BoxDist(const Box2& box, Point2 p) const {
 
 KdTree::KdTree(std::vector<Point2> points, std::vector<double> weights, Metric metric,
                const BuildOptions& build)
-    : metric_(metric), points_(std::move(points)), weights_(std::move(weights)) {
-  if (weights_.empty()) weights_.assign(points_.size(), 0.0);
-  PNN_CHECK(weights_.size() == points_.size());
+    : metric_(metric) {
+  PNN_CHECK(weights.empty() || weights.size() == points.size());
   PNN_CHECK_MSG(build.leaf_size >= 1, "leaf_size must be >= 1");
-  order_.resize(points_.size());
+  DropZeroWeights(&weights);
+  order_.resize(points.size());
   std::iota(order_.begin(), order_.end(), 0);
-  if (!points_.empty()) {
-    int n = static_cast<int>(points_.size());
+  if (!points.empty()) {
+    int n = static_cast<int>(points.size());
     // Preallocating against the precomputed node count lets BuildRange
     // write each subtree's nodes into its own id range — no push_back, no
     // shared cursor, hence no cross-task ordering effects.
     nodes_.resize(static_cast<size_t>(SubtreeNodes(n, build.leaf_size)));
     root_ = 0;
-    BuildRange(0, n, root_, build);
+    BuildRange(points, weights, 0, n, root_, build);
   }
   for (const Node& node : nodes_) {
     if (node.left < 0) leaf_width_ = std::max(leaf_width_, node.end - node.begin);
   }
-  BuildScanArrays();
+  BuildScanArrays(points, weights);
+  // The index-order arguments were build scratch; the leaf-ordered arrays
+  // are the tree's only copy of the points from here on.
+  std::vector<Point2>().swap(points);
+  std::vector<double>().swap(weights);
 }
 
 KdTree::KdTree(std::vector<Point2> points, std::vector<double> weights, Metric metric,
                std::vector<int> order, std::vector<Node> nodes, int root)
     : metric_(metric),
-      points_(std::move(points)),
-      weights_(std::move(weights)),
       order_(std::move(order)),
       nodes_(std::move(nodes)),
       root_(root) {
@@ -117,9 +141,11 @@ KdTree::KdTree(std::vector<Point2> points, std::vector<double> weights, Metric m
   // segments (overlapping or gapped leaves) before a query walks them. A
   // fully structural validation would cost as much as the build this
   // constructor exists to skip.
-  int n = static_cast<int>(points_.size());
-  PNN_CHECK_MSG(weights_.size() == points_.size(), "weights must parallel points");
-  PNN_CHECK_MSG(order_.size() == points_.size(), "order must parallel points");
+  int n = static_cast<int>(points.size());
+  PNN_CHECK_MSG(weights.empty() || weights.size() == points.size(),
+                "weights must be empty or parallel points");
+  PNN_CHECK_MSG(order_.size() == points.size(), "order must parallel points");
+  DropZeroWeights(&weights);
   if (n == 0) {
     PNN_CHECK_MSG(root_ == -1 && nodes_.empty(), "empty tree must have no nodes");
     return;
@@ -161,23 +187,27 @@ KdTree::KdTree(std::vector<Point2> points, std::vector<double> weights, Metric m
       std::sort(order_.begin() + node.begin, order_.begin() + node.end);
     }
   }
-  // Derived on load, not serialized: recovered segments keep their
-  // pre-refactor format and still get SoA scan buffers.
-  BuildScanArrays();
+  // The segment stores points in index order; the tree keeps them only in
+  // leaf order.
+  BuildScanArrays(points, weights);
 }
 
-void KdTree::BuildRange(int begin, int end, int id, const BuildOptions& build) {
+void KdTree::BuildRange(const std::vector<Point2>& points,
+                        const std::vector<double>& weights, int begin, int end, int id,
+                        const BuildOptions& build) {
   Node node;
   node.begin = begin;
   node.end = end;
   for (int i = begin; i < end; ++i) {
-    node.box.Expand(points_[order_[i]]);
+    node.box.Expand(points[order_[i]]);
   }
-  node.min_w = kInf;
-  node.max_w = -kInf;
-  for (int i = begin; i < end; ++i) {
-    node.min_w = std::min(node.min_w, weights_[order_[i]]);
-    node.max_w = std::max(node.max_w, weights_[order_[i]]);
+  if (!weights.empty()) {  // Unweighted trees keep min_w = max_w = 0.
+    node.min_w = kInf;
+    node.max_w = -kInf;
+    for (int i = begin; i < end; ++i) {
+      node.min_w = std::min(node.min_w, weights[order_[i]]);
+      node.max_w = std::max(node.max_w, weights[order_[i]]);
+    }
   }
   int n = end - begin;
   if (n > build.leaf_size) {
@@ -188,8 +218,8 @@ void KdTree::BuildRange(int begin, int end, int id, const BuildOptions& build) {
     // exactly the element order the serial build saw.
     std::nth_element(order_.begin() + begin, order_.begin() + mid, order_.begin() + end,
                      [&](int a, int b) {
-                       return split_x ? points_[a].x < points_[b].x
-                                      : points_[a].y < points_[b].y;
+                       return split_x ? points[a].x < points[b].x
+                                      : points[a].y < points[b].y;
                      });
     node.left = id + 1;  // Preorder: left subtree follows its parent.
     node.right = id + 1 + SubtreeNodes(mid - begin, build.leaf_size);
@@ -198,14 +228,14 @@ void KdTree::BuildRange(int begin, int end, int id, const BuildOptions& build) {
       int left_id = node.left, right_id = node.right;
       build.pool->ParallelFor(2, [&](size_t child) {
         if (child == 0) {
-          BuildRange(begin, mid, left_id, build);
+          BuildRange(points, weights, begin, mid, left_id, build);
         } else {
-          BuildRange(mid, end, right_id, build);
+          BuildRange(points, weights, mid, end, right_id, build);
         }
       });
     } else {
-      BuildRange(begin, mid, node.left, build);
-      BuildRange(mid, end, node.right, build);
+      BuildRange(points, weights, begin, mid, node.left, build);
+      BuildRange(points, weights, mid, end, node.right, build);
     }
   } else {
     // Tie contract: leaves hold ascending point indices, so the argmin
@@ -216,15 +246,10 @@ void KdTree::BuildRange(int begin, int end, int id, const BuildOptions& build) {
 }
 
 bool KdTree::SameStructure(const KdTree& other) const {
-  if (metric_ != other.metric_ || root_ != other.root_ ||
-      points_.size() != other.points_.size() || order_ != other.order_ ||
-      weights_ != other.weights_ || nodes_.size() != other.nodes_.size()) {
+  if (metric_ != other.metric_ || root_ != other.root_ || order_ != other.order_ ||
+      sx_ != other.sx_ || sy_ != other.sy_ || sw_ != other.sw_ ||
+      nodes_.size() != other.nodes_.size()) {
     return false;
-  }
-  for (size_t i = 0; i < points_.size(); ++i) {
-    if (points_[i].x != other.points_[i].x || points_[i].y != other.points_[i].y) {
-      return false;
-    }
   }
   for (size_t i = 0; i < nodes_.size(); ++i) {
     const Node& a = nodes_[i];
@@ -247,7 +272,7 @@ void KdTree::PrewarmScratch(size_t capacity) {
 }
 
 int KdTree::Nearest(Point2 q, double* out_dist, const std::vector<char>* skip) const {
-  PNN_CHECK_MSG(!points_.empty(), "Nearest on empty tree");
+  PNN_CHECK_MSG(!order_.empty(), "Nearest on empty tree");
   double best = kInf;
   int best_idx = -1;
   // Iterative DFS with pruning; visits the closer child first. The stack
@@ -298,7 +323,7 @@ int KdTree::NearestSquared(Point2 q, double* out_sq,
                            const std::vector<char>* skip) const {
   PNN_CHECK_MSG(metric_ == Metric::kEuclidean,
                 "NearestSquared requires the Euclidean metric");
-  PNN_CHECK_MSG(!points_.empty(), "NearestSquared on empty tree");
+  PNN_CHECK_MSG(!order_.empty(), "NearestSquared on empty tree");
   double best = kInf;
   int best_idx = -1;
   util::ScratchVec<int> lease;
@@ -367,42 +392,10 @@ std::vector<int> KdTree::KNearest(Point2 q, int k) const {
   return out;
 }
 
-std::vector<int> KdTree::ReportWithin(Point2 q, double r) const {
-  std::vector<int> out;
-  ReportWithinInto(q, r, &out);
-  return out;
-}
-
-void KdTree::ReportWithinInto(Point2 q, double r, std::vector<int>* out) const {
-  if (root_ < 0) return;
-  util::ScratchVec<int> lease;
-  std::vector<int>& stack = *lease;
-  stack.clear();
-  stack.push_back(root_);
-  while (!stack.empty()) {
-    int id = stack.back();
-    stack.pop_back();
-    const Node& n = nodes_[id];
-    if (BoxDist(n.box, q) > r) continue;
-    if (n.left < 0) {
-      double d[kScanChunk];
-      for (int i = n.begin; i < n.end; i += kScanChunk) {
-        int cnt = std::min(n.end - i, kScanChunk);
-        ScanDists(i, cnt, q, d);
-        for (int k = 0; k < cnt; ++k) {
-          if (d[k] <= r) out->push_back(order_[i + k]);
-        }
-      }
-      continue;
-    }
-    stack.push_back(n.left);
-    stack.push_back(n.right);
-  }
-}
-
 double KdTree::MinAdditivelyWeighted(Point2 q, int* arg,
                                      const std::vector<char>* skip) const {
-  PNN_CHECK_MSG(!points_.empty(), "MinAdditivelyWeighted on empty tree");
+  PNN_CHECK_MSG(!order_.empty(), "MinAdditivelyWeighted on empty tree");
+  const double* sw = sw_.empty() ? nullptr : sw_.data();  // Null: all zero.
   double best = kInf;
   int best_idx = -1;
   util::ScratchVec<int> lease;
@@ -425,7 +418,7 @@ double KdTree::MinAdditivelyWeighted(Point2 q, int* arg,
         for (int k = 0; k < cnt; ++k) {
           int idx = order_[i + k];
           if (skip != nullptr && (*skip)[idx]) continue;
-          double v = d[k] + sw_[i + k];
+          double v = sw != nullptr ? d[k] + sw[i + k] : d[k];
           if (v < best || (v == best && idx < best_idx)) {
             best = v;
             best_idx = idx;
@@ -457,6 +450,7 @@ std::vector<int> KdTree::ReportSubtractiveLess(Point2 q, double bound) const {
 void KdTree::ReportSubtractiveLessInto(Point2 q, double bound,
                                        std::vector<int>* out) const {
   if (root_ < 0) return;
+  const double* sw = sw_.empty() ? nullptr : sw_.data();  // Null: all zero.
   util::ScratchVec<int> lease;
   std::vector<int>& stack = *lease;
   stack.clear();
@@ -474,7 +468,8 @@ void KdTree::ReportSubtractiveLessInto(Point2 q, double bound,
         int cnt = std::min(n.end - i, kScanChunk);
         ScanDists(i, cnt, q, d);
         for (int k = 0; k < cnt; ++k) {
-          if (d[k] - sw_[i + k] < bound) out->push_back(order_[i + k]);
+          double v = sw != nullptr ? d[k] - sw[i + k] : d[k];
+          if (v < bound) out->push_back(order_[i + k]);
         }
       }
       continue;

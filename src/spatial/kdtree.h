@@ -11,6 +11,11 @@
 // The weighted modes prune with per-subtree min/max weights, which is what
 // makes the two-stage query output-sensitive in practice.
 //
+// Storage: the tree holds each point once, as leaf-ordered coordinate
+// arrays (plus the order_ permutation and the nodes). An unweighted tree —
+// built with empty or all-zero weights — stores no weights at all; every
+// weight reads as 0 there, which leaves d + w and d - w bit-identical.
+//
 // Construction can fan out per-subtree on an exec::ThreadPool (see
 // BuildOptions): node indices are assigned from precomputed subtree sizes,
 // and every task partitions only its own disjoint order_ range, so the
@@ -80,7 +85,10 @@ class KdTree {
     double max_w = 0;
   };
 
-  /// Builds the tree. If `weights` is empty all weights are 0.
+  /// Builds the tree. Empty or all-zero `weights` make an unweighted tree
+  /// (every weight 0, none stored). `points` and `weights` are the build's
+  /// scratch and are freed before the constructor returns: the tree keeps
+  /// only its leaf-ordered copy.
   explicit KdTree(std::vector<Point2> points, std::vector<double> weights = {},
                   Metric metric = Metric::kEuclidean,
                   const BuildOptions& build = BuildOptions());
@@ -92,14 +100,13 @@ class KdTree {
   /// bounds checks plus a leaf-partition check (leaves tile [0, n)
   /// contiguously and `order` is a permutation) — still far below the
   /// build this constructor exists to skip; SameStructure against a fresh
-  /// build certifies the round trip in tests. `weights` must be explicit
-  /// (one per point; the building constructor's empty-means-zeros
-  /// shorthand is resolved before export).
+  /// build certifies the round trip in tests. `weights` holds one weight
+  /// per point, or is empty for an unweighted tree (all-zero weights are
+  /// unweighted too, as in the building constructor).
   KdTree(std::vector<Point2> points, std::vector<double> weights, Metric metric,
          std::vector<int> order, std::vector<Node> nodes, int root);
 
-  size_t size() const { return points_.size(); }
-  const std::vector<Point2>& points() const { return points_; }
+  size_t size() const { return order_.size(); }
 
   /// Widest leaf of this tree (max over leaves of end - begin; 0 for an
   /// empty tree). Derived from the layout in both constructors — never
@@ -108,8 +115,13 @@ class KdTree {
   int leaf_width() const { return leaf_width_; }
 
   /// Layout export for serialization (parallel to the adoption
-  /// constructor's parameters).
-  const std::vector<double>& weights() const { return weights_; }
+  /// constructor's parameters). points() and weights() scatter the
+  /// leaf-ordered storage back to index order, one allocation each — for
+  /// the store's encoder and tests, not for query paths. weights() is all
+  /// zeros for an unweighted tree.
+  std::vector<Point2> points() const;
+  std::vector<double> weights() const;
+  bool weighted() const { return !sw_.empty(); }
   Metric metric() const { return metric_; }
   const std::vector<int>& order() const { return order_; }
   const std::vector<Node>& nodes() const { return nodes_; }
@@ -136,27 +148,23 @@ class KdTree {
   /// The k nearest points, ascending by distance. Returns fewer if k > n.
   std::vector<int> KNearest(Point2 q, int k) const;
 
-  /// All indices with d(q, p_i) <= r (closed disk).
-  std::vector<int> ReportWithin(Point2 q, double r) const;
-
-  /// ReportWithin appending into `out` (not cleared) — the allocation-free
-  /// form for callers holding a scratch or reused buffer.
-  void ReportWithinInto(Point2 q, double r, std::vector<int>* out) const;
-
   /// min_i d(q, p_i) + w_i; sets *arg to the minimizing index. Points with
   /// skip[i] != 0 are ignored (+inf / -1 if all are skipped).
   double MinAdditivelyWeighted(Point2 q, int* arg = nullptr,
                                const std::vector<char>* skip = nullptr) const;
 
-  /// All indices with d(q, p_i) - w_i < bound (strict).
+  /// All indices with d(q, p_i) - w_i < bound (strict). On an unweighted
+  /// tree this is the open disk d(q, p_i) < bound.
   std::vector<int> ReportSubtractiveLess(Point2 q, double bound) const;
 
-  /// ReportSubtractiveLess appending into `out` (not cleared).
+  /// ReportSubtractiveLess appending into `out` (not cleared) — the
+  /// allocation-free form for callers holding a scratch or reused buffer.
   void ReportSubtractiveLessInto(Point2 q, double bound, std::vector<int>* out) const;
 
-  /// Exact structural equality — points, weights, leaf order and every
-  /// node field — certifying that two build schedules produced the same
-  /// tree node-for-node (the parallel-build determinism tests).
+  /// Exact structural equality — leaf order, the leaf-ordered points and
+  /// weights, and every node field — certifying that two build schedules
+  /// produced the same tree node-for-node (the parallel-build determinism
+  /// tests).
   bool SameStructure(const KdTree& other) const;
 
   /// Pre-sizes the calling thread's scratch pools for this file's query
@@ -210,14 +218,18 @@ class KdTree {
  private:
   /// Builds the subtree over order_[begin, end) into the preassigned slot
   /// nodes_[id] (and the id-contiguous slots after it), forking the two
-  /// children onto build.pool above the cutoff.
-  void BuildRange(int begin, int end, int id, const BuildOptions& build);
+  /// children onto build.pool above the cutoff. `points`/`weights` are the
+  /// building constructor's index-order scratch (`weights` empty when the
+  /// tree is unweighted).
+  void BuildRange(const std::vector<Point2>& points, const std::vector<double>& weights,
+                  int begin, int end, int id, const BuildOptions& build);
   double BoxDist(const Box2& box, Point2 p) const;
 
-  /// Fills sx_/sy_/sw_ from points_/weights_ through order_. Called by
-  /// both constructors — the adoption path derives the scan arrays on
-  /// load, so the store's serialized segment format is unchanged.
-  void BuildScanArrays();
+  /// Fills sx_/sy_ (and sw_ when `weights` is non-empty) from index-order
+  /// points/weights through order_. Called by both constructors, whose
+  /// index-order arguments are freed afterwards.
+  void BuildScanArrays(const std::vector<Point2>& points,
+                       const std::vector<double>& weights);
 
   /// out[0..cnt) = metric distance from q to leaf-order entries
   /// [first, first + cnt) — the simd::DistScan call for Euclidean trees,
@@ -225,12 +237,10 @@ class KdTree {
   void ScanDists(int first, int cnt, Point2 q, double* out) const;
 
   Metric metric_ = Metric::kEuclidean;
-  std::vector<Point2> points_;
-  std::vector<double> weights_;
   std::vector<int> order_;   // Permutation of point indices, leaf-contiguous.
-  // SoA mirrors of points_/weights_ in leaf (order_) order:
-  // sx_[i] = points_[order_[i]].x etc. Leaf scans read these contiguous
-  // buffers through the util/simd kernels instead of gathering Point2s.
+  // The points and weights, stored once, in leaf (order_) order: entry i
+  // is point order_[i]. Leaf scans read these contiguous buffers through
+  // the util/simd kernels. sw_ is empty for an unweighted tree.
   std::vector<double> sx_, sy_, sw_;
   std::vector<Node> nodes_;
   int root_ = -1;

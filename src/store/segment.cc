@@ -1,6 +1,5 @@
 #include "src/store/segment.h"
 
-#include <algorithm>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -44,13 +43,14 @@ constexpr bool kBulkNodeTransfer = false;
 void EncodeKdBlob(const KdTree& tree, std::string* out) {
   const size_t n = tree.size();
   PutU64(out, n);
-  PutF64Array(out, reinterpret_cast<const double*>(tree.points().data()), 2 * n);
-  // The discrete trees are built weightless (all zeros); skip the array
-  // and reconstruct zeros on load, bit-identically.
-  bool all_zero = std::all_of(tree.weights().begin(), tree.weights().end(),
-                              [](double w) { return w == 0.0; });
-  PutU8(out, all_zero ? 0 : 1);
-  if (!all_zero) PutF64Array(out, tree.weights().data(), n);
+  // The blob stores points in index order; the tree keeps them only in
+  // leaf order, and points() scatters them back.
+  const std::vector<Point2> points = tree.points();
+  PutF64Array(out, reinterpret_cast<const double*>(points.data()), 2 * n);
+  // The discrete trees are unweighted (every weight 0): flag 0, no array;
+  // adoption of an empty weight array gives the same unweighted tree.
+  PutU8(out, tree.weighted() ? 1 : 0);
+  if (tree.weighted()) PutF64Array(out, tree.weights().data(), n);
   PutI32Array(out, tree.order().data(), tree.order().size());
   PutU64(out, tree.nodes().size());
   if (kBulkNodeTransfer) {
@@ -82,9 +82,6 @@ struct KdBlob {
   int root = -1;
   Metric metric = Metric::kEuclidean;
 
-  KdTree Adopt() const {
-    return KdTree(points, weights, metric, order, nodes, root);
-  }
   KdTree AdoptMove() {
     return KdTree(std::move(points), std::move(weights), metric, std::move(order),
                   std::move(nodes), root);
@@ -104,8 +101,6 @@ bool DecodeKdBlob(Reader* r, KdBlob* out) {
     if (!r->Fits(n, 8)) return false;
     out->weights.resize(n);
     if (!r->F64Array(out->weights.data(), n)) return false;
-  } else {
-    out->weights.assign(n, 0.0);
   }
   if (!r->Fits(n, 4)) return false;
   out->order.resize(n);
@@ -167,9 +162,8 @@ std::string EncodeSegment(const dyn::Bucket& bucket) {
                   2 * hull.size());
     }
     EncodeKdBlob(idx.centroid_tree(), &payload);
-    // The location tree and the spiral tree are the same build (same
-    // points, weightless, Euclidean, same schedule) — serialize once,
-    // adopt into both on load.
+    // One location tree serves the discrete index and the spiral index:
+    // serialized once, adopted once on load and shared again.
     EncodeKdBlob(idx.location_tree(), &payload);
   }
   // Mixed buckets carry no indexes (queries brute-force), so no blobs.
@@ -318,6 +312,12 @@ std::shared_ptr<const dyn::Bucket> LoadSegment(const std::string& path,
       Fail(error, "segment: bad discrete kd blobs");
       return nullptr;
     }
+    // The location tree is written unweighted and Euclidean; the discrete
+    // index refuses any other (its stage-2 report reads no weights).
+    if (!location.weights.empty() || location.metric != Metric::kEuclidean) {
+      Fail(error, "segment: location blob is weighted or not Euclidean");
+      return nullptr;
+    }
     // Owners / counts / weights / max_k / rho are reconstructed from the
     // decoded points with EngineBuilder's exact arithmetic (SetAggregates,
     // then kGatherDiscrete's order), so they are bit-identical to a fresh
@@ -336,10 +336,12 @@ std::shared_ptr<const dyn::Bucket> LoadSegment(const std::string& path,
         weights.push_back(d.weights[s]);
       }
     }
+    auto location_tree = std::make_shared<const KdTree>(location.AdoptMove());
     parts.spiral = std::make_unique<SpiralSearchPNN>(
-        location.Adopt(), owners, weights, std::move(counts), agg.max_k, agg.rho());
+        location_tree, owners, std::move(weights), std::move(counts), agg.max_k,
+        agg.rho());
     parts.discrete_index = std::make_unique<DiscreteNonzeroNNIndex>(
-        std::move(hulls), centroid.AdoptMove(), location.AdoptMove(),
+        std::move(hulls), centroid.AdoptMove(), std::move(location_tree),
         std::move(owners));
   }
   if (r.remaining() != 0 || !r.ok()) {

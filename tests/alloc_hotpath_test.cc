@@ -251,6 +251,34 @@ TEST(AllocHotpath, DynamicEngineHoldsEachPointOnce) {
       << "B: the live set is held twice";
 }
 
+// Theorem 4.3's rounds are s instantiations of the set, each in an exact
+// NN structure, so they are nearly all of a Monte-Carlo engine's memory.
+// A round tree holds each sample once: leaf-ordered x and y (16 B), the
+// order_ permutation (4 B) and its share of the 64-byte nodes (~16 B at
+// leaf width 8), with no index-order copy and no weights. Two copies of
+// the samples, or a stored zero weight per sample, push it past 48 B.
+TEST(AllocHotpath, RoundTreesHoldEachSampleOnce) {
+  Rng rng(519);
+  UncertainSet disks;
+  for (int i = 0; i < 2000; ++i) {
+    disks.push_back(UncertainPoint::UniformDisk(
+        {rng.Uniform(-40, 40), rng.Uniform(-40, 40)}, rng.Uniform(0.5, 3.0)));
+  }
+  Engine::Options options;
+  options.seed = 99;
+  Engine engine(disks, options);
+
+  const size_t rounds = 256;
+  int64_t before = util::LiveAllocatedBytes();
+  std::shared_ptr<const McRounds> mc = engine.EnsureRounds(rounds);
+  int64_t round_bytes = util::LiveAllocatedBytes() - before;
+  ASSERT_EQ(mc->trees.size(), rounds);
+  double per_sample =
+      static_cast<double>(round_bytes) / static_cast<double>(rounds * disks.size());
+  EXPECT_GT(per_sample, 20.0);  // The samples themselves are in there.
+  EXPECT_LT(per_sample, 48.0) << round_bytes << " B over " << rounds << " rounds";
+}
+
 // Transient memory of a sliced compaction: the maintenance build reuses
 // the gathered live set as the new structure's own storage, so its peak
 // must stay below a naive rebuild that copies the live set and builds an

@@ -65,18 +65,20 @@ TEST(KdTree, KNearestMoreThanN) {
   EXPECT_EQ(got.size(), 10u);
 }
 
-TEST(KdTree, ReportWithinMatchesLinearScan) {
+TEST(KdTree, UnweightedReportIsOpenDiskMatchesLinearScan) {
+  // On an unweighted tree ReportSubtractiveLess is the open disk
+  // d(q, p_i) < r — the stage-2 location report of the discrete index.
   Rng rng(43);
   auto pts = RandomPoints(400, &rng);
   KdTree tree(pts);
   for (int t = 0; t < 100; ++t) {
     Point2 q{rng.Uniform(-100, 100), rng.Uniform(-100, 100)};
     double r = rng.Uniform(1, 60);
-    auto got = tree.ReportWithin(q, r);
+    auto got = tree.ReportSubtractiveLess(q, r);
     std::sort(got.begin(), got.end());
     std::vector<int> expect;
     for (size_t i = 0; i < pts.size(); ++i) {
-      if (Distance(q, pts[i]) <= r) expect.push_back(static_cast<int>(i));
+      if (Distance(q, pts[i]) < r) expect.push_back(static_cast<int>(i));
     }
     EXPECT_EQ(got, expect);
   }
@@ -150,8 +152,54 @@ TEST(KdTree, DuplicatesAndCollinear) {
   double d;
   tree.Nearest({-1, 0}, &d);
   EXPECT_DOUBLE_EQ(d, 1.0);
-  EXPECT_EQ(tree.ReportWithin({9, 0}, 0.0).size(), 3u);
+  EXPECT_EQ(tree.ReportSubtractiveLess({9, 0}, 0.5).size(), 3u);
+  EXPECT_TRUE(tree.ReportSubtractiveLess({9, 0}, 0.0).empty());  // Strict.
   EXPECT_EQ(tree.KNearest({0, 0}, 13).size(), 13u);
+}
+
+TEST(KdTree, UnweightedStorageIsTheSameTreeEveryWay) {
+  // An unweighted tree stores no weights, whether it was built with {},
+  // built with explicit zeros, or adopted from an exported layout with no
+  // weight array (a flag-0 segment blob). All three are one structure and
+  // answer the weighted queries identically, reading every weight as 0.
+  Rng rng(61);
+  auto pts = RandomPoints(300, &rng);
+  KdTree implicit(pts);
+  KdTree zeros(pts, std::vector<double>(pts.size(), 0.0));
+  KdTree adopted(implicit.points(), {}, implicit.metric(), implicit.order(),
+                 implicit.nodes(), implicit.root());
+  EXPECT_FALSE(implicit.weighted());
+  EXPECT_FALSE(zeros.weighted());
+  EXPECT_FALSE(adopted.weighted());
+  EXPECT_TRUE(implicit.SameStructure(zeros));
+  EXPECT_TRUE(implicit.SameStructure(adopted));
+  EXPECT_EQ(implicit.weights(), std::vector<double>(pts.size(), 0.0));
+  std::vector<Point2> exported = implicit.points();
+  ASSERT_EQ(exported.size(), pts.size());
+  for (size_t i = 0; i < pts.size(); ++i) {
+    EXPECT_EQ(exported[i].x, pts[i].x);
+    EXPECT_EQ(exported[i].y, pts[i].y);
+  }
+  for (const KdTree::Node& node : implicit.nodes()) {
+    EXPECT_EQ(node.min_w, 0.0);
+    EXPECT_EQ(node.max_w, 0.0);
+  }
+  for (int t = 0; t < 100; ++t) {
+    Point2 q{rng.Uniform(-120, 120), rng.Uniform(-120, 120)};
+    double bound = rng.Uniform(0, 60);
+    int arg_i = -1, arg_z = -1, arg_a = -1;
+    double vi = implicit.MinAdditivelyWeighted(q, &arg_i);
+    EXPECT_EQ(vi, zeros.MinAdditivelyWeighted(q, &arg_z));
+    EXPECT_EQ(vi, adopted.MinAdditivelyWeighted(q, &arg_a));
+    EXPECT_EQ(arg_i, arg_z);
+    EXPECT_EQ(arg_i, arg_a);
+    double nearest;
+    EXPECT_EQ(arg_i, implicit.Nearest(q, &nearest));
+    EXPECT_EQ(vi, nearest);  // d + 0 == d, bit for bit.
+    std::vector<int> ri = implicit.ReportSubtractiveLess(q, bound);
+    EXPECT_EQ(ri, zeros.ReportSubtractiveLess(q, bound));
+    EXPECT_EQ(ri, adopted.ReportSubtractiveLess(q, bound));
+  }
 }
 
 TEST(KdTree, SinglePoint) {

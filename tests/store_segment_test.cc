@@ -15,6 +15,7 @@
 #include "src/dyn/bucket.h"
 #include "src/store/io.h"
 #include "src/store/segment.h"
+#include "src/util/crc32.h"
 
 namespace pnn {
 namespace store {
@@ -151,6 +152,25 @@ TEST(StoreSegment, DiscreteRoundTripSameStructure) {
   ExpectEnginesAnswerIdentically(e, f, 1234);
 }
 
+TEST(StoreSegment, DiscreteLocationTreeIsSharedFreshAndRecovered) {
+  // An all-discrete engine builds its location tree once: the discrete
+  // index's stage-2 tree and the spiral index's tree are one object, in
+  // the bucket's freshly built engine and after recovery (the segment
+  // stores it once and the loader adopts it once).
+  Engine::Options options;
+  options.seed = 77;
+  options.mc_rounds_override = 16;
+  auto bucket = MakeBucket(Family::kDiscrete, 80, 47, options);
+  auto loaded = RoundTrip(*bucket, options);
+  ASSERT_NE(loaded, nullptr);
+  for (const Engine* e : {&bucket->engine(), &loaded->engine()}) {
+    ASSERT_NE(e->discrete_index(), nullptr);
+    ASSERT_NE(e->spiral(), nullptr);
+    EXPECT_EQ(&e->discrete_index()->location_tree(), &e->spiral()->tree());
+    EXPECT_FALSE(e->spiral()->tree().weighted());
+  }
+}
+
 TEST(StoreSegment, ContinuousRoundTripSameStructure) {
   Engine::Options options;
   options.seed = 7;
@@ -278,6 +298,38 @@ TEST(StoreSegment, TruncatedFileIsRejected) {
     EXPECT_EQ(LoadSegment(path, options, &error), nullptr) << len;
   }
   std::remove(path.c_str());
+}
+
+TEST(StoreSegment, PayloadBytesArePinned) {
+  // The segment byte format, pinned: a fixed-seed bucket of each indexed
+  // kind must encode to the same payload (CRC32C and size recorded when
+  // these constants were set). The kd trees export their layout for
+  // encoding; a change to how a tree stores its points must leave these
+  // bytes alone, or bump kSegmentVersion and re-record.
+  struct Case {
+    Family family;
+    size_t n;
+    uint64_t seed;
+    uint32_t crc;
+    size_t payload_bytes;
+  };
+  const Case cases[] = {
+      {Family::kDiscrete, 200, 61, 0xb970d66du, 63809},
+      {Family::kContinuous, 200, 67, 0xfe8eb1feu, 18079},
+  };
+  Engine::Options options;
+  options.seed = 19;
+  for (const Case& c : cases) {
+    auto bucket = MakeBucket(c.family, c.n, c.seed, options);
+    std::string image = EncodeSegment(*bucket);
+    constexpr size_t kHeaderBytes = 24;  // Magic, version, size, two CRCs.
+    ASSERT_GT(image.size(), kHeaderBytes);
+    size_t payload = image.size() - kHeaderBytes;
+    EXPECT_EQ(payload, c.payload_bytes) << static_cast<int>(c.family);
+    EXPECT_EQ(util::Crc32c(image.data() + kHeaderBytes, payload), c.crc)
+        << static_cast<int>(c.family) << std::hex << " 0x"
+        << util::Crc32c(image.data() + kHeaderBytes, payload);
+  }
 }
 
 }  // namespace
