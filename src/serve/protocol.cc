@@ -1,205 +1,78 @@
 #include "src/serve/protocol.h"
 
 #include <cmath>
-#include <cstring>
-#include <utility>
+#include <limits>
+#include <optional>
 #include <vector>
+
+#include "src/store/format.h"
+#include "src/util/check.h"
 
 namespace pnn {
 namespace serve {
 
 namespace {
 
-// ---------------------------------------------------------------------
-// Little-endian primitive writers/readers. memcpy-based: every supported
-// target is little-endian two's-complement IEEE-754, and memcpy keeps the
-// accesses alignment-safe.
-// ---------------------------------------------------------------------
+using store::PutF64;
+using store::PutI64;
+using store::PutU32;
+using store::PutU64;
+using store::PutU8;
+using store::Reader;
 
-void PutU8(uint8_t v, std::string* out) { out->push_back(static_cast<char>(v)); }
-
-void PutU32(uint32_t v, std::string* out) {
-  char b[4];
-  std::memcpy(b, &v, 4);
-  out->append(b, 4);
+Reader PayloadReader(const char* data, size_t size) {
+  return Reader(reinterpret_cast<const uint8_t*>(data), size);
 }
 
-void PutU64(uint64_t v, std::string* out) {
-  char b[8];
-  std::memcpy(b, &v, 8);
-  out->append(b, 8);
-}
-
-void PutI64(int64_t v, std::string* out) { PutU64(static_cast<uint64_t>(v), out); }
-
-void PutF64(double v, std::string* out) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  PutU64(bits, out);
-}
-
-/// Bounds-checked sequential reader over a payload.
-class Reader {
- public:
-  Reader(const char* data, size_t size) : data_(data), size_(size) {}
-
-  bool U8(uint8_t* v) {
-    if (pos_ + 1 > size_) return false;
-    *v = static_cast<uint8_t>(data_[pos_]);
-    pos_ += 1;
-    return true;
-  }
-  bool U32(uint32_t* v) {
-    if (pos_ + 4 > size_) return false;
-    std::memcpy(v, data_ + pos_, 4);
-    pos_ += 4;
-    return true;
-  }
-  bool U64(uint64_t* v) {
-    if (pos_ + 8 > size_) return false;
-    std::memcpy(v, data_ + pos_, 8);
-    pos_ += 8;
-    return true;
-  }
-  bool I64(int64_t* v) {
-    uint64_t u;
-    if (!U64(&u)) return false;
-    *v = static_cast<int64_t>(u);
-    return true;
-  }
-  bool F64(double* v) {
-    uint64_t bits;
-    if (!U64(&bits)) return false;
-    std::memcpy(v, &bits, 8);
-    return true;
-  }
-  bool Bytes(size_t n, std::string* out) {
-    if (pos_ + n > size_ || n > size_) return false;  // n overflow-safe: n <= size_.
-    out->assign(data_ + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  /// Remaining bytes — counts sized from the wire are checked against
-  /// this BEFORE any allocation.
-  size_t remaining() const { return size_ - pos_; }
-  bool done() const { return pos_ == size_; }
-
- private:
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
-
-// ---------------------------------------------------------------------
-// UncertainPoint <-> bytes
-// ---------------------------------------------------------------------
-
-void PutPoint(const UncertainPoint& p, std::string* out) {
-  PutU8(p.is_discrete() ? 1 : 0, out);
-  if (p.is_discrete()) {
-    const DiscreteDistribution& d = p.discrete();
-    PutU32(static_cast<uint32_t>(d.locations.size()), out);
-    for (size_t i = 0; i < d.locations.size(); ++i) {
-      PutF64(d.locations[i].x, out);
-      PutF64(d.locations[i].y, out);
-      PutF64(d.weights[i], out);
-    }
-  } else {
-    const DiskDistribution& d = p.disk();
-    PutU8(static_cast<uint8_t>(d.pdf), out);
-    PutF64(d.support.center.x, out);
-    PutF64(d.support.center.y, out);
-    PutF64(d.support.radius, out);
-    PutF64(d.sigma, out);
-  }
-}
-
-bool ReadPoint(Reader* r, UncertainPoint* out) {
-  uint8_t discrete;
-  if (!r->U8(&discrete) || discrete > 1) return false;
-  if (discrete == 1) {
-    uint32_t k;
-    if (!r->U32(&k)) return false;
-    // 24 bytes per location; reject counts the remaining bytes cannot
-    // hold before allocating anything.
-    if (k == 0 || static_cast<uint64_t>(k) * 24 > r->remaining()) return false;
-    std::vector<Point2> locations(k);
-    std::vector<double> weights(k);
-    double total = 0.0;
-    for (uint32_t i = 0; i < k; ++i) {
-      if (!r->F64(&locations[i].x) || !r->F64(&locations[i].y) ||
-          !r->F64(&weights[i])) {
-        return false;
-      }
-      if (!std::isfinite(locations[i].x) || !std::isfinite(locations[i].y) ||
-          !std::isfinite(weights[i]) || weights[i] <= 0.0) {
-        return false;
-      }
-      total += weights[i];
-    }
-    // UncertainPoint::Discrete renormalizes but aborts when the sum is
-    // off 1 by 1e-6; the wire must reject (strictly tighter), not abort.
-    if (!(std::abs(total - 1.0) < 5e-7)) return false;
-    *out = UncertainPoint::Discrete(std::move(locations), std::move(weights));
-    return true;
-  }
-  uint8_t pdf;
-  Point2 center;
-  double radius, sigma;
-  if (!r->U8(&pdf) || pdf > static_cast<uint8_t>(DiskPdf::kTruncatedGaussian)) {
+/// Reads an i64 that must fit an int (an api::Id or a quantification
+/// index): a wider value makes the frame malformed instead of aliasing a
+/// smaller id.
+bool ReadInt(Reader* r, int* out) {
+  int64_t v = r->I64();
+  if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max()) {
     return false;
   }
-  if (!r->F64(&center.x) || !r->F64(&center.y) || !r->F64(&radius) ||
-      !r->F64(&sigma)) {
-    return false;
-  }
-  if (!std::isfinite(center.x) || !std::isfinite(center.y) ||
-      !std::isfinite(radius) || radius <= 0.0 || !std::isfinite(sigma)) {
-    return false;
-  }
-  // Only the truncated Gaussian uses sigma (a uniform disk carries 0).
-  if (static_cast<DiskPdf>(pdf) == DiskPdf::kTruncatedGaussian && sigma <= 0.0) {
-    return false;
-  }
-  *out = static_cast<DiskPdf>(pdf) == DiskPdf::kUniform
-             ? UncertainPoint::UniformDisk(center, radius)
-             : UncertainPoint::TruncatedGaussian(center, radius, sigma);
-  return true;
+  *out = static_cast<int>(v);
+  return r->ok();
 }
 
-void PutQuants(const std::vector<Quantification>& quants, std::string* out) {
-  PutU32(static_cast<uint32_t>(quants.size()), out);
+void AppendQuants(const std::vector<Quantification>& quants, std::string* out) {
+  PutU32(out, static_cast<uint32_t>(quants.size()));
   for (const Quantification& e : quants) {
-    PutI64(e.index, out);
-    PutF64(e.probability, out);
+    PutI64(out, e.index);
+    PutF64(out, e.probability);
   }
 }
 
 bool ReadQuants(Reader* r, std::vector<Quantification>* out) {
-  uint32_t n;
-  if (!r->U32(&n)) return false;
-  if (static_cast<uint64_t>(n) * 16 > r->remaining()) return false;
+  uint32_t n = r->U32();
+  if (!r->Fits(n, 16)) return false;
   out->resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    int64_t index;
-    if (!r->I64(&index) || !r->F64(&(*out)[i].probability)) return false;
-    (*out)[i].index = static_cast<int>(index);
+  for (Quantification& e : *out) {
+    if (!ReadInt(r, &e.index)) return false;
+    e.probability = r->F64();
   }
-  return true;
+  return r->ok();
 }
 
 void FinishFrame(size_t prefix_at, std::string* out) {
-  uint32_t payload = static_cast<uint32_t>(out->size() - prefix_at - kFramePrefixBytes);
-  std::memcpy(&(*out)[prefix_at], &payload, 4);
+  std::string length;
+  PutU32(&length, static_cast<uint32_t>(out->size() - prefix_at - kFramePrefixBytes));
+  out->replace(prefix_at, kFramePrefixBytes, length);
 }
 
 size_t BeginFrame(FrameType type, uint64_t request_id, std::string* out) {
   size_t prefix_at = out->size();
-  PutU32(0, out);  // Patched by FinishFrame.
-  PutU8(kProtocolVersion, out);
-  PutU8(static_cast<uint8_t>(type), out);
-  PutU64(request_id, out);
+  PutU32(out, 0);  // Patched by FinishFrame.
+  PutU8(out, kProtocolVersion);
+  PutU8(out, static_cast<uint8_t>(type));
+  PutU64(out, request_id);
   return prefix_at;
+}
+
+void AppendOptEps(const std::optional<double>& eps, std::string* out) {
+  PutU8(out, eps.has_value() ? 1 : 0);
+  if (eps.has_value()) PutF64(out, *eps);
 }
 
 }  // namespace
@@ -207,35 +80,32 @@ size_t BeginFrame(FrameType type, uint64_t request_id, std::string* out) {
 void AppendRequestFrame(uint64_t request_id, const api::QueryRequest& request,
                         std::string* out) {
   size_t prefix_at = BeginFrame(FrameType::kRequest, request_id, out);
-  PutU32(static_cast<uint32_t>(request.deadline_micros), out);
-  PutU8(static_cast<uint8_t>(request.kind), out);
+  PutU32(out, static_cast<uint32_t>(request.deadline_micros));
+  PutU8(out, static_cast<uint8_t>(request.kind));
   switch (request.kind) {
     case api::QueryKind::kNonzeroNN:
     case api::QueryKind::kQuantifyExact:
-      PutF64(request.q.x, out);
-      PutF64(request.q.y, out);
+      PutF64(out, request.q.x);
+      PutF64(out, request.q.y);
       break;
     case api::QueryKind::kQuantify:
     case api::QueryKind::kMostLikelyNN:
-      PutF64(request.q.x, out);
-      PutF64(request.q.y, out);
-      PutU8(request.eps.has_value() ? 1 : 0, out);
-      if (request.eps.has_value()) PutF64(*request.eps, out);
+      PutF64(out, request.q.x);
+      PutF64(out, request.q.y);
+      AppendOptEps(request.eps, out);
       break;
     case api::QueryKind::kThresholdNN:
-      PutF64(request.q.x, out);
-      PutF64(request.q.y, out);
-      PutF64(request.tau, out);
-      PutU8(request.eps.has_value() ? 1 : 0, out);
-      if (request.eps.has_value()) PutF64(*request.eps, out);
+      PutF64(out, request.q.x);
+      PutF64(out, request.q.y);
+      PutF64(out, request.tau);
+      AppendOptEps(request.eps, out);
       break;
     case api::QueryKind::kInsert:
-      PutPoint(request.point.has_value() ? *request.point
-                                         : UncertainPoint::UniformDisk({0, 0}, 1),
-               out);
+      PNN_CHECK_MSG(request.point.has_value(), "protocol: insert request without point");
+      store::EncodePoint(*request.point, out);
       break;
     case api::QueryKind::kErase:
-      PutI64(request.id, out);
+      PutI64(out, request.id);
       break;
   }
   FinishFrame(prefix_at, out);
@@ -244,26 +114,26 @@ void AppendRequestFrame(uint64_t request_id, const api::QueryRequest& request,
 void AppendResponseFrame(uint64_t request_id, const api::QueryResponse& response,
                          std::string* out) {
   size_t prefix_at = BeginFrame(FrameType::kResponse, request_id, out);
-  PutU8(static_cast<uint8_t>(response.status), out);
-  PutU8(static_cast<uint8_t>(response.kind), out);
-  PutF64(response.server_micros, out);
-  PutU32(static_cast<uint32_t>(response.message.size()), out);
+  PutU8(out, static_cast<uint8_t>(response.status));
+  PutU8(out, static_cast<uint8_t>(response.kind));
+  PutF64(out, response.server_micros);
+  PutU32(out, static_cast<uint32_t>(response.message.size()));
   out->append(response.message);
   if (response.ok()) {
     switch (response.kind) {
       case api::QueryKind::kNonzeroNN:
-        PutU32(static_cast<uint32_t>(response.ids.size()), out);
-        for (api::Id id : response.ids) PutI64(id, out);
+        PutU32(out, static_cast<uint32_t>(response.ids.size()));
+        for (api::Id id : response.ids) PutI64(out, id);
         break;
       case api::QueryKind::kQuantify:
       case api::QueryKind::kQuantifyExact:
       case api::QueryKind::kThresholdNN:
-        PutQuants(response.quants, out);
+        AppendQuants(response.quants, out);
         break;
       case api::QueryKind::kMostLikelyNN:
       case api::QueryKind::kInsert:
       case api::QueryKind::kErase:
-        PutI64(response.id, out);
+        PutI64(out, response.id);
         break;
     }
   }
@@ -273,26 +143,28 @@ void AppendResponseFrame(uint64_t request_id, const api::QueryResponse& response
 namespace {
 
 bool ReadHeader(Reader* r, FrameType expected, uint64_t* request_id) {
-  uint8_t version, type;
-  if (!r->U8(&version) || version != kProtocolVersion) return false;
-  if (!r->U8(&type) || type != static_cast<uint8_t>(expected)) return false;
-  return r->U64(request_id);
+  uint8_t version = r->U8();
+  uint8_t type = r->U8();
+  *request_id = r->U64();
+  return r->ok() && version == kProtocolVersion &&
+         type == static_cast<uint8_t>(expected);
 }
 
 bool ReadQ(Reader* r, Point2* q) {
-  if (!r->F64(&q->x) || !r->F64(&q->y)) return false;
-  return std::isfinite(q->x) && std::isfinite(q->y);
+  q->x = r->F64();
+  q->y = r->F64();
+  return r->ok() && std::isfinite(q->x) && std::isfinite(q->y);
 }
 
 bool ReadOptEps(Reader* r, std::optional<double>* eps) {
-  uint8_t has;
-  if (!r->U8(&has) || has > 1) return false;
+  uint8_t has = r->U8();
+  if (!r->ok() || has > 1) return false;
   if (has == 0) {
     eps->reset();
     return true;
   }
-  double v;
-  if (!r->F64(&v) || !std::isfinite(v)) return false;
+  double v = r->F64();
+  if (!r->ok() || !std::isfinite(v)) return false;
   *eps = v;
   return true;
 }
@@ -300,12 +172,11 @@ bool ReadOptEps(Reader* r, std::optional<double>* eps) {
 }  // namespace
 
 bool DecodeRequestPayload(const char* data, size_t size, RequestFrame* out) {
-  Reader r(data, size);
+  Reader r = PayloadReader(data, size);
   if (!ReadHeader(&r, FrameType::kRequest, &out->request_id)) return false;
-  uint32_t deadline;
-  uint8_t kind;
-  if (!r.U32(&deadline) || !r.U8(&kind)) return false;
-  if (kind > static_cast<uint8_t>(api::QueryKind::kErase)) return false;
+  uint32_t deadline = r.U32();
+  uint8_t kind = r.U8();
+  if (!r.ok() || kind > static_cast<uint8_t>(api::QueryKind::kErase)) return false;
   api::QueryRequest& req = out->request;
   req = api::QueryRequest();
   req.kind = static_cast<api::QueryKind>(kind);
@@ -320,58 +191,47 @@ bool DecodeRequestPayload(const char* data, size_t size, RequestFrame* out) {
       if (!ReadQ(&r, &req.q) || !ReadOptEps(&r, &req.eps)) return false;
       break;
     case api::QueryKind::kThresholdNN:
-      if (!ReadQ(&r, &req.q) || !r.F64(&req.tau) || !std::isfinite(req.tau) ||
-          !ReadOptEps(&r, &req.eps)) {
-        return false;
-      }
+      if (!ReadQ(&r, &req.q)) return false;
+      req.tau = r.F64();
+      if (!r.ok() || !std::isfinite(req.tau) || !ReadOptEps(&r, &req.eps)) return false;
       break;
-    case api::QueryKind::kInsert: {
-      UncertainPoint p = UncertainPoint::UniformDisk({0, 0}, 1);
-      if (!ReadPoint(&r, &p)) return false;
-      req.point = std::move(p);
+    case api::QueryKind::kInsert:
+      req.point = store::DecodePoint(&r);
+      if (!req.point.has_value()) return false;
       break;
-    }
-    case api::QueryKind::kErase: {
-      int64_t id;
-      if (!r.I64(&id)) return false;
-      req.id = static_cast<api::Id>(id);
+    case api::QueryKind::kErase:
+      if (!ReadInt(&r, &req.id)) return false;
       break;
-    }
   }
-  return r.done();  // Trailing bytes are malformed.
+  return r.ok() && r.remaining() == 0;  // Trailing bytes are malformed.
 }
 
 bool DecodeResponsePayload(const char* data, size_t size, ResponseFrame* out) {
-  Reader r(data, size);
+  Reader r = PayloadReader(data, size);
   if (!ReadHeader(&r, FrameType::kResponse, &out->request_id)) return false;
-  uint8_t status, kind;
-  double micros;
-  uint32_t message_len;
-  if (!r.U8(&status) || status > static_cast<uint8_t>(api::StatusCode::kUnavailable)) {
+  uint8_t status = r.U8();
+  uint8_t kind = r.U8();
+  double micros = r.F64();
+  uint32_t message_len = r.U32();
+  if (!r.ok() || status > static_cast<uint8_t>(api::StatusCode::kUnavailable) ||
+      kind > static_cast<uint8_t>(api::QueryKind::kErase) || !r.Fits(message_len, 1)) {
     return false;
   }
-  if (!r.U8(&kind) || kind > static_cast<uint8_t>(api::QueryKind::kErase)) {
-    return false;
-  }
-  if (!r.F64(&micros) || !r.U32(&message_len)) return false;
   api::QueryResponse& resp = out->response;
   resp = api::QueryResponse();
   resp.status = static_cast<api::StatusCode>(status);
   resp.kind = static_cast<api::QueryKind>(kind);
   resp.server_micros = micros;
-  if (message_len > r.remaining()) return false;
-  if (!r.Bytes(message_len, &resp.message)) return false;
+  resp.message.resize(message_len);
+  r.Raw(&resp.message[0], message_len);
   if (resp.ok()) {
     switch (resp.kind) {
       case api::QueryKind::kNonzeroNN: {
-        uint32_t n;
-        if (!r.U32(&n)) return false;
-        if (static_cast<uint64_t>(n) * 8 > r.remaining()) return false;
+        uint32_t n = r.U32();
+        if (!r.Fits(n, 8)) return false;
         resp.ids.resize(n);
-        for (uint32_t i = 0; i < n; ++i) {
-          int64_t id;
-          if (!r.I64(&id)) return false;
-          resp.ids[i] = static_cast<api::Id>(id);
+        for (api::Id& id : resp.ids) {
+          if (!ReadInt(&r, &id)) return false;
         }
         break;
       }
@@ -382,23 +242,20 @@ bool DecodeResponsePayload(const char* data, size_t size, ResponseFrame* out) {
         break;
       case api::QueryKind::kMostLikelyNN:
       case api::QueryKind::kInsert:
-      case api::QueryKind::kErase: {
-        int64_t id;
-        if (!r.I64(&id)) return false;
-        resp.id = static_cast<api::Id>(id);
+      case api::QueryKind::kErase:
+        if (!ReadInt(&r, &resp.id)) return false;
         break;
-      }
     }
   }
-  return r.done();
+  return r.ok() && r.remaining() == 0;
 }
 
 uint64_t PeekRequestId(const char* data, size_t size) {
   // Header layout: u8 version, u8 type, u64 request id.
-  if (size < 10) return 0;
-  uint64_t id;
-  std::memcpy(&id, data + 2, 8);
-  return id;
+  Reader r = PayloadReader(data, size);
+  r.U8();
+  r.U8();
+  return r.U64();  // 0 once the reader ran short.
 }
 
 FrameBuffer::Result FrameBuffer::Next(std::string* payload) {
@@ -410,8 +267,7 @@ FrameBuffer::Result FrameBuffer::Next(std::string* payload) {
   }
   size_t available = buffer_.size() - consumed_;
   if (available < kFramePrefixBytes) return Result::kNeedMore;
-  uint32_t length;
-  std::memcpy(&length, buffer_.data() + consumed_, 4);
+  uint32_t length = PayloadReader(buffer_.data() + consumed_, kFramePrefixBytes).U32();
   if (length > max_payload_bytes_) return Result::kTooLarge;
   if (available < kFramePrefixBytes + length) return Result::kNeedMore;
   payload->assign(buffer_.data() + consumed_ + kFramePrefixBytes, length);

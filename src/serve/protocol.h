@@ -8,10 +8,14 @@
 // client and echoed verbatim, so responses can be matched under
 // pipelining (shed responses can overtake queued ones).
 //
-// Decoding is strict: every read is bounds-checked, unknown enum values
-// and trailing bytes are malformed, and the declared-length check happens
-// before any allocation sized from the wire — a hostile frame can cost at
-// most max_frame_bytes of buffering (tests/serve_protocol_test.cc).
+// Frames are built from the store's byte codec (src/store/format.h): the
+// same scalar encoding, bounds-checked Reader and UncertainPoint codec, so
+// an inserted point reaches the engine with the client's exact bits.
+// Decoding is strict: every read is bounds-checked, unknown enum values,
+// trailing bytes and ids that do not fit api::Id are malformed, and the
+// declared-length check happens before any allocation sized from the wire
+// — a hostile frame can cost at most max_frame_bytes of buffering
+// (tests/serve_protocol_test.cc).
 //
 // Frames carry no checksum today: TCP's checksum covers transport and the
 // strict decoder rejects structural garbage, which is enough for the
@@ -33,7 +37,7 @@
 namespace pnn {
 namespace serve {
 
-inline constexpr uint8_t kProtocolVersion = 1;
+inline constexpr uint8_t kProtocolVersion = 2;
 /// Default cap on one frame's payload (requests carrying a discrete point
 /// with thousands of locations fit comfortably; a length prefix beyond
 /// the cap is rejected before any buffering).
@@ -58,7 +62,8 @@ struct ResponseFrame {
   api::QueryResponse response;
 };
 
-/// Appends one complete frame (length prefix + payload) to `out`.
+/// Appends one complete frame (length prefix + payload) to `out`. An
+/// Insert request must carry its point (checked).
 void AppendRequestFrame(uint64_t request_id, const api::QueryRequest& request,
                         std::string* out);
 void AppendResponseFrame(uint64_t request_id, const api::QueryResponse& response,

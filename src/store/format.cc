@@ -1,9 +1,8 @@
 #include "src/store/format.h"
 
+#include <cmath>
 #include <utility>
 #include <vector>
-
-#include "src/util/check.h"
 
 namespace pnn {
 namespace store {
@@ -42,12 +41,18 @@ std::optional<UncertainPoint> DecodePoint(Reader* r) {
     if (!r->ok() || k == 0 || !r->Fits(k, 24)) return std::nullopt;
     std::vector<Point2> locations(k);
     std::vector<double> weights(k);
+    double total = 0.0;
     for (uint32_t i = 0; i < k; ++i) {
       locations[i].x = r->F64();
       locations[i].y = r->F64();
       weights[i] = r->F64();
+      if (!std::isfinite(locations[i].x) || !std::isfinite(locations[i].y) ||
+          !std::isfinite(weights[i]) || weights[i] <= 0.0) {
+        return std::nullopt;
+      }
+      total += weights[i];
     }
-    if (!r->ok()) return std::nullopt;
+    if (!r->ok() || !(std::abs(total - 1.0) < 5e-7)) return std::nullopt;
     return UncertainPoint::DiscreteFromNormalized(std::move(locations),
                                                   std::move(weights));
   }
@@ -56,11 +61,14 @@ std::optional<UncertainPoint> DecodePoint(Reader* r) {
     double radius = r->F64();
     uint8_t pdf = r->U8();
     double sigma = r->F64();
-    if (!r->ok()) return std::nullopt;
+    if (!r->ok() || !std::isfinite(center.x) || !std::isfinite(center.y) ||
+        !std::isfinite(radius) || radius <= 0.0 || !std::isfinite(sigma)) {
+      return std::nullopt;
+    }
     if (pdf == static_cast<uint8_t>(DiskPdf::kUniform)) {
       return UncertainPoint::UniformDisk(center, radius);
     }
-    if (pdf == static_cast<uint8_t>(DiskPdf::kTruncatedGaussian)) {
+    if (pdf == static_cast<uint8_t>(DiskPdf::kTruncatedGaussian) && sigma > 0.0) {
       return UncertainPoint::TruncatedGaussian(center, radius, sigma);
     }
     return std::nullopt;

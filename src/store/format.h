@@ -1,12 +1,13 @@
-// Byte-level primitives of the durable store: little-endian scalar
-// encoding into std::string buffers, a bounds-checked reader, and the
-// UncertainPoint codec shared by segments and the op log. Scalars are
-// explicit little-endian byte shuffling, so the on-disk format is
-// independent of host padding and endianness; doubles round-trip through
-// their IEEE-754 bit patterns, which is what the engine's bit-identity
-// contract needs. The bulk array paths collapse to memcpy on
-// little-endian hosts (recovery's hot loop) and fall back to the scalar
-// shuffles elsewhere — the bytes produced are identical either way.
+// The one byte codec of the durable store and the serve wire protocol:
+// little-endian scalar encoding into std::string buffers, a
+// bounds-checked reader, and the UncertainPoint codec shared by segments,
+// the op log and request frames. Scalars are explicit little-endian byte
+// shuffling, so the bytes are independent of host padding and
+// endianness; doubles round-trip through their IEEE-754 bit patterns,
+// which is what the engine's bit-identity contract needs. The bulk array
+// paths collapse to memcpy on little-endian hosts (recovery's hot loop)
+// and fall back to the scalar shuffles elsewhere — the bytes produced are
+// identical either way.
 
 #ifndef PNN_STORE_FORMAT_H_
 #define PNN_STORE_FORMAT_H_
@@ -76,7 +77,7 @@ inline void PutI32Array(std::string* out, const int32_t* v, size_t n) {
 /// Sequential decoder over a byte span. Every accessor checks bounds and
 /// latches ok() = false on underrun (returning zeros thereafter), so
 /// decode routines can read unconditionally and test ok() once per
-/// structure — the pattern serve/protocol.cc uses.
+/// structure.
 class Reader {
  public:
   Reader(const uint8_t* data, size_t size) : p_(data), end_(data + size) {}
@@ -181,12 +182,14 @@ class Reader {
 /// UncertainPoint::DiscreteFromNormalized.
 void EncodePoint(const UncertainPoint& p, std::string* out);
 
-/// Decodes one point; nullopt on structural garbage (bad kind tag, counts
-/// that overrun the buffer). Distribution-level validity (positive radius,
-/// weights summing to 1) is asserted, not returned: every caller decodes
-/// from a checksum-verified frame, where such a violation means a writer
-/// bug rather than bit rot. (optional because UncertainPoint has no
-/// public default constructor.)
+/// Decodes one point; nullopt on anything that is not a valid point: a bad
+/// kind or pdf tag, a count that overruns the buffer, a non-finite
+/// coordinate, radius <= 0, a non-finite sigma (or sigma <= 0 for the
+/// truncated Gaussian), or weights that are not all finite and > 0 with a
+/// sum within 5e-7 of 1. These are the factories' own checks, so every
+/// point that exists round-trips, while hostile wire bytes and CRC-valid
+/// disk bytes fail here instead of aborting in a factory. (optional
+/// because UncertainPoint has no public default constructor.)
 std::optional<UncertainPoint> DecodePoint(Reader* r);
 
 }  // namespace store

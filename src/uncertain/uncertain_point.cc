@@ -46,10 +46,27 @@ double ArcHalfAngle(double d, double rho, double r) {
   return std::acos(std::clamp(cosv, -1.0, 1.0));
 }
 
+bool Finite(Point2 p) { return std::isfinite(p.x) && std::isfinite(p.y); }
+
+// The checks both discrete factories share; returns the weight sum.
+double CheckedWeightTotal(const std::vector<Point2>& locations,
+                          const std::vector<double>& weights) {
+  PNN_CHECK_MSG(!locations.empty(), "discrete distribution needs >= 1 location");
+  PNN_CHECK_MSG(locations.size() == weights.size(), "locations/weights size mismatch");
+  double total = 0.0;
+  for (size_t i = 0; i < locations.size(); ++i) {
+    PNN_CHECK_MSG(Finite(locations[i]), "locations must be finite");
+    PNN_CHECK_MSG(weights[i] > 0, "location probabilities must be positive");
+    total += weights[i];
+  }
+  return total;
+}
+
 }  // namespace
 
 UncertainPoint UncertainPoint::UniformDisk(Point2 center, double radius) {
   PNN_CHECK_MSG(radius > 0, "uniform disk radius must be positive");
+  PNN_CHECK_MSG(Finite(center) && std::isfinite(radius), "disk must be finite");
   UncertainPoint p;
   p.is_discrete_ = false;
   p.disk_ = {{center, radius}, DiskPdf::kUniform, 0.0};
@@ -59,6 +76,8 @@ UncertainPoint UncertainPoint::UniformDisk(Point2 center, double radius) {
 UncertainPoint UncertainPoint::TruncatedGaussian(Point2 center, double radius,
                                                  double sigma) {
   PNN_CHECK_MSG(radius > 0 && sigma > 0, "radius and sigma must be positive");
+  PNN_CHECK_MSG(Finite(center) && std::isfinite(radius) && std::isfinite(sigma),
+                "disk must be finite");
   UncertainPoint p;
   p.is_discrete_ = false;
   p.disk_ = {{center, radius}, DiskPdf::kTruncatedGaussian, sigma};
@@ -67,13 +86,7 @@ UncertainPoint UncertainPoint::TruncatedGaussian(Point2 center, double radius,
 
 UncertainPoint UncertainPoint::Discrete(std::vector<Point2> locations,
                                         std::vector<double> weights) {
-  PNN_CHECK_MSG(!locations.empty(), "discrete distribution needs >= 1 location");
-  PNN_CHECK_MSG(locations.size() == weights.size(), "locations/weights size mismatch");
-  double total = 0.0;
-  for (double w : weights) {
-    PNN_CHECK_MSG(w > 0, "location probabilities must be positive");
-    total += w;
-  }
+  double total = CheckedWeightTotal(locations, weights);
   PNN_CHECK_MSG(std::abs(total - 1.0) < 1e-6, "location probabilities must sum to 1");
   UncertainPoint p;
   p.is_discrete_ = true;
@@ -92,14 +105,8 @@ UncertainPoint UncertainPoint::Discrete(std::vector<Point2> locations,
 
 UncertainPoint UncertainPoint::DiscreteFromNormalized(std::vector<Point2> locations,
                                                       std::vector<double> weights) {
-  PNN_CHECK_MSG(!locations.empty(), "discrete distribution needs >= 1 location");
-  PNN_CHECK_MSG(locations.size() == weights.size(), "locations/weights size mismatch");
-  double total = 0.0;
-  for (double w : weights) {
-    PNN_CHECK_MSG(w > 0, "location probabilities must be positive");
-    total += w;
-  }
-  PNN_CHECK_MSG(std::abs(total - 1.0) < 1e-6, "location probabilities must sum to 1");
+  double total = CheckedWeightTotal(locations, weights);
+  PNN_CHECK_MSG(std::abs(total - 1.0) < 5e-7, "location probabilities must sum to 1");
   UncertainPoint p;
   p.is_discrete_ = true;
   p.discrete_.locations = std::move(locations);

@@ -62,7 +62,8 @@ class UncertainPoint {
   /// low bits and break the store's bit-identity contract. This factory
   /// trusts the weights verbatim and rebuilds the cumulative table with
   /// the same accumulation loop, so a serialize/rehydrate round trip is
-  /// exact. Weights must be positive and sum to 1 within 1e-6 (checked).
+  /// exact. Weights must be positive and sum to 1 within 5e-7 (checked), the
+  /// tolerance store::DecodePoint applies.
   static UncertainPoint DiscreteFromNormalized(std::vector<Point2> locations,
                                                std::vector<double> weights);
 

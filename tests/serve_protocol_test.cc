@@ -10,10 +10,12 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/api/query.h"
 #include "src/uncertain/uncertain_point.h"
+#include "tests/point_bits.h"
 
 namespace pnn {
 namespace serve {
@@ -35,6 +37,9 @@ std::vector<api::QueryRequest> AllRequestKinds() {
   out.push_back(api::QueryRequest::MostLikelyNN({7, -7}, std::nullopt));
   out.push_back(api::QueryRequest::Insert(
       UncertainPoint::Discrete({{0, 0}, {1, 2}, {3, 4}}, {0.5, 0.25, 0.25})));
+  // Renormalizing these weights again would move 0.29's last bit.
+  out.push_back(api::QueryRequest::Insert(
+      UncertainPoint::Discrete({{0, 0}, {1, 0}, {2, 0}}, {0.29, 0.35, 0.36})));
   out.push_back(api::QueryRequest::Insert(UncertainPoint::UniformDisk({5, 6}, 2.5)));
   out.push_back(
       api::QueryRequest::Insert(UncertainPoint::TruncatedGaussian({1, 1}, 3.0, 0.8)));
@@ -52,9 +57,7 @@ void ExpectSameRequest(const api::QueryRequest& a, const api::QueryRequest& b) {
   EXPECT_EQ(a.id, b.id);
   EXPECT_EQ(a.deadline_micros, b.deadline_micros);
   ASSERT_EQ(a.point.has_value(), b.point.has_value());
-  if (a.point) {
-    EXPECT_EQ(a.point->is_discrete(), b.point->is_discrete());
-  }
+  if (a.point) ExpectSamePointBits(*a.point, *b.point);
 }
 
 TEST(ServeProtocol, RequestRoundtripAllKinds) {
@@ -146,6 +149,59 @@ TEST(ServeProtocol, BadVersionTypeKindStatusFail) {
   bad = payload;
   bad[14] = 99;  // kind (after u8+u8+u64 header and u32 deadline)
   EXPECT_FALSE(DecodeRequestPayload(bad.data(), bad.size(), &out));
+  bad = payload;
+  bad[0] = 1;  // Version 1 laid disks out differently.
+  EXPECT_FALSE(DecodeRequestPayload(bad.data(), bad.size(), &out));
+}
+
+// An i64 on the wire that does not fit api::Id is malformed: narrowed,
+// 2^32 + 5 would name point 5.
+TEST(ServeProtocol, WideIdsAreMalformedNotNarrowed) {
+  const int64_t kAliasOfFive = (int64_t{1} << 32) + 5;
+  std::string frame;
+  AppendRequestFrame(1, api::QueryRequest::Erase(5), &frame);
+  std::string payload = PayloadOf(frame);
+  RequestFrame req;
+  ASSERT_TRUE(DecodeRequestPayload(payload.data(), payload.size(), &req));
+  ASSERT_EQ(req.request.id, 5);
+  // The id is the last 8 bytes (header, deadline, kind, then i64 id).
+  std::memcpy(&payload[payload.size() - 8], &kAliasOfFive, 8);
+  EXPECT_FALSE(DecodeRequestPayload(payload.data(), payload.size(), &req));
+
+  // Response ids and quantification indices: the i64 sits 16 bytes from
+  // the end for a one-entry quant list and last for a single id.
+  api::QueryResponse quant;
+  quant.kind = api::QueryKind::kQuantify;
+  quant.quants = {{5, 1.0}};
+  api::QueryResponse ids;
+  ids.kind = api::QueryKind::kNonzeroNN;
+  ids.ids = {5};
+  api::QueryResponse one;
+  one.kind = api::QueryKind::kMostLikelyNN;
+  one.id = 5;
+  for (const auto& [resp, id_from_end] :
+       {std::make_pair(quant, 16), std::make_pair(ids, 8), std::make_pair(one, 8)}) {
+    frame.clear();
+    AppendResponseFrame(2, resp, &frame);
+    payload = PayloadOf(frame);
+    ResponseFrame decoded;
+    ASSERT_TRUE(DecodeResponsePayload(payload.data(), payload.size(), &decoded));
+    for (int64_t wide : {kAliasOfFive, int64_t{std::numeric_limits<int>::min()} - 1}) {
+      std::string bad = payload;
+      std::memcpy(&bad[bad.size() - id_from_end], &wide, 8);
+      EXPECT_FALSE(DecodeResponsePayload(bad.data(), bad.size(), &decoded))
+          << static_cast<int>(resp.kind) << " " << wide;
+    }
+  }
+}
+
+// The encoder never invents a point: an Insert without one is a caller
+// bug, as it is for the op log's encoder.
+TEST(ServeProtocolDeathTest, InsertWithoutPointAborts) {
+  api::QueryRequest insert;
+  insert.kind = api::QueryKind::kInsert;
+  std::string frame;
+  EXPECT_DEATH(AppendRequestFrame(1, insert, &frame), "insert request without point");
 }
 
 // A hostile count (large u32 location count in a tiny frame) must be

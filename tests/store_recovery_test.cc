@@ -12,8 +12,10 @@
 //     set.
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -22,10 +24,12 @@
 #include <gtest/gtest.h>
 
 #include "src/api/engine_ref.h"
+#include "src/store/format.h"
 #include "src/store/io.h"
 #include "src/store/log.h"
 #include "src/store/manifest.h"
 #include "src/store/sharded_store.h"
+#include "src/util/crc32.h"
 
 namespace pnn {
 namespace store {
@@ -214,6 +218,50 @@ TEST(StoreLog, DuplicatedReplayedFrameIsNotAcceptedTwice) {
   EXPECT_EQ(replay.records.size(), log.records.size());
   EXPECT_TRUE(replay.truncated);
   EXPECT_EQ(replay.valid_bytes, log.bytes.size());
+  fs::remove(path);
+}
+
+TEST(StoreLog, InvalidPointStopsReplayBeforeTheRecord) {
+  // A CRC-valid Insert whose point is no distribution is undecodable:
+  // replay keeps the records before it and never dies in UncertainPoint's
+  // checks. Insert payload: type, seqno, id (17 bytes), then the point.
+  struct Case {
+    UncertainPoint point;
+    size_t field;  // Payload offset of the f64 to overwrite.
+    double value;
+  };
+  const Case cases[] = {
+      // Disk: tag, cx, cy, then the radius.
+      {UncertainPoint::UniformDisk({0, 0}, 1), 17 + 1 + 16,
+       std::numeric_limits<double>::quiet_NaN()},
+      // Discrete: tag, k, then x, y and the first weight: 0.4 + 0.5 = 0.9.
+      {UncertainPoint::Discrete({{0, 0}, {1, 1}}, {0.5, 0.5}), 17 + 5 + 16, 0.4},
+  };
+  std::string path = FreshDir("log_bad_point") + ".log";
+  for (const Case& c : cases) {
+    LogRecord rec;
+    rec.type = LogRecordType::kInsert;
+    rec.seqno = 1;
+    rec.id = 0;
+    rec.point = c.point;
+    std::string good;
+    AppendLogRecord(rec, &good);
+    rec.seqno = 2;
+    rec.id = 1;
+    std::string bad;
+    AppendLogRecord(rec, &bad);
+    // Frame: u32 length, u32 CRC, payload. Edit the payload, then reseal.
+    std::memcpy(&bad[8 + c.field], &c.value, 8);
+    std::string crc;
+    PutU32(&crc, util::Crc32c(bad.data() + 8, bad.size() - 8));
+    bad.replace(4, 4, crc);
+    WriteBytes(path, good + bad);
+    LogReplay replay = ReadLog(path);
+    ASSERT_EQ(replay.records.size(), 1u);
+    EXPECT_EQ(replay.records[0].id, 0);
+    EXPECT_TRUE(replay.truncated);
+    EXPECT_EQ(replay.valid_bytes, good.size());
+  }
   fs::remove(path);
 }
 

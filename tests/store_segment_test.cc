@@ -6,6 +6,8 @@
 // bad magic and seed mismatches must never load.
 
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -13,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "src/dyn/bucket.h"
+#include "src/store/format.h"
 #include "src/store/io.h"
 #include "src/store/segment.h"
 #include "src/util/crc32.h"
@@ -296,6 +299,47 @@ TEST(StoreSegment, TruncatedFileIsRejected) {
     out.close();
     std::string error;
     EXPECT_EQ(LoadSegment(path, options, &error), nullptr) << len;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(StoreSegment, InvalidPointIsRefusedNotAborted) {
+  // A CRC-valid segment whose one point is no distribution (a writer bug,
+  // not bit rot) must fail to load, never die in UncertainPoint's checks.
+  // Payload: n, seed, flags, complexity, one id (33 bytes), then the point.
+  struct Case {
+    UncertainPoint point;
+    size_t field;  // Payload offset of the f64 to overwrite.
+    double value;
+  };
+  const Case cases[] = {
+      // Disk: tag, cx, cy, then the radius.
+      {UncertainPoint::UniformDisk({0, 0}, 1), 33 + 1 + 16,
+       std::numeric_limits<double>::quiet_NaN()},
+      // Discrete: tag, k, then x, y and the first weight: 0.4 + 0.5 = 0.9.
+      {UncertainPoint::Discrete({{0, 0}, {1, 1}}, {0.5, 0.5}), 33 + 5 + 16, 0.4},
+  };
+  Engine::Options options;
+  options.seed = 1;
+  std::string path = TempPath("segment_bad_point.seg");
+  for (const Case& c : cases) {
+    std::string image = EncodeSegment(dyn::Bucket({1}, {c.point}, options));
+    constexpr size_t kHeaderBytes = 24;
+    std::memcpy(&image[kHeaderBytes + c.field], &c.value, 8);
+    // Reseal: payload CRC at byte 16, then the CRC of the first 20 bytes.
+    std::string crcs;
+    PutU32(&crcs, util::Crc32c(image.data() + kHeaderBytes, image.size() - kHeaderBytes));
+    image.replace(16, 4, crcs);
+    crcs.clear();
+    PutU32(&crcs, util::Crc32c(image.data(), 20));
+    image.replace(20, 4, crcs);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(image.data(), static_cast<std::streamsize>(image.size()));
+    }
+    std::string error;
+    EXPECT_EQ(LoadSegment(path, options, &error), nullptr);
+    EXPECT_EQ(error, "segment: bad point encoding");
   }
   std::remove(path.c_str());
 }

@@ -4,6 +4,7 @@
 #include "src/uncertain/uncertain_point.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -194,6 +195,16 @@ TEST(UncertainPointDeath, RejectsInvalidInputs) {
   EXPECT_DEATH(UncertainPoint::Discrete({{0, 0}}, {0.5}), "sum to 1");
   EXPECT_DEATH(UncertainPoint::Discrete({{0, 0}, {1, 1}}, {1.5, -0.5}), "positive");
   EXPECT_DEATH(UncertainPoint::Discrete({}, {}), "location");
+  // Non-finite values and a normalized sum off by 5e-7 are what the store
+  // and wire codec refuse to decode, so no factory may build them.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH(UncertainPoint::UniformDisk({inf, 0}, 1.0), "finite");
+  EXPECT_DEATH(UncertainPoint::UniformDisk({0, 0}, inf), "finite");
+  EXPECT_DEATH(UncertainPoint::TruncatedGaussian({0, 0}, 1.0, inf), "finite");
+  EXPECT_DEATH(UncertainPoint::Discrete({{0, std::nan("")}}, {1.0}), "finite");
+  EXPECT_DEATH(
+      UncertainPoint::DiscreteFromNormalized({{0, 0}, {1, 1}}, {0.5, 0.5 + 6e-7}),
+      "sum to 1");
 }
 
 }  // namespace
