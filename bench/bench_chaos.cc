@@ -100,8 +100,8 @@ void CheckServing(const shard::ShardedEngine& engine, std::vector<dyn::Id> acked
     Point2 q{rng.Uniform(-30, 30), rng.Uniform(-30, 30)};
     std::vector<dyn::Id> want_nn;
     for (int i : reference.NonzeroNN(q)) want_nn.push_back(ids[i]);
-    CHAOS_CHECK(engine.NonzeroNN(q) == want_nn, "NonzeroNN diverged");
-    std::vector<Quantification> got = engine.Quantify(q, 0.1);
+    CHAOS_CHECK(engine.View()->NonzeroNN(q) == want_nn, "NonzeroNN diverged");
+    std::vector<Quantification> got = engine.View()->Quantify(q, 0.1);
     std::vector<Quantification> want = reference.Quantify(q, 0.1);
     CHAOS_CHECK(got.size() == want.size(), "Quantify size diverged");
     for (size_t i = 0; i < got.size() && i < want.size(); ++i) {

@@ -128,11 +128,11 @@ WidthCell RunWidth(int width, int kd_n, int engine_n, int num_queries, int mc_ro
     dengine.Insert(RandomDiscrete(&rng));
   }
   double eps = 0.1;
-  dengine.Prewarm(eps);
+  dengine.View()->Prewarm(eps);
   std::vector<Quantification> out;
-  for (Point2 q : queries) dengine.QuantifyInto(q, eps, &out);  // Warm-up.
+  for (Point2 q : queries) dengine.View()->QuantifyInto(q, eps, &out);  // Warm-up.
   cell.mc_warm = TimePerQuery(queries, 1, [&](Point2 q) {
-    dengine.QuantifyInto(q, eps, &out);
+    dengine.View()->QuantifyInto(q, eps, &out);
   });
   return cell;
 }
@@ -149,7 +149,7 @@ void RunHitMiss(int engine_n, int mc_rounds, Table* table, BenchJson* json) {
   dopt.prewarm_after_build = true;
   dyn::DynamicEngine engine(set, dopt);
   double eps = 0.1;
-  engine.Prewarm(eps);
+  engine.View()->Prewarm(eps);
 
   int nq = 100;  // Under the 128-entry cache capacity.
   std::vector<Point2> warmers(nq), queries(nq);
@@ -161,20 +161,20 @@ void RunHitMiss(int engine_n, int mc_rounds, Table* table, BenchJson* json) {
   // Warm scratch/tail caches with a disjoint set (their cache entries get
   // LRU-evicted by the timed misses below).
   for (Point2 q : warmers) {
-    engine.QuantifyInto(q, eps, &qout);
-    engine.NonzeroNNInto(q, &nout);
+    engine.View()->QuantifyInto(q, eps, &qout);
+    engine.View()->NonzeroNNInto(q, &nout);
   }
   Lat q_miss = TimePerQuery(queries, 1, [&](Point2 q) {
-    engine.QuantifyInto(q, eps, &qout);
+    engine.View()->QuantifyInto(q, eps, &qout);
   });
   Lat q_hit = TimePerQuery(queries, 1, [&](Point2 q) {
-    engine.QuantifyInto(q, eps, &qout);
+    engine.View()->QuantifyInto(q, eps, &qout);
   });
   Lat n_miss = TimePerQuery(queries, 1, [&](Point2 q) {
-    engine.NonzeroNNInto(q, &nout);
+    engine.View()->NonzeroNNInto(q, &nout);
   });
   Lat n_hit = TimePerQuery(queries, 1, [&](Point2 q) {
-    engine.NonzeroNNInto(q, &nout);
+    engine.View()->NonzeroNNInto(q, &nout);
   });
   // NonzeroNN "miss" pass above actually misses: the Quantify passes
   // filled kQuantify entries, which never match kNonzeroNN keys, and the
@@ -216,7 +216,7 @@ void RunHotspot(int initial, int ops, Table* table, BenchJson* json) {
     dyn::DynamicEngine engine(dopt);
     exec::BatchEngine batch(api::EngineRef(&engine), {});
     double eps = 0.1;
-    engine.Prewarm(eps);
+    engine.View()->Prewarm(eps);
     std::vector<api::QueryRequest> requests = exec::ToRequests(stream, eps);
     auto result = batch.RequestBatch(requests);  // Warm-up + fill.
     result = batch.RequestBatch(requests);

@@ -69,7 +69,7 @@ void RunCell(EngineT* engine, const std::vector<Point2>& queries, double eps,
     dyn::Id id = engine->Insert(churn_point);
     engine->Erase(id);
     Timer t;
-    engine->QuantifyInto(q, eps, &out);
+    engine->View()->QuantifyInto(q, eps, &out);
     lat.push_back(t.Micros());
   }
   cold->allocs_per_query =
@@ -80,12 +80,12 @@ void RunCell(EngineT* engine, const std::vector<Point2>& queries, double eps,
 
   // Warm: one untimed pass settles every cache and scratch capacity, then
   // the timed pass runs allocation-free against the same snapshots.
-  for (Point2 q : queries) engine->QuantifyInto(q, eps, &out);
+  for (Point2 q : queries) engine->View()->QuantifyInto(q, eps, &out);
   lat.clear();
   a0 = util::AllocationCount();
   for (Point2 q : queries) {
     Timer t;
-    engine->QuantifyInto(q, eps, &out);
+    engine->View()->QuantifyInto(q, eps, &out);
     lat.push_back(t.Micros());
   }
   warm->allocs_per_query =
@@ -147,7 +147,7 @@ int Run(int n, int num_queries, const char* json_path) {
         engine.Erase(static_cast<dyn::Id>(i * 7 % n));
         engine.Insert(RandomDiscrete(&rng));
       }
-      engine.Prewarm(eps);
+      engine.View()->Prewarm(eps);
       Phase cold, warm;
       RunCell(&engine, queries, eps, churn_point, &cold, &warm, &table,
               mc ? "dyn_mc" : "dyn_spiral", &json);

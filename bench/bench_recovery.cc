@@ -175,11 +175,11 @@ int RunVerify(const std::string& dir, uint64_t seed) {
       Point2 q{qrng.Uniform(-55, 55), qrng.Uniform(-55, 55)};
       std::vector<dyn::Id> want_nn;
       for (int i : reference.NonzeroNN(q)) want_nn.push_back(ids[i]);
-      if (db->engine().NonzeroNN(q) != want_nn) {
+      if (db->engine().View()->NonzeroNN(q) != want_nn) {
         std::fprintf(stderr, "FAIL: NonzeroNN mismatch at query %d\n", t);
         return 1;
       }
-      std::vector<Quantification> got_q = db->engine().Quantify(q, 0.1);
+      std::vector<Quantification> got_q = db->engine().View()->Quantify(q, 0.1);
       std::vector<Quantification> want_q = reference.Quantify(q, 0.1);
       if (got_q.size() != want_q.size()) {
         std::fprintf(stderr, "FAIL: Quantify size mismatch at query %d\n", t);

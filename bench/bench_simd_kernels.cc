@@ -169,7 +169,7 @@ void WarmMcBench(int n, int num_queries, Table* table, BenchJson* json) {
     engine.Insert(RandomDiscrete(&rng));
   }
   double eps = 0.1;
-  engine.Prewarm(eps);
+  engine.View()->Prewarm(eps);
 
   std::vector<Quantification> out;
   double p50[2] = {0, 0}, p99[2] = {0, 0};
@@ -181,7 +181,7 @@ void WarmMcBench(int n, int num_queries, Table* table, BenchJson* json) {
       lat.clear();
       for (Point2 q : queries) {
         Timer t;
-        engine.QuantifyInto(q, eps, &out);
+        engine.View()->QuantifyInto(q, eps, &out);
         lat.push_back(t.Micros());
       }
     }

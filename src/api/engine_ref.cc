@@ -26,26 +26,13 @@ EngineRef::EngineRef(const Engine* engine)
     : engine_(engine),
       static_view_(engine != nullptr ? dyn::EngineView(engine) : nullptr) {}
 
-std::shared_ptr<const dyn::CombinedView> EngineRef::ViewOf(const Pin* pin) const {
-  if (pin != nullptr && pin->view != nullptr) return pin->view;
+std::shared_ptr<const dyn::CombinedView> EngineRef::LiveView() const {
   if (dyn_ != nullptr) return dyn_->View();
   if (sharded_view() != nullptr) return sharded_view()->View();
   return static_view_;
 }
 
-const Engine::Options& EngineRef::view_options() const {
-  if (dyn_ != nullptr) return dyn_->options().engine;
-  if (sharded_view() != nullptr) return sharded_view()->options().shard.engine;
-  return engine_->options();
-}
-
-exec::ThreadPool* EngineRef::view_pool() const {
-  if (dyn_ != nullptr) return dyn_->options().pool;
-  if (sharded_view() != nullptr) return sharded_view()->options().pool;
-  return nullptr;
-}
-
-EngineRef::Pin EngineRef::Capture() const { return Pin{ViewOf(nullptr)}; }
+EngineRef::Pin EngineRef::Capture() const { return Pin{LiveView()}; }
 
 QueryResponse EngineRef::Call(const QueryRequest& request) const {
   return Dispatch(request, nullptr);
@@ -72,18 +59,15 @@ QueryResponse EngineRef::Dispatch(const QueryRequest& request, const Pin* pin) c
   // of a batch sharing one pin take no reference-count traffic on it.
   std::shared_ptr<const dyn::CombinedView> live;
   const dyn::CombinedView& view =
-      pin != nullptr && pin->view != nullptr ? *pin->view : *(live = ViewOf(nullptr));
-  auto quantify = [&](std::vector<Quantification>* out) {
-    dyn::QuantifyInto(view, view_options(), view_pool(), request.q, request.eps, out);
-  };
+      pin != nullptr && pin->view != nullptr ? *pin->view : *(live = LiveView());
   QueryResponse r;
   r.kind = request.kind;
   switch (request.kind) {
     case QueryKind::kNonzeroNN:
-      dyn::NonzeroNNInto(view, view_pool(), request.q, &r.ids);
+      view.NonzeroNNInto(request.q, &r.ids);
       break;
     case QueryKind::kQuantify:
-      quantify(&r.quants);
+      view.QuantifyInto(request.q, request.eps, &r.quants);
       break;
     case QueryKind::kQuantifyExact: {
       // Pre-check what the direct call would abort on.
@@ -92,19 +76,15 @@ QueryResponse EngineRef::Dispatch(const QueryRequest& request, const Pin* pin) c
         return QueryResponse::Error(StatusCode::kUnimplemented, request.kind,
                                     kMixedExactMessage);
       }
-      r.quants = dyn::QuantifyExact(view, request.q);
+      r.quants = view.QuantifyExact(request.q);
       break;
     }
     case QueryKind::kThresholdNN:
-      quantify(&r.quants);
-      r.quants = ThresholdFilter(r.quants, request.tau);
+      r.quants = view.ThresholdNN(request.q, request.tau, request.eps);
       break;
-    case QueryKind::kMostLikelyNN: {
-      std::vector<Quantification> all;
-      quantify(&all);
-      r.id = pnn::MostLikelyNN(all);
+    case QueryKind::kMostLikelyNN:
+      r.id = view.MostLikelyNN(request.q, request.eps);
       break;
-    }
     case QueryKind::kInsert:
     case QueryKind::kErase:
       break;  // Handled by ApplyUpdate above.
@@ -147,16 +127,8 @@ QueryResponse EngineRef::ApplyUpdate(const QueryRequest& request) const {
   return r;
 }
 
-void EngineRef::Prewarm(std::optional<double> eps, const Pin& pin) const {
-  if (valid()) dyn::Prewarm(*ViewOf(&pin), view_options(), view_pool(), eps);
-}
-
-QuantifyPlan EngineRef::PlanForQuantify(std::optional<double> eps, const Pin& pin) const {
-  return dyn::PlanFor(*ViewOf(&pin), view_options(), eps);
-}
-
 size_t EngineRef::live_size() const {
-  return valid() ? ViewOf(nullptr)->combined->live_count : 0;
+  return valid() ? LiveView()->combined->live_count : 0;
 }
 
 }  // namespace api

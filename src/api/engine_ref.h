@@ -6,12 +6,14 @@
 // This is the seam the serving layer and the batch executor stand on: the
 // server decodes wire frames into QueryRequests and calls one EngineRef,
 // and exec::BatchEngine::RequestBatch fans runs of them out. Every query,
-// on every backend, answers through the one pipeline of dyn/view_query.h
-// over a dyn::CombinedView: the mutable backends' View(), or for the
+// on every backend, is a method call on a dyn::CombinedView (the one
+// pipeline of dyn/view_query.h): the mutable backends' View(), or for the
 // static Engine a one-part view (dyn::EngineView) built once when the ref
-// is constructed and shared by its copies. Answers are bit-identical to
-// the backends' direct methods (tests/api_engine_ref_test.cc
-// differential-tests randomized op streams on every backend).
+// is constructed and shared by its copies. The view carries its backend's
+// options and pool, so the ref adds nothing to a query. Answers are
+// bit-identical to calling the view (or the static Engine) directly
+// (tests/api_engine_ref_test.cc differential-tests randomized op streams
+// on every backend).
 //
 // Pinning: Capture() returns the backend's current view (always the same
 // one for the static Engine, which never changes) and Call(request, pin)
@@ -28,7 +30,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 
 #include "src/api/query.h"
 #include "src/core/pnn.h"
@@ -71,7 +72,9 @@ class EngineRef {
 
   /// The backend's immutable state for pinned calls. Holding a Pin keeps
   /// the captured structures alive; an empty (default-constructed) Pin
-  /// makes the pinned calls below answer the live state.
+  /// makes the pinned calls below answer the live state. Anything else
+  /// asked of the pinned state goes to the view itself
+  /// (pin.view->Prewarm(eps), pin.view->PlanForQuantify(eps)).
   struct Pin {
     std::shared_ptr<const dyn::CombinedView> view;
   };
@@ -92,13 +95,6 @@ class EngineRef {
   /// holds.
   QueryResponse Call(const QueryRequest& request, const Pin& pin) const;
 
-  // Backend pass-throughs the batch executor and server need, over the
-  // pinned state (the live state when `pin` is empty):
-  /// Builds every structure Quantify(·, eps) may need.
-  void Prewarm(std::optional<double> eps = std::nullopt, const Pin& pin = Pin()) const;
-  /// The spiral-vs-Monte-Carlo routing decision at this eps.
-  QuantifyPlan PlanForQuantify(std::optional<double> eps = std::nullopt,
-                               const Pin& pin = Pin()) const;
   size_t live_size() const;
 
   /// The raw backends (null unless this ref wraps that kind).
@@ -110,13 +106,8 @@ class EngineRef {
  private:
   QueryResponse Dispatch(const QueryRequest& request, const Pin* pin) const;
   QueryResponse ApplyUpdate(const QueryRequest& request) const;
-  /// The pinned view, or the live one when `pin` holds none.
-  std::shared_ptr<const dyn::CombinedView> ViewOf(const Pin* pin) const;
-  /// The engine options and pool of the backend queries read from (the
-  /// store's live router for the durable backend; no pool for the static
-  /// Engine, whose direct methods run without one).
-  const Engine::Options& view_options() const;
-  exec::ThreadPool* view_pool() const;
+  /// The backend's current view.
+  std::shared_ptr<const dyn::CombinedView> LiveView() const;
   /// The shard router queries read from; null unless sharded-shaped.
   const shard::ShardedEngine* sharded_view() const {
     return sharded_store_ != nullptr ? &sharded_store_->engine() : sharded_;

@@ -6,11 +6,11 @@
 // Insert/Erase. QueryRequest is a tagged union over those seven kinds,
 // QueryResponse the matching result variant plus a status and server-side
 // timing, and api::EngineRef (engine_ref.h) dispatches either against any
-// backend through the one evaluator over a pinned view
-// (dyn/view_query.h). The wire protocol (serve/protocol.h) serializes
+// backend as a method call on a pinned view (dyn::CombinedView,
+// dyn/view_query.h). The wire protocol (serve/protocol.h) serializes
 // exactly these types, and exec::BatchEngine::RequestBatch batches them.
 //
-// Semantics are exactly the direct methods': answers through the api are
+// Semantics are exactly the view's methods': answers through the api are
 // bit-identical to the direct calls (tests/api_engine_ref_test.cc
 // differential-tests randomized op streams on every backend). The
 // one deliberate difference is error handling — direct calls PNN_CHECK

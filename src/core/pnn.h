@@ -166,8 +166,9 @@ class Engine {
   /// extensions, extensions serialize on an internal mutex, readers are
   /// lock-free once enough rounds exist, and a reader holding an older
   /// McRounds keeps it alive. This is the one round cache: Quantify counts
-  /// winners over its first rounds(eps) trees, and the query pipeline of
-  /// dyn/view_query.h reads every bucket engine's through it.
+  /// winners over its first rounds(eps) trees, and a dyn::CombinedView's
+  /// Monte-Carlo queries (dyn/view_query.h) read every bucket engine's
+  /// through it.
   std::shared_ptr<const McRounds> EnsureRounds(size_t rounds,
                                                exec::ThreadPool* pool = nullptr) const;
 

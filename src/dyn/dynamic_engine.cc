@@ -7,7 +7,6 @@
 #include "src/dyn/answer_cache.h"
 #include "src/dyn/merge.h"
 #include "src/dyn/tail_cache.h"
-#include "src/dyn/view_query.h"
 #include "src/util/check.h"
 
 namespace pnn {
@@ -177,6 +176,8 @@ void DynamicEngine::PublishLocked() {
   auto view = std::make_shared<CombinedView>();
   view->parts.push_back(s);
   view->combined = std::move(s);
+  view->options = options_.engine;
+  view->pool = options_.pool;
   std::atomic_store_explicit(&view_, std::shared_ptr<const CombinedView>(std::move(view)),
                              std::memory_order_release);
 }
@@ -505,51 +506,6 @@ size_t McRoundsForSnapshot(const Snapshot& snap, const Engine::Options& options,
                            double eps) {
   return MonteCarloPNN::Rounds(snap.live_count, snap.max_k, eps, options.mc_delta,
                                options.mc_rounds_override);
-}
-
-QuantifyPlan DynamicEngine::PlanForQuantify(std::optional<double> eps) const {
-  return PlanFor(*View(), options_.engine, eps);
-}
-
-void DynamicEngine::Prewarm(std::optional<double> eps) const {
-  dyn::Prewarm(*View(), options_.engine, options_.pool, eps);
-}
-
-std::vector<Id> DynamicEngine::NonzeroNN(Point2 q) const {
-  std::vector<Id> out;
-  NonzeroNNInto(q, &out);
-  return out;
-}
-
-void DynamicEngine::NonzeroNNInto(Point2 q, std::vector<Id>* out) const {
-  dyn::NonzeroNNInto(*View(), options_.pool, q, out);
-}
-
-std::vector<Quantification> DynamicEngine::Quantify(Point2 q,
-                                                    std::optional<double> eps) const {
-  std::vector<Quantification> out;
-  QuantifyInto(q, eps, &out);
-  return out;
-}
-
-void DynamicEngine::QuantifyInto(Point2 q, std::optional<double> eps,
-                                 std::vector<Quantification>* out) const {
-  dyn::QuantifyInto(*View(), options_.engine, options_.pool, q, eps, out);
-}
-
-std::vector<Quantification> DynamicEngine::QuantifyExact(Point2 q) const {
-  return dyn::QuantifyExact(*View(), q);
-}
-
-std::vector<Quantification> DynamicEngine::ThresholdNN(
-    Point2 q, double tau, std::optional<double> eps) const {
-  PNN_CHECK_MSG(tau >= 0 && tau <= 1,
-                "ThresholdNN tau must be a probability in [0,1]");
-  return ThresholdFilter(Quantify(q, eps), tau);
-}
-
-Id DynamicEngine::MostLikelyNN(Point2 q, std::optional<double> eps) const {
-  return pnn::MostLikelyNN(Quantify(q, eps));
 }
 
 size_t DynamicEngine::live_size() const { return snapshot()->live_count; }

@@ -1,6 +1,7 @@
-// pnn::dyn — dynamic uncertain-point engine: Insert/Erase plus the full
-// pnn::Engine query surface, with answers identical to a freshly built
-// static Engine over the current live set.
+// pnn::dyn — dynamic uncertain-point engine: Insert/Erase, plus the full
+// pnn::Engine query surface on the view it publishes (View()->Quantify(q)),
+// with answers identical to a freshly built static Engine over the current
+// live set.
 //
 // Structure (Bentley–Saxe logarithmic method): points live in O(log n)
 // geometrically sized immutable buckets, each backed by a static
@@ -34,9 +35,9 @@
 // ReferenceEngineOptions()) — bit-identically for NonzeroNN/Quantify/
 // ThresholdNN — regardless of the update history, the merge schedule, or
 // the thread count. The decompositions live in merge.h; the per-query
-// pipeline over them (eps, answer cache, plan rule) in view_query.h, which
-// the shard router and the static Engine's api::EngineRef answer through
-// too.
+// pipeline over them (eps, answer cache, plan rule) is CombinedView's
+// methods (view_query.h), the one query surface of this engine, the shard
+// router and the static Engine's api::EngineRef alike.
 
 #ifndef PNN_DYN_DYNAMIC_ENGINE_H_
 #define PNN_DYN_DYNAMIC_ENGINE_H_
@@ -50,6 +51,7 @@
 
 #include "src/core/pnn.h"
 #include "src/dyn/bucket.h"
+#include "src/dyn/view_query.h"
 #include "src/exec/thread_pool.h"
 
 namespace pnn {
@@ -102,65 +104,6 @@ struct Options {
   bool answer_cache = true;
 };
 
-struct TailEntry {
-  Id id;
-  UncertainPoint point;
-};
-
-class TailMcCache;  // Per-snapshot Monte-Carlo tail samples (tail_cache.h).
-class AnswerCache;  // Per-snapshot cross-query answers (answer_cache.h).
-
-/// One immutable version of the structure. Queries snapshot it with a
-/// lock-free atomic load and are unaffected by concurrent updates or
-/// background rebuilds (old versions stay alive through the shared_ptrs a
-/// running query holds). The SetAggregates base holds the live set's
-/// aggregates — exactly what a fresh static Engine over it derives, kept
-/// as counts and a min/max spread so partitions of snapshots (the shard
-/// router) recombine them without re-scanning every point.
-struct Snapshot : SetAggregates {
-  struct BucketRef {
-    std::shared_ptr<const Bucket> bucket;
-    /// Tombstone mask in bucket-local indexing; null when nothing is dead.
-    std::shared_ptr<const std::vector<char>> dead;
-    size_t live_count = 0;
-  };
-  std::vector<BucketRef> buckets;
-  /// Tail entries in insertion order. Ids are not necessarily ascending
-  /// (InsertWithId may re-add an id previously moved out by the shard
-  /// router), and an id may recur dead in one part and live in another;
-  /// deadness is therefore positional, never keyed by id.
-  std::shared_ptr<const std::vector<TailEntry>> tail;
-  /// Tombstone mask parallel to `tail`; null when nothing is dead.
-  std::shared_ptr<const std::vector<char>> tail_dead;
-  /// Lazily built per-(seed, rounds) Monte-Carlo tail samples, shared by
-  /// every query against this snapshot so repeated quantifications sample
-  /// the tail once (null when the tail has no live entries; hand-built
-  /// snapshots may omit it, and the merge layer then samples through a
-  /// query-local cache). A snapshot publish starts a fresh cache: that is
-  /// the invalidation on insert/erase/merge/compaction.
-  std::shared_ptr<TailMcCache> tail_mc;
-  /// Cross-query answer memoization for this snapshot (null on hand-built
-  /// snapshots and when Options::answer_cache is off — queries then just
-  /// evaluate). Shares the publish-is-the-invalidation lifecycle with
-  /// tail_mc.
-  std::shared_ptr<AnswerCache> answers;
-
-  bool TailAlive(size_t index) const {
-    return tail_dead == nullptr || (*tail_dead)[index] == 0;
-  }
-};
-
-/// One immutable query view: the snapshots it was gathered from plus their
-/// union as one snapshot. A DynamicEngine publishes a one-part view with
-/// every snapshot (parts = {snap}, combined = snap); the shard router
-/// gathers one part per shard under its seqlock and builds the union.
-/// Every query runs over a view through view_query.h; holding one pins its
-/// structures, so queries against it answer as of the gather.
-struct CombinedView {
-  std::vector<std::shared_ptr<const Snapshot>> parts;
-  std::shared_ptr<const Snapshot> combined;
-};
-
 /// One recovered bucket for the recovery constructor: the adopted bucket
 /// (rebuilt from a mapped segment by store::LoadSegment) plus the
 /// tombstone mask its store's log prescribed. An empty mask means fully
@@ -190,10 +133,10 @@ struct SnapshotIntrospection {
 /// Introspects one snapshot (grab it with DynamicEngine::snapshot()).
 SnapshotIntrospection Introspect(const Snapshot& snap);
 
-/// Thread safety: all query methods are const and may run concurrently
-/// with each other, with updates, and with background maintenance. Updates
-/// (Insert/Erase) serialize on an internal mutex and are safe to call from
-/// one or many threads.
+/// Thread safety: View() and the view's query methods are const and may
+/// run concurrently with each other, with updates, and with background
+/// maintenance. Updates (Insert/Erase) serialize on an internal mutex and
+/// are safe to call from one or many threads.
 class DynamicEngine {
  public:
   explicit DynamicEngine(Options options = Options());
@@ -236,49 +179,6 @@ class DynamicEngine {
   /// of a dead one is skipped, not an abort).
   bool IsLive(Id id) const;
 
-  // The query surface: each method answers over the current View()
-  // through the shared pipeline of view_query.h. To answer several queries
-  // against one state, pin a View() (or an api::EngineRef::Capture()).
-
-  /// NN!=0(q) over the live set, ascending ids (Lemma 2.1 semantics).
-  std::vector<Id> NonzeroNN(Point2 q) const;
-
-  /// NonzeroNN writing into `out` (cleared first) — with a warm scratch
-  /// arena and a warm output buffer a steady-state call performs zero
-  /// heap allocations (tests/alloc_hotpath_test.cc).
-  void NonzeroNNInto(Point2 q, std::vector<Id>* out) const;
-
-  /// Estimates of all positive pi_i(q) within additive eps; Quantification
-  /// indices are point ids, ascending.
-  std::vector<Quantification> Quantify(Point2 q,
-                                       std::optional<double> eps = std::nullopt) const;
-
-  /// Quantify writing into `out` (cleared first) — with warm caches and a
-  /// warm scratch arena this performs zero heap allocations on the spiral
-  /// and Monte-Carlo paths (asserted by tests/alloc_hotpath_test.cc).
-  void QuantifyInto(Point2 q, std::optional<double> eps,
-                    std::vector<Quantification>* out) const;
-
-  /// Exact pi_i(q) (discrete: per-bucket survival-profile recombination;
-  /// continuous: quadrature over the gathered live set).
-  std::vector<Quantification> QuantifyExact(Point2 q) const;
-
-  /// Points with pi_i(q) > tau; tau must be in [0, 1] (checked).
-  std::vector<Quantification> ThresholdNN(Point2 q, double tau,
-                                          std::optional<double> eps = std::nullopt) const;
-
-  /// Id with the largest estimated quantification probability (-1 when the
-  /// live set is empty).
-  Id MostLikelyNN(Point2 q, std::optional<double> eps = std::nullopt) const;
-
-  /// The plan Quantify() will pick at this eps, by the same rule a fresh
-  /// static Engine over the live set applies.
-  QuantifyPlan PlanForQuantify(std::optional<double> eps = std::nullopt) const;
-
-  /// Builds every per-bucket structure Quantify(·, eps) may need (batch
-  /// callers fan out afterwards without contending on construction).
-  void Prewarm(std::optional<double> eps = std::nullopt) const;
-
   size_t live_size() const;
   size_t num_buckets() const;
   size_t tail_size() const;  // Live tail entries.
@@ -302,6 +202,7 @@ class DynamicEngine {
   /// The current one-part query view (parts = {snapshot()}, combined =
   /// snapshot()), published together with each snapshot: one lock-free
   /// acquire load, no allocation. Holding it pins the structure version.
+  /// Every query goes through it: engine.View()->Quantify(q).
   std::shared_ptr<const CombinedView> View() const {
     return std::atomic_load_explicit(&view_, std::memory_order_acquire);
   }

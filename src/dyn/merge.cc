@@ -471,26 +471,5 @@ std::vector<Quantification> MergedQuantifyExact(const Snapshot& snap, Point2 q) 
   return out;
 }
 
-void PrewarmWorkerScratch(size_t points_hint, size_t rounds_hint) {
-  size_t cap = std::max(points_hint, rounds_hint);
-  // Kd DFS stacks and best-first heaps (several can nest: one stream per
-  // bucket in the k-way merge, a stage-2 report inside a stage-1 walk).
-  // int also covers Id winners/labels/counts and the quantify sweep's
-  // seen/touched buffers.
-  KdTree::PrewarmScratch(cap);
-  // Spiral-merge bookkeeping (MergedSpiralQuantifyInto).
-  util::ScratchVec<SourceLoc>::Prewarm(2, cap);
-  util::ScratchVec<Source>::Prewarm(1, 16);
-  util::ScratchVec<std::pair<double, size_t>>::Prewarm(1, 16);
-  util::ScratchVec<WeightedLocation>::Prewarm(1, cap);
-  // Monte-Carlo recombination (MergedMonteCarloQuantifyInto).
-  util::ScratchVec<std::shared_ptr<const McRounds>>::Prewarm(1, 16);
-  // Quantify sweep accumulators + survival gather buffer
-  // (QuantifyPrefixSweepInto) and the shard router's per-shard delta table.
-  util::ScratchVec<double>::Prewarm(4, cap);
-  util::ScratchVec<size_t>::Prewarm(1, 16);
-  util::ScratchVec<std::vector<Id>>::Prewarm(1, 16);
-}
-
 }  // namespace dyn
 }  // namespace pnn

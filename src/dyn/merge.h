@@ -114,17 +114,6 @@ void MergedMonteCarloQuantifyInto(const Snapshot& snap, Point2 q, size_t rounds,
 /// reassociation keeps it within ~1e-12 of the monolithic sweep).
 std::vector<Quantification> MergedQuantifyExact(const Snapshot& snap, Point2 q);
 
-/// Pre-sizes the calling thread's scratch pools for every buffer the
-/// query recombinations above (and the kd/quantify layers under them)
-/// lease, so the thread's first queries skip the pool-growing
-/// allocations. Intended as a ThreadPool worker_init hook:
-///   exec::ThreadPool::Options po;
-///   po.worker_init = [] { dyn::PrewarmWorkerScratch(n_hint, rounds_hint); };
-/// `points_hint` ~ live points served per query (sizes stacks, heaps and
-/// report buffers), `rounds_hint` ~ Monte-Carlo rounds (sizes winner
-/// tables).
-void PrewarmWorkerScratch(size_t points_hint, size_t rounds_hint);
-
 }  // namespace dyn
 }  // namespace pnn
 

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "src/dyn/answer_cache.h"
+#include "src/dyn/dynamic_engine.h"
 #include "src/dyn/merge.h"
 #include "src/dyn/tail_cache.h"
 #include "src/util/arena.h"
@@ -29,13 +30,21 @@ std::shared_ptr<const CombinedView> EngineView(const Engine* engine) {
   auto view = std::make_shared<CombinedView>();
   view->parts.push_back(snap);
   view->combined = std::move(snap);
+  view->options = engine->options();
+  // The bucket's engine samples under its own ids; the view never needs
+  // them, and a copy would be one id per point.
+  view->options.mc_stream_ids.clear();
   return view;
 }
 
-void NonzeroNNInto(const CombinedView& view, exec::ThreadPool* pool, Point2 q,
-                   std::vector<Id>* out) {
-  const std::vector<std::shared_ptr<const Snapshot>>& parts = view.parts;
-  const Snapshot& u = *view.combined;
+std::vector<Id> CombinedView::NonzeroNN(Point2 q) const {
+  std::vector<Id> out;
+  NonzeroNNInto(q, &out);
+  return out;
+}
+
+void CombinedView::NonzeroNNInto(Point2 q, std::vector<Id>* out) const {
+  const Snapshot& u = *combined;
   out->clear();
   if (u.live_count == 0) return;
   // The view is immutable and the answer a deterministic function of
@@ -97,11 +106,17 @@ void NonzeroNNInto(const CombinedView& view, exec::ThreadPool* pool, Point2 q,
   if (cache != nullptr) cache->InsertIds(key, *out);
 }
 
-void QuantifyInto(const CombinedView& view, const Engine::Options& options,
-                  exec::ThreadPool* pool, Point2 q, std::optional<double> eps_opt,
-                  std::vector<Quantification>* out) {
+std::vector<Quantification> CombinedView::Quantify(Point2 q,
+                                                   std::optional<double> eps) const {
+  std::vector<Quantification> out;
+  QuantifyInto(q, eps, &out);
+  return out;
+}
+
+void CombinedView::QuantifyInto(Point2 q, std::optional<double> eps_opt,
+                                std::vector<Quantification>* out) const {
   double eps = ResolveEps(options, eps_opt);
-  const Snapshot& snap = *view.combined;
+  const Snapshot& snap = *combined;
   out->clear();
   if (snap.live_count == 0) return;
   // A hit skips plan selection, Monte-Carlo rounds and the merge entirely.
@@ -117,8 +132,8 @@ void QuantifyInto(const CombinedView& view, const Engine::Options& options,
   if (cache != nullptr) cache->InsertQuants(key, *out);
 }
 
-std::vector<Quantification> QuantifyExact(const CombinedView& view, Point2 q) {
-  const Snapshot& snap = *view.combined;
+std::vector<Quantification> CombinedView::QuantifyExact(Point2 q) const {
+  const Snapshot& snap = *combined;
   if (snap.live_count == 0) return {};
   AnswerCache* cache = snap.answers.get();
   AnswerCache::Key key{AnswerCache::Kind::kQuantifyExact, q, 0.0};
@@ -141,15 +156,23 @@ std::vector<Quantification> QuantifyExact(const CombinedView& view, Point2 q) {
   return out;
 }
 
-QuantifyPlan PlanFor(const CombinedView& view, const Engine::Options& options,
-                     std::optional<double> eps) {
-  return PlanForSnapshot(*view.combined, options, ResolveEps(options, eps));
+std::vector<Quantification> CombinedView::ThresholdNN(Point2 q, double tau,
+                                                      std::optional<double> eps) const {
+  PNN_CHECK_MSG(tau >= 0 && tau <= 1, "ThresholdNN tau must be a probability in [0,1]");
+  return ThresholdFilter(Quantify(q, eps), tau);
 }
 
-void Prewarm(const CombinedView& view, const Engine::Options& options,
-             exec::ThreadPool* pool, std::optional<double> eps_opt) {
+Id CombinedView::MostLikelyNN(Point2 q, std::optional<double> eps) const {
+  return pnn::MostLikelyNN(Quantify(q, eps));
+}
+
+QuantifyPlan CombinedView::PlanForQuantify(std::optional<double> eps) const {
+  return PlanForSnapshot(*combined, options, ResolveEps(options, eps));
+}
+
+void CombinedView::Prewarm(std::optional<double> eps_opt) const {
   double eps = ResolveEps(options, eps_opt);
-  const Snapshot& snap = *view.combined;
+  const Snapshot& snap = *combined;
   if (snap.live_count == 0) return;
   if (PlanForSnapshot(snap, options, eps) != QuantifyPlan::kMonteCarlo) return;
   size_t rounds = McRoundsForSnapshot(snap, options, eps);

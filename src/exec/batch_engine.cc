@@ -81,8 +81,8 @@ void BatchEngine::PrepareRun(const std::vector<api::QueryRequest>& requests,
     auto it = std::find_if(plans.begin(), plans.end(),
                            [&](const auto& p) { return p.first == request.eps; });
     if (it == plans.end()) {
-      ref_.Prewarm(request.eps, pin);
-      plans.emplace_back(request.eps, ref_.PlanForQuantify(request.eps, pin));
+      pin.view->Prewarm(request.eps);
+      plans.emplace_back(request.eps, pin.view->PlanForQuantify(request.eps));
       it = plans.end() - 1;
     }
     if (it->second == QuantifyPlan::kSpiral) {

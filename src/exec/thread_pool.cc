@@ -13,12 +13,9 @@ thread_local const ThreadPool* tls_pool = nullptr;
 thread_local size_t tls_worker_index = 0;
 }  // namespace
 
-ThreadPool::ThreadPool(size_t num_threads) : ThreadPool(Options{num_threads, {}}) {}
-
-ThreadPool::ThreadPool(Options options) : options_(std::move(options)) {
-  size_t n = options_.num_threads > 0
-                 ? options_.num_threads
-                 : std::max<size_t>(1, std::thread::hardware_concurrency());
+ThreadPool::ThreadPool(size_t num_threads) {
+  size_t n = num_threads > 0 ? num_threads
+                             : std::max<size_t>(1, std::thread::hardware_concurrency());
   queues_.reserve(n);
   for (size_t i = 0; i < n; ++i) queues_.push_back(std::make_unique<WorkQueue>());
   workers_.reserve(n);
@@ -74,7 +71,6 @@ std::function<void()> ThreadPool::NextTask(size_t self) {
 void ThreadPool::WorkerLoop(size_t self) {
   tls_pool = this;
   tls_worker_index = self;
-  if (options_.worker_init) options_.worker_init();
   for (;;) {
     std::function<void()> task = NextTask(self);
     if (task) {

@@ -31,19 +31,8 @@ namespace exec {
 /// share, never deadlocks on pool capacity).
 class ThreadPool {
  public:
-  struct Options {
-    /// Worker count; 0 means std::thread::hardware_concurrency().
-    size_t num_threads = 0;
-    /// Runs once on each worker thread before it takes any task. Engines
-    /// pass a scratch-arena warmup here (e.g. dyn::PrewarmWorkerScratch)
-    /// so a worker's first query doesn't pay the per-thread pool-growing
-    /// allocations inside its latency.
-    std::function<void()> worker_init;
-  };
-
   /// Spawns `num_threads` workers; 0 means std::thread::hardware_concurrency().
   explicit ThreadPool(size_t num_threads = 0);
-  explicit ThreadPool(Options options);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -70,7 +59,6 @@ class ThreadPool {
   /// an empty function when nothing is available.
   std::function<void()> NextTask(size_t self);
 
-  Options options_;
   std::vector<std::unique_ptr<WorkQueue>> queues_;
   std::vector<std::thread> workers_;
   std::mutex wake_mu_;

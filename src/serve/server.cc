@@ -35,6 +35,7 @@ Server::~Server() { Stop(); }
 bool Server::Start() {
   if (running_ || !ref_.valid()) return false;
   stopping_ = false;
+  worker_done_ = false;
 
   listen_fd_ = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) return false;
@@ -102,6 +103,7 @@ void Server::Stop() {
     }
     queue_.clear();
   }
+  worker_done_ = true;
   WakeIo();
   if (io_thread_.joinable()) io_thread_.join();
 
@@ -208,7 +210,8 @@ void Server::WorkerLoop() {
 void Server::IoLoop() {
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
-  // Shutdown grace: after stopping_, keep flushing for up to this long.
+  // Shutdown grace: once the worker is done, keep flushing for up to
+  // this long.
   constexpr auto kDrainGrace = std::chrono::seconds(1);
   Clock::time_point drain_deadline{};
   bool draining = false;
@@ -244,13 +247,16 @@ void Server::IoLoop() {
 
     DrainCompletions();
 
-    if (stopping_) {
+    // Not on stopping_ alone: the worker may still be executing admitted
+    // requests then, and leaving before their completions are posted
+    // would close their connections unanswered.
+    if (worker_done_) {
       if (!draining) {
         draining = true;
         drain_deadline = Clock::now() + kDrainGrace;
       }
-      // Exit once every outbox is flushed (the worker has already
-      // drained the queue before Stop() woke us), or the grace expires.
+      // Exit once every completion is drained and every outbox flushed,
+      // or the grace expires.
       bool flushed = true;
       {
         std::lock_guard<std::mutex> lock(completion_mu_);

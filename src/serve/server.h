@@ -176,6 +176,9 @@ class Server {
   uint16_t port_ = 0;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
+  /// Set by Stop() once the worker has exited and every admitted request
+  /// has its completion posted; only then may the IO loop flush and exit.
+  std::atomic<bool> worker_done_{false};
 
   std::thread io_thread_;
   std::thread worker_thread_;

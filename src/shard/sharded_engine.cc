@@ -8,7 +8,6 @@
 #include "src/dyn/answer_cache.h"
 #include "src/dyn/merge.h"
 #include "src/dyn/tail_cache.h"
-#include "src/dyn/view_query.h"
 #include "src/util/check.h"
 
 namespace pnn {
@@ -285,55 +284,15 @@ std::shared_ptr<const CombinedView> ShardedEngine::View() const {
   auto view = std::make_shared<CombinedView>();
   view->parts = Grab();
   view->combined = CombineSnapshots(view->parts, options_.shard.answer_cache);
+  view->options = options_.shard.engine;
+  view->pool = options_.pool;
   std::atomic_store_explicit(&view_cache_, std::shared_ptr<const CombinedView>(view),
                              std::memory_order_release);
   view_misses_.fetch_add(1, std::memory_order_relaxed);
   return view;
 }
 
-std::vector<Id> ShardedEngine::NonzeroNN(Point2 q) const {
-  std::vector<Id> out;
-  NonzeroNNInto(q, &out);
-  return out;
-}
-
-void ShardedEngine::NonzeroNNInto(Point2 q, std::vector<Id>* out) const {
-  dyn::NonzeroNNInto(*View(), options_.pool, q, out);
-}
-
-std::vector<Quantification> ShardedEngine::Quantify(Point2 q,
-                                                    std::optional<double> eps) const {
-  std::vector<Quantification> out;
-  QuantifyInto(q, eps, &out);
-  return out;
-}
-
-void ShardedEngine::QuantifyInto(Point2 q, std::optional<double> eps,
-                                 std::vector<Quantification>* out) const {
-  dyn::QuantifyInto(*View(), options_.shard.engine, options_.pool, q, eps, out);
-}
-
-std::vector<Quantification> ShardedEngine::QuantifyExact(Point2 q) const {
-  return dyn::QuantifyExact(*View(), q);
-}
-
-std::vector<Quantification> ShardedEngine::ThresholdNN(Point2 q, double tau,
-                                                       std::optional<double> eps) const {
-  PNN_CHECK_MSG(tau >= 0 && tau <= 1, "ThresholdNN tau must be a probability in [0,1]");
-  return ThresholdFilter(Quantify(q, eps), tau);
-}
-
-Id ShardedEngine::MostLikelyNN(Point2 q, std::optional<double> eps) const {
-  return pnn::MostLikelyNN(Quantify(q, eps));
-}
-
-QuantifyPlan ShardedEngine::PlanForQuantify(std::optional<double> eps) const {
-  return dyn::PlanFor(*View(), options_.shard.engine, eps);
-}
-
-void ShardedEngine::Prewarm(std::optional<double> eps) const {
-  dyn::Prewarm(*View(), options_.shard.engine, options_.pool, eps);
-}
+void ShardedEngine::Prewarm(std::optional<double> eps) const { View()->Prewarm(eps); }
 
 size_t ShardedEngine::live_size() const {
   size_t live = 0;

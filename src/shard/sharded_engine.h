@@ -1,7 +1,7 @@
 // pnn::shard — the multi-shard router over dyn::DynamicEngine: one
-// Insert/Erase + full query surface (NonzeroNN, Quantify, QuantifyExact,
-// ThresholdNN, MostLikelyNN) over N shards, each an independent
-// DynamicEngine owning a disjoint slice of the live set.
+// Insert/Erase surface plus one query view (View(): NonzeroNN, Quantify,
+// QuantifyExact, ThresholdNN, MostLikelyNN) over N shards, each an
+// independent DynamicEngine owning a disjoint slice of the live set.
 //
 // Placement is pluggable (hash-by-id or a kd-median spatial partition of
 // point centroids); either way the router's id->shard map stays
@@ -12,10 +12,10 @@
 // passed through to the shards (dyn::DynamicEngine::InsertWithId), so the
 // union of the shards' snapshots is just a bigger buckets+tail partition
 // of the same live set a single DynamicEngine would hold. Every query
-// answers through the same pipeline a single DynamicEngine runs
-// (dyn/view_query.h), over a view with one part per shard: NonzeroNN
-// min-reduces the per-shard Lemma 2.1 bounds and reports per shard
-// against the global bound (both stages fanned out on the
+// answers through the same pipeline a single DynamicEngine's view runs
+// (dyn::CombinedView, dyn/view_query.h), over a view with one part per
+// shard: NonzeroNN min-reduces the per-shard Lemma 2.1 bounds and reports
+// per shard against the global bound (both stages fanned out on the
 // exec::ThreadPool), and the quantifications recombine the union snapshot
 // through the exact per-part primitives of dyn/merge.h. The plan rule and
 // Monte-Carlo round count are evaluated over the UNION's aggregates, so
@@ -131,8 +131,9 @@ struct RebalanceStats {
 };
 
 /// The cross-shard query view: the per-shard snapshots gathered under a
-/// seqlock epoch plus their combined union snapshot (the struct is
-/// dyn::CombinedView, which the single engine publishes with one part).
+/// seqlock epoch plus their combined union snapshot, with the router's
+/// engine options and pool (the struct is dyn::CombinedView, which the
+/// single engine publishes with one part).
 /// Published through the engine's snapshot cache, so query bursts against
 /// an unchanged live set share one view; any shard publish (insert, erase,
 /// background merge/compaction, rebalance move) makes the next View() call
@@ -146,9 +147,10 @@ struct SnapshotCacheStats {
   uint64_t misses = 0;
 };
 
-/// Thread safety: queries are const, lock-free (seqlock-retry on rebalance
-/// moves only) and may run concurrently with updates, maintenance and
-/// rebalance. Updates serialize on an internal mutex.
+/// Thread safety: View() and the view's queries are const, lock-free
+/// (seqlock-retry on rebalance moves only) and may run concurrently with
+/// updates, maintenance and rebalance. Updates serialize on an internal
+/// mutex.
 class ShardedEngine {
  public:
   explicit ShardedEngine(Options options = Options());
@@ -206,54 +208,16 @@ class ShardedEngine {
     return shards_[s]->snapshot();
   }
 
-  /// The current combined view. Cache hit: a handful of atomic loads and
+  /// The current combined view, the router's query surface
+  /// (View()->Quantify(q)). Cache hit: a handful of atomic loads and
   /// pointer compares, no allocation; miss: one seqlock gather plus the
   /// union rebuild, published for subsequent queries. The batch executor
   /// threads one view through a whole batch.
   std::shared_ptr<const CombinedView> View() const;
 
-  // The query surface: each method answers over the current View()
-  // through the shared pipeline of dyn/view_query.h. To answer several
-  // queries against one state, pin a View() (or an
-  // api::EngineRef::Capture()).
-
-  /// NN!=0(q) over the union, ascending ids (Lemma 2.1 semantics).
-  std::vector<Id> NonzeroNN(Point2 q) const;
-
-  /// NonzeroNN writing into `out` (cleared first) — with a warm view and
-  /// a warm scratch arena a steady-state call performs zero heap
-  /// allocations (tests/alloc_hotpath_test.cc).
-  void NonzeroNNInto(Point2 q, std::vector<Id>* out) const;
-
-  /// Estimates of all positive pi_i(q) within additive eps; indices are
-  /// global ids, ascending.
-  std::vector<Quantification> Quantify(Point2 q,
-                                       std::optional<double> eps = std::nullopt) const;
-
-  /// Quantify writing into `out` (cleared first) — the zero-allocation
-  /// form: with a warm view, warm Monte-Carlo/tail caches and a warm
-  /// scratch arena, a steady-state call allocates nothing.
-  void QuantifyInto(Point2 q, std::optional<double> eps,
-                    std::vector<Quantification>* out) const;
-
-  /// Exact pi_i(q) (discrete: survival-profile recombination across every
-  /// shard's parts; continuous: quadrature over the gathered union).
-  std::vector<Quantification> QuantifyExact(Point2 q) const;
-
-  /// Points with pi_i(q) > tau; tau must be in [0, 1] (checked).
-  std::vector<Quantification> ThresholdNN(Point2 q, double tau,
-                                          std::optional<double> eps = std::nullopt) const;
-
-  /// Id with the largest estimated quantification probability (-1 when the
-  /// live set is empty).
-  Id MostLikelyNN(Point2 q, std::optional<double> eps = std::nullopt) const;
-
-  /// The plan Quantify() will pick at this eps — the single-engine rule
-  /// over the union's aggregates.
-  QuantifyPlan PlanForQuantify(std::optional<double> eps = std::nullopt) const;
-
-  /// Builds every per-bucket structure Quantify(·, eps) may need across
-  /// all shards.
+  /// View()->Prewarm(eps): builds every per-bucket structure Quantify(·,
+  /// eps) may need across all shards. Kept as a forward because the
+  /// benchmark suite (bench_suite/bench_suite.cc) calls it.
   void Prewarm(std::optional<double> eps = std::nullopt) const;
 
   /// True when the most loaded shard exceeds the imbalance threshold.

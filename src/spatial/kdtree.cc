@@ -264,13 +264,6 @@ bool KdTree::SameStructure(const KdTree& other) const {
   return true;
 }
 
-void KdTree::PrewarmScratch(size_t capacity) {
-  // Several DFS stacks / heaps can be live at once on one thread (nested
-  // streams in the k-way merge, a stage-2 report inside a stage-1 walk).
-  util::ScratchVec<int>::Prewarm(4, capacity);
-  util::ScratchVec<Incremental::Entry>::Prewarm(4, capacity);
-}
-
 int KdTree::Nearest(Point2 q, double* out_dist, const std::vector<char>* skip) const {
   PNN_CHECK_MSG(!order_.empty(), "Nearest on empty tree");
   double best = kInf;

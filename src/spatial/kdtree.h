@@ -167,11 +167,6 @@ class KdTree {
   /// tests).
   bool SameStructure(const KdTree& other) const;
 
-  /// Pre-sizes the calling thread's scratch pools for this file's query
-  /// paths (DFS stacks, best-first heaps) to `capacity` entries. Part of
-  /// the worker warmup chain (exec::ThreadPool::Options::worker_init).
-  static void PrewarmScratch(size_t capacity);
-
   /// Best-first enumeration of points in ascending distance from a query;
   /// each Next() costs O(log n) amortized. Used by the spiral-search
   /// quantifier to consume exactly as many neighbors as the error bound
@@ -189,7 +184,6 @@ class KdTree {
     int Next(double* dist = nullptr);
 
    private:
-    friend class KdTree;  // PrewarmScratch pre-sizes the Entry pool.
     struct Entry {
       double key;     // Lower bound on distance (exact for points).
       int node;       // Internal node id, or -1 when `point` is valid.

@@ -52,20 +52,6 @@ class ScratchVec {
   const std::vector<T>* operator->() const { return &buf_; }
   std::vector<T>* get() { return &buf_; }
 
-  /// Pre-sizes the calling thread's pool: afterwards it holds at least
-  /// `count` buffers of capacity >= `capacity` each, so the first `count`
-  /// simultaneous leases on this thread get their storage without touching
-  /// the heap. Thread pools run this from their worker_init hook so worker
-  /// threads stop paying warmup allocations inside the first queries.
-  static void Prewarm(size_t count, size_t capacity) {
-    std::vector<ScratchVec<T>> leases;
-    leases.reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-      leases.emplace_back();
-      if (leases.back()->capacity() < capacity) leases.back()->reserve(capacity);
-    }
-  }  // Destruction returns every buffer to the free list.
-
  private:
   using List = std::vector<std::vector<T>>;
 

@@ -52,11 +52,11 @@ void ExpectZeroAllocQueries(EngineT* engine, const std::vector<Point2>& queries,
                             double eps) {
   std::vector<Quantification> out;
   for (int pass = 0; pass < 2; ++pass) {
-    for (Point2 q : queries) engine->QuantifyInto(q, eps, &out);
+    for (Point2 q : queries) engine->View()->QuantifyInto(q, eps, &out);
   }
   for (Point2 q : queries) {
     int64_t before = util::AllocationCount();
-    engine->QuantifyInto(q, eps, &out);
+    engine->View()->QuantifyInto(q, eps, &out);
     int64_t delta = util::AllocationCount() - before;
     EXPECT_EQ(delta, 0) << "allocations in a warm query at (" << q.x << ", " << q.y
                         << ")";
@@ -84,7 +84,7 @@ TEST(AllocHotpath, DynamicSpiralQueriesAllocateNothing) {
   Rng rng(501);
   dyn::DynamicEngine engine(DynOptions(false));
   Churn(&engine, &rng, 300);
-  ASSERT_EQ(engine.PlanForQuantify(0.1), QuantifyPlan::kSpiral);
+  ASSERT_EQ(engine.View()->PlanForQuantify(0.1), QuantifyPlan::kSpiral);
   ExpectZeroAllocQueries(&engine, TestQueries(&rng, 8), 0.1);
 }
 
@@ -92,7 +92,7 @@ TEST(AllocHotpath, DynamicMonteCarloQueriesAllocateNothing) {
   Rng rng(503);
   dyn::DynamicEngine engine(DynOptions(true));
   Churn(&engine, &rng, 300);
-  ASSERT_EQ(engine.PlanForQuantify(0.1), QuantifyPlan::kMonteCarlo);
+  ASSERT_EQ(engine.View()->PlanForQuantify(0.1), QuantifyPlan::kMonteCarlo);
   ASSERT_GT(engine.tail_size(), 0u);  // The tail-sample cache is exercised.
   ExpectZeroAllocQueries(&engine, TestQueries(&rng, 8), 0.1);
 }
@@ -104,7 +104,7 @@ TEST(AllocHotpath, ShardedSpiralQueriesAllocateNothing) {
   sopt.shard = DynOptions(false);
   shard::ShardedEngine engine(sopt);
   Churn(&engine, &rng, 300);
-  ASSERT_EQ(engine.PlanForQuantify(0.1), QuantifyPlan::kSpiral);
+  ASSERT_EQ(engine.View()->PlanForQuantify(0.1), QuantifyPlan::kSpiral);
   shard::SnapshotCacheStats before = engine.snapshot_cache_stats();
   ExpectZeroAllocQueries(&engine, TestQueries(&rng, 8), 0.1);
   // The warm queries all hit the combined-snapshot cache.
@@ -120,7 +120,7 @@ TEST(AllocHotpath, ShardedMonteCarloQueriesAllocateNothing) {
   sopt.shard = DynOptions(true);
   shard::ShardedEngine engine(sopt);
   Churn(&engine, &rng, 300);
-  ASSERT_EQ(engine.PlanForQuantify(0.1), QuantifyPlan::kMonteCarlo);
+  ASSERT_EQ(engine.View()->PlanForQuantify(0.1), QuantifyPlan::kMonteCarlo);
   ExpectZeroAllocQueries(&engine, TestQueries(&rng, 8), 0.1);
 }
 
@@ -132,12 +132,12 @@ template <typename EngineT>
 void ExpectZeroAllocNonzeroNN(EngineT* engine, const std::vector<Point2>& queries) {
   std::vector<dyn::Id> out;
   for (int pass = 0; pass < 2; ++pass) {
-    for (Point2 q : queries) engine->NonzeroNNInto(q, &out);
+    for (Point2 q : queries) engine->View()->NonzeroNNInto(q, &out);
   }
   bool any_nonempty = false;
   for (Point2 q : queries) {
     int64_t before = util::AllocationCount();
-    engine->NonzeroNNInto(q, &out);
+    engine->View()->NonzeroNNInto(q, &out);
     int64_t delta = util::AllocationCount() - before;
     EXPECT_EQ(delta, 0) << "allocations in a warm NonzeroNN at (" << q.x << ", "
                         << q.y << ")";

@@ -19,7 +19,6 @@
 
 #include "src/dyn/answer_cache.h"
 #include "src/dyn/dynamic_engine.h"
-#include "src/dyn/view_query.h"
 #include "src/exec/batch_engine.h"
 #include "src/shard/sharded_engine.h"
 #include "src/util/alloc_hook.h"
@@ -132,16 +131,16 @@ TEST(DynamicAnswerCache, EngineHitsAndAnswersMatchUncached) {
   std::vector<dyn::Id> first_ids, second_ids, plain_ids;
   std::vector<Quantification> first_q, second_q, plain_q;
   for (Point2 q : queries) {
-    cached.NonzeroNNInto(q, &first_ids);
-    uncached.NonzeroNNInto(q, &plain_ids);
+    cached.View()->NonzeroNNInto(q, &first_ids);
+    uncached.View()->NonzeroNNInto(q, &plain_ids);
     EXPECT_EQ(first_ids, plain_ids);  // Miss path == uncached evaluation.
-    cached.NonzeroNNInto(q, &second_ids);
+    cached.View()->NonzeroNNInto(q, &second_ids);
     EXPECT_EQ(second_ids, first_ids);  // Hit path == miss path.
 
-    cached.QuantifyInto(q, 0.1, &first_q);
-    uncached.QuantifyInto(q, 0.1, &plain_q);
+    cached.View()->QuantifyInto(q, 0.1, &first_q);
+    uncached.View()->QuantifyInto(q, 0.1, &plain_q);
     ASSERT_EQ(first_q.size(), plain_q.size());
-    cached.QuantifyInto(q, 0.1, &second_q);
+    cached.View()->QuantifyInto(q, 0.1, &second_q);
     ASSERT_EQ(second_q.size(), first_q.size());
     for (size_t i = 0; i < first_q.size(); ++i) {
       EXPECT_EQ(first_q[i].index, plain_q[i].index);
@@ -162,8 +161,8 @@ TEST(DynamicAnswerCache, PublishInvalidates) {
   Churn(&engine, &rng, 100);
   Point2 q{0.5, 0.5};
   std::vector<dyn::Id> before_ids;
-  engine.NonzeroNNInto(q, &before_ids);
-  engine.NonzeroNNInto(q, &before_ids);  // Now cached.
+  engine.View()->NonzeroNNInto(q, &before_ids);
+  engine.View()->NonzeroNNInto(q, &before_ids);  // Now cached.
   auto old_snap = engine.snapshot();
 
   // A point with a location AT the query (delta = 0) and one far away
@@ -177,7 +176,7 @@ TEST(DynamicAnswerCache, PublishInvalidates) {
   EXPECT_NE(new_snap->answers, old_snap->answers);  // Fresh cache.
 
   std::vector<dyn::Id> after_ids;
-  engine.NonzeroNNInto(q, &after_ids);
+  engine.View()->NonzeroNNInto(q, &after_ids);
   EXPECT_NE(std::find(after_ids.begin(), after_ids.end(), new_id),
             after_ids.end());
 }
@@ -194,16 +193,16 @@ TEST(DynamicAnswerCache, WarmHitsAllocateNothing) {
   std::vector<dyn::Id> ids;
   for (int pass = 0; pass < 2; ++pass) {
     for (Point2 q : queries) {
-      engine.QuantifyInto(q, 0.1, &out);
-      engine.NonzeroNNInto(q, &ids);
+      engine.View()->QuantifyInto(q, 0.1, &out);
+      engine.View()->NonzeroNNInto(q, &ids);
     }
   }
   auto snap = engine.snapshot();
   dyn::AnswerCache::Stats s0 = snap->answers->stats();
   for (Point2 q : queries) {
     int64_t before = util::AllocationCount();
-    engine.QuantifyInto(q, 0.1, &out);
-    engine.NonzeroNNInto(q, &ids);
+    engine.View()->QuantifyInto(q, 0.1, &out);
+    engine.View()->NonzeroNNInto(q, &ids);
     EXPECT_EQ(util::AllocationCount() - before, 0)
         << "allocations in a warm cache hit at (" << q.x << ", " << q.y << ")";
   }
@@ -285,11 +284,11 @@ TEST(ShardAnswerCache, ViewCacheHitsAndPublishInvalidates) {
   ASSERT_NE(view->combined->answers, nullptr);
   std::vector<Point2> queries = TestQueries(&rng, 8);
   std::vector<dyn::Id> ids, again;
-  for (Point2 q : queries) engine.NonzeroNNInto(q, &ids);
+  for (Point2 q : queries) engine.View()->NonzeroNNInto(q, &ids);
   dyn::AnswerCache::Stats s0 = view->combined->answers->stats();
   for (Point2 q : queries) {
-    dyn::NonzeroNNInto(*view, engine.options().pool, q, &ids);
-    dyn::NonzeroNNInto(*view, engine.options().pool, q, &again);
+    view->NonzeroNNInto(q, &ids);
+    view->NonzeroNNInto(q, &again);
     EXPECT_EQ(again, ids);
   }
   dyn::AnswerCache::Stats s1 = view->combined->answers->stats();
@@ -320,8 +319,8 @@ TEST(DynamicAnswerCacheRace, QueriersVsPublishers) {
       for (int i = 0; i < 300; ++i) {
         Point2 q = (t < 2) ? shared[i % shared.size()]
                            : Point2{qrng.Uniform(-45, 45), qrng.Uniform(-45, 45)};
-        engine.NonzeroNNInto(q, &ids);
-        if (i % 3 == 0) engine.QuantifyInto(q, 0.15, &quants);
+        engine.View()->NonzeroNNInto(q, &ids);
+        if (i % 3 == 0) engine.View()->QuantifyInto(q, 0.15, &quants);
       }
     });
   }

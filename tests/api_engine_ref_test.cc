@@ -22,6 +22,8 @@
 #include "src/api/query.h"
 #include "src/core/pnn.h"
 #include "src/dyn/dynamic_engine.h"
+#include "src/dyn/merge.h"
+#include "src/exec/thread_pool.h"
 #include "src/shard/sharded_engine.h"
 #include "src/store/sharded_store.h"
 #include "src/workload/generators.h"
@@ -50,10 +52,11 @@ void ExpectIdenticalQuants(const std::vector<Quantification>& got,
   }
 }
 
-// Asserts EngineRef::Call agrees bit-for-bit with the backend's direct
-// methods for every query kind at query point q.
-template <typename Backend>
-void ExpectAgreesWithDirect(const EngineRef& ref, Backend& direct, Point2 q,
+// Asserts EngineRef::Call agrees bit-for-bit with `direct` (a static
+// Engine's own methods, or another backend's pinned view) for every query
+// kind at query point q.
+template <typename Direct>
+void ExpectAgreesWithDirect(const EngineRef& ref, const Direct& direct, Point2 q,
                             std::optional<double> eps, bool exact_ok) {
   QueryResponse r = ref.Call(QueryRequest::NonzeroNN(q));
   ASSERT_TRUE(r.ok()) << r.message;
@@ -76,6 +79,15 @@ void ExpectAgreesWithDirect(const EngineRef& ref, Backend& direct, Point2 q,
     ASSERT_TRUE(r.ok()) << r.message;
     ExpectIdenticalQuants(r.quants, direct.QuantifyExact(q));
   }
+}
+
+bool SameQuants(const std::vector<Quantification>& a,
+                const std::vector<Quantification>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].index != b[i].index || a[i].probability != b[i].probability) return false;
+  }
+  return true;
 }
 
 UncertainSet RandomUniformDisks(int n, Rng* rng) {
@@ -106,7 +118,7 @@ TEST(ApiEngineRef, StaticBackendMatchesDirect) {
 
   Engine disks(RandomUniformDisks(40, &rng));
   EngineRef disks_ref(&disks);
-  ASSERT_EQ(disks_ref.PlanForQuantify(0.2), QuantifyPlan::kMonteCarlo);
+  ASSERT_EQ(disks_ref.Capture().view->PlanForQuantify(0.2), QuantifyPlan::kMonteCarlo);
   for (double eps : {0.2, 0.1, 0.2}) {
     for (int i = 0; i < 20; ++i) {
       Point2 q{rng.Uniform(-22, 22), rng.Uniform(-22, 22)};
@@ -211,7 +223,7 @@ TEST(ApiEngineRef, DynamicBackendDifferential) {
       continue;
     }
     Point2 q{rng.Uniform(-30, 30), rng.Uniform(-30, 30)};
-    ExpectAgreesWithDirect(ref, direct, q, 0.1, /*exact_ok=*/(op % 7 == 0));
+    ExpectAgreesWithDirect(ref, *direct.View(), q, 0.1, /*exact_ok=*/(op % 7 == 0));
   }
 }
 
@@ -238,7 +250,7 @@ TEST(ApiEngineRef, ShardedBackendDifferential) {
       continue;
     }
     Point2 q{rng.Uniform(-30, 30), rng.Uniform(-30, 30)};
-    ExpectAgreesWithDirect(ref, direct, q, 0.1, /*exact_ok=*/(op % 9 == 0));
+    ExpectAgreesWithDirect(ref, *direct.View(), q, 0.1, /*exact_ok=*/(op % 9 == 0));
   }
 }
 
@@ -348,6 +360,104 @@ TEST(ApiEngineRef, DurableBackendsMatchInMemory) {
     EngineRef durable_ref(store.get());
     EXPECT_EQ(durable_ref.backend(), EngineRef::Backend::kShardedStore);
     ExpectSameUnderOpStream(durable_ref, EngineRef(&memory), 508);
+  }
+}
+
+// A view answers with its backend's options: with eps omitted, every
+// backend's pinned view must take that backend's default_eps, seed and
+// round override, and so bit-match a static Engine built from the same
+// view's live set and reference options. Discrete points take the spiral
+// plan, where eps sets the retrieval depth (their locations spread over
+// the whole square, so a shallower or deeper sweep changes the answer);
+// uniform disks take Monte Carlo, where the seed and round count set the
+// samples.
+TEST(ApiEngineRef, ViewsAnswerWithTheirBackendsOptions) {
+  exec::ThreadPool pool(2);
+  dyn::Options dopt;
+  dopt.engine.default_eps = 0.12;
+  dopt.engine.seed = 91;
+  dopt.engine.mc_rounds_override = 40;
+  dopt.tail_limit = 8;
+  auto sharded_options = [&](uint32_t num_shards) {
+    shard::Options sopt;
+    sopt.num_shards = num_shards;
+    sopt.shard = dopt;
+    sopt.pool = &pool;
+    return sopt;
+  };
+  auto store_options = [&](uint32_t num_shards) {
+    store::ShardedStore::Options options;
+    options.sharded = sharded_options(num_shards);
+    options.fsync = false;
+    return options;
+  };
+  dyn::Options pooled = dopt;
+  pooled.pool = &pool;
+
+  for (bool disks : {false, true}) {
+    Rng rng(disks ? 911 : 912);
+    UncertainSet pts;
+    if (disks) {
+      pts = RandomUniformDisks(40, &rng);
+    } else {
+      for (int i = 0; i < 40; ++i) {
+        std::vector<Point2> locs(4);
+        for (Point2& p : locs) p = {rng.Uniform(-25, 25), rng.Uniform(-25, 25)};
+        pts.push_back(UncertainPoint::Discrete(locs, std::vector<double>(4, 0.25)));
+      }
+    }
+    dyn::DynamicEngine dynamic(pooled);
+    shard::ShardedEngine sharded(sharded_options(3));
+    auto store1 = store::ShardedStore::Open(FreshDir("api_opts_1"), store_options(1));
+    auto store3 = store::ShardedStore::Open(FreshDir("api_opts_3"), store_options(3));
+    ASSERT_NE(store1, nullptr);
+    ASSERT_NE(store3, nullptr);
+    for (const UncertainPoint& p : pts) {
+      dyn::Id id = dynamic.Insert(p);
+      ASSERT_EQ(sharded.Insert(p), id);
+      ASSERT_EQ(store1->Insert(p).value(), id);
+      ASSERT_EQ(store3->Insert(p).value(), id);
+    }
+    for (dyn::Id id = 0; id < 40; id += 7) {
+      EXPECT_TRUE(dynamic.Erase(id));
+      EXPECT_TRUE(sharded.Erase(id));
+      EXPECT_TRUE(store1->Erase(id).value());
+      EXPECT_TRUE(store3->Erase(id).value());
+    }
+    Engine static_engine(pts, dopt.engine);
+
+    for (const EngineRef& ref :
+         {EngineRef(&dynamic), EngineRef(&sharded), EngineRef(store1.get()),
+          EngineRef(store3.get()), EngineRef(&static_engine)}) {
+      SCOPED_TRACE(static_cast<int>(ref.backend()));
+      std::shared_ptr<const dyn::CombinedView> view = ref.Capture().view;
+      ASSERT_NE(view, nullptr);
+      EXPECT_EQ(view->options.default_eps, 0.12);
+      std::vector<dyn::Id> ids;
+      Engine reference(dyn::SnapshotLiveSet(*view->combined, &ids),
+                       dyn::SnapshotReferenceOptions(*view->combined, view->options));
+      QuantifyPlan plan = disks ? QuantifyPlan::kMonteCarlo : QuantifyPlan::kSpiral;
+      EXPECT_EQ(view->PlanForQuantify(), plan);
+      EXPECT_EQ(reference.PlanForQuantify(), plan);
+      int eps_sensitive = 0;
+      for (int i = 0; i < 12; ++i) {
+        Point2 q{rng.Uniform(-25, 25), rng.Uniform(-25, 25)};
+        std::vector<Quantification> want = reference.Quantify(q);
+        eps_sensitive += !SameQuants(want, reference.Quantify(q, 0.05));
+        for (Quantification& e : want) e.index = ids[e.index];
+        ExpectIdenticalQuants(view->Quantify(q), want);
+        std::vector<Quantification> above = reference.ThresholdNN(q, 0.2);
+        for (Quantification& e : above) e.index = ids[e.index];
+        ExpectIdenticalQuants(view->ThresholdNN(q, 0.2), above);
+        int top = reference.MostLikelyNN(q);
+        EXPECT_EQ(view->MostLikelyNN(q), top < 0 ? -1 : ids[top]);
+      }
+      // The spiral answers depend on eps, so a view that ignored its
+      // backend's default_eps would diverge above.
+      if (!disks) {
+        EXPECT_GT(eps_sensitive, 0);
+      }
+    }
   }
 }
 

@@ -211,7 +211,7 @@ TEST(BatchEngine, DynamicBackendMatchesStaticReference) {
     auto quant = batch.RequestBatch(QuantifyRequests(queries, 0.1));
     EXPECT_EQ(quant.stats.monte_carlo_plans, queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(nn.values[i].ids, dynamic.NonzeroNN(queries[i]));
+      EXPECT_EQ(nn.values[i].ids, dynamic.View()->NonzeroNN(queries[i]));
       std::vector<dyn::Id> want_nn;
       for (int r : reference.NonzeroNN(queries[i])) want_nn.push_back(ids[r]);
       EXPECT_EQ(nn.values[i].ids, want_nn);
@@ -279,7 +279,7 @@ TEST(BatchEngine, MonteCarloExactTiesAreDeterministic) {
     for (int i = 0; i < 6; ++i) backend->Erase(inserted[static_cast<size_t>(i) * 7]);
     std::vector<dyn::Id> ids;
     Engine reference(backend->LiveSet(&ids), backend->ReferenceEngineOptions());
-    ASSERT_EQ(backend->PlanForQuantify(0.1), QuantifyPlan::kMonteCarlo);
+    ASSERT_EQ(backend->View()->PlanForQuantify(0.1), QuantifyPlan::kMonteCarlo);
     BatchOptions opt;
     opt.num_threads = 4;
     opt.min_parallel_batch = 1;
@@ -347,14 +347,14 @@ TEST(BatchEngine, MixedBatchMatchesSequentialReplay) {
         ++updates;
         break;
       case MixedOp::Kind::kNonzeroNN:
-        EXPECT_EQ(got.ids, sequential.NonzeroNN(op.q));
+        EXPECT_EQ(got.ids, sequential.View()->NonzeroNN(op.q));
         ++queries;
         break;
       case MixedOp::Kind::kQuantify:
       case MixedOp::Kind::kThresholdNN: {
         auto want = op.kind == MixedOp::Kind::kQuantify
-                        ? sequential.Quantify(op.q, 0.1)
-                        : sequential.ThresholdNN(op.q, op.tau, 0.1);
+                        ? sequential.View()->Quantify(op.q, 0.1)
+                        : sequential.View()->ThresholdNN(op.q, op.tau, 0.1);
         ASSERT_EQ(got.quants.size(), want.size());
         for (size_t j = 0; j < want.size(); ++j) {
           EXPECT_EQ(got.quants[j].index, want[j].index);

@@ -210,10 +210,10 @@ TEST(BuildDeterminism, SlicedCompactionAnswersMatchReferenceEngine) {
           Point2 q{rng.Uniform(-60, 60), rng.Uniform(-60, 60)};
           std::vector<int> ref_nn = reference.NonzeroNN(q);
           for (auto& i : ref_nn) i = ids[i];
-          EXPECT_EQ(engine.NonzeroNN(q), ref_nn);
+          EXPECT_EQ(engine.View()->NonzeroNN(q), ref_nn);
           std::vector<Quantification> ref_quant = reference.Quantify(q, 0.1);
           for (auto& e : ref_quant) e.index = ids[e.index];
-          ExpectSameQuantifications(engine.Quantify(q, 0.1), ref_quant);
+          ExpectSameQuantifications(engine.View()->Quantify(q, 0.1), ref_quant);
         }
       }
     }
@@ -249,14 +249,15 @@ TEST(BuildDeterminism, SlicedAndMonolithicMaintenanceAgree) {
   ASSERT_EQ(sliced.live_size(), monolithic.live_size());
   for (int t = 0; t < 20; ++t) {
     Point2 q{rng_q.Uniform(-60, 60), rng_q.Uniform(-60, 60)};
-    EXPECT_EQ(sliced.NonzeroNN(q), monolithic.NonzeroNN(q));
-    ExpectSameQuantifications(sliced.Quantify(q, 0.1), monolithic.Quantify(q, 0.1));
+    EXPECT_EQ(sliced.View()->NonzeroNN(q), monolithic.View()->NonzeroNN(q));
+    ExpectSameQuantifications(sliced.View()->Quantify(q, 0.1),
+                              monolithic.View()->Quantify(q, 0.1));
     // Background scheduling legitimately yields a different bucket
     // partition than inline maintenance (plans see different tails), and
     // the exact merge recombines products in partition order — identical
     // only to float reassociation (~1e-12), unlike the modes above.
-    std::vector<Quantification> a = sliced.QuantifyExact(q);
-    std::vector<Quantification> b = monolithic.QuantifyExact(q);
+    std::vector<Quantification> a = sliced.View()->QuantifyExact(q);
+    std::vector<Quantification> b = monolithic.View()->QuantifyExact(q);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].index, b[i].index);

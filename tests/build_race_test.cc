@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "src/dyn/dynamic_engine.h"
-#include "src/dyn/view_query.h"
 #include "src/exec/thread_pool.h"
 #include "src/shard/sharded_engine.h"
 
@@ -76,9 +75,9 @@ TEST(SlicedBuildRace, QueriesRaceSlicedCompactions) {
       std::vector<dyn::Id> nn;
       while (!stop.load()) {
         Point2 q{rng.Uniform(-35, 35), rng.Uniform(-35, 35)};
-        engine.NonzeroNNInto(q, &nn);
+        engine.View()->NonzeroNNInto(q, &nn);
         for (size_t i = 1; i < nn.size(); ++i) EXPECT_LT(nn[i - 1], nn[i]);
-        engine.QuantifyInto(q, 0.2, &quant);
+        engine.View()->QuantifyInto(q, 0.2, &quant);
         double sum = 0;
         for (const auto& e : quant) sum += e.probability;
         EXPECT_LE(sum, 1.0 + 1e-9);
@@ -133,9 +132,8 @@ TEST(SlicedBuildRace, ShardLanesRaceEachOtherAndQueries) {
       while (!stop.load()) {
         Point2 q{rng.Uniform(-35, 35), rng.Uniform(-35, 35)};
         auto view = engine.View();
-        dyn::NonzeroNNInto(*view, engine.options().pool, q, &nn);
-        dyn::QuantifyInto(*view, engine.options().shard.engine, engine.options().pool, q,
-                          0.2, &quant);
+        view->NonzeroNNInto(q, &nn);
+        view->QuantifyInto(q, 0.2, &quant);
         // Every reported id must be unique (the seqlock gather never
         // shows a mid-move point twice).
         for (size_t i = 1; i < nn.size(); ++i) EXPECT_LT(nn[i - 1], nn[i]);

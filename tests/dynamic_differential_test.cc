@@ -108,7 +108,7 @@ void RunDifferential(Family family, uint64_t seed, exec::ThreadPool* pool) {
     Engine reference(live_set, dynamic.ReferenceEngineOptions());
     Point2 q{rng.Uniform(-35, 35), rng.Uniform(-35, 35)};
 
-    std::vector<Id> got_nn = dynamic.NonzeroNN(q);
+    std::vector<Id> got_nn = dynamic.View()->NonzeroNN(q);
     std::vector<int> want_nn_rank = reference.NonzeroNN(q);
     std::vector<Id> want_nn;
     for (int i : want_nn_rank) want_nn.push_back(ids[i]);
@@ -116,17 +116,18 @@ void RunDifferential(Family family, uint64_t seed, exec::ThreadPool* pool) {
 
     if (++quantify_step % 4 == 0) {
       double eps = 0.1;
-      EXPECT_EQ(dynamic.PlanForQuantify(eps), reference.PlanForQuantify(eps));
-      ExpectBitIdentical(dynamic.Quantify(q, eps), reference.Quantify(q, eps), ids);
-      ExpectBitIdentical(dynamic.ThresholdNN(q, 0.2, eps),
+      EXPECT_EQ(dynamic.View()->PlanForQuantify(eps), reference.PlanForQuantify(eps));
+      ExpectBitIdentical(dynamic.View()->Quantify(q, eps), reference.Quantify(q, eps),
+                         ids);
+      ExpectBitIdentical(dynamic.View()->ThresholdNN(q, 0.2, eps),
                          reference.ThresholdNN(q, 0.2, eps), ids);
-      Id got_ml = dynamic.MostLikelyNN(q, eps);
+      Id got_ml = dynamic.View()->MostLikelyNN(q, eps);
       int want_ml = reference.MostLikelyNN(q, eps);
       EXPECT_EQ(got_ml, want_ml < 0 ? -1 : ids[want_ml]);
     }
 
     if (family != Family::kMixed && quantify_step % 10 == 0) {
-      std::vector<Quantification> got = dynamic.QuantifyExact(q);
+      std::vector<Quantification> got = dynamic.View()->QuantifyExact(q);
       std::vector<Quantification> want = reference.QuantifyExact(q);
       ASSERT_EQ(got.size(), want.size());
       for (size_t i = 0; i < got.size(); ++i) {
@@ -230,8 +231,9 @@ void RunLivenessModel(uint64_t seed, exec::ThreadPool* pool) {
       Point2 q{rng.Uniform(-35, 35), rng.Uniform(-35, 35)};
       std::vector<Id> want_nn;
       for (int i : reference.NonzeroNN(q)) want_nn.push_back(ids[i]);
-      EXPECT_EQ(dynamic.NonzeroNN(q), want_nn);
-      ExpectBitIdentical(dynamic.Quantify(q, 0.1), reference.Quantify(q, 0.1), ids);
+      EXPECT_EQ(dynamic.View()->NonzeroNN(q), want_nn);
+      ExpectBitIdentical(dynamic.View()->Quantify(q, 0.1), reference.Quantify(q, 0.1),
+                         ids);
     }
   }
   dynamic.WaitForMaintenance();
@@ -270,7 +272,7 @@ TEST(DynamicDifferential, AnswersIndependentOfThreadCount) {
           live.erase(live.begin() + static_cast<long>(pick));
         } else {
           Point2 q{rng.Uniform(-35, 35), rng.Uniform(-35, 35)};
-          answers.push_back(dynamic.Quantify(q, 0.15));
+          answers.push_back(dynamic.View()->Quantify(q, 0.15));
         }
       }
       dynamic.WaitForMaintenance();

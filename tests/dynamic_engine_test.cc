@@ -27,11 +27,11 @@ UncertainPoint Disk(double x, double y, double r = 1.0) {
 TEST(DynamicEngine, EmptyEngineAnswersEmpty) {
   DynamicEngine engine;
   EXPECT_EQ(engine.live_size(), 0u);
-  EXPECT_TRUE(engine.NonzeroNN({0, 0}).empty());
-  EXPECT_TRUE(engine.Quantify({0, 0}, 0.1).empty());
-  EXPECT_TRUE(engine.QuantifyExact({0, 0}).empty());
-  EXPECT_TRUE(engine.ThresholdNN({0, 0}, 0.5).empty());
-  EXPECT_EQ(engine.MostLikelyNN({0, 0}), -1);
+  EXPECT_TRUE(engine.View()->NonzeroNN({0, 0}).empty());
+  EXPECT_TRUE(engine.View()->Quantify({0, 0}, 0.1).empty());
+  EXPECT_TRUE(engine.View()->QuantifyExact({0, 0}).empty());
+  EXPECT_TRUE(engine.View()->ThresholdNN({0, 0}, 0.5).empty());
+  EXPECT_EQ(engine.View()->MostLikelyNN({0, 0}), -1);
   EXPECT_FALSE(engine.Erase(0));
 }
 
@@ -51,11 +51,11 @@ TEST(DynamicEngine, NonzeroNNIsolatedPoint) {
   Id far = engine.Insert(Disk(100, 100, 0.5));
   Id near_a = engine.Insert(Disk(0, 0, 1.0));
   Id near_b = engine.Insert(Disk(1, 0, 1.0));
-  std::vector<Id> nn = engine.NonzeroNN({0.2, 0});
+  std::vector<Id> nn = engine.View()->NonzeroNN({0.2, 0});
   EXPECT_EQ(nn, (std::vector<Id>{near_a, near_b}));
   EXPECT_TRUE(engine.Erase(near_a));
   EXPECT_TRUE(engine.Erase(near_b));
-  EXPECT_EQ(engine.NonzeroNN({0.2, 0}), std::vector<Id>{far});
+  EXPECT_EQ(engine.View()->NonzeroNN({0.2, 0}), std::vector<Id>{far});
 }
 
 TEST(DynamicEngine, MergesKeepBucketCountLogarithmic) {
@@ -135,11 +135,11 @@ TEST(DynamicEngine, PlanTracksLiveComposition) {
                              {rng.Uniform(-5, 5), rng.Uniform(-5, 5)}};
     engine.Insert(UncertainPoint::Discrete(locs, {0.5, 0.5}));
   }
-  EXPECT_EQ(engine.PlanForQuantify(0.1), QuantifyPlan::kSpiral);
+  EXPECT_EQ(engine.View()->PlanForQuantify(0.1), QuantifyPlan::kSpiral);
   Id disk = engine.Insert(Disk(0, 0));
-  EXPECT_EQ(engine.PlanForQuantify(0.1), QuantifyPlan::kMonteCarlo);
+  EXPECT_EQ(engine.View()->PlanForQuantify(0.1), QuantifyPlan::kMonteCarlo);
   EXPECT_TRUE(engine.Erase(disk));
-  EXPECT_EQ(engine.PlanForQuantify(0.1), QuantifyPlan::kSpiral);
+  EXPECT_EQ(engine.View()->PlanForQuantify(0.1), QuantifyPlan::kSpiral);
 }
 
 TEST(DynamicEngine, PrewarmMakesQuantifyCheap) {
@@ -150,8 +150,8 @@ TEST(DynamicEngine, PrewarmMakesQuantifyCheap) {
   for (int i = 0; i < 20; ++i) {
     engine.Insert(Disk(rng.Uniform(-10, 10), rng.Uniform(-10, 10)));
   }
-  engine.Prewarm(0.1);
-  auto result = engine.Quantify({0, 0}, 0.1);
+  engine.View()->Prewarm(0.1);
+  auto result = engine.View()->Quantify({0, 0}, 0.1);
   double total = 0;
   for (const auto& e : result) total += e.probability;
   EXPECT_NEAR(total, 1.0, 1e-12);  // Counts over rounds partition unity.
@@ -191,9 +191,9 @@ EXPECT_DEATH(
 TEST(DynamicEngineDeath, ValidatesQueryArguments) {
 DynamicEngine engine;
   engine.Insert(Disk(0, 0));
-  EXPECT_DEATH(engine.ThresholdNN({0, 0}, -0.1), "tau");
-  EXPECT_DEATH(engine.ThresholdNN({0, 0}, 1.1), "tau");
-  EXPECT_DEATH(engine.Quantify({0, 0}, 0.0), "eps");
+  EXPECT_DEATH(engine.View()->ThresholdNN({0, 0}, -0.1), "tau");
+  EXPECT_DEATH(engine.View()->ThresholdNN({0, 0}, 1.1), "tau");
+  EXPECT_DEATH(engine.View()->Quantify({0, 0}, 0.0), "eps");
 }
 
 // Two nearby locations, so delta < Delta strictly and Lemma 2.1 reporting
@@ -337,17 +337,17 @@ TEST(MergedEdges, DeadBucketAlongsideLiveTail) {
   for (Id id : first) EXPECT_TRUE(engine.Erase(id));
 
   Point2 q{9, 9};
-  EXPECT_EQ(engine.NonzeroNN(q), std::vector<Id>{tail_id});
-  std::vector<Quantification> quant = engine.QuantifyExact(q);
+  EXPECT_EQ(engine.View()->NonzeroNN(q), std::vector<Id>{tail_id});
+  std::vector<Quantification> quant = engine.View()->QuantifyExact(q);
   ASSERT_EQ(quant.size(), 1u);
   EXPECT_EQ(quant[0].index, tail_id);
   EXPECT_DOUBLE_EQ(quant[0].probability, 1.0);
   // And fully erased: everything answers empty (compaction may or may not
   // have run yet; both shapes must degrade cleanly).
   EXPECT_TRUE(engine.Erase(tail_id));
-  EXPECT_TRUE(engine.NonzeroNN(q).empty());
-  EXPECT_TRUE(engine.Quantify(q, 0.1).empty());
-  EXPECT_TRUE(engine.QuantifyExact(q).empty());
+  EXPECT_TRUE(engine.View()->NonzeroNN(q).empty());
+  EXPECT_TRUE(engine.View()->Quantify(q, 0.1).empty());
+  EXPECT_TRUE(engine.View()->QuantifyExact(q).empty());
 }
 
 TEST(DynamicEngine, InsertWithIdKeepsGlobalIdentity) {
@@ -363,12 +363,12 @@ TEST(DynamicEngine, InsertWithIdKeepsGlobalIdentity) {
   EXPECT_TRUE(engine.Erase(ids[1]));
   engine.InsertWithId(ids[1], Loc(1, 0));  // Round trip back into the tail.
   EXPECT_EQ(engine.live_size(), 4u);
-  std::vector<Id> nn = engine.NonzeroNN({1, 0});
+  std::vector<Id> nn = engine.View()->NonzeroNN({1, 0});
   EXPECT_EQ(std::count(nn.begin(), nn.end(), ids[1]), 1);
   // Erase again: must kill the live tail copy, not re-kill the bucket copy.
   EXPECT_TRUE(engine.Erase(ids[1]));
   EXPECT_EQ(engine.live_size(), 3u);
-  nn = engine.NonzeroNN({1, 0});
+  nn = engine.View()->NonzeroNN({1, 0});
   EXPECT_EQ(std::count(nn.begin(), nn.end(), ids[1]), 0);
   // Fresh ids continue past any id ever seen.
   engine.InsertWithId(100, Loc(50, 50));
@@ -433,12 +433,12 @@ TEST(DynamicEngine, TailSampleCacheRepeatsBitIdentically) {
   DynamicEngine engine(opt);
   for (int i = 0; i < 12; ++i) engine.Insert(Loc(i, i % 3));
   ASSERT_GT(engine.tail_size(), 0u);
-  ASSERT_EQ(engine.PlanForQuantify(0.2), QuantifyPlan::kMonteCarlo);
+  ASSERT_EQ(engine.View()->PlanForQuantify(0.2), QuantifyPlan::kMonteCarlo);
 
   Point2 q{2, 1};
-  std::vector<Quantification> cold = engine.Quantify(q, 0.2);
+  std::vector<Quantification> cold = engine.View()->Quantify(q, 0.2);
   for (int rep = 0; rep < 3; ++rep) {
-    std::vector<Quantification> warm = engine.Quantify(q, 0.2);
+    std::vector<Quantification> warm = engine.View()->Quantify(q, 0.2);
     ASSERT_EQ(warm.size(), cold.size());
     for (size_t i = 0; i < warm.size(); ++i) {
       EXPECT_EQ(warm[i].index, cold[i].index);
@@ -447,11 +447,11 @@ TEST(DynamicEngine, TailSampleCacheRepeatsBitIdentically) {
   }
   // Tighter eps: more rounds, the cache extends in place; the tighter
   // answers must agree with a fresh engine fed the same set.
-  std::vector<Quantification> tight = engine.Quantify(q, 0.1);
+  std::vector<Quantification> tight = engine.View()->Quantify(q, 0.1);
   DynamicEngine fresh(engine.LiveSet(), opt);
   // fresh holds one bucket, engine holds a pure tail: both decompose to
   // the same id-keyed sample streams.
-  std::vector<Quantification> want = fresh.Quantify(q, 0.1);
+  std::vector<Quantification> want = fresh.View()->Quantify(q, 0.1);
   ASSERT_EQ(tight.size(), want.size());
   for (size_t i = 0; i < tight.size(); ++i) {
     EXPECT_EQ(tight[i].index, want[i].index);
@@ -477,8 +477,8 @@ TEST(DynamicEngine, PrewarmAfterBuildKeepsAnswersIdentical) {
     ASSERT_EQ(warm.Insert(p), cold.Insert(p));
     if (i % 5 == 4) {
       Point2 q{rng.Uniform(-20, 20), rng.Uniform(-20, 20)};
-      std::vector<Quantification> a = warm.Quantify(q, 0.15);
-      std::vector<Quantification> b = cold.Quantify(q, 0.15);
+      std::vector<Quantification> a = warm.View()->Quantify(q, 0.15);
+      std::vector<Quantification> b = cold.View()->Quantify(q, 0.15);
       ASSERT_EQ(a.size(), b.size());
       for (size_t j = 0; j < a.size(); ++j) {
         EXPECT_EQ(a[j].index, b[j].index);

@@ -62,10 +62,10 @@ TEST(DynamicEngineRace, QueriesRaceBackgroundMerges) {
       Rng rng(100 + t);
       while (!stop.load()) {
         Point2 q{rng.Uniform(-35, 35), rng.Uniform(-35, 35)};
-        std::vector<Id> nn = engine.NonzeroNN(q);
+        std::vector<Id> nn = engine.View()->NonzeroNN(q);
         // Whatever snapshot the query read, results are sorted unique ids.
         for (size_t i = 1; i < nn.size(); ++i) EXPECT_LT(nn[i - 1], nn[i]);
-        auto quant = engine.Quantify(q, 0.2);
+        auto quant = engine.View()->Quantify(q, 0.2);
         double total = 0.0;
         for (const auto& e : quant) {
           EXPECT_GE(e.probability, 0.0);
@@ -91,7 +91,7 @@ TEST(DynamicEngineRace, QueriesRaceBackgroundMerges) {
   EXPECT_EQ(live.size(), engine.live_size());
   Engine reference(live, engine.ReferenceEngineOptions());
   Point2 q{0, 0};
-  std::vector<Id> got = engine.NonzeroNN(q);
+  std::vector<Id> got = engine.View()->NonzeroNN(q);
   std::vector<Id> want;
   for (int i : reference.NonzeroNN(q)) want.push_back(ids[i]);
   EXPECT_EQ(got, want);

@@ -141,7 +141,7 @@ TEST(Engine, QuantifyIgnoresEarlierTighterEps) {
   for (Point2 q : queries) {
     std::vector<Quantification> want = fresh.Quantify(q, 0.2);
     expect_identical(used.Quantify(q, 0.2), want);
-    expect_identical(dynamic.Quantify(q, 0.2), want);
+    expect_identical(dynamic.View()->Quantify(q, 0.2), want);
   }
 }
 

@@ -107,16 +107,17 @@ void ExpectSame(const Answers& got, const Answers& want, int width) {
   }
 }
 
-template <typename EngineT>
-Answers Collect(const EngineT& engine, const std::vector<Point2>& queries,
+// `source` is a static Engine or a pinned dyn::CombinedView.
+template <typename Source>
+Answers Collect(const Source& source, const std::vector<Point2>& queries,
                 double eps) {
   Answers a;
   for (Point2 q : queries) {
-    a.nonzero.push_back(engine.NonzeroNN(q));
-    a.quantify.push_back(engine.Quantify(q, eps));
-    a.threshold.push_back(engine.ThresholdNN(q, 0.25, eps));
-    a.exact.push_back(engine.QuantifyExact(q));
-    a.most_likely.push_back(engine.MostLikelyNN(q, eps));
+    a.nonzero.push_back(source.NonzeroNN(q));
+    a.quantify.push_back(source.Quantify(q, eps));
+    a.threshold.push_back(source.ThresholdNN(q, 0.25, eps));
+    a.exact.push_back(source.QuantifyExact(q));
+    a.most_likely.push_back(source.MostLikelyNN(q, eps));
   }
   return a;
 }
@@ -140,7 +141,7 @@ Answers RunDyn(const UncertainSet& set, const std::vector<Point2>& queries,
   // Same churn at every width (ids are deterministic).
   int n = static_cast<int>(set.size());
   for (int i = 0; i < n / 4; ++i) engine.Erase(static_cast<dyn::Id>(i * 3 % n));
-  return Collect(engine, queries, eps);
+  return Collect(*engine.View(), queries, eps);
 }
 
 Answers RunShard(const UncertainSet& set, const std::vector<Point2>& queries,
@@ -153,7 +154,7 @@ Answers RunShard(const UncertainSet& set, const std::vector<Point2>& queries,
   shard::ShardedEngine engine(set, opt);
   int n = static_cast<int>(set.size());
   for (int i = 0; i < n / 4; ++i) engine.Erase(static_cast<dyn::Id>(i * 3 % n));
-  return Collect(engine, queries, eps);
+  return Collect(*engine.View(), queries, eps);
 }
 
 enum class Backend { kStatic, kDyn, kShard };
@@ -338,11 +339,11 @@ TEST(KdWidth, StoreRecoveryAdoptsBuiltWidth) {
     ASSERT_NE(store, nullptr);
     for (const auto& p : set) ASSERT_TRUE(store->Insert(p).ok());
     ASSERT_TRUE(store->Checkpoint().ok());
-    before = Collect(store->engine(), queries, 0.1);
+    before = Collect(*store->engine().View(), queries, 0.1);
   }
   auto reopened = store::ShardedStore::Open(dir, sopt);
   ASSERT_NE(reopened, nullptr);
-  Answers after = Collect(reopened->engine(), queries, 0.1);
+  Answers after = Collect(*reopened->engine().View(), queries, 0.1);
   ExpectSame(after, before, 32);
 
   // Every recovered bucket's kd trees carry the built width: > the

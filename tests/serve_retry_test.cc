@@ -184,7 +184,7 @@ TEST(ServeRetry, RetryReconnectsToRestartedServer) {
   CallResult r = client.CallWithRetry(api::QueryRequest::NonzeroNN(q), policy);
   ASSERT_TRUE(r) << TransportErrorName(r.error());
   EXPECT_TRUE(r->ok());
-  EXPECT_EQ(r->ids, backend->NonzeroNN(q));
+  EXPECT_EQ(r->ids, backend->View()->NonzeroNN(q));
 }
 
 TEST(ServeRetry, UnavailableIsRetriedUntilTheStoreHeals) {

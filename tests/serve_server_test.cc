@@ -159,11 +159,11 @@ TEST(ServeServer, SmokeAllKindsMatchDirectCalls) {
 
     auto nn = client.Call(api::QueryRequest::NonzeroNN(q));
     ASSERT_TRUE(nn && nn->ok());
-    EXPECT_EQ(nn->ids, backend->NonzeroNN(q));
+    EXPECT_EQ(nn->ids, backend->View()->NonzeroNN(q));
 
     auto quant = client.Call(api::QueryRequest::Quantify(q, 0.1));
     ASSERT_TRUE(quant && quant->ok());
-    auto want = backend->Quantify(q, 0.1);
+    auto want = backend->View()->Quantify(q, 0.1);
     ASSERT_EQ(quant->quants.size(), want.size());
     for (size_t k = 0; k < want.size(); ++k) {
       EXPECT_EQ(quant->quants[k].index, want[k].index);
@@ -172,7 +172,7 @@ TEST(ServeServer, SmokeAllKindsMatchDirectCalls) {
 
     auto ml = client.Call(api::QueryRequest::MostLikelyNN(q, 0.1));
     ASSERT_TRUE(ml && ml->ok());
-    EXPECT_EQ(ml->id, backend->MostLikelyNN(q, 0.1));
+    EXPECT_EQ(ml->id, backend->View()->MostLikelyNN(q, 0.1));
     EXPECT_GE(ml->server_micros, 0.0);
   }
 

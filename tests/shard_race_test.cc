@@ -78,11 +78,11 @@ void RunRace(PlacementKind placement, bool auto_rebalance, uint64_t seed) {
       Rng rng(seed + 100 + static_cast<uint64_t>(t));
       while (!done.load(std::memory_order_acquire)) {
         Point2 q{rng.Uniform(-35, 35), rng.Uniform(-35, 35)};
-        std::vector<Id> nn = engine.NonzeroNN(q);
+        std::vector<Id> nn = engine.View()->NonzeroNN(q);
         // Well-formed: strictly ascending ids (each point exactly once —
         // the seqlock guarantee under concurrent rebalance moves).
         for (size_t i = 1; i < nn.size(); ++i) EXPECT_LT(nn[i - 1], nn[i]);
-        std::vector<Quantification> quant = engine.Quantify(q, 0.25);
+        std::vector<Quantification> quant = engine.View()->Quantify(q, 0.25);
         double total = 0.0;
         for (size_t i = 0; i < quant.size(); ++i) {
           if (i > 0) {
@@ -123,7 +123,7 @@ void RunRace(PlacementKind placement, bool auto_rebalance, uint64_t seed) {
     std::vector<int> want_rank = reference.NonzeroNN(q);
     std::vector<Id> want;
     for (int i : want_rank) want.push_back(ids[static_cast<size_t>(i)]);
-    EXPECT_EQ(engine.NonzeroNN(q), want);
+    EXPECT_EQ(engine.View()->NonzeroNN(q), want);
   }
 }
 
@@ -184,7 +184,7 @@ TEST(ShardRace, SnapshotCachePublishRacesUpdaters) {
         Point2 q{rng.Uniform(-35, 35), rng.Uniform(-35, 35)};
         // Alternate the cached entry point and an explicitly pinned view.
         if (rng.Bernoulli(0.5)) {
-          engine.QuantifyInto(q, 0.25, &out);
+          engine.View()->QuantifyInto(q, 0.25, &out);
         } else {
           api::EngineRef ref(&engine);
           api::EngineRef::Pin pin = ref.Capture();
@@ -218,7 +218,7 @@ TEST(ShardRace, SnapshotCachePublishRacesUpdaters) {
   Rng rng(8999);
   for (int t = 0; t < 5; ++t) {
     Point2 q{rng.Uniform(-35, 35), rng.Uniform(-35, 35)};
-    std::vector<Quantification> got = engine.Quantify(q, 0.2);
+    std::vector<Quantification> got = engine.View()->Quantify(q, 0.2);
     std::vector<Quantification> want = reference.Quantify(q, 0.2);
     ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < got.size(); ++i) {

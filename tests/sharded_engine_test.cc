@@ -130,20 +130,22 @@ void RunDifferential(const DifferentialConfig& cfg) {
 
     // Query step: the sharded answers must match the single engine's.
     Point2 q{rng.Uniform(-35, 35), rng.Uniform(-35, 35)};
-    EXPECT_EQ(sharded.NonzeroNN(q), reference.NonzeroNN(q));
+    auto view = sharded.View();
+    auto ref_view = reference.View();
+    EXPECT_EQ(view->NonzeroNN(q), ref_view->NonzeroNN(q));
 
     if (++quantify_step % 4 == 0) {
       double eps = 0.1;
-      EXPECT_EQ(sharded.PlanForQuantify(eps), reference.PlanForQuantify(eps));
-      ExpectBitIdentical(sharded.Quantify(q, eps), reference.Quantify(q, eps));
-      ExpectBitIdentical(sharded.ThresholdNN(q, 0.2, eps),
-                         reference.ThresholdNN(q, 0.2, eps));
-      EXPECT_EQ(sharded.MostLikelyNN(q, eps), reference.MostLikelyNN(q, eps));
+      EXPECT_EQ(view->PlanForQuantify(eps), ref_view->PlanForQuantify(eps));
+      ExpectBitIdentical(view->Quantify(q, eps), ref_view->Quantify(q, eps));
+      ExpectBitIdentical(view->ThresholdNN(q, 0.2, eps),
+                         ref_view->ThresholdNN(q, 0.2, eps));
+      EXPECT_EQ(view->MostLikelyNN(q, eps), ref_view->MostLikelyNN(q, eps));
     }
 
     if (cfg.family != Family::kMixed && quantify_step % 10 == 0) {
-      std::vector<Quantification> got = sharded.QuantifyExact(q);
-      std::vector<Quantification> want = reference.QuantifyExact(q);
+      std::vector<Quantification> got = view->QuantifyExact(q);
+      std::vector<Quantification> want = ref_view->QuantifyExact(q);
       ASSERT_EQ(got.size(), want.size());
       for (size_t i = 0; i < got.size(); ++i) {
         EXPECT_EQ(got[i].index, want[i].index);
@@ -244,8 +246,9 @@ TEST(ShardedEngine, BulkLoadMatchesIncrementalReference) {
     dyn::DynamicEngine reference(initial, sopt.shard);
     for (int t = 0; t < 20; ++t) {
       Point2 q{rng.Uniform(-35, 35), rng.Uniform(-35, 35)};
-      EXPECT_EQ(sharded.NonzeroNN(q), reference.NonzeroNN(q));
-      ExpectBitIdentical(sharded.Quantify(q, 0.1), reference.Quantify(q, 0.1));
+      EXPECT_EQ(sharded.View()->NonzeroNN(q), reference.View()->NonzeroNN(q));
+      ExpectBitIdentical(sharded.View()->Quantify(q, 0.1),
+                         reference.View()->Quantify(q, 0.1));
     }
     // Spatial bulk load spreads the set across all shards.
     if (placement == PlacementKind::kSpatialKdMedian) {
@@ -259,11 +262,11 @@ TEST(ShardedEngine, EmptyAndErasedToEmpty) {
   sopt.num_shards = 3;
   ShardedEngine engine(sopt);
   Point2 q{0, 0};
-  EXPECT_TRUE(engine.NonzeroNN(q).empty());
-  EXPECT_TRUE(engine.Quantify(q, 0.1).empty());
-  EXPECT_TRUE(engine.QuantifyExact(q).empty());
-  EXPECT_TRUE(engine.ThresholdNN(q, 0.5, 0.1).empty());
-  EXPECT_EQ(engine.MostLikelyNN(q, 0.1), -1);
+  EXPECT_TRUE(engine.View()->NonzeroNN(q).empty());
+  EXPECT_TRUE(engine.View()->Quantify(q, 0.1).empty());
+  EXPECT_TRUE(engine.View()->QuantifyExact(q).empty());
+  EXPECT_TRUE(engine.View()->ThresholdNN(q, 0.5, 0.1).empty());
+  EXPECT_EQ(engine.View()->MostLikelyNN(q, 0.1), -1);
   EXPECT_FALSE(engine.Erase(0));
 
   Rng rng(42);
@@ -271,10 +274,10 @@ TEST(ShardedEngine, EmptyAndErasedToEmpty) {
   for (int i = 0; i < 20; ++i) ids.push_back(engine.Insert(RandomDiscretePoint(&rng)));
   for (Id id : ids) EXPECT_TRUE(engine.Erase(id));
   EXPECT_EQ(engine.live_size(), 0u);
-  EXPECT_TRUE(engine.NonzeroNN(q).empty());
-  EXPECT_TRUE(engine.Quantify(q, 0.1).empty());
-  EXPECT_TRUE(engine.QuantifyExact(q).empty());
-  EXPECT_EQ(engine.MostLikelyNN(q, 0.1), -1);
+  EXPECT_TRUE(engine.View()->NonzeroNN(q).empty());
+  EXPECT_TRUE(engine.View()->Quantify(q, 0.1).empty());
+  EXPECT_TRUE(engine.View()->QuantifyExact(q).empty());
+  EXPECT_EQ(engine.View()->MostLikelyNN(q, 0.1), -1);
 }
 
 TEST(ShardedEngine, RebalanceConvergesOnHotRegion) {
@@ -397,14 +400,14 @@ TEST(ShardedSnapshotCache, HotColdInvalidatedStayBitIdenticalToStaticEngine) {
     for (int pass = 0; pass < 3; ++pass) {  // pass 0 warms, 1-2 must hit.
       Point2 q{rng.Uniform(-35, 35), rng.Uniform(-35, 35)};
       for (int rep = 0; rep < 2; ++rep) {
-        std::vector<Quantification> got = engine.Quantify(q, 0.1);
+        std::vector<Quantification> got = engine.View()->Quantify(q, 0.1);
         std::vector<Quantification> want = reference.Quantify(q, 0.1);
         ASSERT_EQ(got.size(), want.size());
         for (size_t i = 0; i < got.size(); ++i) {
           EXPECT_EQ(got[i].index, ids[want[i].index]);
           EXPECT_EQ(got[i].probability, want[i].probability);
         }
-        EXPECT_EQ(engine.MostLikelyNN(q, 0.1),
+        EXPECT_EQ(engine.View()->MostLikelyNN(q, 0.1),
                   want.empty() ? -1 : ids[pnn::MostLikelyNN(want)]);
       }
     }

@@ -261,13 +261,13 @@ TEST(SimdEngineDifferentialTest, ForcedScalarDynMatchesStaticExactly) {
     Engine reference(live_set, dynamic.ReferenceEngineOptions());
     Point2 q{rng.Uniform(-35, 35), rng.Uniform(-35, 35)};
 
-    std::vector<dyn::Id> got_nn = dynamic.NonzeroNN(q);
+    std::vector<dyn::Id> got_nn = dynamic.View()->NonzeroNN(q);
     std::vector<int> want_rank = reference.NonzeroNN(q);
     std::vector<dyn::Id> want_nn;
     for (int i : want_rank) want_nn.push_back(ids[i]);
     EXPECT_EQ(got_nn, want_nn);
 
-    std::vector<Quantification> got_q = dynamic.Quantify(q, 0.1);
+    std::vector<Quantification> got_q = dynamic.View()->Quantify(q, 0.1);
     std::vector<Quantification> want_q = reference.Quantify(q, 0.1);
     ASSERT_EQ(got_q.size(), want_q.size());
     for (size_t i = 0; i < got_q.size(); ++i) {
@@ -310,8 +310,8 @@ TEST(SimdEngineDifferentialTest, CrossModeAnswersAgree) {
         continue;
       }
       Point2 q{rng.Uniform(-35, 35), rng.Uniform(-35, 35)};
-      a.nn.push_back(dynamic.NonzeroNN(q));
-      a.quant.push_back(dynamic.Quantify(q, 0.1));
+      a.nn.push_back(dynamic.View()->NonzeroNN(q));
+      a.quant.push_back(dynamic.View()->Quantify(q, 0.1));
     }
     return a;
   };

@@ -69,8 +69,8 @@ void ExpectBitIdenticalToReference(const shard::ShardedEngine& engine,
     Point2 q{rng.Uniform(-25, 25), rng.Uniform(-25, 25)};
     std::vector<dyn::Id> want_nn;
     for (int i : reference.NonzeroNN(q)) want_nn.push_back(ids[i]);
-    EXPECT_EQ(engine.NonzeroNN(q), want_nn);
-    std::vector<Quantification> got = engine.Quantify(q, 0.1);
+    EXPECT_EQ(engine.View()->NonzeroNN(q), want_nn);
+    std::vector<Quantification> got = engine.View()->Quantify(q, 0.1);
     std::vector<Quantification> want = reference.Quantify(q, 0.1);
     ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < got.size(); ++i) {

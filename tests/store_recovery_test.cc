@@ -92,12 +92,12 @@ void ExpectBitIdenticalToReference(const shard::ShardedEngine& engine,
   Rng rng(query_seed);
   for (int t = 0; t < queries; ++t) {
     Point2 q{rng.Uniform(-35, 35), rng.Uniform(-35, 35)};
-    std::vector<dyn::Id> got_nn = engine.NonzeroNN(q);
+    std::vector<dyn::Id> got_nn = engine.View()->NonzeroNN(q);
     std::vector<dyn::Id> want_nn;
     for (int i : reference.NonzeroNN(q)) want_nn.push_back(ids[i]);
     EXPECT_EQ(got_nn, want_nn);
 
-    std::vector<Quantification> got = engine.Quantify(q, 0.1);
+    std::vector<Quantification> got = engine.View()->Quantify(q, 0.1);
     std::vector<Quantification> want = reference.Quantify(q, 0.1);
     ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < got.size(); ++i) {
@@ -578,7 +578,7 @@ TEST(StoreRecovery, EngineRefRoutesUpdatesThroughTheStore) {
     // Queries through the ref answer the store's live engine.
     Point2 q{0, 0};
     EXPECT_EQ(ref.Call(api::QueryRequest::NonzeroNN(q)).ids,
-              store->engine().NonzeroNN(q));
+              store->engine().View()->NonzeroNN(q));
   }
   // The updates went through the WAL: they survive reopen.
   auto reopened = ShardedStore::Open(dir, options);

@@ -107,35 +107,6 @@ TEST(ThreadPool, ParallelForUnderHeldLockNeverSelfDeadlocks) {
   EXPECT_EQ(done.load(), 8);
 }
 
-TEST(ThreadPool, WorkerInitRunsOncePerWorkerBeforeTasks) {
-  static thread_local bool initialized = false;
-  std::atomic<int> inits{0};
-  ThreadPool::Options opts;
-  opts.num_threads = 3;
-  opts.worker_init = [&] {
-    initialized = true;
-    inits.fetch_add(1);
-  };
-  ThreadPool pool(opts);
-  // Every task must observe its worker's init already done, however the
-  // tasks are spread over the workers.
-  std::atomic<int> seen{0};
-  std::atomic<int> uninitialized{0};
-  for (int i = 0; i < 32; ++i) {
-    pool.Submit([&] {
-      if (!initialized) uninitialized.fetch_add(1);
-      seen.fetch_add(1);
-    });
-  }
-  while (seen.load() < 32) std::this_thread::yield();
-  EXPECT_EQ(uninitialized.load(), 0);
-  // All three workers ran the init exactly once (threads spawn at
-  // construction, so all inits have run by the time their tasks finish —
-  // wait for the stragglers that may not have received a task).
-  while (inits.load() < 3) std::this_thread::yield();
-  EXPECT_EQ(inits.load(), 3);
-}
-
 TEST(Lane, RunsTasksInSubmissionOrderSerially) {
   ThreadPool pool(4);
   Lane lane(&pool);

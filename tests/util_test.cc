@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/util/arena.h"
 #include "src/util/bench_json.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
@@ -172,29 +171,6 @@ TEST(Table, FormatsWithoutCrashing) {
   t.Print();  // Smoke test; output inspected by humans.
   EXPECT_EQ(Table::Int(-5), "-5");
   EXPECT_EQ(Table::Num(2.5, 2), "2.5");
-}
-
-TEST(ScratchVec, PrewarmPreSizesThePool) {
-  // A distinct element type keeps this test independent of pools other
-  // tests on this thread may have grown.
-  struct Marker {
-    double payload[2];
-  };
-  util::ScratchVec<Marker>::Prewarm(2, 512);
-  util::ScratchVec<Marker> a;
-  util::ScratchVec<Marker> b;  // Nested lease: second pooled buffer.
-  EXPECT_GE(a->capacity(), 512u);
-  EXPECT_GE(b->capacity(), 512u);
-}
-
-TEST(ScratchVec, PrewarmKeepsExistingLargerCapacity) {
-  struct Marker2 {
-    int payload;
-  };
-  util::ScratchVec<Marker2>::Prewarm(1, 1024);
-  util::ScratchVec<Marker2>::Prewarm(1, 16);  // Must not shrink the buffer.
-  util::ScratchVec<Marker2> lease;
-  EXPECT_GE(lease->capacity(), 1024u);
 }
 
 TEST(BenchJson, SerializesEntriesAndMeta) {
