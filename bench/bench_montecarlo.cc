@@ -7,11 +7,17 @@
 // Part 2 (continuous): same against the Eq. (1) quadrature ground truth.
 // Part 3: preprocessing/query time scaling in s, and the cost of building
 // rounds from per-(round, id) streams (one fresh stream per sample).
+// Part 4: the engines' evaluator (sample rows of the NN!=0 candidates,
+// Engine::Quantify) against one kd tree per round (MonteCarloPNN) per
+// query, bit-checked, across candidate counts: where the two cross.
+// Exits 1 when any answer differs.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <vector>
 
+#include "src/core/pnn.h"
 #include "src/core/prob/monte_carlo.h"
 #include "src/core/prob/quantify.h"
 #include "src/util/rng.h"
@@ -178,6 +184,101 @@ void RoundBuildCost() {
   std::printf("(checksum %.3f)\n", acc);
 }
 
+// One row of the crossover table: n disks, s rounds, `queries` random
+// queries over the disks' extent. Returns the number of answers that
+// differ between the two structures.
+size_t RowsVsRoundsRow(Table* table, const char* name, const std::vector<Circle>& disks,
+                       size_t s, int queries, Rng* rng) {
+  UncertainSet pts;
+  double extent = 0;
+  for (const Circle& c : disks) {
+    pts.push_back(UncertainPoint::UniformDisk(c.center, c.radius));
+    extent = std::max({extent, std::abs(c.center.x), std::abs(c.center.y)});
+  }
+  MonteCarloPNN::Options mco;
+  mco.rounds_override = s;
+  mco.seed = 61;
+  Timer kd_build;
+  MonteCarloPNN kd(pts, mco);
+  double kd_build_ms = kd_build.Millis();
+  Engine::Options eo;
+  eo.mc_rounds_override = s;
+  eo.seed = 61;
+  Engine engine(pts, eo);
+  Timer rows_build;
+  engine.Prewarm();
+  double rows_build_ms = rows_build.Millis();
+
+  std::vector<Point2> qs(queries);
+  for (Point2& q : qs) q = {rng->Uniform(-extent, extent), rng->Uniform(-extent, extent)};
+  double candidates = 0;
+  for (Point2 q : qs) {
+    candidates += static_cast<double>(
+        engine.NonzeroNNWithin(q, McCandidateBound(engine.NonzeroDelta(q))).size());
+  }
+  std::vector<std::vector<Quantification>> want(qs.size()), got(qs.size());
+  Timer kd_time;
+  for (size_t i = 0; i < qs.size(); ++i) want[i] = kd.Query(qs[i]);
+  double kd_us = kd_time.Micros() / queries;
+  Timer rows_time;
+  for (size_t i = 0; i < qs.size(); ++i) got[i] = engine.Quantify(qs[i]);
+  double rows_us = rows_time.Micros() / queries;
+  size_t mismatches = 0;
+  for (size_t i = 0; i < qs.size(); ++i) {
+    bool same = want[i].size() == got[i].size();
+    for (size_t k = 0; same && k < want[i].size(); ++k) {
+      same = want[i][k].index == got[i][k].index &&
+             want[i][k].probability == got[i][k].probability;
+    }
+    mismatches += !same;
+  }
+  auto count = [](size_t v) { return Table::Int(static_cast<long long>(v)); };
+  table->AddRow({name, count(pts.size()), count(s), Table::Num(candidates / queries, 4),
+                 Table::Num(kd_us, 4), Table::Num(rows_us, 4), Table::Num(kd_build_ms, 4),
+                 Table::Num(rows_build_ms, 4), count(mismatches)});
+  return mismatches;
+}
+
+size_t RowsVsRounds() {
+  std::printf(
+      "\n### candidate rows vs kd round trees, per query (bit-checked; uniform disks "
+      "in [-L, L]^2 with L = 22.4 sqrt(n / 2000), single thread)\n\n");
+  Rng rng(67);
+  Table table({"instance", "n", "s", "candidates", "kd us/query", "rows us/query",
+               "kd build ms", "rows build ms", "mismatches"});
+  size_t bad = 0;
+  struct Config {
+    const char* name;
+    int n;
+    size_t s;
+    double rmin, rmax;
+    int queries;
+  };
+  const Config configs[] = {
+      {"disks r 0.5-2", 2000, 256, 0.5, 2, 400},
+      {"disks r 2-5", 2000, 256, 2, 5, 400},
+      {"disks r 5-10", 2000, 256, 5, 10, 200},
+      {"disks r 10-20", 2000, 256, 10, 20, 200},
+      {"disks r 30-40", 2000, 256, 30, 40, 100},
+      {"disks r 0.5-2", 20000, 256, 0.5, 2, 200},
+      {"disks r 10-20", 20000, 256, 10, 20, 50},
+      {"disks r 0.5-2", 2000, 2085, 0.5, 2, 100},
+      {"disks r 10-20", 2000, 2085, 10, 20, 40},
+  };
+  for (const Config& c : configs) {
+    double span = 22.4 * std::sqrt(c.n / 2000.0);
+    bad += RowsVsRoundsRow(&table, c.name, RandomDisks(c.n, span, c.rmin, c.rmax, &rng),
+                           c.s, c.queries, &rng);
+  }
+  bad += RowsVsRoundsRow(&table, "LowerBoundCubic(500)", LowerBoundCubic(500), 256, 200,
+                         &rng);
+  table.Print();
+  std::printf(
+      "\nThe rows scan costs O(t s) for t candidates, a kd round O(s log n): rows win "
+      "while t stays below a few hundred.\n");
+  return bad;
+}
+
 }  // namespace
 }  // namespace pnn
 
@@ -187,5 +288,5 @@ int main() {
   pnn::Continuous();
   pnn::QueryCost();
   pnn::RoundBuildCost();
-  return 0;
+  return pnn::RowsVsRounds() == 0 ? 0 : 1;
 }

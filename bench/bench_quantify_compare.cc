@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "src/core/prob/monte_carlo.h"
+#include "src/core/pnn.h"
 #include "src/core/prob/quantify.h"
 #include "src/core/prob/spiral.h"
 #include "src/core/prob/vpr_diagram.h"
@@ -77,16 +77,18 @@ void Compare(int n, int k, double rho, bool include_vpr) {
                   "<= eps one-sided"});
   }
   {
-    MonteCarloPNN::Options opt;
-    opt.rounds_override = 2000;
+    Engine::Options opt;
+    opt.mc_rounds_override = 2000;
     opt.seed = 99;
+    opt.spiral_budget_fraction = 1e-9;  // The Monte-Carlo plan.
     Timer tb;
-    MonteCarloPNN mc(pts, opt);
+    Engine mc(pts, opt);
+    mc.Prewarm();
     double build = tb.Millis();
     double err = 0;
     Timer t;
     for (size_t i = 0; i < queries.size(); ++i) {
-      err = std::max(err, MaxErr(pts, mc.Query(queries[i]), exact[i]));
+      err = std::max(err, MaxErr(pts, mc.Quantify(queries[i]), exact[i]));
     }
     table.AddRow({"Monte Carlo (s=2000)", Table::Num(build, 4),
                   Table::Num(t.Micros() / queries.size(), 4), Table::Num(err, 3),

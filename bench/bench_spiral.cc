@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "src/core/prob/monte_carlo.h"
+#include "src/core/pnn.h"
 #include "src/core/prob/quantify.h"
 #include "src/core/prob/spiral.h"
 #include "src/util/table.h"
@@ -154,16 +154,16 @@ void HeadToHead() {
                   Table::Num(t.Micros() / queries.size(), 4)});
   }
   {
-    MonteCarloPNN::Options opt;
-    opt.eps = 0.05;
-    opt.delta = 0.05;
-    opt.rounds_override = 2000;  // Practical s for comparable accuracy.
+    Engine::Options opt;
+    opt.mc_rounds_override = 2000;  // Practical s for comparable accuracy.
+    opt.spiral_budget_fraction = 1e-9;  // The Monte-Carlo plan.
     Timer tb;
-    MonteCarloPNN mc(pts, opt);
+    Engine mc(pts, opt);
+    mc.Prewarm(0.05);
     double build = tb.Millis();
     Timer t;
     size_t acc = 0;
-    for (Point2 q : queries) acc += mc.Query(q).size();
+    for (Point2 q : queries) acc += mc.Quantify(q, 0.05).size();
     (void)acc;
     table.AddRow({"Monte Carlo (s=2000)", Table::Num(build, 4),
                   Table::Num(t.Micros() / queries.size(), 4)});

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <limits>
 
+#include "src/exec/thread_pool.h"
 #include "src/geometry/hull.h"
+#include "src/util/arena.h"
 #include "src/util/check.h"
 
 namespace pnn {
@@ -252,24 +254,43 @@ size_t Engine::RoundsFor(double eps) const {
                                options_.mc_rounds_override);
 }
 
-std::shared_ptr<const McRounds> Engine::EnsureRounds(size_t rounds,
-                                                     exec::ThreadPool* pool) const {
+std::shared_ptr<const McSamples> Engine::EnsureRounds(size_t rounds,
+                                                      exec::ThreadPool* pool) const {
   auto cur = std::atomic_load_explicit(&rounds_, std::memory_order_acquire);
-  if (cur && cur->trees.size() >= rounds) return cur;
+  if (cur && cur->rounds >= rounds) return cur;
   std::lock_guard<std::mutex> lock(lazy_mu_);
   cur = std::atomic_load_explicit(&rounds_, std::memory_order_acquire);
-  if (cur && cur->trees.size() >= rounds) return cur;
+  if (cur && cur->rounds >= rounds) return cur;
 
-  auto next = std::make_shared<McRounds>();
-  if (cur) next->trees = cur->trees;  // Share the already-built prefix.
-  BuildMcRounds(points_, options_.seed, next->trees.size(), rounds,
-                options_.mc_stream_ids,
-                KdBuildOptions{pool != nullptr ? pool : options_.build_pool,
-                               options_.build_parallel_cutoff, options_.kd_leaf_size},
-                next.get());
-  std::atomic_store_explicit(&rounds_, std::shared_ptr<const McRounds>(next),
+  auto next = std::make_shared<McSamples>(points_.size(), rounds);
+  // Rows are independent, so chunks of them fan out; a chunk draws a few
+  // thousand samples, enough to amortize a task.
+  const size_t chunk = std::max<size_t>(1, 4096 / std::max<size_t>(1, rounds));
+  auto draw = [&](size_t c) {
+    DrawRounds(cur.get(), c * chunk, std::min(points_.size(), (c + 1) * chunk),
+               next.get());
+  };
+  exec::MaybeParallelFor(pool != nullptr ? pool : options_.build_pool,
+                         (points_.size() + chunk - 1) / chunk, draw);
+  std::atomic_store_explicit(&rounds_, std::shared_ptr<const McSamples>(next),
                              std::memory_order_release);
   return next;
+}
+
+void Engine::DrawRounds(const McSamples* prev, size_t begin, size_t end,
+                        McSamples* block) const {
+  const std::vector<uint64_t>& ids = options_.mc_stream_ids;
+  for (size_t j = begin; j < end; ++j) {
+    FillMcRow(points_[j], options_.seed, ids.empty() ? j : ids[j], prev, j, block);
+  }
+}
+
+void Engine::AdoptRounds(std::shared_ptr<const McSamples> block) const {
+  PNN_CHECK(block->xs.size() == points_.size() * block->rounds);
+  std::lock_guard<std::mutex> lock(lazy_mu_);
+  auto cur = std::atomic_load_explicit(&rounds_, std::memory_order_acquire);
+  if (cur && cur->rounds >= block->rounds) return;
+  std::atomic_store_explicit(&rounds_, std::move(block), std::memory_order_release);
 }
 
 std::shared_ptr<const ExpectedNNIndex> Engine::EnsureExpectedNN() const {
@@ -295,19 +316,27 @@ void Engine::Prewarm(std::optional<double> eps_opt) const {
 
 size_t Engine::MonteCarloRounds() const {
   auto cur = std::atomic_load_explicit(&rounds_, std::memory_order_acquire);
-  return cur ? cur->trees.size() : 0;
+  return cur ? cur->rounds : 0;
 }
 
 std::vector<Quantification> Engine::Quantify(Point2 q,
                                              std::optional<double> eps_opt) const {
   double eps = ResolveEps(options_, eps_opt);
   if (PlanForQuantify(eps) == QuantifyPlan::kSpiral) return spiral_->Query(q, eps);
-  // Exactly the first rounds(eps) trees, however far earlier queries at a
-  // tighter eps have extended the cache: an answer never depends on the
-  // query history.
+  // Exactly the first rounds(eps) samples of each row, however far earlier
+  // queries at a tighter eps have extended the cache: an answer never
+  // depends on the query history.
   size_t rounds = RoundsFor(eps);
+  std::shared_ptr<const McSamples> block = EnsureRounds(rounds);
+  util::ScratchVec<int> candidates_lease;
+  std::vector<int>& candidates = *candidates_lease;
+  NonzeroNNWithinInto(q, McCandidateBound(NonzeroDelta(q)), nullptr, &candidates);
+  util::ScratchVec<McRow> rows_lease;
+  std::vector<McRow>& rows = *rows_lease;
+  rows.clear();
+  for (int j : candidates) rows.push_back({j, block->row_x(j), block->row_y(j)});
   std::vector<Quantification> out;
-  McQuantifyInto(*EnsureRounds(rounds), rounds, points_.size(), q, &out);
+  McQuantifyRowsInto(rows, rounds, q, &out);
   return out;
 }
 

@@ -43,7 +43,7 @@ enum class QuantifyPlan {
 /// One-stop query engine over a set of uncertain points.
 ///
 /// Thread safety: all query methods are const and safe to call from many
-/// threads concurrently; the lazily-built structures (Monte-Carlo rounds,
+/// threads concurrently; the lazily-built structures (Monte-Carlo samples,
 /// expected-NN) are constructed under an internal mutex. Batch callers
 /// should Prewarm() first so worker threads never contend on construction.
 class Engine {
@@ -56,14 +56,14 @@ class Engine {
     /// Spiral search is preferred while rho * k * ln(rho/eps) stays below
     /// this fraction of N; beyond it Monte Carlo wins. Must be in (0,1].
     double spiral_budget_fraction = 0.5;
-    /// Per-point Monte-Carlo stream ids (see BuildMcRounds). Empty, or one
+    /// Per-point Monte-Carlo stream ids (see McSample). Empty, or one
     /// id per point; empty means ids 0..n-1, so an engine without ids
     /// samples exactly as one given its indices. A dynamic engine's bucket
     /// engines carry their bucket's ids here.
     std::vector<uint64_t> mc_stream_ids;
     /// When set, every structure build fans out across this pool: the
     /// constructor's kd builds recurse per-subtree (KdBuildOptions), the
-    /// lazy Monte-Carlo build parallelizes per round, and the expected-NN
+    /// lazy Monte-Carlo samples are drawn in point chunks, and the expected-NN
     /// precomputation per point. Results are bit-identical to the serial
     /// build at any pool size (tests/build_determinism_test.cc). The pool
     /// must outlive the engine. Queries are unaffected.
@@ -157,22 +157,34 @@ class Engine {
   /// subsequent const queries are lock- and contention-free.
   void Prewarm(std::optional<double> eps = std::nullopt) const;
 
-  /// Rounds [0, rounds) of the engine's Monte-Carlo round cache, building
-  /// any missing suffix with BuildMcRounds under options.mc_stream_ids (the
-  /// indices when empty), at the engine's seed and kd leaf width, fanning
-  /// out on `pool` (options.build_pool when null). Rounds are a pure
-  /// function of (points, seed, round, ids), so the cache only ever grows
-  /// by a suffix: the built prefix is shared structurally between
-  /// extensions, extensions serialize on an internal mutex, readers are
-  /// lock-free once enough rounds exist, and a reader holding an older
-  /// McRounds keeps it alive. This is the one round cache: Quantify counts
-  /// winners over its first rounds(eps) trees, and a dyn::CombinedView's
+  /// The engine's Monte-Carlo sample block with at least `rounds` samples
+  /// per point: point j's row holds McSample(points[j], seed, r, id_j) for
+  /// r < rounds, id_j from options.mc_stream_ids (j when empty). A missing
+  /// suffix is drawn in point chunks fanned out on `pool`
+  /// (options.build_pool when null), copying the rounds already held, so
+  /// the block only ever grows by rounds and is bit-identical at any pool.
+  /// Extensions serialize on an internal mutex, readers are lock-free once
+  /// enough rounds exist, and a reader holding an older block keeps it
+  /// alive. This is the one sample cache: Quantify scans exactly the first
+  /// rounds(eps) samples of its candidates' rows, and a dyn::CombinedView's
   /// Monte-Carlo queries (dyn/view_query.h) read every bucket engine's
   /// through it.
-  std::shared_ptr<const McRounds> EnsureRounds(size_t rounds,
-                                               exec::ThreadPool* pool = nullptr) const;
+  std::shared_ptr<const McSamples> EnsureRounds(size_t rounds,
+                                                exec::ThreadPool* pool = nullptr) const;
 
-  /// Length of the round cache (0 until a Monte-Carlo query or Prewarm).
+  /// Fills rows [begin, end) of `block` (block->rounds samples per row, one
+  /// row per point) as EnsureRounds does, copying the rounds `prev` holds
+  /// (a shorter block of this engine's, or null). With AdoptRounds this
+  /// builds a block in bounded steps (the dynamic engine's chunked prewarm).
+  void DrawRounds(const McSamples* prev, size_t begin, size_t end,
+                  McSamples* block) const;
+
+  /// Installs `block`, whose every row DrawRounds filled, as the sample
+  /// cache unless the cache already holds as many rounds.
+  void AdoptRounds(std::shared_ptr<const McSamples> block) const;
+
+  /// Samples per point in the sample cache (0 until a Monte-Carlo query or
+  /// Prewarm).
   size_t MonteCarloRounds() const;
 
   const UncertainSet& points() const { return points_; }
@@ -214,7 +226,7 @@ class Engine {
   // Accessed with std::atomic_load/atomic_store: readers snapshot them
   // lock-free, and an extension swaps the pointer without invalidating
   // snapshots held by concurrent queries.
-  mutable std::shared_ptr<const McRounds> rounds_;
+  mutable std::shared_ptr<const McSamples> rounds_;
   mutable std::shared_ptr<const ExpectedNNIndex> expected_nn_;
 };
 

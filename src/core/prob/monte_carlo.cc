@@ -2,13 +2,83 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/exec/thread_pool.h"
 #include "src/util/arena.h"
 #include "src/util/check.h"
 #include "src/util/rng.h"
+#include "src/util/simd.h"
 
 namespace pnn {
+
+Point2 McSample(const UncertainPoint& p, uint64_t seed, size_t r, uint64_t stream_id) {
+  StreamRng rng = MakeStreamRng(SplitSeed(seed, r), stream_id);
+  return p.Sample(&rng);
+}
+
+McSamples::McSamples(size_t n, size_t s) : rounds(s), xs(n * s), ys(n * s) {}
+
+void FillMcRow(const UncertainPoint& p, uint64_t seed, uint64_t stream_id,
+               const McSamples* prev, size_t j, McSamples* block) {
+  double* xs = block->xs.data() + j * block->rounds;
+  double* ys = block->ys.data() + j * block->rounds;
+  size_t from = 0;
+  if (prev != nullptr) {
+    from = std::min(prev->rounds, block->rounds);
+    std::copy(prev->row_x(j), prev->row_x(j) + from, xs);
+    std::copy(prev->row_y(j), prev->row_y(j) + from, ys);
+  }
+  for (size_t r = from; r < block->rounds; ++r) {
+    Point2 s = McSample(p, seed, r, stream_id);
+    xs[r] = s.x;
+    ys[r] = s.y;
+  }
+}
+
+double McCandidateBound(double delta) { return delta * (1 + 1e-9) + 1e-12; }
+
+void McQuantifyRowsInto(const std::vector<McRow>& rows, size_t rounds, Point2 q,
+                        std::vector<Quantification>* out) {
+  out->clear();
+  util::ScratchVec<double> best_lease;
+  std::vector<double>& best = *best_lease;
+  best.assign(rounds, std::numeric_limits<double>::infinity());
+  util::ScratchVec<int> winner_lease;
+  std::vector<int>& winner = *winner_lease;
+  winner.assign(rounds, -1);
+  // Rounds in blocks, every candidate's row segment per block, so the
+  // block's running minima stay in L1 while the rows stream through. The
+  // rows ascend by id, so a strict < keeps the lowest tied id.
+  constexpr size_t kBlock = 256;
+  double d[kBlock];
+  for (size_t r0 = 0; r0 < rounds; r0 += kBlock) {
+    size_t m = std::min(kBlock, rounds - r0);
+    double* b = best.data() + r0;
+    int* w = winner.data() + r0;
+    for (size_t c = 0; c < rows.size(); ++c) {
+      simd::SquaredDistScan(rows[c].xs + r0, rows[c].ys + r0, m, q.x, q.y, d);
+      for (size_t r = 0; r < m; ++r) {
+        if (d[r] < b[r]) {
+          b[r] = d[r];
+          w[r] = static_cast<int>(c);
+        }
+      }
+    }
+  }
+  util::ScratchVec<int> counts_lease;
+  std::vector<int>& counts = *counts_lease;
+  counts.assign(rows.size(), 0);
+  for (int c : winner) {
+    if (c >= 0) ++counts[c];
+  }
+  const double denom = static_cast<double>(rounds);
+  for (size_t c = 0; c < rows.size(); ++c) {
+    if (counts[c] > 0) {
+      out->push_back({rows[c].id, static_cast<double>(counts[c]) / denom});
+    }
+  }
+}
 
 void BuildMcRounds(const UncertainSet& points, uint64_t seed, size_t from, size_t to,
                    const std::vector<uint64_t>& stream_ids, const KdBuildOptions& build,
@@ -20,11 +90,9 @@ void BuildMcRounds(const UncertainSet& points, uint64_t seed, size_t from, size_
   const size_t n = points.size();
   auto build_round = [&](size_t i) {
     const size_t r = from + i;
-    const uint64_t round_seed = SplitSeed(seed, r);
     std::vector<Point2> samples(n);
     for (size_t j = 0; j < n; ++j) {
-      StreamRng rng = MakeStreamRng(round_seed, stream_ids.empty() ? j : stream_ids[j]);
-      samples[j] = points[j].Sample(&rng);
+      samples[j] = McSample(points[j], seed, r, stream_ids.empty() ? j : stream_ids[j]);
     }
     out->trees[r] = std::make_shared<const KdTree>(
         std::move(samples), std::vector<double>(), Metric::kEuclidean, build);
@@ -59,25 +127,16 @@ MonteCarloPNN::MonteCarloPNN(const UncertainSet& points, const Options& options)
   BuildMcRounds(points, options.seed, 0, rounds, options.stream_ids, options.build, &mc_);
 }
 
-void McQuantifyInto(const McRounds& mc, size_t rounds, size_t n, Point2 q,
-                    std::vector<Quantification>* out) {
-  PNN_CHECK(rounds <= mc.trees.size());
-  util::ScratchVec<int> lease;
-  std::vector<int>& counts = *lease;
-  counts.assign(n, 0);
-  for (size_t r = 0; r < rounds; ++r) ++counts[mc.trees[r]->NearestSquared(q)];
-  out->clear();
-  const double denom = static_cast<double>(rounds);
-  for (size_t i = 0; i < n; ++i) {
+std::vector<Quantification> MonteCarloPNN::Query(Point2 q) const {
+  std::vector<int> counts(n_, 0);
+  for (const auto& tree : mc_.trees) ++counts[tree->NearestSquared(q)];
+  std::vector<Quantification> out;
+  const double denom = static_cast<double>(mc_.trees.size());
+  for (size_t i = 0; i < n_; ++i) {
     if (counts[i] > 0) {
-      out->push_back({static_cast<int>(i), static_cast<double>(counts[i]) / denom});
+      out.push_back({static_cast<int>(i), static_cast<double>(counts[i]) / denom});
     }
   }
-}
-
-std::vector<Quantification> MonteCarloPNN::Query(Point2 q) const {
-  std::vector<Quantification> out;
-  McQuantifyInto(mc_, mc_.trees.size(), n_, q, &out);
   return out;
 }
 

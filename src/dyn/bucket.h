@@ -2,8 +2,8 @@
 // of the live set under ascending stable ids, with its own static
 // pnn::Engine. The engine samples Monte-Carlo rounds under the bucket's
 // ids (Engine::Options::mc_stream_ids, the only copy of them), so its
-// round cache (Engine::EnsureRounds) holds exactly the per-round trees a
-// static engine over the whole live set draws for these points.
+// sample block (Engine::EnsureRounds) holds exactly the rows a static
+// engine over the whole live set draws for these points.
 //
 // A bucket never changes after construction; erases are tombstone masks
 // kept next to the bucket in the engine's snapshot, and growth happens by

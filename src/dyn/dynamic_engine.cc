@@ -47,8 +47,9 @@ struct DynamicEngine::BuildJob {
   MaintenancePlan plan;  // points are moved into the builder at creation.
   std::unique_ptr<SlicedBucketBuilder> builder;
   std::shared_ptr<const Bucket> built;
-  size_t prewarm_rounds = 0;  // Monte-Carlo rounds to warm pre-splice.
-  size_t prewarm_done = 0;
+  // The built bucket's Monte-Carlo sample block, drawn pre-splice.
+  std::shared_ptr<McSamples> prewarm;
+  size_t prewarm_done = 0;  // Rows drawn so far.
 };
 
 DynamicEngine::DynamicEngine(Options options) : options_(std::move(options)) {
@@ -453,22 +454,24 @@ bool DynamicEngine::MaintenanceStep() {
       double eps = options_.engine.default_eps;
       if (snap->live_count > 0 &&
           PlanForSnapshot(*snap, options_.engine, eps) == QuantifyPlan::kMonteCarlo) {
-        job.prewarm_rounds = McRoundsForSnapshot(*snap, options_.engine, eps);
+        job.prewarm = std::make_shared<McSamples>(
+            job.built->size(), McRoundsForSnapshot(*snap, options_.engine, eps));
       }
     }
     return true;
   }
-  if (job.built != nullptr && job.prewarm_done < job.prewarm_rounds) {
-    // Chunked prewarm: each step extends the round cache by about one
-    // build_chunk's worth of sampled points (EnsureRounds shares the
-    // already-built prefix, so batching costs nothing).
-    size_t per = job.prewarm_rounds;
+  if (job.prewarm != nullptr) {
+    // Chunked prewarm: each step draws the rows of about one build_chunk's
+    // worth of samples; the finished block becomes the bucket's cache.
+    const Engine& e = job.built->engine();
+    size_t end = job.built->size();
     if (options_.build_chunk > 0) {
-      per = std::max<size_t>(
-          1, options_.build_chunk / std::max<size_t>(1, job.built->size()));
+      size_t per = std::max<size_t>(1, options_.build_chunk / job.prewarm->rounds);
+      end = std::min(end, job.prewarm_done + per);
     }
-    job.prewarm_done = std::min(job.prewarm_rounds, job.prewarm_done + per);
-    job.built->engine().EnsureRounds(job.prewarm_done, options_.pool);
+    e.DrawRounds(nullptr, job.prewarm_done, end, job.prewarm.get());
+    job.prewarm_done = end;
+    if (end == job.built->size()) e.AdoptRounds(std::move(job.prewarm));
     return true;
   }
 

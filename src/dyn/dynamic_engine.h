@@ -26,9 +26,10 @@
 //     merged into the global distance order and fed through the same
 //     tie-grouped sweep (QuantifyPrefixSweep) a monolithic structure runs;
 //   * Monte-Carlo Quantify: samples are keyed by (seed, round, point id)
-//     (each bucket engine's mc_stream_ids), so the per-round global NN is
-//     the cross-part argmin of per-part NNs over identical samples, exact
-//     ties going to the lowest id as in the static round trees;
+//     (each bucket engine's mc_stream_ids), so the candidates every part
+//     reports against the global NN!=0 bound carry exactly the static
+//     engine's sample rows, and one evaluator takes each round's argmin
+//     over them, exact ties going to the lowest id;
 //   * QuantifyExact (discrete): per-part survival profiles multiply by the
 //     paper's independence structure (SurvivalProfile in core/prob).
 // Consequently answers match a fresh Engine(LiveSet(),
@@ -67,7 +68,7 @@ struct Options {
   /// Tombstone fraction of the structure that triggers a compaction.
   double max_dead_fraction = 0.25;
   /// When set, merges/compactions run as background jobs here and
-  /// Monte-Carlo round work fans out across it. When null, maintenance
+  /// Monte-Carlo sample draws fan out across it. When null, maintenance
   /// runs inline in the update that triggered it. Unless
   /// engine.build_pool is set explicitly, it defaults to this pool, so
   /// bucket kd builds fork per-subtree across the same workers.
@@ -90,11 +91,11 @@ struct Options {
   /// either way.
   size_t build_chunk = 8192;
   /// Prewarm as part of maintenance: when the Monte-Carlo plan is active
-  /// at default_eps, a merge/compaction builds the new bucket's per-round
-  /// structures before publishing it (and the published snapshot's tail
-  /// samples right after), so the first query after a bucket build doesn't
-  /// pay the lazy construction inside its latency. Round construction is
-  /// chunked by build_chunk like the bucket build itself.
+  /// at default_eps, a merge/compaction draws the new bucket's sample block
+  /// before publishing it (and the published snapshot's tail samples right
+  /// after), so the first query after a bucket build doesn't pay the lazy
+  /// construction inside its latency. The block is drawn in steps of about
+  /// build_chunk samples, like the bucket build itself.
   bool prewarm_after_build = false;
   /// Attach an AnswerCache to every published snapshot: repeated queries
   /// against the same snapshot return the memoized answer instead of

@@ -10,7 +10,6 @@
 #include "src/dyn/tail_cache.h"
 #include "src/util/arena.h"
 #include "src/util/check.h"
-#include "src/util/simd.h"
 
 namespace pnn {
 namespace dyn {
@@ -324,98 +323,59 @@ void MergedMonteCarloQuantifyInto(const Snapshot& snap, Point2 q, size_t rounds,
   out->clear();
   if (snap.live_count == 0) return;  // Every part dead: nothing to sample.
   PNN_CHECK(rounds > 0);
-  // With a pool, the per-round loop below fans out instead.
-  const Bucket* whole = WholeBucket(snap);
-  if (pool == nullptr && whole != nullptr) {
-    McQuantifyInto(*whole->engine().EnsureRounds(rounds, nullptr), rounds, whole->size(),
-                   q, out);
-    for (Quantification& e : *out) e.index = whole->id(e.index);
-    return;
-  }
-  util::ScratchVec<std::shared_ptr<const McRounds>> mc_lease;
-  std::vector<std::shared_ptr<const McRounds>>& mc = *mc_lease;
-  mc.assign(snap.buckets.size(), nullptr);
+  // Only a point of NN!=0(q) over the whole live set can win a round, so
+  // the candidates are every part's report against the global bound,
+  // widened to keep exact ties (a superset is always safe).
+  const double bound = McCandidateBound(SnapshotNonzeroDelta(snap, q));
+  // The blocks stay held while their rows are scanned: an extension may
+  // swap a bucket's cache meanwhile.
+  util::ScratchVec<std::shared_ptr<const McSamples>> blocks_lease;
+  std::vector<std::shared_ptr<const McSamples>>& blocks = *blocks_lease;
+  blocks.assign(snap.buckets.size(), nullptr);
+  util::ScratchVec<McRow> rows_lease;
+  std::vector<McRow>& rows = *rows_lease;
+  rows.clear();
+  util::ScratchVec<int> locals_lease;
+  std::vector<int>& locals = *locals_lease;
   for (size_t b = 0; b < snap.buckets.size(); ++b) {
-    if (snap.buckets[b].live_count > 0) {
-      mc[b] = snap.buckets[b].bucket->engine().EnsureRounds(rounds, pool);
+    const auto& bref = snap.buckets[b];
+    if (bref.live_count == 0) continue;
+    const Engine& e = bref.bucket->engine();
+    blocks[b] = e.EnsureRounds(rounds, pool);
+    e.NonzeroNNWithinInto(q, bound, bref.dead.get(), &locals);
+    for (int j : locals) {
+      rows.push_back({bref.bucket->id(j), blocks[b]->row_x(j), blocks[b]->row_y(j)});
     }
   }
-  // Tail samples come from the snapshot's cache (built once per snapshot,
+  // Tail samples come from the snapshot's cache (drawn once per snapshot,
   // shared by every query). Both publishers attach one whenever the tail
   // has a live entry; a hand-built snapshot may not, and samples through a
   // query-local cache instead, so every tail sample is drawn by
   // TailMcCache::Ensure either way.
   std::shared_ptr<const TailSamples> tail_samples;
-  if (snap.tail_mc != nullptr) {
-    tail_samples = snap.tail_mc->Ensure(snap, rounds, seed);
-  } else if (snap.tail != nullptr) {
-    for (size_t i = 0; i < snap.tail->size(); ++i) {
-      if (snap.TailAlive(i)) {
-        tail_samples = TailMcCache().Ensure(snap, rounds, seed);
-        break;
+  if (snap.tail != nullptr) {
+    const std::vector<TailEntry>& tail = *snap.tail;
+    for (size_t i = 0; i < tail.size() && tail_samples == nullptr; ++i) {
+      if (!snap.TailAlive(i)) continue;
+      tail_samples = snap.tail_mc != nullptr ? snap.tail_mc->Ensure(snap, rounds, seed)
+                                             : TailMcCache().Ensure(snap, rounds, seed);
+    }
+    const TailSamples* ts = tail_samples.get();
+    for (size_t j = 0; ts != nullptr && j < ts->tail_index.size(); ++j) {
+      const TailEntry& e = tail[ts->tail_index[j]];
+      if (e.point.MinDistance(q) < bound) {
+        rows.push_back({e.id, ts->samples.row_x(j), ts->samples.row_y(j)});
       }
     }
   }
-
-  // Per round, the nearest sample over the live set is the argmin over the
-  // parts' nearest samples; winners are round-indexed, so the fan-out
-  // schedule cannot change the result.
-  util::ScratchVec<Id> winners_lease;
-  std::vector<Id>& winners = *winners_lease;
-  winners.assign(rounds, -1);
-  const TailSamples* ts = tail_samples.get();
-  // The whole round runs in the squared-distance domain (no sqrt anywhere:
-  // comparisons are monotone, only the winner id survives) with ties going
-  // to the lowest id — the static structure's rule (KdTree::NearestSquared,
-  // lowest index, and a static reference's index order is ascending id),
-  // so dyn-vs-static winners stay bit-identical even on exact ties. Each
-  // part already reports its lowest tied id (bucket locals and the cached
-  // tail row ascend by id), and the tail row is one fused argmin kernel.
-  auto body = [&](size_t r) {
-    double best_sq = kInf;
-    Id best = -1;
-    auto offer = [&](double sq, Id id) {
-      if (sq < best_sq || (sq == best_sq && id < best)) {
-        best_sq = sq;
-        best = id;
-      }
-    };
-    for (size_t b = 0; b < snap.buckets.size(); ++b) {
-      const auto& bref = snap.buckets[b];
-      if (bref.live_count == 0) continue;
-      double sq;
-      int li = mc[b]->trees[r]->NearestSquared(q, &sq, bref.dead.get());
-      if (li >= 0) offer(sq, bref.bucket->id(li));
-    }
-    if (ts != nullptr) {
-      size_t m = ts->ids.size();
-      double row_sq;
-      ptrdiff_t j = simd::ArgminSquaredDist(ts->xs.data() + r * m,
-                                            ts->ys.data() + r * m, m, q.x, q.y,
-                                            &row_sq);
-      if (j >= 0) offer(row_sq, ts->ids[j]);
-    }
-    winners[r] = best;
-  };
-  exec::MaybeParallelFor(pool, rounds, body);
-
-  // Winner histogram without a node-based map: sort a scratch copy and
-  // run-length encode (ascending ids — the same order std::map iterated).
-  util::ScratchVec<Id> sorted_lease;
-  std::vector<Id>& sorted = *sorted_lease;
-  sorted.assign(winners.begin(), winners.end());
-  std::sort(sorted.begin(), sorted.end());
-  for (size_t i = 0; i < sorted.size();) {
-    size_t j = i;
-    while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
-    out->push_back(
-        {sorted[i], static_cast<double>(j - i) / static_cast<double>(rounds)});
-    i = j;
-  }
-  // Drop the round-table refs before the lease returns to the arena: a
-  // pooled buffer must not pin retired buckets' sample structures on an
-  // idle thread.
-  mc.clear();
+  // Ascending ids make the evaluator's first-row tie rule the lowest-id
+  // rule of a static reference, whose index order is ascending id.
+  std::sort(rows.begin(), rows.end(),
+            [](const McRow& a, const McRow& b) { return a.id < b.id; });
+  McQuantifyRowsInto(rows, rounds, q, out);
+  // Drop the block refs before the lease returns to the arena: a pooled
+  // buffer must not pin retired buckets' samples on an idle thread.
+  blocks.clear();
 }
 
 std::vector<Quantification> MergedQuantifyExact(const Snapshot& snap, Point2 q) {

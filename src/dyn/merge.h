@@ -24,8 +24,8 @@ namespace dyn {
 /// The snapshot's one bucket when it holds the whole live set (no
 /// tombstone, no live tail entry), else null: a static engine's view, or
 /// a fully compacted dynamic engine. Its engine is then the reference
-/// engine over the live set, so NonzeroNN and pool-less Monte Carlo ask
-/// it directly and name its answers by id.
+/// engine over the live set, so NonzeroNN asks it directly and names its
+/// answers by id.
 const Bucket* WholeBucket(const Snapshot& snap);
 
 /// NN!=0(q): global Delta(q) = min over parts, then per-part threshold
@@ -89,20 +89,22 @@ std::vector<Quantification> MergedSpiralQuantify(const Snapshot& snap, Point2 q,
 void MergedSpiralQuantifyInto(const Snapshot& snap, Point2 q, double eps,
                               std::vector<Quantification>* out);
 
-/// Monte-Carlo quantification over `rounds` id-keyed instantiations: per
-/// round, the global nearest sample is the argmin over per-bucket nearest
-/// samples and the snapshot's cached tail samples (drawn directly when the
-/// snapshot carries no cache). Rounds fan out on `pool` when provided
-/// (results are round-indexed, so scheduling cannot change them). Without
-/// a pool, a WholeBucket is counted by McQuantifyInto over its engine's
-/// rounds, the same answer.
+/// Monte-Carlo quantification over `rounds` id-keyed instantiations
+/// (Theorem 4.3). The candidates are the live points with
+/// delta_i(q) < McCandidateBound(SnapshotNonzeroDelta(snap, q)): each
+/// bucket's report in local indices under its tombstone mask, read from
+/// its engine's sample block (Engine::EnsureRounds, drawn on `pool` when
+/// missing), and the live tail entries, read from the snapshot's cached
+/// tail samples (drawn directly when the snapshot carries no cache). The
+/// candidates' rows, ascending by id, go through McQuantifyRowsInto, the
+/// static Engine's evaluator, so the answer is the static one bit for bit.
 std::vector<Quantification> MergedMonteCarloQuantify(const Snapshot& snap, Point2 q,
                                                      size_t rounds, uint64_t seed,
                                                      exec::ThreadPool* pool);
 
-/// MergedMonteCarloQuantify writing into `out` (cleared first); winners
-/// and histogram scratch come from the per-thread arena. With warm bucket
-/// rounds and a warm tail cache (and a null pool) this allocates nothing.
+/// MergedMonteCarloQuantify writing into `out` (cleared first); candidates
+/// and evaluator scratch come from the per-thread arena. With warm sample
+/// blocks and a warm tail cache this allocates nothing.
 void MergedMonteCarloQuantifyInto(const Snapshot& snap, Point2 q, size_t rounds,
                                   uint64_t seed, exec::ThreadPool* pool,
                                   std::vector<Quantification>* out);

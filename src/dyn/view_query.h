@@ -13,7 +13,7 @@
 //   4. the spiral-vs-Monte-Carlo plan rule over the union's aggregates
 //      (PlanForSnapshot / McRoundsForSnapshot);
 //   5. the exact cross-part recombinations of merge.h, reading every
-//      bucket engine's Monte-Carlo round cache (Engine::EnsureRounds);
+//      bucket engine's Monte-Carlo sample block (Engine::EnsureRounds);
 //   6. ThresholdNN's tau check and filter, MostLikelyNN's argmax.
 // Answers are a deterministic function of (view, query), so they match a
 // fresh static Engine over the view's live set bit-identically for
@@ -100,7 +100,8 @@ struct CombinedView {
   /// knobs. mc_stream_ids stays empty (each bucket engine samples under
   /// its own ids), so copying them into a view allocates nothing.
   Engine::Options options;
-  /// NonzeroNN stages and Monte-Carlo rounds fan out here; null = inline.
+  /// NonzeroNN stages and Monte-Carlo sample draws fan out here; null =
+  /// inline.
   exec::ThreadPool* pool = nullptr;
 
   /// NN!=0(q) over the view, ascending ids (Lemma 2.1 semantics).
@@ -140,16 +141,16 @@ struct CombinedView {
   QuantifyPlan PlanForQuantify(std::optional<double> eps = std::nullopt) const;
 
   /// Builds every structure Quantify(·, eps) may need (per-bucket
-  /// Monte-Carlo rounds and the union's tail samples), so a batch fans out
-  /// without contending on lazy construction.
+  /// Monte-Carlo sample blocks and the union's tail samples), so a batch
+  /// fans out without contending on lazy construction.
   void Prewarm(std::optional<double> eps = std::nullopt) const;
 };
 
 /// A one-part view over a static engine: one bucket that borrows `engine`
 /// under ids 0..n-1, with no tombstones, no tail, no AnswerCache and no
 /// pool, and the engine's own aggregates and options (mc_stream_ids
-/// aside). Monte-Carlo queries read the engine's round cache, so the view
-/// and the engine's direct methods share one set of rounds. The engine
+/// aside). Monte-Carlo queries read the engine's sample block, so the view
+/// and the engine's direct methods share one set of samples. The engine
 /// must outlive the view.
 std::shared_ptr<const CombinedView> EngineView(const Engine* engine);
 

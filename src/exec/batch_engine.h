@@ -15,8 +15,8 @@
 // Monte-Carlo structure derives point id's round-r sample from the stream
 // MakeStreamRng(SplitSeed(seed, r), id) (see util/rng.h), so it is the
 // same structure no matter which thread triggers its construction. Exact
-// distance ties included: every round answers through
-// KdTree::NearestSquared, whose winner is the lowest tied index.
+// distance ties included: every round's winner is the lowest tied id
+// (pnn::McQuantifyRowsInto).
 
 #ifndef PNN_EXEC_BATCH_ENGINE_H_
 #define PNN_EXEC_BATCH_ENGINE_H_

@@ -99,7 +99,7 @@ struct Options {
   /// recombination); its pool must be null — set `pool` below instead.
   dyn::Options shard;
   /// When set: per-shard maintenance runs here, NonzeroNN fans out across
-  /// shards, Monte-Carlo rounds fan out, structure builds fork
+  /// shards, Monte-Carlo sample draws fan out, structure builds fork
   /// per-subtree, and auto_rebalance may schedule background moves. Must
   /// outlive the engine. When null, everything runs inline on the calling
   /// thread. Query fan-out shares the pool with maintenance and rebalance

@@ -138,8 +138,8 @@ class KdTree {
   /// winner rule as Nearest but every comparison — leaf argmin, box
   /// pruning, child ordering — runs on fl(dx^2)+fl(dy^2) with no sqrt, so
   /// leaves go through the fused simd::ArgminSquaredDist kernel. Ties go
-  /// to the lowest index. This is the per-round Monte-Carlo scan of both
-  /// the static and the dynamic engine (core/prob/monte_carlo.h).
+  /// to the lowest index. This is the per-round scan of MonteCarloPNN, the
+  /// Monte-Carlo oracle (core/prob/monte_carlo.h).
   /// *out_sq receives the squared distance (+inf when all points are
   /// skipped).
   int NearestSquared(Point2 q, double* out_sq = nullptr,

@@ -251,13 +251,12 @@ TEST(AllocHotpath, DynamicEngineHoldsEachPointOnce) {
       << "B: the live set is held twice";
 }
 
-// Theorem 4.3's rounds are s instantiations of the set, each in an exact
-// NN structure, so they are nearly all of a Monte-Carlo engine's memory.
-// A round tree holds each sample once: leaf-ordered x and y (16 B), the
-// order_ permutation (4 B) and its share of the 64-byte nodes (~16 B at
-// leaf width 8), with no index-order copy and no weights. Two copies of
-// the samples, or a stored zero weight per sample, push it past 48 B.
-TEST(AllocHotpath, RoundTreesHoldEachSampleOnce) {
+// Theorem 4.3's rounds are s instantiations of the set, so the samples
+// are nearly all of a Monte-Carlo engine's memory. The sample block holds
+// each sample once as two doubles (16 B) in one point-major row per point,
+// with no per-round search structure: a kd tree per round (about 36 B a
+// sample) or a second copy of the samples (32 B) fails the upper bound.
+TEST(AllocHotpath, SampleBlockHoldsEachSampleOnce) {
   Rng rng(519);
   UncertainSet disks;
   for (int i = 0; i < 2000; ++i) {
@@ -270,13 +269,14 @@ TEST(AllocHotpath, RoundTreesHoldEachSampleOnce) {
 
   const size_t rounds = 256;
   int64_t before = util::LiveAllocatedBytes();
-  std::shared_ptr<const McRounds> mc = engine.EnsureRounds(rounds);
-  int64_t round_bytes = util::LiveAllocatedBytes() - before;
-  ASSERT_EQ(mc->trees.size(), rounds);
+  std::shared_ptr<const McSamples> block = engine.EnsureRounds(rounds);
+  int64_t block_bytes = util::LiveAllocatedBytes() - before;
+  ASSERT_EQ(block->rounds, rounds);
+  ASSERT_EQ(engine.MonteCarloRounds(), rounds);
   double per_sample =
-      static_cast<double>(round_bytes) / static_cast<double>(rounds * disks.size());
-  EXPECT_GT(per_sample, 20.0);  // The samples themselves are in there.
-  EXPECT_LT(per_sample, 48.0) << round_bytes << " B over " << rounds << " rounds";
+      static_cast<double>(block_bytes) / static_cast<double>(rounds * disks.size());
+  EXPECT_GT(per_sample, 15.0);  // The samples themselves are in there.
+  EXPECT_LT(per_sample, 17.0) << block_bytes << " B over " << rounds << " rounds";
 }
 
 // Transient memory of a sliced compaction: the maintenance build reuses

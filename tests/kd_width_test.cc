@@ -279,11 +279,9 @@ TEST(KdWidth, LeafWidthReportsBuiltExtent) {
   }
 }
 
-// Monte-Carlo round trees are built at the requested width on both paths
-// that build them: MonteCarloPNN (the static Engine's structure) and the
-// dynamic engine's per-bucket round caches, which take the width from
-// Engine::Options::kd_leaf_size. Each round tree must have exactly the
-// layout a fresh build of its samples at that width produces.
+// MonteCarloPNN's round trees (the Monte-Carlo oracle) are built at the
+// requested width: each must have exactly the layout a fresh build of its
+// samples at that width produces.
 TEST(KdWidth, McRoundTreesHonorWidth) {
   Rng rng(9106);
   UncertainSet set = TieProneContinuousSet(120, &rng);
@@ -305,17 +303,6 @@ TEST(KdWidth, McRoundTreesHonorWidth) {
     MonteCarloPNN mc(set, mco);
     ASSERT_EQ(mc.rounds(), kRounds);
     for (const auto& tree : mc.round_trees().trees) expect_width(*tree, width);
-
-    dyn::Options dopt;
-    dopt.engine.kd_leaf_size = width;
-    dopt.tail_limit = 8;
-    dyn::DynamicEngine engine(set, dopt);
-    auto snap = engine.snapshot();
-    ASSERT_FALSE(snap->buckets.empty());
-    for (const auto& bref : snap->buckets) {
-      auto rounds = bref.bucket->engine().EnsureRounds(kRounds);
-      for (const auto& tree : rounds->trees) expect_width(*tree, width);
-    }
   }
 }
 
