@@ -4,10 +4,14 @@
 // Quantify on the dynamic engine and the shard router, under both plans
 // (spiral and Monte Carlo), plus the combined-snapshot cache hit rate and
 // heap allocations per steady-state query from the counting hook
-// (util/alloc_hook.h). Emits the BENCH_pr4.json trajectory.
+// (util/alloc_hook.h). Then QuantifyExact p50/p99 on the static engine,
+// the dynamic engine and the shard router over one live set, discrete and
+// continuous, each query point asked once per backend so no answer cache
+// can hit. Emits the BENCH_pr4.json trajectory.
 //
 //   ./bench_query_hotpath [--quick] [--json PATH] [n] [queries]
 //
+// Exits 1 if the three backends' QuantifyExact answers differ in any bit.
 // The zero-allocation claim is asserted by tests/alloc_hotpath_test.cc;
 // here it is reported as allocs/query so the trajectory catches
 // regressions in Release mode too.
@@ -44,6 +48,87 @@ UncertainPoint RandomDiscrete(Rng* rng) {
   }
   for (int s = 0; s < k; ++s) w[s] /= total;
   return UncertainPoint::Discrete(std::move(locs), std::move(w));
+}
+
+// Uniform disks: a truncated Gaussian's cdf is itself a quadrature, which
+// makes an exact query cost tens of milliseconds.
+UncertainPoint RandomDisk(Rng* rng) {
+  Point2 c{rng->Uniform(-100, 100), rng->Uniform(-100, 100)};
+  return UncertainPoint::UniformDisk(c, rng->Uniform(0.5, 2.0));
+}
+
+// Bitwise: index for index, probability bits for probability bits.
+bool SameAnswer(const std::vector<Quantification>& a,
+                const std::vector<Quantification>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].index != b[i].index ||
+        std::memcmp(&a[i].probability, &b[i].probability, sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// QuantifyExact on the static engine, the dynamic engine and a 4-shard
+// router over one live set (the two mutable backends churned alike, so
+// they hold buckets and a live tail). Every query point is asked once per
+// backend, after an untimed pass over other points. Returns the number of
+// queries whose three answers differ in any bit.
+size_t RunExactCells(const char* family, UncertainPoint (*make)(Rng*), int n,
+                     int num_queries, Rng* rng, Table* table, BenchJson* json) {
+  UncertainSet initial;
+  for (int i = 0; i < n; ++i) initial.push_back(make(rng));
+  dyn::Options dopt;
+  dyn::DynamicEngine dynamic(initial, dopt);
+  shard::Options sopt;
+  sopt.num_shards = 4;
+  sopt.shard = dopt;
+  shard::ShardedEngine sharded(initial, sopt);
+  for (int i = 0; i < n / 10; ++i) {
+    dynamic.Erase(static_cast<dyn::Id>(i * 7 % n));
+    sharded.Erase(static_cast<dyn::Id>(i * 7 % n));
+    UncertainPoint p = make(rng);
+    dynamic.Insert(p);
+    sharded.Insert(p);
+  }
+  dynamic.WaitForMaintenance();
+  sharded.WaitForMaintenance();
+  std::vector<dyn::Id> ids;
+  Engine reference(dynamic.LiveSet(&ids), dynamic.ReferenceEngineOptions());
+
+  std::vector<Point2> warmup(num_queries), queries(num_queries);
+  for (auto* qs : {&warmup, &queries}) {
+    for (Point2& q : *qs) q = {rng->Uniform(-110, 110), rng->Uniform(-110, 110)};
+  }
+  const char* backends[] = {"static", "dyn", "shard"};
+  auto ask = [&](int backend, Point2 q) {
+    if (backend == 1) return dynamic.View()->QuantifyExact(q);
+    if (backend == 2) return sharded.View()->QuantifyExact(q);
+    std::vector<Quantification> out = reference.QuantifyExact(q);
+    for (Quantification& e : out) e.index = ids[e.index];
+    return out;
+  };
+  std::vector<std::vector<Quantification>> answers[3];
+  for (int b = 0; b < 3; ++b) {
+    for (Point2 q : warmup) ask(b, q);
+    std::vector<double> lat;
+    for (Point2 q : queries) {
+      Timer t;
+      answers[b].push_back(ask(b, q));
+      lat.push_back(t.Micros());
+    }
+    double p50 = Percentile(&lat, 50.0), p99 = Percentile(&lat, 99.0);
+    std::string name = std::string("exact_") + backends[b] + "_" + family;
+    table->AddRow({name, Table::Num(p50, 4), Table::Num(p99, 4)});
+    json->Add(name, {{"p50_micros", p50}, {"p99_micros", p99}});
+  }
+  size_t mismatches = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    mismatches += !SameAnswer(answers[0][i], answers[1][i]) ||
+                  !SameAnswer(answers[0][i], answers[2][i]);
+  }
+  return mismatches;
 }
 
 struct Phase {
@@ -186,6 +271,19 @@ int Run(int n, int num_queries, const char* json_path) {
     }
   }
   table.Print();
+
+  std::printf("\n# QuantifyExact: static vs dyn vs 4-shard, unique query points\n");
+  Table exact({"cell", "p50us", "p99us"});
+  size_t mismatches =
+      RunExactCells("discrete", RandomDiscrete, n, num_queries, &rng, &exact, &json) +
+      RunExactCells("continuous", RandomDisk, n, num_queries, &rng, &exact, &json);
+  exact.Print();
+  if (mismatches > 0) {
+    std::fprintf(stderr, "FAIL: %zu QuantifyExact queries differ across backends\n",
+                 mismatches);
+    return 1;
+  }
+  std::printf("QuantifyExact answers bit-identical across static, dyn and shard\n");
 
   if (json_path != nullptr) {
     if (!json.WriteFile(json_path)) {

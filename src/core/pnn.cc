@@ -341,10 +341,20 @@ std::vector<Quantification> Engine::Quantify(Point2 q,
 }
 
 std::vector<Quantification> Engine::QuantifyExact(Point2 q) const {
-  if (all_discrete()) return QuantifyExactDiscrete(points_, q);
-  PNN_CHECK_MSG(all_continuous(),
+  PNN_CHECK_MSG(all_discrete() || all_continuous(),
                 "QuantifyExact supports all-discrete or all-continuous inputs");
-  return QuantifyNumericContinuous(points_, q, 1e-8);
+  // The Monte-Carlo candidates: every point of NN!=0(q) plus exact ties,
+  // ascending, so the answer is the full set's bit for bit.
+  util::ScratchVec<int> candidates_lease;
+  std::vector<int>& candidates = *candidates_lease;
+  NonzeroNNWithinInto(q, McCandidateBound(NonzeroDelta(q)), nullptr, &candidates);
+  util::ScratchVec<const UncertainPoint*> points_lease;
+  std::vector<const UncertainPoint*>& points = *points_lease;
+  points.clear();
+  for (int j : candidates) points.push_back(&points_[j]);
+  std::vector<Quantification> out = QuantifyExactOver(points, q);
+  for (Quantification& e : out) e.index = candidates[e.index];
+  return out;
 }
 
 std::vector<Quantification> Engine::ThresholdNN(Point2 q, double tau,

@@ -135,7 +135,8 @@ class Engine {
                                        std::optional<double> eps = std::nullopt) const;
 
   /// Exact pi_i(q): Eq. (2) sweep for discrete inputs, Eq. (1) adaptive
-  /// quadrature for continuous ones (tolerance 1e-8).
+  /// quadrature for continuous ones (tolerance 1e-8), run over the widened
+  /// NN!=0 candidates only (QuantifyExactOver); a mixed set aborts.
   std::vector<Quantification> QuantifyExact(Point2 q) const;
 
   /// Points with pi_i(q) > tau, using estimates of error eps ([DYM+05]).

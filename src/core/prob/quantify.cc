@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 
 #include "src/util/arena.h"
 #include "src/util/check.h"
@@ -77,12 +78,6 @@ class SurvivalProduct {
     return std::exp(lp);
   }
 
-  // prod_j factor_j.
-  double ProductAll() const {
-    if (zeros_ > 0) return 0.0;
-    return std::exp(log_prod_);
-  }
-
  private:
   static bool IsZero(double v) { return v <= 1e-300; }
   std::vector<double> factor_;
@@ -96,21 +91,22 @@ struct Loc {
   double weight;
 };
 
-}  // namespace
-
-std::vector<Quantification> QuantifyExactDiscrete(const UncertainSet& points,
-                                                  Point2 q) {
+std::vector<Quantification> SweepDiscrete(const std::vector<const UncertainPoint*>& points,
+                                          Point2 q) {
   size_t n = points.size();
   std::vector<Loc> locs;
   for (size_t i = 0; i < n; ++i) {
-    PNN_CHECK_MSG(points[i].is_discrete(), "QuantifyExactDiscrete needs discrete points");
-    const auto& d = points[i].discrete();
+    const auto& d = points[i]->discrete();
     for (size_t s = 0; s < d.locations.size(); ++s) {
       locs.push_back({Distance(q, d.locations[s]), static_cast<int>(i), d.weights[s]});
     }
   }
-  std::sort(locs.begin(), locs.end(),
-            [](const Loc& a, const Loc& b) { return a.dist < b.dist; });
+  // Stable, so a distance tie keeps the (owner, slot) order the locations
+  // were listed in: the cdf updates and the survival product's log sum run
+  // in that order, and the points left out of a candidate list cannot
+  // reorder them.
+  std::stable_sort(locs.begin(), locs.end(),
+                   [](const Loc& a, const Loc& b) { return a.dist < b.dist; });
 
   std::vector<double> pi(n, 0.0);
   std::vector<double> cum(n, 0.0);  // G_{q,j} accumulated so far.
@@ -145,26 +141,24 @@ std::vector<Quantification> QuantifyExactDiscrete(const UncertainSet& points,
   return out;
 }
 
-std::vector<Quantification> QuantifyNumericContinuous(const UncertainSet& points,
-                                                      Point2 q, double tol) {
+std::vector<Quantification> IntegrateContinuous(
+    const std::vector<const UncertainPoint*>& points, Point2 q, double tol) {
   size_t n = points.size();
   double min_max = std::numeric_limits<double>::infinity();
-  for (const auto& p : points) min_max = std::min(min_max, p.MaxDistance(q));
+  for (const UncertainPoint* p : points) min_max = std::min(min_max, p->MaxDistance(q));
 
   std::vector<Quantification> out;
   for (size_t i = 0; i < n; ++i) {
-    PNN_CHECK_MSG(!points[i].is_discrete(),
-                  "QuantifyNumericContinuous needs continuous points");
-    double lo = points[i].MinDistance(q);
-    double hi = std::min(points[i].MaxDistance(q), min_max);
+    double lo = points[i]->MinDistance(q);
+    double hi = std::min(points[i]->MaxDistance(q), min_max);
     if (lo >= hi) continue;  // pi_i = 0: support starts beyond Delta(q).
     auto integrand = [&](double r) {
-      double g = points[i].DistancePdf(q, r);
+      double g = points[i]->DistancePdf(q, r);
       if (g <= 0) return 0.0;
       double prod = 1.0;
       for (size_t j = 0; j < n && prod > 0; ++j) {
         if (j == i) continue;
-        prod *= 1.0 - points[j].DistanceCdf(q, r);
+        prod *= 1.0 - points[j]->DistanceCdf(q, r);
       }
       return g * prod;
     };
@@ -172,6 +166,44 @@ std::vector<Quantification> QuantifyNumericContinuous(const UncertainSet& points
     if (v > tol) out.push_back({static_cast<int>(i), std::min(v, 1.0)});
   }
   return out;
+}
+
+// The set's points by address, each checked to be discrete (or not).
+std::vector<const UncertainPoint*> AllPoints(const UncertainSet& points, bool discrete,
+                                             const char* message) {
+  std::vector<const UncertainPoint*> all;
+  all.reserve(points.size());
+  for (const UncertainPoint& p : points) {
+    PNN_CHECK_MSG(p.is_discrete() == discrete, message);
+    all.push_back(&p);
+  }
+  return all;
+}
+
+}  // namespace
+
+std::vector<Quantification> QuantifyExactOver(
+    const std::vector<const UncertainPoint*>& points, Point2 q, double tol) {
+  if (points.empty()) return {};
+  bool discrete = points[0]->is_discrete();
+  for (const UncertainPoint* p : points) {
+    PNN_CHECK_MSG(p->is_discrete() == discrete,
+                  "exact quantification needs all-discrete or all-continuous points");
+  }
+  return discrete ? SweepDiscrete(points, q) : IntegrateContinuous(points, q, tol);
+}
+
+std::vector<Quantification> QuantifyExactDiscrete(const UncertainSet& points,
+                                                  Point2 q) {
+  return SweepDiscrete(
+      AllPoints(points, true, "QuantifyExactDiscrete needs discrete points"), q);
+}
+
+std::vector<Quantification> QuantifyNumericContinuous(const UncertainSet& points,
+                                                      Point2 q, double tol) {
+  return IntegrateContinuous(
+      AllPoints(points, false, "QuantifyNumericContinuous needs continuous points"), q,
+      tol);
 }
 
 std::vector<Quantification> QuantifyPrefixSweep(const std::vector<WeightedLocation>& locs,
@@ -212,7 +244,7 @@ void QuantifyPrefixSweepInto(const std::vector<WeightedLocation>& locs,
       if (cum[o] == 0.0) touched.push_back(o);
       cum[o] += locs[k].weight;
       // Exactly 0 once all of o's locations are retrieved (no rounding
-      // residue; see QuantifyExactDiscrete above).
+      // residue; see SweepDiscrete above).
       survival[o] = (++seen[o] == counts[o]) ? 0.0 : std::max(0.0, 1.0 - cum[o]);
     }
     for (size_t k = idx; k < end; ++k) {
@@ -252,54 +284,6 @@ void QuantifyPrefixSweepInto(const std::vector<WeightedLocation>& locs,
             [](const Quantification& a, const Quantification& b) {
               return a.index < b.index;
             });
-}
-
-double SurvivalProfile::Value(double r) const {
-  auto it = std::upper_bound(dists.begin(), dists.end(), r);
-  if (it == dists.begin()) return 1.0;
-  return values[static_cast<size_t>(it - dists.begin()) - 1];
-}
-
-PartialQuantify QuantifyPartDiscrete(const UncertainSet& points,
-                                     const std::vector<int>& members, Point2 q) {
-  size_t n = members.size();
-  std::vector<Loc> locs;
-  for (size_t m = 0; m < n; ++m) {
-    const UncertainPoint& p = points[members[m]];
-    PNN_CHECK_MSG(p.is_discrete(), "QuantifyPartDiscrete needs discrete points");
-    const auto& d = p.discrete();
-    for (size_t s = 0; s < d.locations.size(); ++s) {
-      locs.push_back({Distance(q, d.locations[s]), static_cast<int>(m), d.weights[s]});
-    }
-  }
-  std::sort(locs.begin(), locs.end(),
-            [](const Loc& a, const Loc& b) { return a.dist < b.dist; });
-
-  std::vector<double> cum(n, 0.0);
-  std::vector<int> remaining(n, 0);
-  for (const Loc& l : locs) ++remaining[l.owner];
-  SurvivalProduct survival(n);
-
-  PartialQuantify out;
-  out.terms.reserve(locs.size());
-  size_t idx = 0;
-  while (idx < locs.size()) {
-    size_t end = idx;
-    while (end < locs.size() && locs[end].dist == locs[idx].dist) ++end;
-    for (size_t k = idx; k < end; ++k) {
-      int o = locs[k].owner;
-      cum[o] += locs[k].weight;
-      survival.Set(o, --remaining[o] == 0 ? 0.0 : 1.0 - cum[o]);
-    }
-    for (size_t k = idx; k < end; ++k) {
-      out.terms.push_back({locs[k].dist, locs[k].owner,
-                           locs[k].weight * survival.ProductExcluding(locs[k].owner)});
-    }
-    out.profile.dists.push_back(locs[idx].dist);
-    out.profile.values.push_back(survival.ProductAll());
-    idx = end;
-  }
-  return out;
 }
 
 std::vector<Quantification> ThresholdFilter(const std::vector<Quantification>& all,

@@ -21,17 +21,31 @@ struct Quantification {
   double probability = 0.0;
 };
 
-/// Exact pi_i(q) for all i with pi_i(q) > 0, for discrete uncertain
-/// points, by the distance-sweep evaluation of Eq. (2):
-///   pi_i(q) = sum_s w_is * prod_{j != i} (1 - G_{q,j}(d(p_is, q))).
-/// Runs in O(N log N + N) per query (N = total locations). Results are
-/// sorted by index.
+/// Exact pi_i(q) over a candidate list: the Eq. (2) distance sweep
+///   pi_i(q) = sum_s w_is * prod_{j != i} (1 - G_{q,j}(d(p_is, q)))
+/// when the points are discrete, adaptive Simpson quadrature of Eq. (1) to
+/// absolute tolerance `tol` per point when they are continuous (a mixed
+/// list aborts). Indices are positions in `points`; results are sorted by
+/// index, and continuous entries below `tol` are dropped.
+///
+/// By Lemma 2.1 a point with delta_j(q) > Delta(q) multiplies every
+/// product below Delta(q) by exactly 1 and adds only zero terms past it.
+/// So over any list that holds every point with delta_j(q) <= Delta(q),
+/// in the full set's index order, the answers equal the full set's bit for
+/// bit: the sweep orders locations by the total order (dist, owner, slot),
+/// which never depends on the points left out. Engine::QuantifyExact and
+/// dyn::MergedQuantifyExact pass the widened NN!=0 candidates
+/// (McCandidateBound), ascending by id. Cost for t candidates:
+/// O(t·k log(t·k)) for k locations each, or O(t^2) cdf evaluations per
+/// quadrature node.
+std::vector<Quantification> QuantifyExactOver(
+    const std::vector<const UncertainPoint*>& points, Point2 q, double tol = 1e-8);
+
+/// QuantifyExactOver the whole set of discrete points (checked): the
+/// reference the approximate structures and the VPr diagram are held to.
 std::vector<Quantification> QuantifyExactDiscrete(const UncertainSet& points, Point2 q);
 
-/// pi_i(q) for continuous uncertain points by adaptive Simpson quadrature
-/// of Eq. (1), to absolute tolerance `tol` per point. O(n^2) cdf
-/// evaluations per quadrature node. Results sorted by index; entries with
-/// probability below `tol` are dropped.
+/// QuantifyExactOver the whole set of continuous points (checked).
 std::vector<Quantification> QuantifyNumericContinuous(const UncertainSet& points,
                                                       Point2 q, double tol = 1e-8);
 
@@ -61,42 +75,6 @@ std::vector<Quantification> QuantifyPrefixSweep(const std::vector<WeightedLocati
 void QuantifyPrefixSweepInto(const std::vector<WeightedLocation>& locs,
                              const std::vector<int>& counts,
                              std::vector<Quantification>* out);
-
-/// Piecewise-constant survival product of a subset B of the input:
-///   Value(r) = prod_{j in B} (1 - G_{q,j}(r)),
-/// right-continuous (a breakpoint's value includes locations at exactly
-/// that distance, matching the <= in G). The paper's independence
-/// structure — pi_i(q) = Int f_i prod_{j != i} (1 - G_j) — factorizes over
-/// any partition of P \ {i}, so per-part profiles simply multiply; this is
-/// the hook the dynamic engine uses to recombine per-bucket answers.
-struct SurvivalProfile {
-  std::vector<double> dists;   // Ascending breakpoints.
-  std::vector<double> values;  // values[g] holds on [dists[g], dists[g+1]).
-  /// Value(r); 1.0 before the first breakpoint.
-  double Value(double r) const;
-};
-
-/// The per-part piece of the exact discrete quantification: for one part B
-/// of an independence partition, the Eq. (2) sweep restricted to B yields
-///   * terms: for each location (at distance d, of member i) the partial
-///     contribution w * prod_{j in B, j != i} (1 - G_j(d)), and
-///   * profile: the part's survival product (see SurvivalProfile).
-/// The full pi_i for i in B is the sum over i's terms of
-///   partial * prod_{parts B' != B} profile_{B'}(d).
-struct PartialQuantify {
-  struct Term {
-    double dist;
-    int member;  // Index into `members` as passed to QuantifyPartDiscrete.
-    double partial;
-  };
-  std::vector<Term> terms;  // Ascending by dist.
-  SurvivalProfile profile;
-};
-
-/// Computes the part sweep above for the (discrete) points
-/// {points[members[0]], ...}. Members must be discrete.
-PartialQuantify QuantifyPartDiscrete(const UncertainSet& points,
-                                     const std::vector<int>& members, Point2 q);
 
 /// Entries with probability > tau (threshold queries, [DYM+05] semantics).
 std::vector<Quantification> ThresholdFilter(const std::vector<Quantification>& all,

@@ -25,17 +25,19 @@
 //   * spiral Quantify: per-bucket best-first location streams are k-way
 //     merged into the global distance order and fed through the same
 //     tie-grouped sweep (QuantifyPrefixSweep) a monolithic structure runs;
-//   * Monte-Carlo Quantify: samples are keyed by (seed, round, point id)
-//     (each bucket engine's mc_stream_ids), so the candidates every part
-//     reports against the global NN!=0 bound carry exactly the static
-//     engine's sample rows, and one evaluator takes each round's argmin
-//     over them, exact ties going to the lowest id;
-//   * QuantifyExact (discrete): per-part survival profiles multiply by the
-//     paper's independence structure (SurvivalProfile in core/prob).
+//   * Monte-Carlo Quantify and QuantifyExact: every part reports its
+//     candidates against the widened global NN!=0 bound, gathered once
+//     and ascending by id (GatherCandidatesInto). Samples are keyed by
+//     (seed, round, point id) (each bucket engine's mc_stream_ids), so the
+//     candidates carry exactly the static engine's sample rows, and one
+//     evaluator takes each round's argmin over them, exact ties going to
+//     the lowest id. QuantifyExact runs the static engine's exact
+//     evaluator (QuantifyExactOver) over the candidates' points, which
+//     answers as over the whole live set (Lemma 2.1: a point left out
+//     only ever multiplies by exactly 1 or adds exactly 0).
 // Consequently answers match a fresh Engine(LiveSet(),
-// ReferenceEngineOptions()) — bit-identically for NonzeroNN/Quantify/
-// ThresholdNN — regardless of the update history, the merge schedule, or
-// the thread count. The decompositions live in merge.h; the per-query
+// ReferenceEngineOptions()) bit for bit, in every query mode, regardless
+// of the update history, the merge schedule, or the thread count. The decompositions live in merge.h; the per-query
 // pipeline over them (eps, answer cache, plan rule) is CombinedView's
 // methods (view_query.h), the one query surface of this engine, the shard
 // router and the static Engine's api::EngineRef alike.

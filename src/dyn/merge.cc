@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -317,34 +316,53 @@ std::vector<Quantification> MergedMonteCarloQuantify(const Snapshot& snap, Point
   return out;
 }
 
+void GatherCandidatesInto(const Snapshot& snap, Point2 q, std::vector<Candidate>* out) {
+  out->clear();
+  if (snap.live_count == 0) return;
+  // Every part reports against the global bound, widened to keep exact
+  // ties (a superset is always safe).
+  const double bound = McCandidateBound(SnapshotNonzeroDelta(snap, q));
+  util::ScratchVec<int> locals_lease;
+  std::vector<int>& locals = *locals_lease;
+  for (size_t b = 0; b < snap.buckets.size(); ++b) {
+    const auto& bref = snap.buckets[b];
+    if (bref.live_count == 0) continue;
+    const Bucket& bucket = *bref.bucket;
+    bucket.engine().NonzeroNNWithinInto(q, bound, bref.dead.get(), &locals);
+    for (int j : locals) {
+      out->push_back({bucket.id(j), static_cast<int>(b), static_cast<uint32_t>(j),
+                      &bucket.points()[j]});
+    }
+  }
+  if (snap.tail != nullptr) {
+    const std::vector<TailEntry>& tail = *snap.tail;
+    uint32_t rank = 0;  // Among the live entries: the TailSamples row.
+    for (size_t i = 0; i < tail.size(); ++i) {
+      if (!snap.TailAlive(i)) continue;
+      if (tail[i].point.MinDistance(q) < bound) {
+        out->push_back({tail[i].id, kTailPart, rank, &tail[i].point});
+      }
+      ++rank;
+    }
+  }
+  std::sort(out->begin(), out->end(),
+            [](const Candidate& a, const Candidate& b) { return a.id < b.id; });
+}
+
 void MergedMonteCarloQuantifyInto(const Snapshot& snap, Point2 q, size_t rounds,
                                   uint64_t seed, exec::ThreadPool* pool,
                                   std::vector<Quantification>* out) {
   out->clear();
   if (snap.live_count == 0) return;  // Every part dead: nothing to sample.
   PNN_CHECK(rounds > 0);
-  // Only a point of NN!=0(q) over the whole live set can win a round, so
-  // the candidates are every part's report against the global bound,
-  // widened to keep exact ties (a superset is always safe).
-  const double bound = McCandidateBound(SnapshotNonzeroDelta(snap, q));
   // The blocks stay held while their rows are scanned: an extension may
   // swap a bucket's cache meanwhile.
   util::ScratchVec<std::shared_ptr<const McSamples>> blocks_lease;
   std::vector<std::shared_ptr<const McSamples>>& blocks = *blocks_lease;
   blocks.assign(snap.buckets.size(), nullptr);
-  util::ScratchVec<McRow> rows_lease;
-  std::vector<McRow>& rows = *rows_lease;
-  rows.clear();
-  util::ScratchVec<int> locals_lease;
-  std::vector<int>& locals = *locals_lease;
   for (size_t b = 0; b < snap.buckets.size(); ++b) {
-    const auto& bref = snap.buckets[b];
-    if (bref.live_count == 0) continue;
-    const Engine& e = bref.bucket->engine();
-    blocks[b] = e.EnsureRounds(rounds, pool);
-    e.NonzeroNNWithinInto(q, bound, bref.dead.get(), &locals);
-    for (int j : locals) {
-      rows.push_back({bref.bucket->id(j), blocks[b]->row_x(j), blocks[b]->row_y(j)});
+    if (snap.buckets[b].live_count > 0) {
+      blocks[b] = snap.buckets[b].bucket->engine().EnsureRounds(rounds, pool);
     }
   }
   // Tail samples come from the snapshot's cache (drawn once per snapshot,
@@ -353,25 +371,25 @@ void MergedMonteCarloQuantifyInto(const Snapshot& snap, Point2 q, size_t rounds,
   // query-local cache instead, so every tail sample is drawn by
   // TailMcCache::Ensure either way.
   std::shared_ptr<const TailSamples> tail_samples;
-  if (snap.tail != nullptr) {
-    const std::vector<TailEntry>& tail = *snap.tail;
-    for (size_t i = 0; i < tail.size() && tail_samples == nullptr; ++i) {
-      if (!snap.TailAlive(i)) continue;
-      tail_samples = snap.tail_mc != nullptr ? snap.tail_mc->Ensure(snap, rounds, seed)
-                                             : TailMcCache().Ensure(snap, rounds, seed);
-    }
-    const TailSamples* ts = tail_samples.get();
-    for (size_t j = 0; ts != nullptr && j < ts->tail_index.size(); ++j) {
-      const TailEntry& e = tail[ts->tail_index[j]];
-      if (e.point.MinDistance(q) < bound) {
-        rows.push_back({e.id, ts->samples.row_x(j), ts->samples.row_y(j)});
-      }
-    }
+  for (size_t i = 0; snap.tail != nullptr && i < snap.tail->size(); ++i) {
+    if (!snap.TailAlive(i)) continue;
+    tail_samples = snap.tail_mc != nullptr ? snap.tail_mc->Ensure(snap, rounds, seed)
+                                           : TailMcCache().Ensure(snap, rounds, seed);
+    break;
   }
+  // Only a point of NN!=0(q) over the whole live set can win a round.
   // Ascending ids make the evaluator's first-row tie rule the lowest-id
   // rule of a static reference, whose index order is ascending id.
-  std::sort(rows.begin(), rows.end(),
-            [](const McRow& a, const McRow& b) { return a.id < b.id; });
+  util::ScratchVec<Candidate> candidates_lease;
+  std::vector<Candidate>& candidates = *candidates_lease;
+  GatherCandidatesInto(snap, q, &candidates);
+  util::ScratchVec<McRow> rows_lease;
+  std::vector<McRow>& rows = *rows_lease;
+  rows.clear();
+  for (const Candidate& c : candidates) {
+    const McSamples& s = c.part == kTailPart ? tail_samples->samples : *blocks[c.part];
+    rows.push_back({c.id, s.row_x(c.local), s.row_y(c.local)});
+  }
   McQuantifyRowsInto(rows, rounds, q, out);
   // Drop the block refs before the lease returns to the arena: a pooled
   // buffer must not pin retired buckets' samples on an idle thread.
@@ -380,54 +398,17 @@ void MergedMonteCarloQuantifyInto(const Snapshot& snap, Point2 q, size_t rounds,
 
 std::vector<Quantification> MergedQuantifyExact(const Snapshot& snap, Point2 q) {
   if (snap.live_count == 0) return {};  // Every part dead: empty product.
-  PNN_CHECK_MSG(snap.all_discrete(), "exact merge needs an all-discrete live set");
-  std::vector<PartialQuantify> parts;
-  std::vector<std::vector<Id>> part_ids;  // part_ids[p][member] = id.
-  for (const auto& bref : snap.buckets) {
-    if (bref.live_count == 0) continue;
-    std::vector<int> members;
-    std::vector<Id> ids;
-    for (size_t j = 0; j < bref.bucket->size(); ++j) {
-      if (bref.dead && (*bref.dead)[j]) continue;
-      members.push_back(static_cast<int>(j));
-      ids.push_back(bref.bucket->id(j));
-    }
-    parts.push_back(QuantifyPartDiscrete(bref.bucket->points(), members, q));
-    part_ids.push_back(std::move(ids));
-  }
-  if (snap.tail != nullptr) {
-    UncertainSet tpts;
-    std::vector<Id> ids;
-    const std::vector<TailEntry>& entries = *snap.tail;
-    for (size_t i = 0; i < entries.size(); ++i) {
-      if (!snap.TailAlive(i)) continue;
-      tpts.push_back(entries[i].point);
-      ids.push_back(entries[i].id);
-    }
-    if (!tpts.empty()) {
-      std::vector<int> members(tpts.size());
-      for (size_t j = 0; j < members.size(); ++j) members[j] = static_cast<int>(j);
-      parts.push_back(QuantifyPartDiscrete(tpts, members, q));
-      part_ids.push_back(std::move(ids));
-    }
-  }
-
-  // pi_i factorizes over the partition: within-part partial times the
-  // product of the other parts' survival profiles at i's location radius.
-  std::map<Id, double> pi;
-  for (size_t p = 0; p < parts.size(); ++p) {
-    for (const PartialQuantify::Term& t : parts[p].terms) {
-      double f = t.partial;
-      for (size_t p2 = 0; p2 < parts.size() && f != 0.0; ++p2) {
-        if (p2 != p) f *= parts[p2].profile.Value(t.dist);
-      }
-      if (f != 0.0) pi[part_ids[p][t.member]] += f;
-    }
-  }
-  std::vector<Quantification> out;
-  for (const auto& [id, v] : pi) {
-    if (v > 0) out.push_back({id, v});
-  }
+  PNN_CHECK_MSG(snap.all_discrete() || snap.all_continuous(),
+                "QuantifyExact supports all-discrete or all-continuous inputs");
+  util::ScratchVec<Candidate> candidates_lease;
+  std::vector<Candidate>& candidates = *candidates_lease;
+  GatherCandidatesInto(snap, q, &candidates);
+  util::ScratchVec<const UncertainPoint*> points_lease;
+  std::vector<const UncertainPoint*>& points = *points_lease;
+  points.clear();
+  for (const Candidate& c : candidates) points.push_back(c.point);
+  std::vector<Quantification> out = QuantifyExactOver(points, q);
+  for (Quantification& e : out) e.index = candidates[e.index].id;
   return out;
 }
 

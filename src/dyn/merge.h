@@ -89,15 +89,37 @@ std::vector<Quantification> MergedSpiralQuantify(const Snapshot& snap, Point2 q,
 void MergedSpiralQuantifyInto(const Snapshot& snap, Point2 q, double eps,
                               std::vector<Quantification>* out);
 
+/// Where a candidate's point lives: `part` indexes Snapshot::buckets, or
+/// is kTailPart for the tail.
+constexpr int kTailPart = -1;
+
+/// One NN!=0 candidate: its id, its part, its `local` index there (the
+/// bucket-local index, or for the tail the entry's rank among the live
+/// entries, which is its TailSamples row) and its point, borrowed from
+/// that part.
+struct Candidate {
+  Id id;
+  int part;
+  uint32_t local;
+  const UncertainPoint* point;
+};
+
+/// The candidates of both Monte-Carlo and exact quantification: the live
+/// points with delta_i(q) < McCandidateBound(SnapshotNonzeroDelta(snap, q)),
+/// each bucket's report under its tombstone mask plus the live tail
+/// entries, ascending by id (cleared first; empty for an empty snapshot).
+/// This holds every point of NN!=0(q) and its exact ties, in the index
+/// order of a static reference over the live set. Scratch comes from the
+/// per-thread arena.
+void GatherCandidatesInto(const Snapshot& snap, Point2 q, std::vector<Candidate>* out);
+
 /// Monte-Carlo quantification over `rounds` id-keyed instantiations
-/// (Theorem 4.3). The candidates are the live points with
-/// delta_i(q) < McCandidateBound(SnapshotNonzeroDelta(snap, q)): each
-/// bucket's report in local indices under its tombstone mask, read from
-/// its engine's sample block (Engine::EnsureRounds, drawn on `pool` when
-/// missing), and the live tail entries, read from the snapshot's cached
-/// tail samples (drawn directly when the snapshot carries no cache). The
-/// candidates' rows, ascending by id, go through McQuantifyRowsInto, the
-/// static Engine's evaluator, so the answer is the static one bit for bit.
+/// (Theorem 4.3). The candidates (GatherCandidatesInto) read their rows
+/// from their bucket engine's sample block (Engine::EnsureRounds, drawn on
+/// `pool` when missing) or from the snapshot's cached tail samples (drawn
+/// directly when the snapshot carries no cache). Their rows, ascending by
+/// id, go through McQuantifyRowsInto, the static Engine's evaluator, so
+/// the answer is the static one bit for bit.
 std::vector<Quantification> MergedMonteCarloQuantify(const Snapshot& snap, Point2 q,
                                                      size_t rounds, uint64_t seed,
                                                      exec::ThreadPool* pool);
@@ -109,11 +131,12 @@ void MergedMonteCarloQuantifyInto(const Snapshot& snap, Point2 q, size_t rounds,
                                   uint64_t seed, exec::ThreadPool* pool,
                                   std::vector<Quantification>* out);
 
-/// Exact discrete quantification by survival-profile recombination:
-///   pi_i = sum over i's locations of
-///          (within-part partial) * prod_{other parts} profile(dist),
-/// using QuantifyPartDiscrete per part (mathematically exact; float
-/// reassociation keeps it within ~1e-12 of the monolithic sweep).
+/// Exact quantification: QuantifyExactOver, the static Engine's evaluator,
+/// run over the candidates' points (GatherCandidatesInto) and named by id.
+/// Over any list that holds NN!=0(q) ascending by id, the evaluator answers
+/// what it answers over the whole live set, so this is a static reference's
+/// answer bit for bit, for an all-discrete (Eq. (2) sweep) or an
+/// all-continuous (Eq. (1) quadrature) live set; a mixed one aborts.
 std::vector<Quantification> MergedQuantifyExact(const Snapshot& snap, Point2 q);
 
 }  // namespace dyn

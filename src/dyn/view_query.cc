@@ -139,19 +139,7 @@ std::vector<Quantification> CombinedView::QuantifyExact(Point2 q) const {
   AnswerCache::Key key{AnswerCache::Kind::kQuantifyExact, q, 0.0};
   std::vector<Quantification> out;
   if (cache != nullptr && cache->LookupQuants(key, &out)) return out;
-  if (snap.all_discrete()) {
-    out = MergedQuantifyExact(snap, q);
-  } else {
-    PNN_CHECK_MSG(snap.all_continuous(),
-                  "QuantifyExact supports all-discrete or all-continuous inputs");
-    // Gather from the view, not an engine's mutable live set: a concurrent
-    // insert must not leak into (or invalidate the all-continuous check of)
-    // this query's state.
-    std::vector<Id> ids;
-    UncertainSet live = SnapshotLiveSet(snap, &ids);
-    out = QuantifyNumericContinuous(live, q, 1e-8);
-    for (auto& e : out) e.index = ids[e.index];
-  }
+  out = MergedQuantifyExact(snap, q);
   if (cache != nullptr) cache->InsertQuants(key, out);
   return out;
 }

@@ -17,9 +17,9 @@
 //   6. ThresholdNN's tau check and filter, MostLikelyNN's argmax.
 // Answers are a deterministic function of (view, query), so they match a
 // fresh static Engine over the view's live set bit-identically for
-// NonzeroNN / Quantify / ThresholdNN / MostLikelyNN, whatever the number
-// of parts and whatever the view's pool is (see the equivalence contract
-// in dynamic_engine.h).
+// NonzeroNN / Quantify / QuantifyExact / ThresholdNN / MostLikelyNN,
+// whatever the number of parts and whatever the view's pool is (see the
+// equivalence contract in dynamic_engine.h).
 
 #ifndef PNN_DYN_VIEW_QUERY_H_
 #define PNN_DYN_VIEW_QUERY_H_
@@ -123,9 +123,10 @@ struct CombinedView {
   void QuantifyInto(Point2 q, std::optional<double> eps,
                     std::vector<Quantification>* out) const;
 
-  /// Exact pi_i(q): survival-profile recombination for an all-discrete
-  /// view, quadrature over the gathered live set for an all-continuous one
-  /// (checked: a mixed view aborts).
+  /// Exact pi_i(q) over the view's NN!=0 candidates (MergedQuantifyExact):
+  /// the Eq. (2) sweep for an all-discrete view, Eq. (1) quadrature for an
+  /// all-continuous one (checked: a mixed view aborts). Bit-identical to a
+  /// static Engine's QuantifyExact over the live set.
   std::vector<Quantification> QuantifyExact(Point2 q) const;
 
   /// Points with pi_i(q) > tau; tau must be in [0, 1] (checked).

@@ -1,10 +1,9 @@
 // Randomized differential tests for pnn::dyn::DynamicEngine: after any
 // interleaving of inserts and erases, every query mode must answer exactly
 // like a freshly built static Engine over the live set (bit-identical
-// probabilities for NonzeroNN / Quantify / ThresholdNN, near-exact for the
-// survival-profile QuantifyExact recombination), for discrete, continuous
-// and mixed point families, with and without a background-maintenance
-// thread pool.
+// probabilities for NonzeroNN / Quantify / ThresholdNN / QuantifyExact),
+// for discrete, continuous and mixed point families, with and without a
+// background-maintenance thread pool.
 
 #include <algorithm>
 #include <iterator>
@@ -127,13 +126,8 @@ void RunDifferential(Family family, uint64_t seed, exec::ThreadPool* pool) {
     }
 
     if (family != Family::kMixed && quantify_step % 10 == 0) {
-      std::vector<Quantification> got = dynamic.View()->QuantifyExact(q);
-      std::vector<Quantification> want = reference.QuantifyExact(q);
-      ASSERT_EQ(got.size(), want.size());
-      for (size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].index, ids[want[i].index]);
-        EXPECT_NEAR(got[i].probability, want[i].probability, 1e-9);
-      }
+      ExpectBitIdentical(dynamic.View()->QuantifyExact(q), reference.QuantifyExact(q),
+                         ids);
     }
   }
   dynamic.WaitForMaintenance();

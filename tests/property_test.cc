@@ -5,16 +5,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
 #include "src/core/nnquery/nn_index.h"
+#include "src/core/pnn.h"
 #include "src/core/prob/quantify.h"
 #include "src/core/prob/spiral.h"
 #include "src/core/v0/nonzero_voronoi.h"
 #include "src/uncertain/uncertain_point.h"
 #include "src/util/rng.h"
 #include "src/workload/generators.h"
+#include "tests/point_bits.h"
 
 namespace pnn {
 namespace {
@@ -253,6 +256,189 @@ INSTANTIATE_TEST_SUITE_P(Sweep, DistributionProperty,
                                            DistConfig{5, 2}, DistConfig{6, 2},
                                            DistConfig{7, 0}, DistConfig{8, 1},
                                            DistConfig{9, 2}, DistConfig{10, 0}));
+
+// ---------------- Exact quantification over the NN!=0 candidates ----------------
+
+enum class ExactFamily { kRandom, kTieHeavy, kLemma41, kLowerBoundCubic };
+enum class ExactShape { kDiscrete, kUniformDisk, kTruncatedGaussian };
+
+struct ExactConfig {
+  ExactFamily family;
+  ExactShape shape;
+};
+
+std::ostream& operator<<(std::ostream& os, const ExactConfig& c) {
+  static const char* const kFamilies[] = {"random", "tie_heavy", "lemma41",
+                                          "lower_bound_cubic"};
+  static const char* const kShapes[] = {"discrete", "uniform_disk", "gaussian"};
+  return os << kFamilies[static_cast<int>(c.family)] << "_"
+            << kShapes[static_cast<int>(c.shape)];
+}
+
+// Equal-weight locations on the integer grid [0, 6]^2, every fourth point
+// a copy of the one before: distance ties within points and across them.
+UncertainSet TieHeavyDiscrete(int n, Rng* rng) {
+  UncertainSet out;
+  for (int i = 0; i < n; ++i) {
+    if (i % 4 == 3) {
+      out.push_back(out.back());
+      continue;
+    }
+    int k = static_cast<int>(rng->UniformInt(1, 3));
+    std::vector<Point2> locs;
+    for (int s = 0; s < k; ++s) {
+      locs.push_back({double(rng->UniformInt(0, 6)), double(rng->UniformInt(0, 6))});
+    }
+    out.push_back(UncertainPoint::Discrete(locs, std::vector<double>(k, 1.0 / k)));
+  }
+  return out;
+}
+
+// A family's n points, each as a discrete point and as its support disk
+// (the continuous shapes' support), and its queries.
+struct ExactInstance {
+  UncertainSet discrete;
+  std::vector<Circle> disks;
+  std::vector<Point2> queries;
+};
+
+ExactInstance MakeExactInstance(ExactFamily family, int n, Rng* rng) {
+  ExactInstance out;
+  auto uniform = [&](double x0, double x1, double y0, double y1, int count) {
+    for (int t = 0; t < count; ++t) {
+      out.queries.push_back({rng->Uniform(x0, x1), rng->Uniform(y0, y1)});
+    }
+  };
+  switch (family) {
+    case ExactFamily::kRandom:
+      out.discrete = DiscreteWithSpread(n, 3, 4.0, 10.0, 3.0, rng);
+      uniform(-12, 12, -12, 12, 40);
+      break;
+    case ExactFamily::kTieHeavy:
+      out.discrete = TieHeavyDiscrete(n, rng);
+      for (int t = 0; t < 40; ++t) {
+        // Integer and half-integer queries put many locations at one
+        // distance.
+        out.queries.push_back({0.5 * double(rng->UniformInt(-2, 14)),
+                               0.5 * double(rng->UniformInt(-2, 14))});
+      }
+      break;
+    case ExactFamily::kLemma41:
+      out.discrete = Lemma41Instance(n, rng);
+      uniform(-1.5, 1.5, -1.5, 1.5, 30);
+      uniform(99.5, 100.5, -0.5, 0.5, 10);  // Every far location nearby.
+      break;
+    case ExactFamily::kLowerBoundCubic:
+      out.disks = LowerBoundCubic(std::max(1, n / 4));
+      for (const Circle& c : out.disks) {
+        Point2 o = c.center;
+        double r = c.radius;
+        out.discrete.push_back(UncertainPoint::Discrete(
+            {o, o + Point2{r, 0}, o + Point2{-r, 0}, o + Point2{0, r}, o + Point2{0, -r}},
+            std::vector<double>(5, 0.2)));
+      }
+      uniform(-3, 3, -8, 8, 30);
+      for (int t = 0; t < 10; ++t) {
+        out.queries.push_back({0.0, double(rng->UniformInt(-8, 8))});  // On the axis.
+      }
+      break;
+  }
+  if (out.disks.empty()) {
+    for (const UncertainPoint& p : out.discrete) {
+      Point2 c = p.Centroid();
+      double r = 0.5;
+      for (Point2 l : p.discrete().locations) r = std::max(r, Distance(c, l));
+      out.disks.push_back({c, r});
+    }
+  }
+  return out;
+}
+
+class RestrictedExactProperty : public ::testing::TestWithParam<ExactConfig> {};
+
+// The exact evaluator over the widened NN!=0 candidates answers exactly
+// what it answers over the whole set: the bound's brute-force candidates
+// through QuantifyExactOver, and Engine::QuantifyExact through its index.
+// Every point of the family gets a far copy right after it, so the
+// candidates are a subsequence that leaves points out between them.
+TEST_P(RestrictedExactProperty, MatchesFullSetBitwise) {
+  ExactConfig cfg = GetParam();
+  Rng rng(977 + 31 * static_cast<uint64_t>(cfg.family));
+  const bool discrete = cfg.shape == ExactShape::kDiscrete;
+  // Quadrature costs O(t^2) cdf evaluations a node (a truncated Gaussian's
+  // cdf is itself a quadrature), so the continuous shapes run smaller.
+  const bool gaussian = cfg.shape == ExactShape::kTruncatedGaussian;
+  ExactInstance inst = MakeExactInstance(cfg.family, discrete ? 40 : gaussian ? 4 : 8,
+                                         &rng);
+  if (!discrete) inst.queries.resize(gaussian ? 2 : 8);
+  double reach = 0.0;
+  for (const Circle& c : inst.disks) {
+    reach = std::max(reach, Norm(c.center) + c.radius);
+  }
+  const Point2 shift{4.0 * reach + 100.0, 0.0};
+  UncertainSet pts;
+  for (size_t i = 0; i < inst.disks.size(); ++i) {
+    for (Point2 d : {Point2{0, 0}, shift}) {
+      if (discrete) {
+        const DiscreteDistribution& dist = inst.discrete[i].discrete();
+        std::vector<Point2> locs;
+        for (Point2 l : dist.locations) locs.push_back(l + d);
+        pts.push_back(UncertainPoint::DiscreteFromNormalized(locs, dist.weights));
+      } else {
+        const Circle& c = inst.disks[i];
+        pts.push_back(cfg.shape == ExactShape::kUniformDisk
+                          ? UncertainPoint::UniformDisk(c.center + d, c.radius)
+                          : UncertainPoint::TruncatedGaussian(c.center + d, c.radius,
+                                                              0.5 * c.radius));
+      }
+    }
+  }
+  Engine engine(pts);
+
+  for (Point2 q : inst.queries) {
+    std::vector<Quantification> full =
+        discrete ? QuantifyExactDiscrete(pts, q) : QuantifyNumericContinuous(pts, q);
+    double delta = std::numeric_limits<double>::infinity();
+    for (const UncertainPoint& p : pts) delta = std::min(delta, p.MaxDistance(q));
+    double bound = McCandidateBound(delta);
+    std::vector<int> ids;
+    std::vector<const UncertainPoint*> candidates;
+    for (size_t i = 0; i < pts.size(); ++i) {
+      if (pts[i].MinDistance(q) < bound) {
+        ids.push_back(static_cast<int>(i));
+        candidates.push_back(&pts[i]);
+      }
+    }
+    ASSERT_LT(candidates.size(), pts.size()) << cfg;
+    std::vector<Quantification> restricted = QuantifyExactOver(candidates, q);
+    for (Quantification& e : restricted) e.index = ids[e.index];
+
+    for (const auto& got : {restricted, engine.QuantifyExact(q)}) {
+      ASSERT_EQ(got.size(), full.size()) << cfg << " q=" << q.x << "," << q.y;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].index, full[i].index) << cfg;
+        EXPECT_EQ(Bits(got[i].probability), Bits(full[i].probability))
+            << cfg << " q=" << q.x << "," << q.y << " index " << full[i].index;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, RestrictedExactProperty,
+    ::testing::Values(
+        ExactConfig{ExactFamily::kRandom, ExactShape::kDiscrete},
+        ExactConfig{ExactFamily::kRandom, ExactShape::kUniformDisk},
+        ExactConfig{ExactFamily::kRandom, ExactShape::kTruncatedGaussian},
+        ExactConfig{ExactFamily::kTieHeavy, ExactShape::kDiscrete},
+        ExactConfig{ExactFamily::kTieHeavy, ExactShape::kUniformDisk},
+        ExactConfig{ExactFamily::kTieHeavy, ExactShape::kTruncatedGaussian},
+        ExactConfig{ExactFamily::kLemma41, ExactShape::kDiscrete},
+        ExactConfig{ExactFamily::kLemma41, ExactShape::kUniformDisk},
+        ExactConfig{ExactFamily::kLemma41, ExactShape::kTruncatedGaussian},
+        ExactConfig{ExactFamily::kLowerBoundCubic, ExactShape::kDiscrete},
+        ExactConfig{ExactFamily::kLowerBoundCubic, ExactShape::kUniformDisk},
+        ExactConfig{ExactFamily::kLowerBoundCubic, ExactShape::kTruncatedGaussian}));
 
 }  // namespace
 }  // namespace pnn

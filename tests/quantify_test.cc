@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "src/util/rng.h"
+#include "tests/point_bits.h"
 
 namespace pnn {
 namespace {
@@ -138,6 +139,44 @@ TEST(QuantifyExactDiscrete, FarPointHasZero) {
   EXPECT_DOUBLE_EQ(got[0].probability, 1.0);
 }
 
+TEST(QuantifyExactDiscrete, FarPointsLeaveAnswersBitIdentical) {
+  // Equal-weight locations on a shared integer grid, every fourth point a
+  // copy of the one before: distance ties within and across points. Points
+  // interleaved among them whose delta is beyond Delta(q) only ever
+  // multiply by exactly 1 or add exactly 0, so no answer may change a bit:
+  // the sweep's tie order must not depend on them.
+  Rng rng(617);
+  auto grid_point = [&](double offset) {
+    int k = static_cast<int>(rng.UniformInt(1, 3));
+    std::vector<Point2> locs;
+    for (int s = 0; s < k; ++s) {
+      locs.push_back({offset + double(rng.UniformInt(0, 5)),
+                      offset + double(rng.UniformInt(0, 5))});
+    }
+    return UncertainPoint::Discrete(locs, std::vector<double>(k, 1.0 / k));
+  };
+  UncertainSet near;
+  for (int i = 0; i < 48; ++i) near.push_back(i % 4 == 3 ? near.back() : grid_point(0));
+  UncertainSet with_far;
+  std::vector<int> index_in_with_far;
+  for (size_t i = 0; i < near.size(); ++i) {
+    index_in_with_far.push_back(static_cast<int>(with_far.size()));
+    with_far.push_back(near[i]);
+    if (i % 2 == 0) with_far.push_back(grid_point(1000));
+  }
+  for (int t = 0; t < 200; ++t) {
+    Point2 q{0.5 * double(rng.UniformInt(0, 10)), 0.5 * double(rng.UniformInt(0, 10))};
+    std::vector<Quantification> want = QuantifyExactDiscrete(near, q);
+    std::vector<Quantification> got = QuantifyExactDiscrete(with_far, q);
+    ASSERT_EQ(got.size(), want.size()) << "q=" << q.x << "," << q.y;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].index, index_in_with_far[want[i].index]);
+      EXPECT_EQ(Bits(got[i].probability), Bits(want[i].probability))
+          << "q=" << q.x << "," << q.y << " index " << want[i].index;
+    }
+  }
+}
+
 TEST(QuantifyNumericContinuous, TwoSymmetricDisksHalfHalf) {
   UncertainSet pts;
   pts.push_back(UncertainPoint::UniformDisk({-4, 0}, 1));
@@ -190,58 +229,6 @@ TEST(Helpers, ThresholdAndMostLikely) {
   EXPECT_EQ(big[1].index, 2);
   EXPECT_EQ(MostLikelyNN(all), 0);
   EXPECT_EQ(MostLikelyNN({}), -1);
-}
-
-TEST(SurvivalProfile, ValueIsRightContinuousStep) {
-  SurvivalProfile p;
-  p.dists = {1.0, 2.0, 4.0};
-  p.values = {0.8, 0.5, 0.0};
-  EXPECT_EQ(p.Value(0.5), 1.0);   // Before the first breakpoint.
-  EXPECT_EQ(p.Value(1.0), 0.8);   // Breakpoints include their own distance.
-  EXPECT_EQ(p.Value(1.5), 0.8);
-  EXPECT_EQ(p.Value(2.0), 0.5);
-  EXPECT_EQ(p.Value(100.0), 0.0);
-}
-
-TEST(QuantifyPartDiscrete, PartsRecombineToExactSweep) {
-  // pi_i(q) = sum_s w_is prod_{j != i}(1 - G_j) factorizes over any
-  // partition of the point set: within-part partials times the other
-  // parts' survival profiles must reproduce the monolithic sweep.
-  Rng rng(611);
-  UncertainSet pts;
-  for (int i = 0; i < 18; ++i) {
-    int k = static_cast<int>(rng.UniformInt(1, 4));
-    std::vector<Point2> locs(k);
-    std::vector<double> w(k, 1.0 / k);
-    for (int s = 0; s < k; ++s) {
-      locs[s] = {rng.Uniform(-10, 10), rng.Uniform(-10, 10)};
-    }
-    pts.push_back(UncertainPoint::Discrete(std::move(locs), std::move(w)));
-  }
-  for (int trial = 0; trial < 20; ++trial) {
-    Point2 q{rng.Uniform(-12, 12), rng.Uniform(-12, 12)};
-    // Split into three interleaved parts.
-    std::vector<std::vector<int>> members(3);
-    for (int i = 0; i < 18; ++i) members[i % 3].push_back(i);
-    std::vector<PartialQuantify> parts;
-    for (const auto& m : members) parts.push_back(QuantifyPartDiscrete(pts, m, q));
-
-    std::vector<double> pi(pts.size(), 0.0);
-    for (size_t p = 0; p < parts.size(); ++p) {
-      for (const auto& t : parts[p].terms) {
-        double f = t.partial;
-        for (size_t p2 = 0; p2 < parts.size(); ++p2) {
-          if (p2 != p) f *= parts[p2].profile.Value(t.dist);
-        }
-        pi[members[p][t.member]] += f;
-      }
-    }
-    std::vector<double> want(pts.size(), 0.0);
-    for (const auto& e : QuantifyExactDiscrete(pts, q)) want[e.index] = e.probability;
-    for (size_t i = 0; i < pts.size(); ++i) {
-      EXPECT_NEAR(pi[i], want[i], 1e-12) << "i=" << i;
-    }
-  }
 }
 
 TEST(QuantifyPrefixSweep, FullPrefixEqualsExactSweep) {

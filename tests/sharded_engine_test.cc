@@ -2,9 +2,9 @@
 // interleaving of inserts, erases and rebalance passes, every query mode
 // must answer exactly like a single dyn::DynamicEngine fed the identical
 // op stream (bit-identical for NonzeroNN / Quantify / ThresholdNN /
-// MostLikelyNN, near-exact for the reassociated QuantifyExact), for hash
-// and spatial placement, with and without a thread pool — plus unit tests
-// for placement routing, rebalance convergence, and the empty engine.
+// MostLikelyNN / QuantifyExact), for hash and spatial placement, with and
+// without a thread pool — plus unit tests for placement routing, rebalance
+// convergence, and the empty engine.
 
 #include <algorithm>
 #include <cstdint>
@@ -144,13 +144,7 @@ void RunDifferential(const DifferentialConfig& cfg) {
     }
 
     if (cfg.family != Family::kMixed && quantify_step % 10 == 0) {
-      std::vector<Quantification> got = view->QuantifyExact(q);
-      std::vector<Quantification> want = ref_view->QuantifyExact(q);
-      ASSERT_EQ(got.size(), want.size());
-      for (size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].index, want[i].index);
-        EXPECT_NEAR(got[i].probability, want[i].probability, 1e-9);
-      }
+      ExpectBitIdentical(view->QuantifyExact(q), ref_view->QuantifyExact(q));
     }
   }
   sharded.WaitForMaintenance();
