@@ -71,18 +71,11 @@ std::vector<int> LinfNonzeroNNIndex::Query(Point2 q) const {
 
 DiscreteNonzeroNNIndex::DiscreteNonzeroNNIndex(
     const std::vector<std::vector<Point2>>& points, const KdBuildOptions& build)
-    : hulls_([&] {
-        std::vector<std::vector<Point2>> hulls(points.size());
-        for (size_t i = 0; i < points.size(); ++i) {
-          PNN_CHECK_MSG(!points[i].empty(), "uncertain point with no locations");
-          hulls[i] = ConvexHull(points[i]);
-        }
-        return hulls;
-      }()),
-      centroid_tree_(
+    : centroid_tree_(
           [&] {
             std::vector<Point2> centroids(points.size());
             for (size_t i = 0; i < points.size(); ++i) {
+              PNN_CHECK_MSG(!points[i].empty(), "uncertain point with no locations");
               Point2 c{0, 0};
               for (Point2 p : points[i]) c = c + p;
               centroids[i] = c / static_cast<double>(points[i].size());
@@ -98,28 +91,47 @@ DiscreteNonzeroNNIndex::DiscreteNonzeroNNIndex(
             }
             return all;
           }(),
-          std::vector<double>(), Metric::kEuclidean, build)) {
-  for (size_t i = 0; i < points.size(); ++i) {
-    owners_.insert(owners_.end(), points[i].size(), static_cast<int>(i));
+          std::vector<double>(), Metric::kEuclidean, build)),
+      owners_(std::make_shared<const std::vector<int>>([&] {
+        std::vector<int> owners;
+        for (size_t i = 0; i < points.size(); ++i) {
+          owners.insert(owners.end(), points[i].size(), static_cast<int>(i));
+        }
+        return owners;
+      }())) {
+  hull_begin_.reserve(points.size() + 1);
+  hull_begin_.push_back(0);
+  for (const auto& locs : points) {
+    std::vector<Point2> hull = ConvexHull(locs);
+    hull_points_.insert(hull_points_.end(), hull.begin(), hull.end());
+    hull_begin_.push_back(static_cast<int>(hull_points_.size()));
   }
 }
 
 DiscreteNonzeroNNIndex::DiscreteNonzeroNNIndex(
-    std::vector<std::vector<Point2>> hulls, KdTree centroid_tree,
-    std::shared_ptr<const KdTree> location_tree, std::vector<int> owners)
-    : hulls_(std::move(hulls)),
+    std::vector<Point2> hull_points, std::vector<int> hull_begin, KdTree centroid_tree,
+    std::shared_ptr<const KdTree> location_tree,
+    std::shared_ptr<const std::vector<int>> owners)
+    : hull_points_(std::move(hull_points)),
+      hull_begin_(std::move(hull_begin)),
       centroid_tree_(std::move(centroid_tree)),
       location_tree_(std::move(location_tree)),
       owners_(std::move(owners)) {
   PNN_CHECK_MSG(!location_tree_->weighted() &&
                     location_tree_->metric() == Metric::kEuclidean,
                 "the location tree must be unweighted and Euclidean");
-  PNN_CHECK_MSG(hulls_.size() == centroid_tree_.size(),
-                "hulls must parallel centroids");
-  PNN_CHECK_MSG(owners_.size() == location_tree_->size(),
+  PNN_CHECK_MSG(hull_begin_.size() == centroid_tree_.size() + 1,
+                "hull offsets must parallel centroids");
+  PNN_CHECK_MSG(hull_begin_.front() == 0 &&
+                    hull_begin_.back() == static_cast<int>(hull_points_.size()),
+                "hull offsets must span the hull vertices");
+  for (size_t i = 0; i + 1 < hull_begin_.size(); ++i) {
+    PNN_CHECK_MSG(hull_begin_[i] < hull_begin_[i + 1], "every hull needs a vertex");
+  }
+  PNN_CHECK_MSG(owners_->size() == location_tree_->size(),
                 "owners must parallel locations");
-  for (int o : owners_) {
-    PNN_CHECK_MSG(o >= 0 && o < static_cast<int>(hulls_.size()),
+  for (int o : *owners_) {
+    PNN_CHECK_MSG(o >= 0 && o < static_cast<int>(num_points()),
                   "adopted owner out of range");
   }
 }
@@ -136,7 +148,9 @@ double DiscreteNonzeroNNIndex::Delta(Point2 q, const std::vector<char>* skip) co
     if (lb >= best) break;
     if (skip != nullptr && (*skip)[i]) continue;
     double exact = 0.0;
-    for (Point2 p : hulls_[i]) exact = std::max(exact, Distance(q, p));
+    for (int j = hull_begin_[i]; j < hull_begin_[i + 1]; ++j) {
+      exact = std::max(exact, Distance(q, hull_points_[j]));
+    }
     best = std::min(best, exact);
   }
   return best;
@@ -158,9 +172,10 @@ void DiscreteNonzeroNNIndex::QueryWithinInto(Point2 q, double bound,
   hits.clear();
   location_tree_->ReportSubtractiveLessInto(q, bound, &hits);
   out->clear();
+  const std::vector<int>& owners = *owners_;
   for (int h : hits) {
-    if (skip != nullptr && (*skip)[owners_[h]]) continue;
-    out->push_back(owners_[h]);
+    if (skip != nullptr && (*skip)[owners[h]]) continue;
+    out->push_back(owners[h]);
   }
   std::sort(out->begin(), out->end());
   out->erase(std::unique(out->begin(), out->end()), out->end());

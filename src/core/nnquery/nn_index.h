@@ -92,14 +92,16 @@ class DiscreteNonzeroNNIndex {
 
   /// Assembly from built or adopted trees — EngineBuilder's staged path
   /// and the durable store's recovery path, so no kd construction runs
-  /// here. `hulls` and the centroid tree are parallel to the uncertain
-  /// points; the location tree (unweighted, Euclidean) and `owners` cover
-  /// the flattened location list in point order. The location tree is
-  /// shared: an Engine hands the same one to its SpiralSearchPNN.
-  DiscreteNonzeroNNIndex(std::vector<std::vector<Point2>> hulls,
+  /// here. Point i's convex hull is `hull_points[hull_begin[i],
+  /// hull_begin[i + 1])`; `hull_begin` (n + 1 offsets) and the centroid
+  /// tree are parallel to the uncertain points. The location tree
+  /// (unweighted, Euclidean) and `owners` cover the flattened location
+  /// list in point order. Both are shared: an Engine hands the same ones
+  /// to its SpiralSearchPNN.
+  DiscreteNonzeroNNIndex(std::vector<Point2> hull_points, std::vector<int> hull_begin,
                          KdTree centroid_tree,
                          std::shared_ptr<const KdTree> location_tree,
-                         std::vector<int> owners);
+                         std::shared_ptr<const std::vector<int>> owners);
 
   /// Delta(q) = min_i max_j d(q, p_ij), ignoring uncertain points with
   /// skip[i] != 0; +inf if all are skipped.
@@ -115,22 +117,26 @@ class DiscreteNonzeroNNIndex {
   void QueryWithinInto(Point2 q, double bound, const std::vector<char>* skip,
                        std::vector<int>* out) const;
 
-  size_t num_points() const { return hulls_.size(); }
-  size_t num_locations() const { return owners_.size(); }
+  size_t num_points() const { return hull_begin_.size() - 1; }
+  size_t num_locations() const { return owners_->size(); }
 
   /// Layout export for serialization (parallel to the adoption
-  /// constructor's parameters).
-  const std::vector<std::vector<Point2>>& hulls() const { return hulls_; }
+  /// constructor's parameters): every hull's vertices in one array, point
+  /// i's at [hull_begin()[i], hull_begin()[i + 1]).
+  const std::vector<Point2>& hull_points() const { return hull_points_; }
+  const std::vector<int>& hull_begin() const { return hull_begin_; }
   const KdTree& centroid_tree() const { return centroid_tree_; }
   const KdTree& location_tree() const { return *location_tree_; }
-  const std::vector<int>& owners() const { return owners_; }
+  const std::vector<int>& owners() const { return *owners_; }
 
  private:
-  std::vector<std::vector<Point2>> hulls_;  // Convex hull per uncertain point.
-  KdTree centroid_tree_;                    // Centroids, for stage-1 pruning.
-  // All locations, for stage 2 (shared with the engine's spiral index).
+  std::vector<Point2> hull_points_;  // Convex hull vertices, point by point.
+  std::vector<int> hull_begin_;      // n + 1 offsets into hull_points_.
+  KdTree centroid_tree_;             // Centroids, for stage-1 pruning.
+  // All locations and the owner of each, for stage 2 (shared with the
+  // engine's spiral index).
   std::shared_ptr<const KdTree> location_tree_;
-  std::vector<int> owners_;                 // Owner of each location.
+  std::shared_ptr<const std::vector<int>> owners_;
 };
 
 }  // namespace pnn

@@ -50,8 +50,9 @@ std::unique_ptr<Engine> Engine::FromParts(UncertainSet points, Options options,
                       parts.discrete_index->num_points() == points.size(),
                   "all-discrete parts need a discrete index over the points");
     PNN_CHECK_MSG(parts.spiral != nullptr, "all-discrete parts need a spiral index");
-    PNN_CHECK_MSG(&parts.spiral->tree() == &parts.discrete_index->location_tree(),
-                  "all-discrete parts must share one location tree");
+    PNN_CHECK_MSG(&parts.spiral->tree() == &parts.discrete_index->location_tree() &&
+                      &parts.spiral->owners() == &parts.discrete_index->owners(),
+                  "all-discrete parts must share one location tree and owners array");
     PNN_CHECK_MSG(parts.disk_index == nullptr,
                   "all-discrete parts must not carry a disk index");
   } else {
@@ -95,9 +96,12 @@ void EngineBuilder::Step() {
         } else if (agg_.all_discrete()) {
           // Reserve the final sizes up front: the gathered arrays are the
           // structures' storage or their kd builds' input, so growth never
-          // doubles mid-build and the transient overhead stays one chunk of
-          // hull scratch.
-          hulls_.reserve(points_.size());
+          // doubles mid-build and the transient overhead stays one hull of
+          // scratch. A hull has at most its point's locations, so
+          // total_complexity bounds the hull vertices.
+          hull_points_.reserve(agg_.total_complexity);
+          hull_begin_.reserve(points_.size() + 1);
+          hull_begin_.push_back(0);
           centroids_.reserve(points_.size());
           counts_.reserve(points_.size());
           locations_.reserve(agg_.total_complexity);
@@ -133,7 +137,9 @@ void EngineBuilder::Step() {
         // Same arithmetic (and order) as the scanning constructors of
         // DiscreteNonzeroNNIndex and SpiralSearchPNN, so the assembled
         // structures are bit-identical to theirs.
-        hulls_.push_back(ConvexHull(d.locations));
+        std::vector<Point2> hull = ConvexHull(d.locations);
+        hull_points_.insert(hull_points_.end(), hull.begin(), hull.end());
+        hull_begin_.push_back(static_cast<int>(hull_points_.size()));
         Point2 c{0, 0};
         for (Point2 p : d.locations) c = c + p;
         centroids_.push_back(c / static_cast<double>(d.locations.size()));
@@ -154,15 +160,18 @@ void EngineBuilder::Step() {
     case Stage::kBuildDiscreteIndex: {
       KdTree centroid_tree(std::move(centroids_), std::vector<double>(),
                            Metric::kEuclidean, kd_build);
-      // One location tree, shared by the stage-2 report and the spiral.
+      // One location tree and one owners array, shared by the stage-2
+      // report and the spiral.
       auto location_tree = std::make_shared<const KdTree>(
           std::move(locations_), std::vector<double>(), Metric::kEuclidean, kd_build);
+      auto owners = std::make_shared<const std::vector<int>>(std::move(owners_));
       spiral_ = std::make_unique<SpiralSearchPNN>(
-          location_tree, owners_, std::move(location_weights_), std::move(counts_),
+          location_tree, owners, std::move(location_weights_), std::move(counts_),
           agg_.max_k, agg_.rho());
+      hull_points_.shrink_to_fit();  // Collinear or interior locations.
       discrete_index_ = std::make_unique<DiscreteNonzeroNNIndex>(
-          std::move(hulls_), std::move(centroid_tree), std::move(location_tree),
-          std::move(owners_));
+          std::move(hull_points_), std::move(hull_begin_), std::move(centroid_tree),
+          std::move(location_tree), std::move(owners));
       stage_ = Stage::kReady;
       break;
     }

@@ -309,7 +309,8 @@ class EngineBuilder {
 
   // Staging for the index parts (moved into the structures when built).
   std::vector<Circle> disks_;
-  std::vector<std::vector<Point2>> hulls_;
+  std::vector<Point2> hull_points_;  // Every hull, point by point.
+  std::vector<int> hull_begin_;      // n + 1 offsets into hull_points_.
   std::vector<Point2> centroids_;
   std::vector<Point2> locations_;  // The shared location tree's input.
   std::vector<int> owners_;

@@ -23,23 +23,25 @@ SpiralSearchPNN::SpiralSearchPNN(const UncertainSet& points,
           }(),
           std::vector<double>(), Metric::kEuclidean, build)) {
   double wmin = 1.0, wmax = 0.0;
+  std::vector<int> owners;
   counts_.resize(points.size());
   for (size_t i = 0; i < points.size(); ++i) {
     const auto& d = points[i].discrete();
     max_k_ = std::max(max_k_, d.locations.size());
     counts_[i] = static_cast<int>(d.locations.size());
     for (size_t s = 0; s < d.locations.size(); ++s) {
-      owners_.push_back(static_cast<int>(i));
+      owners.push_back(static_cast<int>(i));
       weights_.push_back(d.weights[s]);
       wmin = std::min(wmin, d.weights[s]);
       wmax = std::max(wmax, d.weights[s]);
     }
   }
   rho_ = wmax / wmin;
+  owners_ = std::make_shared<const std::vector<int>>(std::move(owners));
 }
 
 SpiralSearchPNN::SpiralSearchPNN(std::shared_ptr<const KdTree> tree,
-                                 std::vector<int> owners,
+                                 std::shared_ptr<const std::vector<int>> owners,
                                  std::vector<double> weights, std::vector<int> counts,
                                  size_t max_k, double rho)
     : n_(counts.size()),
@@ -49,9 +51,9 @@ SpiralSearchPNN::SpiralSearchPNN(std::shared_ptr<const KdTree> tree,
       owners_(std::move(owners)),
       weights_(std::move(weights)),
       counts_(std::move(counts)) {
-  PNN_CHECK_MSG(owners_.size() == tree_->size() && weights_.size() == tree_->size(),
+  PNN_CHECK_MSG(owners_->size() == tree_->size() && weights_.size() == tree_->size(),
                 "owners/weights must parallel locations");
-  for (int o : owners_) {
+  for (int o : *owners_) {
     PNN_CHECK_MSG(o >= 0 && o < static_cast<int>(n_), "owner out of range");
   }
 }
@@ -72,7 +74,7 @@ std::vector<Quantification> SpiralSearchPNN::Query(Point2 q, double eps) const {
 
 std::vector<Quantification> SpiralSearchPNN::QueryWithBudget(Point2 q,
                                                              size_t m) const {
-  m = std::min(m, owners_.size());
+  m = std::min(m, owners_->size());
   // Retrieve the m nearest locations (ascending). The incremental stream
   // yields them already sorted, which the sweep needs anyway. The prefix
   // buffer is a scratch lease: only the returned estimates allocate.
@@ -84,7 +86,7 @@ std::vector<Quantification> SpiralSearchPNN::QueryWithBudget(Point2 q,
   while (locs.size() < m && inc.HasNext()) {
     double d;
     int idx = inc.Next(&d);
-    locs.push_back({d, owners_[idx], weights_[idx]});
+    locs.push_back({d, (*owners_)[idx], weights_[idx]});
   }
   // Eq. (10)/(11) restricted to the retrieved prefix: the same tie-grouped
   // sweep as the exact quantifier, but over bar-P.
@@ -101,7 +103,7 @@ bool SpiralSearchPNN::Stream::Next(double* dist, int* owner, double* weight) {
   while (inc_.HasNext()) {
     double d;
     int idx = inc_.Next(&d);
-    int o = s_.owners_[idx];
+    int o = (*s_.owners_)[idx];
     if (skip_ != nullptr && (*skip_)[o]) continue;
     *dist = d;
     *owner = o;

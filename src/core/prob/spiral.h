@@ -27,13 +27,14 @@ class SpiralSearchPNN {
   /// Assembly from a built or adopted location tree — EngineBuilder's
   /// staged path and the durable store's recovery path, so no kd
   /// construction runs here. `tree` is the unweighted Euclidean tree over
-  /// the flattened location list in point order (shared with the engine's
-  /// DiscreteNonzeroNNIndex); `owners`/`weights` parallel it, `counts` are
-  /// the per-point location counts; `max_k` and `rho` must equal what a
-  /// scan would derive (seeded 1 and wmax/wmin with wmin <= 1, wmax >= 0
-  /// seeds). Produces exactly the structure the scanning constructor
-  /// builds.
-  SpiralSearchPNN(std::shared_ptr<const KdTree> tree, std::vector<int> owners,
+  /// the flattened location list in point order; `owners`/`weights`
+  /// parallel it (the tree and `owners` are shared with the engine's
+  /// DiscreteNonzeroNNIndex), `counts` are the per-point location counts;
+  /// `max_k` and `rho` must equal what a scan would derive (seeded 1 and
+  /// wmax/wmin with wmin <= 1, wmax >= 0 seeds). Produces exactly the
+  /// structure the scanning constructor builds.
+  SpiralSearchPNN(std::shared_ptr<const KdTree> tree,
+                  std::shared_ptr<const std::vector<int>> owners,
                   std::vector<double> weights, std::vector<int> counts,
                   size_t max_k, double rho);
 
@@ -62,7 +63,7 @@ class SpiralSearchPNN {
   /// Layout export for serialization (parallel to the adoption
   /// constructor's parameters).
   const KdTree& tree() const { return *tree_; }
-  const std::vector<int>& owners() const { return owners_; }
+  const std::vector<int>& owners() const { return *owners_; }
   const std::vector<double>& location_weights() const { return weights_; }
   const std::vector<int>& counts() const { return counts_; }
 
@@ -90,7 +91,8 @@ class SpiralSearchPNN {
   size_t max_k_ = 1;
   double rho_ = 1.0;
   std::shared_ptr<const KdTree> tree_;  // All locations.
-  std::vector<int> owners_;   // Owner uncertain point per location.
+  // Owner uncertain point per location (shared like tree_).
+  std::shared_ptr<const std::vector<int>> owners_;
   std::vector<double> weights_;
   std::vector<int> counts_;   // Location count per uncertain point.
 };

@@ -26,6 +26,34 @@ size_t RankedComplexity(const UncertainPoint& p) {
   return std::max<size_t>(p.DescriptionComplexity(), 1);
 }
 
+// A discrete point's own extreme weights (a discrete point has >= 1).
+std::pair<double, double> WeightRange(const UncertainPoint& p) {
+  const std::vector<double>& w = p.discrete().weights;
+  auto mm = std::minmax_element(w.begin(), w.end());
+  return {*mm.first, *mm.second};
+}
+
+// Drops one occurrence of a counted value; its node goes with the last.
+template <typename T>
+void RemoveCount(std::map<T, size_t>* counts, T value) {
+  auto it = counts->find(value);
+  PNN_CHECK_MSG(it != counts->end(), "aggregate count of a value never added");
+  if (--it->second == 0) counts->erase(it);
+}
+
+// The counts of `values`: sorted, each run of equal values becomes one
+// node appended at the end hint, so the build after the sort is linear.
+template <typename T>
+std::map<T, size_t> CountSorted(std::vector<T> values) {
+  std::sort(values.begin(), values.end());
+  std::map<T, size_t> counts;
+  for (size_t i = 0, j = 0; i < values.size(); i = j) {
+    while (j < values.size() && values[j] == values[i]) ++j;
+    counts.emplace_hint(counts.end(), values[i], j - i);
+  }
+  return counts;
+}
+
 }  // namespace
 
 // What one maintenance round will build: either a tail merge (the frozen
@@ -112,24 +140,24 @@ DynamicEngine::DynamicEngine(std::vector<RecoveredBucket> recovered,
     buckets_.push_back(std::move(ref));
   }
   std::vector<LiveMember> live = GatherLive(buckets_, nullptr, nullptr);
-  // The multisets are bulk-built: element-wise inserts
+  // The count maps are built from sorted runs: element-wise inserts
   // (AddAggregatesLocked) are the recovery bottleneck at scale, while
-  // range-constructing from a sorted vector is linear.
-  std::vector<double> weights;
+  // appending each distinct value at the end hint is linear after the sort.
+  std::vector<double> wmins, wmaxs;
   std::vector<size_t> ks;
   ks.reserve(live.size());
   for (const LiveMember& m : live) {
     agg_.Add(*m.point);
     ks.push_back(RankedComplexity(*m.point));
     if (m.point->is_discrete()) {
-      const std::vector<double>& w = m.point->discrete().weights;
-      weights.insert(weights.end(), w.begin(), w.end());
+      std::pair<double, double> range = WeightRange(*m.point);
+      wmins.push_back(range.first);
+      wmaxs.push_back(range.second);
     }
   }
-  std::sort(weights.begin(), weights.end());
-  live_weights_ = std::multiset<double>(weights.begin(), weights.end());
-  std::sort(ks.begin(), ks.end());
-  live_ks_ = std::multiset<size_t>(ks.begin(), ks.end());
+  live_wmins_ = CountSorted(std::move(wmins));
+  live_wmaxs_ = CountSorted(std::move(wmaxs));
+  live_ks_ = CountSorted(std::move(ks));
   // An id is live in one place only; sorted, a duplicate is adjacent.
   PNN_CHECK_MSG(std::adjacent_find(live.begin(), live.end(),
                                    [](const LiveMember& a, const LiveMember& b) {
@@ -185,9 +213,11 @@ void DynamicEngine::PublishLocked() {
 
 void DynamicEngine::AddAggregatesLocked(const UncertainPoint& p) {
   agg_.Add(p);
-  live_ks_.insert(RankedComplexity(p));
+  ++live_ks_[RankedComplexity(p)];
   if (p.is_discrete()) {
-    live_weights_.insert(p.discrete().weights.begin(), p.discrete().weights.end());
+    std::pair<double, double> range = WeightRange(p);
+    ++live_wmins_[range.first];
+    ++live_wmaxs_[range.second];
   }
 }
 
@@ -195,15 +225,17 @@ void DynamicEngine::RemoveAggregatesLocked(const UncertainPoint& p) {
   --agg_.live_count;
   --(p.is_discrete() ? agg_.discrete_count : agg_.continuous_count);
   agg_.total_complexity -= p.DescriptionComplexity();
-  live_ks_.erase(live_ks_.find(RankedComplexity(p)));
+  RemoveCount(&live_ks_, RankedComplexity(p));
   if (p.is_discrete()) {
-    for (double w : p.discrete().weights) live_weights_.erase(live_weights_.find(w));
+    std::pair<double, double> range = WeightRange(p);
+    RemoveCount(&live_wmins_, range.first);
+    RemoveCount(&live_wmaxs_, range.second);
   }
   // The extremes, re-read under SetAggregates' seeds (max_k 1, wmin <= 1,
   // wmax 0).
-  agg_.max_k = live_ks_.empty() ? 1 : *live_ks_.rbegin();
-  agg_.wmin = live_weights_.empty() ? 1.0 : std::min(1.0, *live_weights_.begin());
-  agg_.wmax = live_weights_.empty() ? 0.0 : *live_weights_.rbegin();
+  agg_.max_k = live_ks_.empty() ? 1 : live_ks_.rbegin()->first;
+  agg_.wmin = live_wmins_.empty() ? 1.0 : std::min(1.0, live_wmins_.begin()->first);
+  agg_.wmax = live_wmaxs_.empty() ? 0.0 : live_wmaxs_.rbegin()->first;
 }
 
 Id DynamicEngine::Insert(UncertainPoint point) {

@@ -46,10 +46,10 @@
 #define PNN_DYN_DYNAMIC_ENGINE_H_
 
 #include <condition_variable>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "src/core/pnn.h"
@@ -256,11 +256,14 @@ class DynamicEngine {
   // only copy: an id is live where FindLiveLocked finds it, and a
   // maintenance build gathers its members from them (sorted by id there,
   // since tail ids need not ascend once InsertWithId re-adds old ids).
-  // agg_ is the live set's aggregates; the multisets keep its extremes
-  // exact under erase.
+  // agg_ is the live set's aggregates. The value -> count maps keep its
+  // extremes exact under erase with one node per distinct value: the min
+  // over all live location weights is the min over the live discrete
+  // points of each one's own minimum weight, and likewise for the max.
   SetAggregates agg_;
-  std::multiset<double> live_weights_;
-  std::multiset<size_t> live_ks_;  // max(k, 1) per live point.
+  std::map<double, size_t> live_wmins_;  // Each discrete point's min weight.
+  std::map<double, size_t> live_wmaxs_;  // Each discrete point's max weight.
+  std::map<size_t, size_t> live_ks_;     // max(k, 1) per live point.
   Id next_id_ = 0;
   std::vector<Snapshot::BucketRef> buckets_;
   std::vector<TailEntry> tail_;

@@ -156,10 +156,14 @@ std::string EncodeSegment(const dyn::Bucket& bucket) {
     EncodeKdBlob(e.disk_index()->tree(), &payload);
   } else if (e.all_discrete()) {
     const DiscreteNonzeroNNIndex& idx = *e.discrete_index();
-    for (const std::vector<Point2>& hull : idx.hulls()) {
-      PutU32(&payload, static_cast<uint32_t>(hull.size()));
-      PutF64Array(&payload, reinterpret_cast<const double*>(hull.data()),
-                  2 * hull.size());
+    const std::vector<int>& hull_begin = idx.hull_begin();
+    for (size_t i = 0; i < points.size(); ++i) {
+      const size_t hn = hull_begin[i + 1] - hull_begin[i];
+      PutU32(&payload, static_cast<uint32_t>(hn));
+      PutF64Array(&payload,
+                  reinterpret_cast<const double*>(idx.hull_points().data() +
+                                                  hull_begin[i]),
+                  2 * hn);
     }
     EncodeKdBlob(idx.centroid_tree(), &payload);
     // One location tree serves the discrete index and the spiral index:
@@ -292,19 +296,29 @@ std::shared_ptr<const dyn::Bucket> LoadSegment(const std::string& path,
     }
     parts.disk_index = std::make_unique<NonzeroNNIndex>(disk.AdoptMove());
   } else if (all_discrete) {
-    std::vector<std::vector<Point2>> hulls(n);
+    // A hull has at most its point's locations (a larger count is
+    // refused), so the vertices never outgrow the total_complexity reserve.
+    std::vector<Point2> hull_points;
+    std::vector<int> hull_begin;
+    hull_points.reserve(total_complexity);
+    hull_begin.reserve(n + 1);
+    hull_begin.push_back(0);
     for (uint64_t i = 0; i < n; ++i) {
       uint32_t hn = r.U32();
-      if (!r.ok() || hn == 0 || !r.Fits(hn, 16)) {
+      if (!r.ok() || hn == 0 || hn > points[i].discrete().locations.size() ||
+          !r.Fits(hn, 16)) {
         Fail(error, "segment: bad hull");
         return nullptr;
       }
-      hulls[i].resize(hn);
-      if (!r.F64Array(reinterpret_cast<double*>(hulls[i].data()), 2 * hn)) {
+      const size_t at = hull_points.size();
+      hull_points.resize(at + hn);
+      if (!r.F64Array(reinterpret_cast<double*>(hull_points.data() + at), 2 * hn)) {
         Fail(error, "segment: bad hull");
         return nullptr;
       }
+      hull_begin.push_back(static_cast<int>(hull_points.size()));
     }
+    hull_points.shrink_to_fit();  // Fewer vertices than locations.
     KdBlob centroid, location;
     if (!DecodeKdBlob(&r, &centroid) || centroid.points.size() != n ||
         !DecodeKdBlob(&r, &location) ||
@@ -337,12 +351,13 @@ std::shared_ptr<const dyn::Bucket> LoadSegment(const std::string& path,
       }
     }
     auto location_tree = std::make_shared<const KdTree>(location.AdoptMove());
+    auto shared_owners = std::make_shared<const std::vector<int>>(std::move(owners));
     parts.spiral = std::make_unique<SpiralSearchPNN>(
-        location_tree, owners, std::move(weights), std::move(counts), agg.max_k,
+        location_tree, shared_owners, std::move(weights), std::move(counts), agg.max_k,
         agg.rho());
     parts.discrete_index = std::make_unique<DiscreteNonzeroNNIndex>(
-        std::move(hulls), centroid.AdoptMove(), std::move(location_tree),
-        std::move(owners));
+        std::move(hull_points), std::move(hull_begin), centroid.AdoptMove(),
+        std::move(location_tree), std::move(shared_owners));
   }
   if (r.remaining() != 0 || !r.ok()) {
     Fail(error, "segment: trailing or missing payload bytes");

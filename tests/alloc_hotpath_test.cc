@@ -251,6 +251,70 @@ TEST(AllocHotpath, DynamicEngineHoldsEachPointOnce) {
       << "B: the live set is held twice";
 }
 
+// serve_spiral's shape: n points of k = 3 equally likely locations.
+UncertainSet EqualWeightTriples(int n, Rng* rng) {
+  UncertainSet points;
+  points.reserve(n);
+  for (int i = 0; i < n; ++i) {
+    std::vector<Point2> locs(3);
+    for (Point2& l : locs) l = {rng->Uniform(-100, 100), rng->Uniform(-100, 100)};
+    points.push_back(UncertainPoint::Discrete(std::move(locs), {1.0 / 3, 1.0 / 3, 1.0 / 3}));
+  }
+  return points;
+}
+
+// What a one-bucket dynamic engine keeps beyond the static engine it
+// wraps (its bucket's ids, the plan aggregates' value counts, one
+// snapshot) is small beside the structures: on equal weights the counts
+// are one node per distinct value, not one per location weight.
+TEST(AllocHotpath, DynamicEngineWithinFivePercentOfStatic) {
+  Rng rng(521);
+  UncertainSet points = EqualWeightTriples(20000, &rng);
+  dyn::Options opt = DynOptions(false);
+  int64_t base = util::LiveAllocatedBytes();
+  int64_t static_bytes;
+  {
+    Engine reference(points, opt.engine);
+    static_bytes = util::LiveAllocatedBytes() - base;
+  }
+  int64_t dynamic_bytes;
+  {
+    dyn::DynamicEngine engine(points, opt);
+    dynamic_bytes = util::LiveAllocatedBytes() - base;
+  }
+  ASSERT_GT(static_bytes, 0);
+  EXPECT_LT(static_cast<double>(dynamic_bytes), 1.05 * static_cast<double>(static_bytes))
+      << "dynamic " << dynamic_bytes << "B vs static " << static_bytes << "B";
+}
+
+// Theorem 3.2's index is O(N) space. A static discrete engine's
+// structures (the location tree, the owners and weights beside it, the
+// flat hulls, the centroid tree and the per-point counts), measured
+// without its copy of the points, stay under 100 B a location.
+TEST(AllocHotpath, DiscreteStructuresUnder100BytesPerLocation) {
+  Rng rng(523);
+  UncertainSet points = EqualWeightTriples(20000, &rng);
+  dyn::Options opt = DynOptions(false);
+  int64_t base = util::LiveAllocatedBytes();
+  int64_t points_bytes;
+  {
+    UncertainSet copy = points;
+    points_bytes = util::LiveAllocatedBytes() - base;
+  }
+  int64_t engine_bytes;
+  size_t locations;
+  {
+    Engine engine(points, opt.engine);
+    engine_bytes = util::LiveAllocatedBytes() - base;
+    locations = engine.total_complexity();
+  }
+  ASSERT_EQ(locations, 60000u);
+  double per_location = static_cast<double>(engine_bytes - points_bytes) /
+                        static_cast<double>(locations);
+  EXPECT_GT(per_location, 16.0);  // Each location's coordinates are in there.
+  EXPECT_LT(per_location, 100.0) << engine_bytes - points_bytes << " B of structures";
+}
+
 // Theorem 4.3's rounds are s instantiations of the set, so the samples
 // are nearly all of a Monte-Carlo engine's memory. The sample block holds
 // each sample once as two doubles (16 B) in one point-major row per point,

@@ -3,17 +3,22 @@
 // like a freshly built static Engine over the live set (bit-identical
 // probabilities for NonzeroNN / Quantify / ThresholdNN / QuantifyExact),
 // for discrete, continuous and mixed point families, with and without a
-// background-maintenance thread pool.
+// background-maintenance thread pool. The plan inputs behind those
+// answers (the published SetAggregates) must equal a fresh scan of the
+// live set after every update, maintenance build and store reopen.
 
 #include <algorithm>
+#include <filesystem>
 #include <iterator>
 #include <map>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/dyn/dynamic_engine.h"
 #include "src/exec/thread_pool.h"
+#include "src/store/sharded_store.h"
 
 namespace pnn {
 namespace dyn {
@@ -284,6 +289,161 @@ TEST(DynamicDifferential, AnswersIndependentOfThreadCount) {
       }
     }
   }
+}
+
+
+// A point for the aggregate runs: discrete with k in 1..4 (equal weights
+// 1/k, or spread ones that are distinct across points), or, with
+// probability `continuous_share`, a disk.
+UncertainPoint AggregatePoint(Rng* rng, bool equal_weights, double continuous_share) {
+  if (rng->Bernoulli(continuous_share)) return RandomContinuousPoint(rng);
+  if (!equal_weights) return RandomDiscretePoint(rng);
+  int k = static_cast<int>(rng->UniformInt(1, 4));
+  std::vector<Point2> locs(k);
+  for (Point2& l : locs) l = {rng->Uniform(-30, 30), rng->Uniform(-30, 30)};
+  return UncertainPoint::Discrete(std::move(locs), std::vector<double>(k, 1.0 / k));
+}
+
+// The aggregates a snapshot publishes against a fresh scan of `live`,
+// field by field and bit for bit: they decide the plan and the round
+// count, so any drift changes answers.
+void ExpectAggregatesMatchScan(const SetAggregates& got, const UncertainSet& live,
+                               const std::string& when) {
+  SetAggregates scan;
+  for (const UncertainPoint& p : live) scan.Add(p);
+  EXPECT_EQ(got.live_count, scan.live_count) << when;
+  EXPECT_EQ(got.discrete_count, scan.discrete_count) << when;
+  EXPECT_EQ(got.continuous_count, scan.continuous_count) << when;
+  EXPECT_EQ(got.total_complexity, scan.total_complexity) << when;
+  EXPECT_EQ(got.max_k, scan.max_k) << when;
+  EXPECT_EQ(got.wmin, scan.wmin) << when;
+  EXPECT_EQ(got.wmax, scan.wmax) << when;
+}
+
+void ExpectEngineAggregatesMatchScan(const DynamicEngine& engine,
+                                     const std::string& when) {
+  ExpectAggregatesMatchScan(*engine.snapshot(), engine.LiveSet(), when);
+}
+
+// The live ids ordered so that erasing them front to back always removes
+// a current extreme: ascending by each discrete point's own minimum
+// weight (wmin), or descending by its maximum (wmax). Continuous points
+// go last.
+std::vector<Id> ExtremeFirstOrder(const UncertainSet& live, const std::vector<Id>& ids,
+                                  bool by_min_weight) {
+  std::vector<std::pair<double, Id>> keyed;
+  for (size_t i = 0; i < live.size(); ++i) {
+    double key = 2.0;  // Above every weight.
+    if (live[i].is_discrete()) {
+      const std::vector<double>& w = live[i].discrete().weights;
+      key = by_min_weight ? *std::min_element(w.begin(), w.end())
+                          : -*std::max_element(w.begin(), w.end());
+    }
+    keyed.push_back({key, ids[i]});
+  }
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<Id> order;
+  for (const auto& k : keyed) order.push_back(k.second);
+  return order;
+}
+
+// Random churn with a small tail_limit (merges and compactions run
+// inline, or on `pool`), then the live set erased extreme-first; the
+// aggregates are checked after every update and every maintenance drain.
+void RunAggregateChurn(bool equal_weights, double continuous_share, uint64_t seed,
+                       exec::ThreadPool* pool) {
+  Rng rng(seed);
+  Options dopt;
+  dopt.engine.seed = 5;
+  dopt.tail_limit = 6;
+  dopt.max_dead_fraction = 0.3;
+  dopt.pool = pool;
+  DynamicEngine dynamic(dopt);
+  const std::string tag = std::string(equal_weights ? "equal" : "distinct") +
+                          " weights, continuous share " +
+                          std::to_string(continuous_share) + ", op ";
+  std::vector<Id> live;
+  for (int op = 0; op < 300; ++op) {
+    if (live.empty() || rng.Bernoulli(0.6)) {
+      live.push_back(
+          dynamic.Insert(AggregatePoint(&rng, equal_weights, continuous_share)));
+    } else {
+      size_t pick = static_cast<size_t>(rng.UniformInt(0, live.size() - 1));
+      ASSERT_TRUE(dynamic.Erase(live[pick]));
+      live.erase(live.begin() + static_cast<long>(pick));
+    }
+    ExpectEngineAggregatesMatchScan(dynamic, tag + std::to_string(op));
+    if (op % 50 == 49) {
+      dynamic.WaitForMaintenance();
+      ExpectEngineAggregatesMatchScan(dynamic, tag + std::to_string(op) + " drained");
+    }
+  }
+  std::vector<Id> ids;
+  UncertainSet live_set = dynamic.LiveSet(&ids);
+  for (Id id : ExtremeFirstOrder(live_set, ids, /*by_min_weight=*/!equal_weights)) {
+    ASSERT_TRUE(dynamic.Erase(id));
+    ExpectEngineAggregatesMatchScan(dynamic, tag + "extreme-first erase of " +
+                                                 std::to_string(id));
+  }
+  dynamic.WaitForMaintenance();
+  EXPECT_EQ(dynamic.live_size(), 0u);
+  ExpectEngineAggregatesMatchScan(dynamic, tag + "emptied");
+}
+
+void ExpectStoreAggregatesMatchScan(const store::ShardedStore& store,
+                                    const std::string& when) {
+  UncertainSet live = store.engine().LiveSet();
+  ExpectAggregatesMatchScan(*store.engine().ShardSnapshot(0), live, when);
+  ExpectAggregatesMatchScan(*store.engine().View()->combined, live, when + " (view)");
+}
+
+TEST(DynamicAggregates, MatchFreshScanUnderErase) {
+  for (bool equal_weights : {true, false}) {
+    for (double continuous_share : {0.0, 0.3}) {
+      RunAggregateChurn(equal_weights, continuous_share, 4021, nullptr);
+    }
+  }
+  exec::ThreadPool pool(2);
+  RunAggregateChurn(false, 0.2, 4023, &pool);
+
+  // Through the durable store: the reopened engine's aggregates come from
+  // the recovery constructor's bulk build over the segments, then from
+  // the log replay; both must match, and erasing every point in ascending
+  // order of its minimum weight afterwards must track each new extreme.
+  std::string dir = testing::TempDir() + "/dyn_aggregates_store";
+  std::filesystem::remove_all(dir);
+  store::ShardedStore::Options sopt;
+  sopt.sharded.num_shards = 1;
+  sopt.sharded.shard.engine.seed = 5;
+  sopt.sharded.shard.tail_limit = 6;  // Merges write segments.
+  sopt.fsync = false;
+  Rng rng(4025);
+  {
+    auto st = store::ShardedStore::Open(dir, sopt);
+    std::vector<Id> live;
+    for (int op = 0; op < 200; ++op) {
+      if (live.empty() || rng.Bernoulli(0.65)) {
+        live.push_back(st->Insert(AggregatePoint(&rng, false, 0.2)).value());
+      } else {
+        size_t pick = static_cast<size_t>(rng.UniformInt(0, live.size() - 1));
+        ASSERT_TRUE(st->Erase(live[pick]).value());
+        live.erase(live.begin() + static_cast<long>(pick));
+      }
+      ExpectStoreAggregatesMatchScan(*st, "store op " + std::to_string(op));
+    }
+  }
+  auto reopened = store::ShardedStore::Open(dir, sopt);
+  ExpectStoreAggregatesMatchScan(*reopened, "reopened");
+  std::vector<Id> ids;
+  UncertainSet live_set = reopened->engine().LiveSet(&ids);
+  ASSERT_GT(live_set.size(), 30u);
+  for (Id id : ExtremeFirstOrder(live_set, ids, /*by_min_weight=*/true)) {
+    ASSERT_TRUE(reopened->Erase(id).value());
+    ExpectStoreAggregatesMatchScan(*reopened,
+                                   "reopened, erase of " + std::to_string(id));
+  }
+  reopened.reset();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

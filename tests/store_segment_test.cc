@@ -141,15 +141,13 @@ TEST(StoreSegment, DiscreteRoundTripSameStructure) {
   EXPECT_TRUE(e.discrete_index()->location_tree().SameStructure(
       f.discrete_index()->location_tree()));
   EXPECT_EQ(e.discrete_index()->owners(), f.discrete_index()->owners());
-  ASSERT_EQ(e.discrete_index()->hulls().size(), f.discrete_index()->hulls().size());
-  for (size_t i = 0; i < e.discrete_index()->hulls().size(); ++i) {
-    const std::vector<Point2>& ha = e.discrete_index()->hulls()[i];
-    const std::vector<Point2>& hb = f.discrete_index()->hulls()[i];
-    ASSERT_EQ(ha.size(), hb.size());
-    for (size_t j = 0; j < ha.size(); ++j) {
-      EXPECT_EQ(ha[j].x, hb[j].x);
-      EXPECT_EQ(ha[j].y, hb[j].y);
-    }
+  EXPECT_EQ(e.discrete_index()->hull_begin(), f.discrete_index()->hull_begin());
+  const std::vector<Point2>& ha = e.discrete_index()->hull_points();
+  const std::vector<Point2>& hb = f.discrete_index()->hull_points();
+  ASSERT_EQ(ha.size(), hb.size());
+  for (size_t j = 0; j < ha.size(); ++j) {
+    EXPECT_EQ(ha[j].x, hb[j].x);
+    EXPECT_EQ(ha[j].y, hb[j].y);
   }
 
   ExpectEnginesAnswerIdentically(e, f, 1234);
@@ -159,7 +157,8 @@ TEST(StoreSegment, DiscreteLocationTreeIsSharedFreshAndRecovered) {
   // An all-discrete engine builds its location tree once: the discrete
   // index's stage-2 tree and the spiral index's tree are one object, in
   // the bucket's freshly built engine and after recovery (the segment
-  // stores it once and the loader adopts it once).
+  // stores it once and the loader adopts it once). So is the owners
+  // array beside it, which the loader rebuilds from the points.
   Engine::Options options;
   options.seed = 77;
   options.mc_rounds_override = 16;
@@ -170,6 +169,7 @@ TEST(StoreSegment, DiscreteLocationTreeIsSharedFreshAndRecovered) {
     ASSERT_NE(e->discrete_index(), nullptr);
     ASSERT_NE(e->spiral(), nullptr);
     EXPECT_EQ(&e->discrete_index()->location_tree(), &e->spiral()->tree());
+    EXPECT_EQ(&e->discrete_index()->owners(), &e->spiral()->owners());
     EXPECT_FALSE(e->spiral()->tree().weighted());
   }
 }
@@ -303,6 +303,22 @@ TEST(StoreSegment, TruncatedFileIsRejected) {
   std::remove(path.c_str());
 }
 
+constexpr size_t kHeaderBytes = 24;  // Magic, version, size, two CRCs.
+
+// Writes a payload-edited image to `path` with both CRCs resealed
+// (payload CRC at byte 16, then the CRC of the first 20 bytes), so the
+// loader's structural checks, not its checksums, must catch the edit.
+void WriteResealed(const std::string& path, std::string* image) {
+  std::string crcs;
+  PutU32(&crcs, util::Crc32c(image->data() + kHeaderBytes, image->size() - kHeaderBytes));
+  image->replace(16, 4, crcs);
+  crcs.clear();
+  PutU32(&crcs, util::Crc32c(image->data(), 20));
+  image->replace(20, 4, crcs);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(image->data(), static_cast<std::streamsize>(image->size()));
+}
+
 TEST(StoreSegment, InvalidPointIsRefusedNotAborted) {
   // A CRC-valid segment whose one point is no distribution (a writer bug,
   // not bit rot) must fail to load, never die in UncertainPoint's checks.
@@ -324,22 +340,39 @@ TEST(StoreSegment, InvalidPointIsRefusedNotAborted) {
   std::string path = TempPath("segment_bad_point.seg");
   for (const Case& c : cases) {
     std::string image = EncodeSegment(dyn::Bucket({1}, {c.point}, options));
-    constexpr size_t kHeaderBytes = 24;
     std::memcpy(&image[kHeaderBytes + c.field], &c.value, 8);
-    // Reseal: payload CRC at byte 16, then the CRC of the first 20 bytes.
-    std::string crcs;
-    PutU32(&crcs, util::Crc32c(image.data() + kHeaderBytes, image.size() - kHeaderBytes));
-    image.replace(16, 4, crcs);
-    crcs.clear();
-    PutU32(&crcs, util::Crc32c(image.data(), 20));
-    image.replace(20, 4, crcs);
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(image.data(), static_cast<std::streamsize>(image.size()));
-    }
+    WriteResealed(path, &image);
     std::string error;
     EXPECT_EQ(LoadSegment(path, options, &error), nullptr);
     EXPECT_EQ(error, "segment: bad point encoding");
+  }
+  std::remove(path.c_str());
+}
+
+TEST(StoreSegment, OversizedHullIsRefusedNotAborted) {
+  // A CRC-valid segment whose hull claims more vertices than its point has
+  // locations (a writer bug, not bit rot) must fail to load cleanly,
+  // never reach the index's adoption checks. Payload: n, seed, flags,
+  // complexity, one id (33 bytes), then the point (tag, k, then x, y and
+  // weight per location), then the hull count. Its vertices stay in the payload, so
+  // raising the count by one reads the next blob's first bytes as a
+  // vertex: only the count check can refuse it.
+  UncertainPoint point = UncertainPoint::Discrete({{0, 0}, {4, 1}}, {0.5, 0.5});
+  Engine::Options options;
+  options.seed = 1;
+  std::string image = EncodeSegment(dyn::Bucket({1}, {point}, options));
+  const size_t hull_count = kHeaderBytes + 33 + 5 + 2 * 24;
+  uint32_t hn;
+  std::memcpy(&hn, &image[hull_count], 4);
+  ASSERT_EQ(hn, 2u);  // Two locations, both on the hull.
+  std::string path = TempPath("segment_big_hull.seg");
+  for (uint32_t bad : {3u, 0xffffffffu}) {
+    std::string corrupt = image;
+    std::memcpy(&corrupt[hull_count], &bad, 4);
+    WriteResealed(path, &corrupt);
+    std::string error;
+    EXPECT_EQ(LoadSegment(path, options, &error), nullptr) << bad;
+    EXPECT_EQ(error, "segment: bad hull") << bad;
   }
   std::remove(path.c_str());
 }
