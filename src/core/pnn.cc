@@ -20,6 +20,13 @@ Engine::Engine(UncertainSet points, Options options) {
   builder.FinishInto(this);
 }
 
+Engine::Engine(UncertainSet points, Options options, NoIndex)
+    : points_(std::move(points)), options_(std::move(options)) {
+  PNN_CHECK_MSG(!points_.empty(), "Engine needs at least one uncertain point");
+  CheckOptions(options_, points_.size());
+  for (const UncertainPoint& p : points_) agg_.Add(p);
+}
+
 void Engine::CheckOptions(const Options& options, size_t n) {
   PNN_CHECK_MSG(options.default_eps > 0 && options.default_eps < 1,
                 "Options::default_eps must be in (0,1)");
@@ -331,7 +338,10 @@ size_t Engine::MonteCarloRounds() const {
 std::vector<Quantification> Engine::Quantify(Point2 q,
                                              std::optional<double> eps_opt) const {
   double eps = ResolveEps(options_, eps_opt);
-  if (PlanForQuantify(eps) == QuantifyPlan::kSpiral) return spiral_->Query(q, eps);
+  if (PlanForQuantify(eps) == QuantifyPlan::kSpiral) {
+    PNN_CHECK_MSG(spiral_ != nullptr, "an index-free engine has no spiral plan");
+    return spiral_->Query(q, eps);
+  }
   // Exactly the first rounds(eps) samples of each row, however far earlier
   // queries at a tighter eps have extended the cache: an answer never
   // depends on the query history.

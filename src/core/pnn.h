@@ -83,6 +83,15 @@ class Engine {
   explicit Engine(UncertainSet points) : Engine(std::move(points), Options()) {}
   Engine(UncertainSet points, Options options);
 
+  /// An engine that builds no index: NonzeroDelta and NonzeroNNWithin
+  /// scan the points (MaxDistance / MinDistance, the mixed-input path) and
+  /// EnsureRounds samples them as any engine does, but there is no spiral
+  /// plan to Quantify through. The dynamic engine's live tail is one (a
+  /// dyn::Bucket rebuilt on every publish, where an index would cost more
+  /// than the copy).
+  struct NoIndex {};
+  Engine(UncertainSet points, Options options, NoIndex);
+
   /// Aborts with a message on default_eps or mc_delta outside (0,1),
   /// spiral_budget_fraction outside (0,1], kd_leaf_size < 1, or
   /// mc_stream_ids neither empty nor one id per each of n points.

@@ -22,7 +22,7 @@
 //
 // Concurrency: per-shard std::mutex around a linear scan of at most
 // kEntriesPerShard entries — the same "tiny critical section beside a
-// lock-free snapshot" shape as TailMcCache. Queries on different shards
+// lock-free snapshot" shape as Engine::EnsureRounds. Queries on different shards
 // never contend; hit/miss counters are relaxed atomics (BatchStats reads
 // their deltas).
 

@@ -6,7 +6,7 @@
 
 #include "src/dyn/answer_cache.h"
 #include "src/dyn/merge.h"
-#include "src/dyn/tail_cache.h"
+#include "src/util/arena.h"
 #include "src/util/check.h"
 
 namespace pnn {
@@ -139,7 +139,7 @@ DynamicEngine::DynamicEngine(std::vector<RecoveredBucket> recovered,
                    : std::make_shared<const std::vector<char>>(std::move(rb.dead));
     buckets_.push_back(std::move(ref));
   }
-  std::vector<LiveMember> live = GatherLive(buckets_, nullptr, nullptr);
+  std::vector<LiveMember> live = GatherLive(buckets_);
   // The count maps are built from sorted runs: element-wise inserts
   // (AddAggregatesLocked) are the recovery bottleneck at scale, while
   // appending each distinct value at the end hint is linear after the sort.
@@ -190,21 +190,60 @@ SnapshotIntrospection Introspect(const Snapshot& snap) {
   return out;
 }
 
-void DynamicEngine::PublishLocked() {
-  auto s = std::make_shared<Snapshot>();
-  s->buckets = buckets_;
-  s->tail = std::make_shared<const std::vector<TailEntry>>(tail_);
+void DynamicEngine::PublishTailLocked(Snapshot* s) const {
   s->tail_dead = tail_dead_count_ == 0
                      ? nullptr
                      : std::make_shared<const std::vector<char>>(tail_dead_mask_);
-  if (tail_.size() > tail_dead_count_) s->tail_mc = std::make_shared<TailMcCache>();
-  if (options_.answer_cache && agg_.live_count > 0) {
-    s->answers = std::make_shared<AnswerCache>();
+  auto record = std::make_shared<std::vector<TailEntry>>(tail_.size());
+  util::ScratchVec<uint32_t> live_lease;
+  std::vector<uint32_t>& live = *live_lease;  // Tail positions, ascending by id.
+  live.clear();
+  for (size_t i = 0; i < tail_.size(); ++i) {
+    (*record)[i] = {tail_[i].id, nullptr};
+    if (tail_dead_mask_[i] == 0) live.push_back(static_cast<uint32_t>(i));
+  }
+  s->tail = record;
+  if (live.empty()) return;
+  // A bucket's ids ascend; the tail's need not (InsertWithId).
+  auto by_id = [&](uint32_t a, uint32_t b) { return tail_[a].id < tail_[b].id; };
+  if (!std::is_sorted(live.begin(), live.end(), by_id)) {
+    std::sort(live.begin(), live.end(), by_id);
+  }
+  Engine::Options options = options_.engine;
+  options.mc_stream_ids.reserve(live.size());
+  UncertainSet points;
+  points.reserve(live.size());
+  for (uint32_t i : live) {
+    options.mc_stream_ids.push_back(static_cast<uint64_t>(tail_[i].id));
+    points.push_back(tail_[i].point);
+  }
+  s->tail_bucket = std::make_shared<const Bucket>(std::make_shared<const Engine>(
+      std::move(points), std::move(options), Engine::NoIndex{}));
+  for (size_t j = 0; j < live.size(); ++j) {
+    (*record)[live[j]].point = &s->tail_bucket->points()[j];
+  }
+}
+
+void DynamicEngine::PublishLocked() {
+  auto s = std::make_shared<Snapshot>();
+  s->buckets = buckets_;
+  if (tail_dirty_) {
+    PublishTailLocked(s.get());
+    tail_dirty_ = false;
+  } else {
+    // An update that left the tail alone (an erase from a bucket) shares
+    // the last publish's tail bucket and record.
+    std::shared_ptr<const Snapshot> last = snapshot();
+    s->tail_bucket = last->tail_bucket;
+    s->tail = last->tail;
+    s->tail_dead = last->tail_dead;
   }
   static_cast<SetAggregates&>(*s) = agg_;
   auto view = std::make_shared<CombinedView>();
   view->parts.push_back(s);
-  view->combined = std::move(s);
+  view->combined = UnionSnapshot(view->parts, options_.answer_cache);
+  // The snapshot and its union answer the same queries: one cache.
+  s->answers = view->combined->answers;
   view->options = options_.engine;
   view->pool = options_.pool;
   std::atomic_store_explicit(&view_, std::shared_ptr<const CombinedView>(std::move(view)),
@@ -267,6 +306,7 @@ void DynamicEngine::InsertEntryLocked(Id id, UncertainPoint point) {
   AddAggregatesLocked(point);
   tail_.push_back({id, std::move(point)});
   tail_dead_mask_.push_back(0);
+  tail_dirty_ = true;
 }
 
 bool DynamicEngine::FindLiveLocked(Id id, size_t* part, size_t* index) const {
@@ -312,6 +352,7 @@ bool DynamicEngine::Erase(Id id) {
     RemoveAggregatesLocked(tail_[index].point);
     tail_dead_mask_[index] = 1;
     ++tail_dead_count_;
+    tail_dirty_ = true;
   }
   if (building_) erased_during_build_.push_back(id);
 
@@ -388,9 +429,10 @@ DynamicEngine::MaintenancePlan DynamicEngine::DecidePlanLocked() {
     plan.absorbed.push_back(i);
     absorbed.push_back(buckets_[i]);
   }
-  // Sorted by id: the new bucket's ids must ascend, and the tail's need
-  // not (InsertWithId).
-  std::vector<LiveMember> members = GatherLive(absorbed, &tail_, &tail_dead_mask_);
+  // Sorted by id: the new bucket's ids must ascend. The live tail is the
+  // published tail bucket (every update publishes under this lock).
+  std::shared_ptr<const Snapshot> snap = snapshot();
+  std::vector<LiveMember> members = GatherLive(absorbed, snap->tail_bucket.get());
   plan.any = true;
   plan.frozen_tail = tail_.size();
   plan.ids.reserve(members.size());
@@ -417,6 +459,7 @@ void DynamicEngine::SpliceLocked(const MaintenancePlan& plan,
                         tail_dead_mask_.begin() + static_cast<long>(plan.frozen_tail));
   tail_dead_count_ = 0;
   for (char d : tail_dead_mask_) tail_dead_count_ += d != 0;
+  tail_dirty_ = true;
   if (built != nullptr) {
     Snapshot::BucketRef ref{built, nullptr, built->size()};
     std::shared_ptr<std::vector<char>> mask;
@@ -512,18 +555,9 @@ bool DynamicEngine::MaintenanceStep() {
     SpliceLocked(job.plan, std::move(job.built));
   }
   job_.reset();
-  if (options_.prewarm_after_build) {
-    // The splice published a fresh snapshot (and a fresh tail cache):
-    // warm the tail samples too, so the whole post-build query path is
-    // construction-free.
-    auto snap = snapshot();
-    double eps = options_.engine.default_eps;
-    if (snap->live_count > 0 && snap->tail_mc != nullptr &&
-        PlanForSnapshot(*snap, options_.engine, eps) == QuantifyPlan::kMonteCarlo) {
-      snap->tail_mc->Ensure(*snap, McRoundsForSnapshot(*snap, options_.engine, eps),
-                            options_.engine.seed);
-    }
-  }
+  // The splice published a fresh tail bucket: warm it too, so the whole
+  // post-build query path is construction-free.
+  if (options_.prewarm_after_build) View()->Prewarm();
   return true;  // Re-check the predicate: more work may have accumulated.
 }
 

@@ -5,8 +5,11 @@
 //
 // Structure (Bentley–Saxe logarithmic method): points live in O(log n)
 // geometrically sized immutable buckets, each backed by a static
-// pnn::Engine, plus a small mutable tail answered by brute force. Inserts
-// append to the tail; once it exceeds `tail_limit` a merge folds it —
+// pnn::Engine, plus a small mutable tail. Every publish turns the live tail
+// into one more bucket whose engine builds no index (Engine::NoIndex: its
+// queries scan, which for a few dozen points costs less than an index
+// would to build), so queries read buckets only. Inserts append to the
+// tail; once it exceeds `tail_limit` a merge folds it —
 // together with every bucket no larger than the accumulated merge — into a
 // new bucket, so a point's bucket at least doubles each time it is rebuilt
 // (O(log n) rebuilds per point, O(polylog n) amortized insert). Erases are
@@ -18,29 +21,32 @@
 // block on a rebuild.
 //
 // Equivalence contract: every query decomposes exactly across the
-// partition into buckets + tail —
-//   * NonzeroNN: Delta(q) = min over parts, then per-part threshold
+// partition into buckets, the tail's included —
+//   * NonzeroNN: Delta(q) = min over buckets, then per-bucket threshold
 //     reporting (Lemma 2.1 is a pure min/filter, so the partition is
-//     invisible);
+//     invisible, whether a bucket indexes or scans);
 //   * spiral Quantify: per-bucket best-first location streams are k-way
-//     merged into the global distance order and fed through the same
-//     tie-grouped sweep (QuantifyPrefixSweep) a monolithic structure runs;
-//   * Monte-Carlo Quantify and QuantifyExact: every part reports its
+//     merged into the global distance order (the buckets without a spiral
+//     structure, the tail's among them, as one sorted source) and fed
+//     through the same tie-grouped sweep (QuantifyPrefixSweep) a
+//     monolithic structure runs;
+//   * Monte-Carlo Quantify and QuantifyExact: every bucket reports its
 //     candidates against the widened global NN!=0 bound, gathered once
 //     and ascending by id (GatherCandidatesInto). Samples are keyed by
-//     (seed, round, point id) (each bucket engine's mc_stream_ids), so the
-//     candidates carry exactly the static engine's sample rows, and one
-//     evaluator takes each round's argmin over them, exact ties going to
-//     the lowest id. QuantifyExact runs the static engine's exact
+//     (seed, round, point id) (each bucket engine's mc_stream_ids, the
+//     tail bucket's too), so the candidates carry exactly the static
+//     engine's sample rows, and one evaluator takes each round's argmin
+//     over them, exact ties going to the lowest id. QuantifyExact runs the static engine's exact
 //     evaluator (QuantifyExactOver) over the candidates' points, which
 //     answers as over the whole live set (Lemma 2.1: a point left out
 //     only ever multiplies by exactly 1 or adds exactly 0).
 // Consequently answers match a fresh Engine(LiveSet(),
 // ReferenceEngineOptions()) bit for bit, in every query mode, regardless
-// of the update history, the merge schedule, or the thread count. The decompositions live in merge.h; the per-query
-// pipeline over them (eps, answer cache, plan rule) is CombinedView's
-// methods (view_query.h), the one query surface of this engine, the shard
-// router and the static Engine's api::EngineRef alike.
+// of the update history, the merge schedule, or the thread count. The
+// decompositions live in merge.h; the per-query pipeline over them (eps,
+// answer cache, plan rule) is CombinedView's methods (view_query.h), the
+// one query surface of this engine, the shard router and the static
+// Engine's api::EngineRef alike.
 
 #ifndef PNN_DYN_DYNAMIC_ENGINE_H_
 #define PNN_DYN_DYNAMIC_ENGINE_H_
@@ -94,8 +100,8 @@ struct Options {
   size_t build_chunk = 8192;
   /// Prewarm as part of maintenance: when the Monte-Carlo plan is active
   /// at default_eps, a merge/compaction draws the new bucket's sample block
-  /// before publishing it (and the published snapshot's tail samples right
-  /// after), so the first query after a bucket build doesn't pay the lazy
+  /// before publishing it (and the published view's right after, the tail
+  /// bucket's included), so the first query after a bucket build doesn't pay the lazy
   /// construction inside its latency. The block is drawn in steps of about
   /// build_chunk samples, like the bucket build itself.
   bool prewarm_after_build = false;
@@ -203,22 +209,29 @@ class DynamicEngine {
   void WaitForMaintenance() const;
 
   /// The current one-part query view (parts = {snapshot()}, combined =
-  /// snapshot()), published together with each snapshot: one lock-free
-  /// acquire load, no allocation. Holding it pins the structure version.
+  /// its union, where the tail bucket is one more bucket), published
+  /// together with each snapshot: one lock-free acquire load, no
+  /// allocation. Holding it pins the structure version.
   /// Every query goes through it: engine.View()->Quantify(q).
   std::shared_ptr<const CombinedView> View() const {
     return std::atomic_load_explicit(&view_, std::memory_order_acquire);
   }
 
-  /// The current immutable structure version. The shard router
-  /// concatenates these across shards into its own CombinedView.
-  std::shared_ptr<const Snapshot> snapshot() const { return View()->combined; }
+  /// The current immutable structure version: the Bentley–Saxe buckets,
+  /// the tail bucket and the tail's record (what the store serializes).
+  /// The shard router unites these across shards into its own
+  /// CombinedView.
+  std::shared_ptr<const Snapshot> snapshot() const { return View()->parts[0]; }
 
  private:
   struct MaintenancePlan;
   struct BuildJob;
 
   void PublishLocked();
+  /// Sets `s`'s tail bucket (the live tail entries as one index-free
+  /// bucket, ascending by id: the tail's one point copy per publish) and
+  /// its tail record, whose live entries point into that bucket.
+  void PublishTailLocked(Snapshot* s) const;
   void InsertEntryLocked(Id id, UncertainPoint point);
   void AddAggregatesLocked(const UncertainPoint& p);
   void RemoveAggregatesLocked(const UncertainPoint& p);
@@ -252,10 +265,11 @@ class DynamicEngine {
   // Accessed with std::atomic_load/atomic_store; queries are lock-free.
   std::shared_ptr<const CombinedView> view_;
 
-  // Writer state (guarded by mu_). buckets_ and tail_ are the live set's
-  // only copy: an id is live where FindLiveLocked finds it, and a
-  // maintenance build gathers its members from them (sorted by id there,
-  // since tail ids need not ascend once InsertWithId re-adds old ids).
+  // Writer state (guarded by mu_). buckets_ and tail_ are the live set:
+  // an id is live where FindLiveLocked finds it, and a maintenance build
+  // gathers its members from buckets_ and the published tail bucket
+  // (sorted by id there, since tail ids need not ascend once InsertWithId
+  // re-adds old ids).
   // agg_ is the live set's aggregates. The value -> count maps keep its
   // extremes exact under erase with one node per distinct value: the min
   // over all live location weights is the min over the live discrete
@@ -266,9 +280,14 @@ class DynamicEngine {
   std::map<size_t, size_t> live_ks_;     // max(k, 1) per live point.
   Id next_id_ = 0;
   std::vector<Snapshot::BucketRef> buckets_;
-  std::vector<TailEntry> tail_;
+  struct TailSlot {
+    Id id;
+    UncertainPoint point;
+  };
+  std::vector<TailSlot> tail_;        // Insertion order.
   std::vector<char> tail_dead_mask_;  // Parallel to tail_.
   size_t tail_dead_count_ = 0;
+  bool tail_dirty_ = true;  // The tail changed since the last publish.
   bool maintenance_running_ = false;
   bool building_ = false;
   std::vector<Id> erased_during_build_;

@@ -6,7 +6,6 @@
 #include <optional>
 #include <utility>
 
-#include "src/dyn/tail_cache.h"
 #include "src/util/arena.h"
 #include "src/util/check.h"
 
@@ -18,47 +17,15 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
 double SnapshotNonzeroDelta(const Snapshot& snap, Point2 q) {
-  // Each part computes the exact same per-point values a monolithic index
+  // Each bucket computes the exact same per-point values a monolithic index
   // would, so the min over the partition equals the monolithic min.
+  PNN_DCHECK(snap.tail_bucket == nullptr);  // A union, not an engine's snapshot.
   double bound = kInf;
   for (const auto& bref : snap.buckets) {
     if (bref.live_count == 0) continue;
     bound = std::min(bound, bref.bucket->engine().NonzeroDelta(q, bref.dead.get()));
   }
-  if (snap.tail != nullptr) {
-    const std::vector<TailEntry>& tail = *snap.tail;
-    for (size_t i = 0; i < tail.size(); ++i) {
-      if (snap.TailAlive(i)) bound = std::min(bound, tail[i].point.MaxDistance(q));
-    }
-  }
   return bound;
-}
-
-void AppendNonzeroNNWithin(const Snapshot& snap, Point2 q, double bound, bool mixed,
-                           std::vector<Id>* out) {
-  util::ScratchVec<int> locals_lease;
-  std::vector<int>& locals = *locals_lease;
-  for (const auto& bref : snap.buckets) {
-    if (bref.live_count == 0) continue;
-    const Bucket& b = *bref.bucket;
-    b.engine().NonzeroNNWithinInto(q, bound, bref.dead.get(), &locals);
-    for (int local : locals) {
-      // A mixed live set's reference engine compares the clamped
-      // MinDistance (brute-force path), which only differs from the disk
-      // index's unclamped d - r when both are negative — re-filter to
-      // match exactly.
-      if (mixed && !(b.points()[local].MinDistance(q) < bound)) continue;
-      out->push_back(b.id(local));
-    }
-  }
-  if (snap.tail != nullptr) {
-    const std::vector<TailEntry>& tail = *snap.tail;
-    for (size_t i = 0; i < tail.size(); ++i) {
-      if (snap.TailAlive(i) && tail[i].point.MinDistance(q) < bound) {
-        out->push_back(tail[i].id);
-      }
-    }
-  }
 }
 
 std::vector<Id> MergedNonzeroNN(const Snapshot& snap, Point2 q) {
@@ -83,15 +50,30 @@ void MergedNonzeroNNInto(const Snapshot& snap, Point2 q, std::vector<Id>* out) {
     for (Id& id : *out) id = whole->id(id);
     return;
   }
+  // Stage 1: the global Lemma 2.1 bound; stage 2: every bucket reports
+  // against it.
   double bound = SnapshotNonzeroDelta(snap, q);
   bool mixed = snap.discrete_count > 0 && snap.continuous_count > 0;
-  AppendNonzeroNNWithin(snap, q, bound, mixed, out);
+  util::ScratchVec<int> locals_lease;
+  std::vector<int>& locals = *locals_lease;
+  for (const auto& bref : snap.buckets) {
+    if (bref.live_count == 0) continue;
+    const Bucket& b = *bref.bucket;
+    b.engine().NonzeroNNWithinInto(q, bound, bref.dead.get(), &locals);
+    for (int local : locals) {
+      // A mixed live set's reference engine compares the clamped
+      // MinDistance (brute-force path), which only differs from the disk
+      // index's unclamped d - r when both are negative — re-filter to
+      // match exactly.
+      if (mixed && !(b.points()[local].MinDistance(q) < bound)) continue;
+      out->push_back(b.id(local));
+    }
+  }
   std::sort(out->begin(), out->end());
 }
 
 std::vector<LiveMember> GatherLive(const std::vector<Snapshot::BucketRef>& buckets,
-                                   const std::vector<TailEntry>* tail,
-                                   const std::vector<char>* tail_dead) {
+                                   const Bucket* tail) {
   std::vector<LiveMember> live;
   for (const auto& bref : buckets) {
     const Bucket& b = *bref.bucket;
@@ -101,10 +83,8 @@ std::vector<LiveMember> GatherLive(const std::vector<Snapshot::BucketRef>& bucke
       }
     }
   }
-  for (size_t i = 0; tail != nullptr && i < tail->size(); ++i) {
-    if (tail_dead == nullptr || !(*tail_dead)[i]) {
-      live.push_back({(*tail)[i].id, &(*tail)[i].point});
-    }
+  for (size_t j = 0; tail != nullptr && j < tail->size(); ++j) {
+    live.push_back({tail->id(j), &tail->points()[j]});
   }
   std::sort(live.begin(), live.end(),
             [](const LiveMember& a, const LiveMember& b) { return a.id < b.id; });
@@ -112,8 +92,7 @@ std::vector<LiveMember> GatherLive(const std::vector<Snapshot::BucketRef>& bucke
 }
 
 UncertainSet SnapshotLiveSet(const Snapshot& snap, std::vector<Id>* ids) {
-  std::vector<LiveMember> live =
-      GatherLive(snap.buckets, snap.tail.get(), snap.tail_dead.get());
+  std::vector<LiveMember> live = GatherLive(snap.buckets, snap.tail_bucket.get());
   UncertainSet out;
   out.reserve(live.size());
   if (ids != nullptr) {
@@ -129,8 +108,7 @@ UncertainSet SnapshotLiveSet(const Snapshot& snap, std::vector<Id>* ids) {
 
 Engine::Options SnapshotReferenceOptions(const Snapshot& snap, Engine::Options engine) {
   engine.mc_stream_ids.clear();
-  for (const LiveMember& m :
-       GatherLive(snap.buckets, snap.tail.get(), snap.tail_dead.get())) {
+  for (const LiveMember& m : GatherLive(snap.buckets, snap.tail_bucket.get())) {
     engine.mc_stream_ids.push_back(static_cast<uint64_t>(m.id));
   }
   return engine;
@@ -148,8 +126,8 @@ struct SourceLoc {
 };
 
 // A distance-ascending location source: either a bucket's best-first
-// spiral stream or a range of a pre-sorted shared scratch vector (mixed
-// buckets' live members and the tail, merged into one sorted source).
+// spiral stream or a range of a pre-sorted shared scratch vector (the live
+// members of the buckets without a spiral, merged into one sorted source).
 struct Source {
   const Bucket* bucket = nullptr;  // Set for stream sources.
   std::optional<SpiralSearchPNN::Stream> stream;
@@ -200,14 +178,15 @@ std::vector<Quantification> MergedSpiralQuantify(const Snapshot& snap, Point2 q,
 void MergedSpiralQuantifyInto(const Snapshot& snap, Point2 q, double eps,
                               std::vector<Quantification>* out) {
   out->clear();
-  if (snap.live_count == 0) return;  // Every part dead (or none): no stream.
+  if (snap.live_count == 0) return;  // Every bucket dead (or none): no stream.
   PNN_CHECK_MSG(snap.all_discrete(), "spiral merge needs an all-discrete live set");
+  PNN_DCHECK(snap.tail_bucket == nullptr);  // A union, not an engine's snapshot.
   size_t m = SpiralSearchPNN::RetrievalBoundFor(snap.rho(), snap.max_k, eps);
   m = std::min(m, snap.total_complexity);
 
-  // Everything without a location tree — mixed buckets' live members (all
-  // discrete here, since the live set is) and the live tail — merges into
-  // one shared sorted source.
+  // Every bucket without a location tree — a mixed bucket (its live
+  // members all discrete here, since the live set is) or a tail — merges
+  // into one shared sorted source.
   util::ScratchVec<SourceLoc> extra_lease;
   std::vector<SourceLoc>& extra = *extra_lease;
   extra.clear();
@@ -226,14 +205,6 @@ void MergedSpiralQuantifyInto(const Snapshot& snap, Point2 q, double eps,
       for (size_t j = 0; j < pts.size(); ++j) {
         if (bref.dead && (*bref.dead)[j]) continue;
         AppendDiscreteLocations(pts[j], bref.bucket->id(j), q, &extra);
-      }
-    }
-  }
-  if (snap.tail != nullptr) {
-    const std::vector<TailEntry>& entries = *snap.tail;
-    for (size_t i = 0; i < entries.size(); ++i) {
-      if (snap.TailAlive(i)) {
-        AppendDiscreteLocations(entries[i].point, entries[i].id, q, &extra);
       }
     }
   }
@@ -309,17 +280,17 @@ void MergedSpiralQuantifyInto(const Snapshot& snap, Point2 q, double eps,
 }
 
 std::vector<Quantification> MergedMonteCarloQuantify(const Snapshot& snap, Point2 q,
-                                                     size_t rounds, uint64_t seed,
+                                                     size_t rounds, uint64_t /*seed*/,
                                                      exec::ThreadPool* pool) {
   std::vector<Quantification> out;
-  MergedMonteCarloQuantifyInto(snap, q, rounds, seed, pool, &out);
+  MergedMonteCarloQuantifyInto(snap, q, rounds, pool, &out);
   return out;
 }
 
 void GatherCandidatesInto(const Snapshot& snap, Point2 q, std::vector<Candidate>* out) {
   out->clear();
   if (snap.live_count == 0) return;
-  // Every part reports against the global bound, widened to keep exact
+  // Every bucket reports against the global bound, widened to keep exact
   // ties (a superset is always safe).
   const double bound = McCandidateBound(SnapshotNonzeroDelta(snap, q));
   util::ScratchVec<int> locals_lease;
@@ -334,26 +305,15 @@ void GatherCandidatesInto(const Snapshot& snap, Point2 q, std::vector<Candidate>
                       &bucket.points()[j]});
     }
   }
-  if (snap.tail != nullptr) {
-    const std::vector<TailEntry>& tail = *snap.tail;
-    uint32_t rank = 0;  // Among the live entries: the TailSamples row.
-    for (size_t i = 0; i < tail.size(); ++i) {
-      if (!snap.TailAlive(i)) continue;
-      if (tail[i].point.MinDistance(q) < bound) {
-        out->push_back({tail[i].id, kTailPart, rank, &tail[i].point});
-      }
-      ++rank;
-    }
-  }
   std::sort(out->begin(), out->end(),
             [](const Candidate& a, const Candidate& b) { return a.id < b.id; });
 }
 
 void MergedMonteCarloQuantifyInto(const Snapshot& snap, Point2 q, size_t rounds,
-                                  uint64_t seed, exec::ThreadPool* pool,
+                                  exec::ThreadPool* pool,
                                   std::vector<Quantification>* out) {
   out->clear();
-  if (snap.live_count == 0) return;  // Every part dead: nothing to sample.
+  if (snap.live_count == 0) return;  // Every bucket dead: nothing to sample.
   PNN_CHECK(rounds > 0);
   // The blocks stay held while their rows are scanned: an extension may
   // swap a bucket's cache meanwhile.
@@ -365,18 +325,6 @@ void MergedMonteCarloQuantifyInto(const Snapshot& snap, Point2 q, size_t rounds,
       blocks[b] = snap.buckets[b].bucket->engine().EnsureRounds(rounds, pool);
     }
   }
-  // Tail samples come from the snapshot's cache (drawn once per snapshot,
-  // shared by every query). Both publishers attach one whenever the tail
-  // has a live entry; a hand-built snapshot may not, and samples through a
-  // query-local cache instead, so every tail sample is drawn by
-  // TailMcCache::Ensure either way.
-  std::shared_ptr<const TailSamples> tail_samples;
-  for (size_t i = 0; snap.tail != nullptr && i < snap.tail->size(); ++i) {
-    if (!snap.TailAlive(i)) continue;
-    tail_samples = snap.tail_mc != nullptr ? snap.tail_mc->Ensure(snap, rounds, seed)
-                                           : TailMcCache().Ensure(snap, rounds, seed);
-    break;
-  }
   // Only a point of NN!=0(q) over the whole live set can win a round.
   // Ascending ids make the evaluator's first-row tie rule the lowest-id
   // rule of a static reference, whose index order is ascending id.
@@ -387,7 +335,7 @@ void MergedMonteCarloQuantifyInto(const Snapshot& snap, Point2 q, size_t rounds,
   std::vector<McRow>& rows = *rows_lease;
   rows.clear();
   for (const Candidate& c : candidates) {
-    const McSamples& s = c.part == kTailPart ? tail_samples->samples : *blocks[c.part];
+    const McSamples& s = *blocks[c.part];
     rows.push_back({c.id, s.row_x(c.local), s.row_y(c.local)});
   }
   McQuantifyRowsInto(rows, rounds, q, out);
@@ -397,7 +345,7 @@ void MergedMonteCarloQuantifyInto(const Snapshot& snap, Point2 q, size_t rounds,
 }
 
 std::vector<Quantification> MergedQuantifyExact(const Snapshot& snap, Point2 q) {
-  if (snap.live_count == 0) return {};  // Every part dead: empty product.
+  if (snap.live_count == 0) return {};  // Every bucket dead: empty product.
   PNN_CHECK_MSG(snap.all_discrete() || snap.all_continuous(),
                 "QuantifyExact supports all-discrete or all-continuous inputs");
   util::ScratchVec<Candidate> candidates_lease;

@@ -1,14 +1,19 @@
 // Cross-bucket query recombination for the dynamic engine: each function
-// answers one query mode over a Snapshot by decomposing it across the
-// buckets + tail partition and recombining exactly (see the equivalence
-// contract in dynamic_engine.h). The shard router feeds these the union of
-// many engines' snapshots — the decompositions never assume the partition
-// came from one engine.
+// answers one query mode over a Snapshot by decomposing it across its
+// buckets and recombining exactly (see the equivalence contract in
+// dynamic_engine.h). The queries read a view's union (UnionSnapshot, the
+// union of one engine's snapshot or of many shards'), where each live tail
+// is one more bucket whose engine scans instead of indexing, so every
+// query body is one loop over buckets — the decompositions never assume
+// the buckets came from one engine, or what index a bucket has. A
+// DynamicEngine's own snapshot keeps its tail bucket apart
+// (Snapshot::tail_bucket), so the query functions here take a union
+// (CombinedView::combined), never an engine's snapshot.
 //
-// Degenerate snapshots are handled uniformly: an empty snapshot (no parts,
-// or every bucket and tail entry tombstoned, live_count == 0) yields empty
+// Degenerate snapshots are handled uniformly: an empty snapshot (no
+// buckets, or every bucket tombstoned, live_count == 0) yields empty
 // results from every function here rather than tripping the all-discrete
-// checks or streaming from dead parts.
+// checks or streaming from dead buckets.
 
 #ifndef PNN_DYN_MERGE_H_
 #define PNN_DYN_MERGE_H_
@@ -22,52 +27,42 @@ namespace pnn {
 namespace dyn {
 
 /// The snapshot's one bucket when it holds the whole live set (no
-/// tombstone, no live tail entry), else null: a static engine's view, or
+/// tombstone, no other bucket), else null: a static engine's view, or
 /// a fully compacted dynamic engine. Its engine is then the reference
 /// engine over the live set, so NonzeroNN asks it directly and names its
 /// answers by id.
 const Bucket* WholeBucket(const Snapshot& snap);
 
-/// NN!=0(q): global Delta(q) = min over parts, then per-part threshold
+/// NN!=0(q): global Delta(q) = min over buckets, then per-bucket threshold
 /// reporting. Ascending ids.
 std::vector<Id> MergedNonzeroNN(const Snapshot& snap, Point2 q);
 
-/// MergedNonzeroNN writing into `out` (cleared first). Per-part reports
+/// MergedNonzeroNN writing into `out` (cleared first). Per-bucket reports
 /// land in scratch-arena buffers (Engine::NonzeroNNWithinInto; a
 /// WholeBucket's engine reports straight into `out`), so with a warm
 /// arena and a warm output buffer this allocates nothing.
 void MergedNonzeroNNInto(const Snapshot& snap, Point2 q, std::vector<Id>* out);
 
-/// Stage 1 of MergedNonzeroNN on its own: this snapshot's contribution to
-/// the Lemma 2.1 pruning bound, min over its live parts (+inf when every
-/// part is dead). The shard router min-reduces this across shards.
+/// Stage 1 of MergedNonzeroNN on its own: the Lemma 2.1 pruning bound,
+/// min over the live buckets (+inf when every bucket is dead).
 double SnapshotNonzeroDelta(const Snapshot& snap, Point2 q);
 
-/// Stage 2 of MergedNonzeroNN on its own: appends (unsorted) the ids of
-/// this snapshot's live members with delta_i(q) < bound. `mixed` selects
-/// the clamped-MinDistance re-filter a mixed discrete/continuous reference
-/// engine applies — pass the UNION's mixedness, not this snapshot's, when
-/// recombining across shards.
-void AppendNonzeroNNWithin(const Snapshot& snap, Point2 q, double bound, bool mixed,
-                           std::vector<Id>* out);
-
-/// A live member: its id and its point, borrowed from the bucket or tail
-/// entry that holds it (buckets and tails are the live set's only copy).
+/// A live member: its id and its point, borrowed from the bucket that
+/// holds it.
 struct LiveMember {
   Id id;
   const UncertainPoint* point;
 };
 
-/// The live members of `buckets` and of `tail` (`tail_dead` parallels it;
-/// either may be null), ascending by id. The one gather of a live set: the
-/// snapshot functions below, maintenance builds and recovery use it.
+/// The live members of `buckets` and of `tail` (a snapshot's tail_bucket,
+/// or null), ascending by id. The one gather of a live set: the snapshot
+/// functions below, maintenance builds and recovery use it.
 std::vector<LiveMember> GatherLive(const std::vector<Snapshot::BucketRef>& buckets,
-                                   const std::vector<TailEntry>* tail,
-                                   const std::vector<char>* tail_dead);
+                                   const Bucket* tail = nullptr);
 
 /// The snapshot's live set in ascending-id order (with the ids when `ids`
-/// is non-null): the input a reference static Engine is built over, and
-/// both engines' LiveSet.
+/// is non-null), its buckets' and its tail bucket's: the input a reference
+/// static Engine is built over, and both engines' LiveSet.
 UncertainSet SnapshotLiveSet(const Snapshot& snap, std::vector<Id>* ids);
 
 /// `engine` with mc_stream_ids = the snapshot's live ids, ascending: the
@@ -76,7 +71,8 @@ UncertainSet SnapshotLiveSet(const Snapshot& snap, std::vector<Id>* ids);
 Engine::Options SnapshotReferenceOptions(const Snapshot& snap, Engine::Options engine);
 
 /// Spiral-search quantification: k-way merges the per-bucket best-first
-/// location streams (plus sorted tail locations) into the global distance
+/// location streams (plus the sorted locations of the buckets without a
+/// spiral structure: mixed buckets and tails) into the global distance
 /// order and runs the shared truncated sweep. Requires an all-discrete
 /// live set. Quantification indices are ids, ascending.
 std::vector<Quantification> MergedSpiralQuantify(const Snapshot& snap, Point2 q,
@@ -89,14 +85,9 @@ std::vector<Quantification> MergedSpiralQuantify(const Snapshot& snap, Point2 q,
 void MergedSpiralQuantifyInto(const Snapshot& snap, Point2 q, double eps,
                               std::vector<Quantification>* out);
 
-/// Where a candidate's point lives: `part` indexes Snapshot::buckets, or
-/// is kTailPart for the tail.
-constexpr int kTailPart = -1;
-
-/// One NN!=0 candidate: its id, its part, its `local` index there (the
-/// bucket-local index, or for the tail the entry's rank among the live
-/// entries, which is its TailSamples row) and its point, borrowed from
-/// that part.
+/// One NN!=0 candidate: its id, its `part` (an index into
+/// Snapshot::buckets), its bucket-local index there (its sample row) and
+/// its point, borrowed from that bucket.
 struct Candidate {
   Id id;
   int part;
@@ -106,9 +97,8 @@ struct Candidate {
 
 /// The candidates of both Monte-Carlo and exact quantification: the live
 /// points with delta_i(q) < McCandidateBound(SnapshotNonzeroDelta(snap, q)),
-/// each bucket's report under its tombstone mask plus the live tail
-/// entries, ascending by id (cleared first; empty for an empty snapshot).
-/// This holds every point of NN!=0(q) and its exact ties, in the index
+/// each bucket's report under its tombstone mask, ascending by id (cleared
+/// first; empty for an empty snapshot). This holds every point of NN!=0(q) and its exact ties, in the index
 /// order of a static reference over the live set. Scratch comes from the
 /// per-thread arena.
 void GatherCandidatesInto(const Snapshot& snap, Point2 q, std::vector<Candidate>* out);
@@ -116,19 +106,20 @@ void GatherCandidatesInto(const Snapshot& snap, Point2 q, std::vector<Candidate>
 /// Monte-Carlo quantification over `rounds` id-keyed instantiations
 /// (Theorem 4.3). The candidates (GatherCandidatesInto) read their rows
 /// from their bucket engine's sample block (Engine::EnsureRounds, drawn on
-/// `pool` when missing) or from the snapshot's cached tail samples (drawn
-/// directly when the snapshot carries no cache). Their rows, ascending by
+/// `pool` when missing; a tail bucket's too). Their rows, ascending by
 /// id, go through McQuantifyRowsInto, the static Engine's evaluator, so
-/// the answer is the static one bit for bit.
+/// the answer is the static one bit for bit. `seed` is not read: each
+/// bucket engine samples under its own options' seed, which every
+/// publisher sets to its view's.
 std::vector<Quantification> MergedMonteCarloQuantify(const Snapshot& snap, Point2 q,
                                                      size_t rounds, uint64_t seed,
                                                      exec::ThreadPool* pool);
 
 /// MergedMonteCarloQuantify writing into `out` (cleared first); candidates
 /// and evaluator scratch come from the per-thread arena. With warm sample
-/// blocks and a warm tail cache this allocates nothing.
+/// blocks this allocates nothing.
 void MergedMonteCarloQuantifyInto(const Snapshot& snap, Point2 q, size_t rounds,
-                                  uint64_t seed, exec::ThreadPool* pool,
+                                  exec::ThreadPool* pool,
                                   std::vector<Quantification>* out);
 
 /// Exact quantification: QuantifyExactOver, the static Engine's evaluator,

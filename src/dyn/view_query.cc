@@ -1,23 +1,39 @@
 #include "src/dyn/view_query.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "src/dyn/answer_cache.h"
 #include "src/dyn/dynamic_engine.h"
 #include "src/dyn/merge.h"
-#include "src/dyn/tail_cache.h"
-#include "src/util/arena.h"
 #include "src/util/check.h"
 
 namespace pnn {
 namespace dyn {
 
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-}  // namespace
+std::shared_ptr<const Snapshot> UnionSnapshot(
+    const std::vector<std::shared_ptr<const Snapshot>>& parts, bool answer_cache) {
+  auto u = std::make_shared<Snapshot>();
+  size_t buckets = 0;
+  for (const auto& s : parts) buckets += s->buckets.size() + 1;
+  u->buckets.reserve(buckets);
+  for (const auto& s : parts) {
+    for (const auto& bref : s->buckets) {
+      if (bref.live_count > 0) u->buckets.push_back(bref);
+    }
+    if (s->tail_bucket != nullptr) {
+      u->buckets.push_back({s->tail_bucket, nullptr, s->tail_bucket->size()});
+    }
+    u->live_count += s->live_count;
+    u->discrete_count += s->discrete_count;
+    u->continuous_count += s->continuous_count;
+    u->total_complexity += s->total_complexity;
+    u->max_k = std::max(u->max_k, s->max_k);
+    u->wmin = std::min(u->wmin, s->wmin);
+    u->wmax = std::max(u->wmax, s->wmax);
+  }
+  if (answer_cache && u->live_count > 0) u->answers = std::make_shared<AnswerCache>();
+  return u;
+}
 
 std::shared_ptr<const CombinedView> EngineView(const Engine* engine) {
   const SetAggregates& agg = engine->aggregates();
@@ -53,56 +69,7 @@ void CombinedView::NonzeroNNInto(Point2 q, std::vector<Id>* out) const {
   AnswerCache* cache = u.answers.get();
   AnswerCache::Key key{AnswerCache::Kind::kNonzeroNN, q, 0.0};
   if (cache != nullptr && cache->LookupIds(key, out)) return;
-
-  // Mixedness is the union's, not a part's: the reference engine's
-  // re-filter depends on the whole live set.
-  bool mixed = u.discrete_count > 0 && u.continuous_count > 0;
-  size_t active = 0;
-  for (const auto& part : parts) active += part->live_count > 0;
-  if (parts.size() == 1) {
-    MergedNonzeroNNInto(*parts[0], q, out);
-  } else if (pool == nullptr || active <= 1) {
-    // Stage 1: the global Lemma 2.1 bound is the min over the parts';
-    // stage 2: every part reports against it, straight into `out`.
-    double bound = kInf;
-    for (const auto& part : parts) {
-      if (part->live_count > 0) bound = std::min(bound, SnapshotNonzeroDelta(*part, q));
-    }
-    for (const auto& part : parts) {
-      if (part->live_count > 0) AppendNonzeroNNWithin(*part, q, bound, mixed, out);
-    }
-  } else {
-    // The same two stages fanned out per non-empty part (empty parts add
-    // +inf to stage 1 and nothing to stage 2, so they are never scheduled).
-    util::ScratchVec<size_t> active_lease;
-    std::vector<size_t>& live_parts = *active_lease;
-    live_parts.clear();
-    for (size_t i = 0; i < parts.size(); ++i) {
-      if (parts[i]->live_count > 0) live_parts.push_back(i);
-    }
-    util::ScratchVec<double> deltas_lease;
-    std::vector<double>& deltas = *deltas_lease;
-    deltas.assign(active, kInf);
-    pool->ParallelFor(active, [&](size_t i) {
-      deltas[i] = SnapshotNonzeroDelta(*parts[live_parts[i]], q);
-    });
-    double bound = kInf;
-    for (double d : deltas) bound = std::min(bound, d);
-
-    util::ScratchVec<std::vector<Id>> found_lease;
-    std::vector<std::vector<Id>>& found = *found_lease;
-    // Grow-only: shrinking would destroy the tail inner vectors and forfeit
-    // their pooled capacity when the active-part count oscillates.
-    if (found.size() < active) found.resize(active);
-    for (size_t i = 0; i < active; ++i) found[i].clear();
-    pool->ParallelFor(active, [&](size_t i) {
-      AppendNonzeroNNWithin(*parts[live_parts[i]], q, bound, mixed, &found[i]);
-    });
-    for (size_t i = 0; i < active; ++i) {
-      out->insert(out->end(), found[i].begin(), found[i].end());
-    }
-  }
-  std::sort(out->begin(), out->end());
+  MergedNonzeroNNInto(u, q, out);
   if (cache != nullptr) cache->InsertIds(key, *out);
 }
 
@@ -126,8 +93,8 @@ void CombinedView::QuantifyInto(Point2 q, std::optional<double> eps_opt,
   if (PlanForSnapshot(snap, options, eps) == QuantifyPlan::kSpiral) {
     MergedSpiralQuantifyInto(snap, q, eps, out);
   } else {
-    MergedMonteCarloQuantifyInto(snap, q, McRoundsForSnapshot(snap, options, eps),
-                                 options.seed, pool, out);
+    MergedMonteCarloQuantifyInto(snap, q, McRoundsForSnapshot(snap, options, eps), pool,
+                                 out);
   }
   if (cache != nullptr) cache->InsertQuants(key, *out);
 }
@@ -167,7 +134,6 @@ void CombinedView::Prewarm(std::optional<double> eps_opt) const {
   for (const auto& bref : snap.buckets) {
     if (bref.live_count > 0) bref.bucket->engine().EnsureRounds(rounds, pool);
   }
-  if (snap.tail_mc != nullptr) snap.tail_mc->Ensure(snap, rounds, options.seed);
 }
 
 }  // namespace dyn

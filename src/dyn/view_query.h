@@ -1,6 +1,7 @@
 // pnn::dyn's immutable query views and the one query pipeline of every
-// backend. A Snapshot is one frozen buckets + tail partition of a live
-// set; a CombinedView is the snapshots a query reads plus their union,
+// backend. A Snapshot is one frozen partition of a live set into buckets;
+// a CombinedView is the snapshots a query reads plus their union
+// (UnionSnapshot, where a dynamic engine's live tail is one more bucket),
 // with the options and pool of the backend that built it, and its methods
 // are the only query surface: DynamicEngine publishes a one-part view of
 // its snapshot, shard::ShardedEngine one part per shard, and EngineView
@@ -12,8 +13,9 @@
 //   3. the view's AnswerCache (lookup, then insert after evaluation);
 //   4. the spiral-vs-Monte-Carlo plan rule over the union's aggregates
 //      (PlanForSnapshot / McRoundsForSnapshot);
-//   5. the exact cross-part recombinations of merge.h, reading every
-//      bucket engine's Monte-Carlo sample block (Engine::EnsureRounds);
+//   5. the exact cross-bucket recombinations of merge.h over the union,
+//      reading every bucket engine's Monte-Carlo sample block
+//      (Engine::EnsureRounds);
 //   6. ThresholdNN's tau check and filter, MostLikelyNN's argmax.
 // Answers are a deterministic function of (view, query), so they match a
 // fresh static Engine over the view's live set bit-identically for
@@ -35,12 +37,14 @@
 namespace pnn {
 namespace dyn {
 
+/// One entry of a DynamicEngine's published tail record: its id and,
+/// while live, its point, borrowed from the same snapshot's tail bucket
+/// (null once erased), so the record copies no point.
 struct TailEntry {
   Id id;
-  UncertainPoint point;
+  const UncertainPoint* point;
 };
 
-class TailMcCache;  // Per-snapshot Monte-Carlo tail samples (tail_cache.h).
 class AnswerCache;  // Per-snapshot cross-query answers (answer_cache.h).
 
 /// One immutable version of a DynamicEngine's structure. Queries snapshot
@@ -50,6 +54,12 @@ class AnswerCache;  // Per-snapshot cross-query answers (answer_cache.h).
 /// aggregates — exactly what a fresh static Engine over it derives, kept
 /// as counts and a min/max spread so partitions of snapshots (the shard
 /// router) recombine them without re-scanning every point.
+///
+/// A DynamicEngine's own snapshot (DynamicEngine::snapshot()) keeps its
+/// Bentley–Saxe buckets in `buckets` — what the store serializes — and its
+/// live tail apart, in `tail_bucket`. Queries read a view's union
+/// (UnionSnapshot), where every part's tail bucket is one more bucket and
+/// `tail_bucket` is null, so each query body is one loop over buckets.
 struct Snapshot : SetAggregates {
   struct BucketRef {
     std::shared_ptr<const Bucket> bucket;
@@ -58,24 +68,22 @@ struct Snapshot : SetAggregates {
     size_t live_count = 0;
   };
   std::vector<BucketRef> buckets;
-  /// Tail entries in insertion order. Ids are not necessarily ascending
-  /// (InsertWithId may re-add an id previously moved out by the shard
-  /// router), and an id may recur dead in one part and live in another;
-  /// deadness is therefore positional, never keyed by id.
+  /// The live tail entries as one bucket, ascending by id, whose engine
+  /// builds no index (Engine::NoIndex) and samples under the entries' ids,
+  /// so it answers exactly as the entries would inside any bucket. Null
+  /// when no tail entry is live, and on a union.
+  std::shared_ptr<const Bucket> tail_bucket;
+  /// The writer's tail as published: entries in insertion order, with a
+  /// tombstone mask parallel to it (null when nothing is dead). Ids are
+  /// not necessarily ascending (InsertWithId may re-add an id previously
+  /// moved out by the shard router), so deadness is positional. Only the
+  /// store's delta records (Introspect) and the engine's tail and dead
+  /// counts read it; no query does.
   std::shared_ptr<const std::vector<TailEntry>> tail;
-  /// Tombstone mask parallel to `tail`; null when nothing is dead.
   std::shared_ptr<const std::vector<char>> tail_dead;
-  /// Lazily built per-(seed, rounds) Monte-Carlo tail samples, shared by
-  /// every query against this snapshot so repeated quantifications sample
-  /// the tail once (null when the tail has no live entries; hand-built
-  /// snapshots may omit it, and the merge layer then samples through a
-  /// query-local cache). A snapshot publish starts a fresh cache: that is
-  /// the invalidation on insert/erase/merge/compaction.
-  std::shared_ptr<TailMcCache> tail_mc;
   /// Cross-query answer memoization for this snapshot (null on hand-built
   /// snapshots and when Options::answer_cache is off — queries then just
-  /// evaluate). Shares the publish-is-the-invalidation lifecycle with
-  /// tail_mc.
+  /// evaluate). A publish starts a fresh one: that is its invalidation.
   std::shared_ptr<AnswerCache> answers;
 
   bool TailAlive(size_t index) const {
@@ -87,9 +95,9 @@ struct Snapshot : SetAggregates {
 /// the snapshots it was gathered from, their union as one snapshot, and
 /// the engine options and pool of the backend that built it. A
 /// DynamicEngine publishes a one-part view with every snapshot (parts =
-/// {snap}, combined = snap); the shard router gathers one part per shard
-/// under its seqlock and builds the union; dyn::EngineView wraps a static
-/// Engine. Holding one pins its structures, so queries against it answer
+/// {snap}, combined = its union); the shard router gathers one part per
+/// shard under its seqlock and builds their union; dyn::EngineView wraps a
+/// static Engine (its one part is its own union). Holding one pins its structures, so queries against it answer
 /// as of the gather, and never reach back into the backend. Answers match
 /// a fresh static Engine over the view's live set (the equivalence
 /// contract in dynamic_engine.h).
@@ -100,8 +108,7 @@ struct CombinedView {
   /// knobs. mc_stream_ids stays empty (each bucket engine samples under
   /// its own ids), so copying them into a view allocates nothing.
   Engine::Options options;
-  /// NonzeroNN stages and Monte-Carlo sample draws fan out here; null =
-  /// inline.
+  /// Monte-Carlo sample draws fan out here; null = inline.
   exec::ThreadPool* pool = nullptr;
 
   /// NN!=0(q) over the view, ascending ids (Lemma 2.1 semantics).
@@ -141,11 +148,21 @@ struct CombinedView {
   /// Engine over the live set applies.
   QuantifyPlan PlanForQuantify(std::optional<double> eps = std::nullopt) const;
 
-  /// Builds every structure Quantify(·, eps) may need (per-bucket
-  /// Monte-Carlo sample blocks and the union's tail samples), so a batch
+  /// Builds every structure Quantify(·, eps) may need (every bucket's
+  /// Monte-Carlo sample block, the tail buckets' included), so a batch
   /// fans out without contending on lazy construction.
   void Prewarm(std::optional<double> eps = std::nullopt) const;
 };
+
+/// The union of `parts` as the one snapshot a view's queries read: every
+/// part's live buckets and its tail bucket, shared, with the aggregates
+/// recombined by sum / max / min — exactly what one engine over the union
+/// would hold. The Merged* decompositions never assume the buckets came
+/// from one engine, so over this union they answer as a static engine over
+/// the parts' live set. With `answer_cache` the union gets a fresh
+/// AnswerCache, which lives exactly as long as the view that owns it.
+std::shared_ptr<const Snapshot> UnionSnapshot(
+    const std::vector<std::shared_ptr<const Snapshot>>& parts, bool answer_cache);
 
 /// A one-part view over a static engine: one bucket that borrows `engine`
 /// under ids 0..n-1, with no tombstones, no tail, no AnswerCache and no

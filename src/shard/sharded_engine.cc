@@ -5,9 +5,7 @@
 #include <thread>
 #include <utility>
 
-#include "src/dyn/answer_cache.h"
 #include "src/dyn/merge.h"
-#include "src/dyn/tail_cache.h"
 #include "src/util/check.h"
 
 namespace pnn {
@@ -18,47 +16,6 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 double Coord(Point2 p, int axis) { return axis == 0 ? p.x : p.y; }
-
-// The union of the shards' snapshots as one Snapshot: the buckets
-// concatenate (shared, zero-copy), the live tail entries gather into one
-// tail, and the aggregates recombine by sum / max / min — exactly what a
-// single engine over the union would publish. The Merged* decompositions
-// never assume the parts came from one engine, so feeding them this union
-// reproduces the single-engine answers bit-for-bit. The union gets its own
-// tail-sample cache: it lives exactly as long as the view that owns it,
-// which is the required per-publish invalidation.
-std::shared_ptr<const dyn::Snapshot> CombineSnapshots(
-    const std::vector<std::shared_ptr<const dyn::Snapshot>>& parts,
-    bool answer_cache) {
-  auto c = std::make_shared<dyn::Snapshot>();
-  auto tail = std::make_shared<std::vector<dyn::TailEntry>>();
-  for (const auto& s : parts) {
-    for (const auto& bref : s->buckets) {
-      if (bref.live_count > 0) c->buckets.push_back(bref);
-    }
-    if (s->tail != nullptr) {
-      for (size_t i = 0; i < s->tail->size(); ++i) {
-        if (s->TailAlive(i)) tail->push_back((*s->tail)[i]);
-      }
-    }
-    c->live_count += s->live_count;
-    c->discrete_count += s->discrete_count;
-    c->continuous_count += s->continuous_count;
-    c->total_complexity += s->total_complexity;
-    c->max_k = std::max(c->max_k, s->max_k);
-    c->wmin = std::min(c->wmin, s->wmin);
-    c->wmax = std::max(c->wmax, s->wmax);
-  }
-  if (!tail->empty()) c->tail_mc = std::make_shared<dyn::TailMcCache>();
-  // The union snapshot gets its own answer cache with the same lifecycle
-  // as its tail_mc: any shard's publish invalidates the view (pointer
-  // mismatch in View()), which retires this cache with it.
-  if (answer_cache && c->live_count > 0) {
-    c->answers = std::make_shared<dyn::AnswerCache>();
-  }
-  c->tail = std::move(tail);
-  return c;
-}
 
 }  // namespace
 
@@ -168,7 +125,7 @@ Id ShardedEngine::FinishRecovery(Id next_id_floor, const DuplicateResolver& reso
   for (uint32_t s = 0; s < shards_.size(); ++s) {
     std::shared_ptr<const dyn::Snapshot> snap = shards_[s]->snapshot();
     for (const dyn::LiveMember& m :
-         dyn::GatherLive(snap->buckets, snap->tail.get(), snap->tail_dead.get())) {
+         dyn::GatherLive(snap->buckets, snap->tail_bucket.get())) {
       live[s].push_back(m.id);
     }
     total += live[s].size();
@@ -283,7 +240,7 @@ std::shared_ptr<const CombinedView> ShardedEngine::View() const {
   }
   auto view = std::make_shared<CombinedView>();
   view->parts = Grab();
-  view->combined = CombineSnapshots(view->parts, options_.shard.answer_cache);
+  view->combined = dyn::UnionSnapshot(view->parts, options_.shard.answer_cache);
   view->options = options_.shard.engine;
   view->pool = options_.pool;
   std::atomic_store_explicit(&view_cache_, std::shared_ptr<const CombinedView>(view),

@@ -10,14 +10,14 @@
 //
 // Equivalence contract: ids are assigned globally (sequential from 0) and
 // passed through to the shards (dyn::DynamicEngine::InsertWithId), so the
-// union of the shards' snapshots is just a bigger buckets+tail partition
-// of the same live set a single DynamicEngine would hold. Every query
-// answers through the same pipeline a single DynamicEngine's view runs
-// (dyn::CombinedView, dyn/view_query.h), over a view with one part per
-// shard: NonzeroNN min-reduces the per-shard Lemma 2.1 bounds and reports
-// per shard against the global bound (both stages fanned out on the
-// exec::ThreadPool), and the quantifications recombine the union snapshot
-// through the exact per-part primitives of dyn/merge.h. The plan rule and
+// union of the shards' snapshots (dyn::UnionSnapshot, each shard's tail
+// bucket one more bucket) is just a bigger partition of the same live set
+// a single DynamicEngine would hold. Every query answers through the same
+// pipeline a single DynamicEngine's view runs (dyn::CombinedView,
+// dyn/view_query.h), over a view with one part per shard: NonzeroNN takes
+// the Lemma 2.1 bound as the min over the union's buckets and reports
+// every bucket against it, and the quantifications recombine the union
+// through the exact per-bucket primitives of dyn/merge.h. The plan rule and
 // Monte-Carlo round count are evaluated over the UNION's aggregates, so
 // answers bit-match a single DynamicEngine — and hence a fresh static
 // Engine — over the live set, regardless of shard count, placement, or
@@ -98,11 +98,10 @@ struct Options {
   /// engine seed in particular must coincide for cross-shard Monte-Carlo
   /// recombination); its pool must be null — set `pool` below instead.
   dyn::Options shard;
-  /// When set: per-shard maintenance runs here, NonzeroNN fans out across
-  /// shards, Monte-Carlo sample draws fan out, structure builds fork
-  /// per-subtree, and auto_rebalance may schedule background moves. Must
-  /// outlive the engine. When null, everything runs inline on the calling
-  /// thread. Query fan-out shares the pool with maintenance and rebalance
+  /// When set: per-shard maintenance runs here, Monte-Carlo sample draws
+  /// fan out, structure builds fork per-subtree, and auto_rebalance may
+  /// schedule background moves. Must outlive the engine. When null,
+  /// everything runs inline on the calling thread. Query fan-out shares the pool with maintenance and rebalance
   /// jobs; each shard's maintenance runs as sliced steps on its own
   /// dedicated lane (see exec::Lane), so one shard's compaction occupies
   /// at most one worker between parallel sections and cannot starve

@@ -340,7 +340,7 @@ util::Status StoreCore::Checkpoint(const dyn::Snapshot& snap, int64_t next_id,
       ins.type = LogRecordType::kInsert;
       ins.seqno = seq++;
       ins.id = (*intro.tail)[i].id;
-      ins.point = (*intro.tail)[i].point;
+      ins.point = *(*intro.tail)[i].point;
       AppendLogRecord(ins, &head);
     }
   }

@@ -216,12 +216,14 @@ TEST(AllocHotpath, ByteCountersTrackLiveAndPeak) {
   EXPECT_GE(util::PeakAllocatedBytes() - live_before, 1 << 20);
 }
 
-// The dynamic engine stores its live set once: in its buckets (and tail),
-// with no id -> point map beside them. A bulk-loaded engine is one bucket,
-// whose static engine is built exactly like a standalone Engine over the
-// same points; what the dynamic engine holds beyond that (its bucket's
-// stream ids, the aggregate multisets, one snapshot) must stay below the
-// bytes of one more copy of the points.
+// The dynamic engine stores its live set once: in its buckets, with no
+// id -> point map beside them (only its few tail points, fewer than
+// tail_limit, sit both in the writer's tail and in the published tail
+// bucket). A bulk-loaded engine is one bucket and an empty tail, whose
+// static engine is built exactly like a standalone Engine over the same
+// points; what the dynamic engine holds beyond that (its bucket's stream
+// ids, the aggregates' value -> count maps, one snapshot and its union)
+// must stay below the bytes of one more copy of the points.
 TEST(AllocHotpath, DynamicEngineHoldsEachPointOnce) {
   Rng rng(517);
   UncertainSet points;

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "src/dyn/merge.h"
-#include "src/dyn/tail_cache.h"
 #include "src/exec/thread_pool.h"
 #include "src/workload/generators.h"
 
@@ -203,11 +202,11 @@ UncertainPoint Loc(double x, double y) {
 }
 
 // Regression tests for the Merged* degenerate-snapshot edges: an empty
-// snapshot, or one where every bucket and tail entry is tombstoned, must
+// snapshot, or one where every bucket is tombstoned, must
 // yield empty results from every recombination — not a degenerate infinite
 // Delta report, a stream over dead parts, or a tripped all-discrete check.
 TEST(MergedEdges, DefaultSnapshotAnswersEmpty) {
-  Snapshot snap;  // No parts at all; tail pointer never published.
+  Snapshot snap;  // No buckets at all.
   Point2 q{0, 0};
   EXPECT_TRUE(MergedNonzeroNN(snap, q).empty());
   EXPECT_TRUE(MergedSpiralQuantify(snap, q, 0.1).empty());
@@ -219,19 +218,22 @@ TEST(MergedEdges, DefaultSnapshotAnswersEmpty) {
 }
 
 TEST(MergedEdges, AllTombstonedPartsAnswerEmpty) {
-  // Hand-build a snapshot whose only bucket and only tail entry are both
-  // dead — live_count 0 with non-empty parts, the shape a snapshot has
-  // right after the last erase and before compaction.
+  // Hand-build a snapshot whose two buckets are both wholly dead — an
+  // indexed one and an index-free one of the kind a live tail becomes —
+  // live_count 0 with non-empty parts, the shape a snapshot has right
+  // after the last erase and before compaction.
   Engine::Options eopt;
   auto bucket = std::make_shared<const Bucket>(
       std::vector<Id>{0, 1}, UncertainSet{Loc(0, 0), Loc(4, 0)}, eopt);
+  Engine::Options tail_opt = eopt;
+  tail_opt.mc_stream_ids = {2};
+  auto tail = std::make_shared<const Bucket>(std::make_shared<const Engine>(
+      UncertainSet{Loc(8, 0)}, tail_opt, Engine::NoIndex{}));
   Snapshot snap;
   snap.buckets.push_back(
       {bucket, std::make_shared<const std::vector<char>>(std::vector<char>{1, 1}), 0});
-  snap.tail = std::make_shared<const std::vector<TailEntry>>(
-      std::vector<TailEntry>{{2, Loc(8, 0)}});
-  snap.tail_dead =
-      std::make_shared<const std::vector<char>>(std::vector<char>{1});
+  snap.buckets.push_back(
+      {tail, std::make_shared<const std::vector<char>>(std::vector<char>{1}), 0});
   snap.live_count = 0;
 
   Point2 q{1, 1};
@@ -242,35 +244,6 @@ TEST(MergedEdges, AllTombstonedPartsAnswerEmpty) {
   EXPECT_TRUE(SnapshotLiveSet(snap, nullptr).empty());
   EXPECT_EQ(SnapshotNonzeroDelta(snap, q),
             std::numeric_limits<double>::infinity());
-}
-
-TEST(MergedEdges, HandBuiltTailWithoutCacheMatchesCachedTail) {
-  // A hand-built snapshot with live tail entries but no tail_mc samples the
-  // tail through a query-local cache: the answer must be bit-identical to
-  // the same snapshot with a cache attached, as the publishers build it.
-  Engine::Options eopt;
-  auto bucket = std::make_shared<const Bucket>(
-      std::vector<Id>{0, 1, 2}, UncertainSet{Loc(0, 0), Loc(1, 0), Loc(0, 1)}, eopt);
-  Snapshot snap;
-  snap.buckets.push_back({bucket, nullptr, 3});
-  snap.tail = std::make_shared<const std::vector<TailEntry>>(std::vector<TailEntry>{
-      {5, Loc(1, 1)}, {3, Loc(0.5, 0.5)}, {4, UncertainPoint::UniformDisk({1, 0.5}, 1)}});
-  snap.tail_dead = std::make_shared<const std::vector<char>>(std::vector<char>{0, 1, 0});
-  snap.live_count = 5;
-
-  Point2 q{0.6, 0.4};
-  std::vector<Quantification> local = MergedMonteCarloQuantify(snap, q, 64, 9, nullptr);
-  snap.tail_mc = std::make_shared<TailMcCache>();
-  std::vector<Quantification> cached = MergedMonteCarloQuantify(snap, q, 64, 9, nullptr);
-  ASSERT_EQ(local.size(), cached.size());
-  bool tail_won = false;
-  for (size_t i = 0; i < local.size(); ++i) {
-    EXPECT_EQ(local[i].index, cached[i].index);
-    EXPECT_EQ(local[i].probability, cached[i].probability);
-    EXPECT_NE(local[i].index, 3);  // Tombstoned tail entry.
-    tail_won |= local[i].index >= 4;
-  }
-  EXPECT_TRUE(tail_won);
 }
 
 TEST(MergedEdges, WholeBucketMatchesGeneralMerge) {

@@ -332,6 +332,42 @@ TEST(StoreRecovery, ChurnThenReopenIsBitIdentical) {
   EXPECT_GT(next, acked.back());
 }
 
+TEST(StoreRecovery, LiveTailIsLoggedNotSegmented) {
+  // The live tail is published as one more (index-free) bucket, but it is
+  // not part of the bucket set the store serializes: fewer than tail_limit
+  // inserts write no segment and start no checkpoint. An explicit
+  // checkpoint then re-describes the tail as delta inserts — no segment —
+  // and a reopen replays exactly those into the same live set.
+  std::string dir = FreshDir("store_tail_only");
+  ShardedStore::Options options = FastOptions();
+  options.sharded.shard.tail_limit = 16;
+  std::vector<dyn::Id> acked;
+  {
+    auto store = ShardedStore::Open(dir, options);
+    Stats opened = store->stats()[0];
+    Rng rng(71);
+    for (int i = 0; i < 10; ++i) acked.push_back(store->Insert(RichPoint(&rng)).value());
+    ASSERT_TRUE(store->Erase(acked[3]).value());
+    acked.erase(acked.begin() + 3);
+    Stats churned = store->stats()[0];
+    EXPECT_EQ(churned.segments_written, opened.segments_written);
+    EXPECT_EQ(churned.checkpoints, opened.checkpoints);
+    ASSERT_EQ(store->engine().ShardSnapshot(0)->buckets.size(), 0u);
+    ASSERT_NE(store->engine().ShardSnapshot(0)->tail_bucket, nullptr);
+
+    ASSERT_TRUE(store->Checkpoint().ok());
+    Stats checkpointed = store->stats()[0];
+    EXPECT_EQ(checkpointed.segments_written, opened.segments_written);
+    EXPECT_EQ(checkpointed.checkpoints, opened.checkpoints + 1);
+  }
+  auto reopened = ShardedStore::Open(dir, options);
+  EXPECT_EQ(reopened->stats()[0].recovered_buckets, 0u);
+  // Nine delta inserts, not the eleven logged ops.
+  EXPECT_EQ(reopened->stats()[0].recovered_ops, acked.size());
+  EXPECT_EQ(LiveIds(reopened->engine()), acked);
+  ExpectBitIdenticalToReference(reopened->engine(), 404, 10);
+}
+
 TEST(StoreRecovery, StoreLogTruncatedAtEveryByte) {
   // Build a store whose log holds the full op history (tail_limit high:
   // no rotation), then recover from the image truncated at every byte.
