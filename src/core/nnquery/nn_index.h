@@ -90,8 +90,8 @@ class DiscreteNonzeroNNIndex {
   explicit DiscreteNonzeroNNIndex(const std::vector<std::vector<Point2>>& points,
                                   const KdBuildOptions& build = KdBuildOptions());
 
-  /// Assembly from built or adopted trees — EngineBuilder's staged path
-  /// and the durable store's recovery path, so no kd construction runs
+  /// Assembly from built or adopted trees — the Engine constructor and
+  /// the durable store's recovery path, so no kd construction runs
   /// here. Point i's convex hull is `hull_points[hull_begin[i],
   /// hull_begin[i + 1])`; `hull_begin` (n + 1 offsets) and the centroid
   /// tree are parallel to the uncertain points. The location tree

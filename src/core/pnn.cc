@@ -11,13 +11,72 @@
 
 namespace pnn {
 
-Engine::Engine(UncertainSet points, Options options) {
-  // One construction path for everyone: the monolithic constructor is the
-  // staged builder run to completion in place (chunk 0 = one pass per
-  // stage), so the sliced maintenance builds cannot drift from it.
-  EngineBuilder builder(std::move(points), std::move(options), 0);
-  while (!builder.done()) builder.Step();
-  builder.FinishInto(this);
+Engine::Engine(UncertainSet points, Options options)
+    : Engine(std::move(points), std::move(options), NoIndex{}) {
+  KdBuildOptions kd_build{options_.build_pool, options_.build_parallel_cutoff,
+                          options_.kd_leaf_size};
+  if (agg_.all_continuous()) {
+    std::vector<Circle> disks;
+    disks.reserve(points_.size());
+    for (const UncertainPoint& p : points_) disks.push_back(p.disk().support);
+    disk_index_ = std::make_unique<NonzeroNNIndex>(disks, kd_build);
+    return;
+  }
+  if (!agg_.all_discrete()) return;  // Mixed inputs: brute-force queries.
+
+  // Reserve the final sizes up front: the gathered arrays are the
+  // structures' storage or their kd builds' input, so growth never doubles
+  // mid-build and the transient overhead stays one hull of scratch. A hull
+  // has at most its point's locations, so total_complexity bounds the hull
+  // vertices.
+  std::vector<Point2> hull_points;  // Every hull, point by point.
+  std::vector<int> hull_begin;      // n + 1 offsets into hull_points.
+  std::vector<Point2> centroids;
+  std::vector<int> counts;
+  std::vector<Point2> locations;  // The shared location tree's input.
+  std::vector<int> owners;
+  std::vector<double> location_weights;
+  hull_points.reserve(agg_.total_complexity);
+  hull_begin.reserve(points_.size() + 1);
+  hull_begin.push_back(0);
+  centroids.reserve(points_.size());
+  counts.reserve(points_.size());
+  locations.reserve(agg_.total_complexity);
+  owners.reserve(agg_.total_complexity);
+  location_weights.reserve(agg_.total_complexity);
+  for (size_t i = 0; i < points_.size(); ++i) {
+    const auto& d = points_[i].discrete();
+    PNN_CHECK_MSG(!d.locations.empty(), "uncertain point with no locations");
+    // Same arithmetic (and order) as the scanning constructors of
+    // DiscreteNonzeroNNIndex and SpiralSearchPNN, so the assembled
+    // structures are bit-identical to theirs.
+    std::vector<Point2> hull = ConvexHull(d.locations);
+    hull_points.insert(hull_points.end(), hull.begin(), hull.end());
+    hull_begin.push_back(static_cast<int>(hull_points.size()));
+    Point2 c{0, 0};
+    for (Point2 p : d.locations) c = c + p;
+    centroids.push_back(c / static_cast<double>(d.locations.size()));
+    counts.push_back(static_cast<int>(d.locations.size()));
+    for (size_t s = 0; s < d.locations.size(); ++s) {
+      locations.push_back(d.locations[s]);
+      owners.push_back(static_cast<int>(i));
+      location_weights.push_back(d.weights[s]);
+    }
+  }
+  KdTree centroid_tree(std::move(centroids), std::vector<double>(), Metric::kEuclidean,
+                       kd_build);
+  // One location tree and one owners array, shared by the stage-2 report
+  // and the spiral.
+  auto location_tree = std::make_shared<const KdTree>(
+      std::move(locations), std::vector<double>(), Metric::kEuclidean, kd_build);
+  auto shared_owners = std::make_shared<const std::vector<int>>(std::move(owners));
+  spiral_ = std::make_unique<SpiralSearchPNN>(location_tree, shared_owners,
+                                              std::move(location_weights),
+                                              std::move(counts), agg_.max_k, agg_.rho());
+  hull_points.shrink_to_fit();  // Collinear or interior locations.
+  discrete_index_ = std::make_unique<DiscreteNonzeroNNIndex>(
+      std::move(hull_points), std::move(hull_begin), std::move(centroid_tree),
+      std::move(location_tree), std::move(shared_owners));
 }
 
 Engine::Engine(UncertainSet points, Options options, NoIndex)
@@ -72,134 +131,6 @@ std::unique_ptr<Engine> Engine::FromParts(UncertainSet points, Options options,
   e->disk_index_ = std::move(parts.disk_index);
   e->discrete_index_ = std::move(parts.discrete_index);
   e->spiral_ = std::move(parts.spiral);
-  return e;
-}
-
-EngineBuilder::EngineBuilder(UncertainSet points, Engine::Options options,
-                             size_t chunk)
-    : chunk_(chunk), points_(std::move(points)), options_(std::move(options)) {
-  PNN_CHECK_MSG(!points_.empty(), "Engine needs at least one uncertain point");
-  Engine::CheckOptions(options_, points_.size());
-}
-
-EngineBuilder::~EngineBuilder() = default;
-
-size_t EngineBuilder::ChunkEnd() const {
-  return chunk_ == 0 ? points_.size() : std::min(points_.size(), cursor_ + chunk_);
-}
-
-void EngineBuilder::Step() {
-  PNN_CHECK_MSG(stage_ != Stage::kReady, "Step() after done()");
-  KdBuildOptions kd_build{options_.build_pool, options_.build_parallel_cutoff,
-                          options_.kd_leaf_size};
-  switch (stage_) {
-    case Stage::kScan: {
-      for (size_t end = ChunkEnd(); cursor_ < end; ++cursor_) agg_.Add(points_[cursor_]);
-      if (cursor_ == points_.size()) {
-        cursor_ = 0;
-        if (agg_.all_continuous()) {
-          disks_.reserve(points_.size());
-          stage_ = Stage::kGatherContinuous;
-        } else if (agg_.all_discrete()) {
-          // Reserve the final sizes up front: the gathered arrays are the
-          // structures' storage or their kd builds' input, so growth never
-          // doubles mid-build and the transient overhead stays one hull of
-          // scratch. A hull has at most its point's locations, so
-          // total_complexity bounds the hull vertices.
-          hull_points_.reserve(agg_.total_complexity);
-          hull_begin_.reserve(points_.size() + 1);
-          hull_begin_.push_back(0);
-          centroids_.reserve(points_.size());
-          counts_.reserve(points_.size());
-          locations_.reserve(agg_.total_complexity);
-          owners_.reserve(agg_.total_complexity);
-          location_weights_.reserve(agg_.total_complexity);
-          stage_ = Stage::kGatherDiscrete;
-        } else {
-          stage_ = Stage::kReady;  // Mixed inputs: brute-force queries.
-        }
-      }
-      break;
-    }
-    case Stage::kGatherContinuous: {
-      for (size_t end = ChunkEnd(); cursor_ < end; ++cursor_) {
-        disks_.push_back(points_[cursor_].disk().support);
-      }
-      if (cursor_ == points_.size()) {
-        cursor_ = 0;
-        stage_ = Stage::kBuildDiskIndex;
-      }
-      break;
-    }
-    case Stage::kBuildDiskIndex: {
-      disk_index_ = std::make_unique<NonzeroNNIndex>(disks_, kd_build);
-      std::vector<Circle>().swap(disks_);
-      stage_ = Stage::kReady;
-      break;
-    }
-    case Stage::kGatherDiscrete: {
-      for (size_t end = ChunkEnd(); cursor_ < end; ++cursor_) {
-        const auto& d = points_[cursor_].discrete();
-        PNN_CHECK_MSG(!d.locations.empty(), "uncertain point with no locations");
-        // Same arithmetic (and order) as the scanning constructors of
-        // DiscreteNonzeroNNIndex and SpiralSearchPNN, so the assembled
-        // structures are bit-identical to theirs.
-        std::vector<Point2> hull = ConvexHull(d.locations);
-        hull_points_.insert(hull_points_.end(), hull.begin(), hull.end());
-        hull_begin_.push_back(static_cast<int>(hull_points_.size()));
-        Point2 c{0, 0};
-        for (Point2 p : d.locations) c = c + p;
-        centroids_.push_back(c / static_cast<double>(d.locations.size()));
-        counts_.push_back(static_cast<int>(d.locations.size()));
-        int owner = static_cast<int>(cursor_);
-        for (size_t s = 0; s < d.locations.size(); ++s) {
-          locations_.push_back(d.locations[s]);
-          owners_.push_back(owner);
-          location_weights_.push_back(d.weights[s]);
-        }
-      }
-      if (cursor_ == points_.size()) {
-        cursor_ = 0;
-        stage_ = Stage::kBuildDiscreteIndex;
-      }
-      break;
-    }
-    case Stage::kBuildDiscreteIndex: {
-      KdTree centroid_tree(std::move(centroids_), std::vector<double>(),
-                           Metric::kEuclidean, kd_build);
-      // One location tree and one owners array, shared by the stage-2
-      // report and the spiral.
-      auto location_tree = std::make_shared<const KdTree>(
-          std::move(locations_), std::vector<double>(), Metric::kEuclidean, kd_build);
-      auto owners = std::make_shared<const std::vector<int>>(std::move(owners_));
-      spiral_ = std::make_unique<SpiralSearchPNN>(
-          location_tree, owners, std::move(location_weights_), std::move(counts_),
-          agg_.max_k, agg_.rho());
-      hull_points_.shrink_to_fit();  // Collinear or interior locations.
-      discrete_index_ = std::make_unique<DiscreteNonzeroNNIndex>(
-          std::move(hull_points_), std::move(hull_begin_), std::move(centroid_tree),
-          std::move(location_tree), std::move(owners));
-      stage_ = Stage::kReady;
-      break;
-    }
-    case Stage::kReady:
-      break;
-  }
-}
-
-void EngineBuilder::FinishInto(Engine* e) {
-  PNN_CHECK_MSG(done(), "FinishInto before the build finished");
-  e->points_ = std::move(points_);
-  e->options_ = std::move(options_);
-  e->agg_ = agg_;
-  e->disk_index_ = std::move(disk_index_);
-  e->discrete_index_ = std::move(discrete_index_);
-  e->spiral_ = std::move(spiral_);
-}
-
-std::unique_ptr<Engine> EngineBuilder::Finish() {
-  std::unique_ptr<Engine> e(new Engine());
-  FinishInto(e.get());
   return e;
 }
 
@@ -282,31 +213,19 @@ std::shared_ptr<const McSamples> Engine::EnsureRounds(size_t rounds,
   // Rows are independent, so chunks of them fan out; a chunk draws a few
   // thousand samples, enough to amortize a task.
   const size_t chunk = std::max<size_t>(1, 4096 / std::max<size_t>(1, rounds));
+  const std::vector<uint64_t>& ids = options_.mc_stream_ids;
   auto draw = [&](size_t c) {
-    DrawRounds(cur.get(), c * chunk, std::min(points_.size(), (c + 1) * chunk),
-               next.get());
+    for (size_t j = c * chunk, end = std::min(points_.size(), (c + 1) * chunk); j < end;
+         ++j) {
+      FillMcRow(points_[j], options_.seed, ids.empty() ? j : ids[j], cur.get(), j,
+                next.get());
+    }
   };
   exec::MaybeParallelFor(pool != nullptr ? pool : options_.build_pool,
                          (points_.size() + chunk - 1) / chunk, draw);
   std::atomic_store_explicit(&rounds_, std::shared_ptr<const McSamples>(next),
                              std::memory_order_release);
   return next;
-}
-
-void Engine::DrawRounds(const McSamples* prev, size_t begin, size_t end,
-                        McSamples* block) const {
-  const std::vector<uint64_t>& ids = options_.mc_stream_ids;
-  for (size_t j = begin; j < end; ++j) {
-    FillMcRow(points_[j], options_.seed, ids.empty() ? j : ids[j], prev, j, block);
-  }
-}
-
-void Engine::AdoptRounds(std::shared_ptr<const McSamples> block) const {
-  PNN_CHECK(block->xs.size() == points_.size() * block->rounds);
-  std::lock_guard<std::mutex> lock(lazy_mu_);
-  auto cur = std::atomic_load_explicit(&rounds_, std::memory_order_acquire);
-  if (cur && cur->rounds >= block->rounds) return;
-  std::atomic_store_explicit(&rounds_, std::move(block), std::memory_order_release);
 }
 
 std::shared_ptr<const ExpectedNNIndex> Engine::EnsureExpectedNN() const {

@@ -79,7 +79,16 @@ class Engine {
   };
 
   /// Construction validates Options (CheckOptions) instead of producing
-  /// nonsense plans later.
+  /// nonsense plans later, scans the points for their aggregates, then
+  /// builds the indexes the constructor's rule picks (see Parts): the disk
+  /// tree of an all-continuous set, or the centroid and location trees of
+  /// an all-discrete one, whose one location tree and owners array the
+  /// NN!=0 index and the spiral share; a mixed set builds none. The kd
+  /// builds fork per-subtree on options.build_pool. The gathered arrays are
+  /// reserved once and moved into the indexes (as their storage, or as a
+  /// kd build's input that the tree frees once it holds its points in leaf
+  /// order), so a build's transient memory stays below a copy of the set
+  /// plus the structure (asserted in tests/alloc_hotpath_test.cc).
   explicit Engine(UncertainSet points) : Engine(std::move(points), Options()) {}
   Engine(UncertainSet points, Options options);
 
@@ -182,17 +191,6 @@ class Engine {
   std::shared_ptr<const McSamples> EnsureRounds(size_t rounds,
                                                 exec::ThreadPool* pool = nullptr) const;
 
-  /// Fills rows [begin, end) of `block` (block->rounds samples per row, one
-  /// row per point) as EnsureRounds does, copying the rounds `prev` holds
-  /// (a shorter block of this engine's, or null). With AdoptRounds this
-  /// builds a block in bounded steps (the dynamic engine's chunked prewarm).
-  void DrawRounds(const McSamples* prev, size_t begin, size_t end,
-                  McSamples* block) const;
-
-  /// Installs `block`, whose every row DrawRounds filled, as the sample
-  /// cache unless the cache already holds as many rounds.
-  void AdoptRounds(std::shared_ptr<const McSamples> block) const;
-
   /// Samples per point in the sample cache (0 until a Monte-Carlo query or
   /// Prewarm).
   size_t MonteCarloRounds() const;
@@ -216,8 +214,7 @@ class Engine {
   }
 
  private:
-  friend class EngineBuilder;
-  /// Shell for EngineBuilder::Finish/FinishInto to assemble into.
+  /// Shell for FromParts to assemble into.
   Engine() = default;
 
   /// Monte-Carlo rounds at this eps over the engine's aggregates.
@@ -251,85 +248,6 @@ double ResolveEps(const Engine::Options& options, std::optional<double> eps);
 /// dyn::PlanForSnapshot both decide through it.
 QuantifyPlan PlanQuantify(const SetAggregates& agg, const Engine::Options& options,
                           double eps);
-
-/// Staged Engine construction for the dynamic layer's sliced maintenance
-/// builds: performs exactly the work of the Engine constructor, but split
-/// into bounded Step() calls so a background build can yield between
-/// chunks (the caller hops through its pool lane) instead of holding a
-/// worker for the whole build. Stages: one pass over the points in
-/// `chunk`-sized units (aggregates, then per-point gathering — hulls,
-/// centroids, flattened locations), then one Step per index — the disk
-/// tree, or the centroid and location trees — whose kd builds fan out
-/// per-subtree on options.build_pool. An all-discrete engine builds its
-/// location tree once and shares it between DiscreteNonzeroNNIndex and
-/// SpiralSearchPNN. The finished engine is indistinguishable from
-/// Engine(points, options) — the Engine constructor itself routes through
-/// a run-to-completion builder.
-///
-/// Transient memory: the staged arrays are reserved once and moved into
-/// the indexes — as their storage, or as a kd build's scratch that the
-/// tree frees once it holds the points in leaf order — so a build's
-/// overhead beyond the finished structure stays bounded by one chunk of
-/// gathering plus kd scratch — not a second copy of the set (asserted
-/// with the alloc-hook peak counter in bench_build_latency).
-///
-/// Not thread-safe; drive Step() from one thread (or lane) at a time.
-class EngineBuilder {
- public:
-  /// `chunk` caps the points processed per scanning/gathering Step; 0
-  /// means unbounded (each stage completes in one Step).
-  EngineBuilder(UncertainSet points, Engine::Options options, size_t chunk = 0);
-  ~EngineBuilder();
-
-  EngineBuilder(const EngineBuilder&) = delete;
-  EngineBuilder& operator=(const EngineBuilder&) = delete;
-
-  /// True once every construction stage has run; Step() must not be
-  /// called afterwards.
-  bool done() const { return stage_ == Stage::kReady; }
-
-  /// Performs one bounded unit of construction work.
-  void Step();
-
-  /// Moves the finished engine out (requires done()).
-  std::unique_ptr<Engine> Finish();
-
- private:
-  enum class Stage {
-    kScan,                // SetAggregates, chunked.
-    kGatherContinuous,    // Disk list, chunked.
-    kBuildDiskIndex,      // One kd build (pool-parallel).
-    kGatherDiscrete,      // Hulls, centroids, flattened locations, chunked.
-    kBuildDiscreteIndex,  // Two kd builds (pool-parallel), spiral shares one.
-    kReady,
-  };
-
-  void FinishInto(Engine* e);
-  size_t ChunkEnd() const;
-
-  friend class Engine;  // Engine's own constructor runs a builder inline.
-
-  Stage stage_ = Stage::kScan;
-  size_t cursor_ = 0;
-  size_t chunk_ = 0;
-  UncertainSet points_;
-  Engine::Options options_;
-  SetAggregates agg_;
-
-  // Staging for the index parts (moved into the structures when built).
-  std::vector<Circle> disks_;
-  std::vector<Point2> hull_points_;  // Every hull, point by point.
-  std::vector<int> hull_begin_;      // n + 1 offsets into hull_points_.
-  std::vector<Point2> centroids_;
-  std::vector<Point2> locations_;  // The shared location tree's input.
-  std::vector<int> owners_;
-  std::vector<double> location_weights_;
-  std::vector<int> counts_;
-
-  std::unique_ptr<NonzeroNNIndex> disk_index_;
-  std::unique_ptr<DiscreteNonzeroNNIndex> discrete_index_;
-  std::unique_ptr<SpiralSearchPNN> spiral_;
-};
 
 }  // namespace pnn
 

@@ -24,8 +24,8 @@ class SpiralSearchPNN {
   explicit SpiralSearchPNN(const UncertainSet& points,
                            const KdBuildOptions& build = KdBuildOptions());
 
-  /// Assembly from a built or adopted location tree — EngineBuilder's
-  /// staged path and the durable store's recovery path, so no kd
+  /// Assembly from a built or adopted location tree — the Engine
+  /// constructor and the durable store's recovery path, so no kd
   /// construction runs here. `tree` is the unweighted Euclidean tree over
   /// the flattened location list in point order; `owners`/`weights`
   /// parallel it (the tree and `owners` are shared with the engine's

@@ -32,14 +32,6 @@ Bucket::Bucket(std::shared_ptr<const Engine> engine, bool by_index)
   PNN_CHECK_MSG(std::is_sorted(ids.begin(), ids.end()), "bucket ids must ascend");
 }
 
-SlicedBucketBuilder::SlicedBucketBuilder(const std::vector<Id>& ids, UncertainSet points,
-                                         Engine::Options options, size_t chunk)
-    : builder_(std::move(points), SampledById(std::move(options), ids), chunk) {}
-
-std::shared_ptr<const Bucket> SlicedBucketBuilder::Finish() {
-  return std::make_shared<const Bucket>(builder_.Finish());
-}
-
 int Bucket::LocalIndex(Id id) const {
   if (ids_ == nullptr) return id >= 0 && static_cast<size_t>(id) < size() ? id : -1;
   const uint64_t* end = ids_ + size();

@@ -32,12 +32,12 @@ class Bucket {
   /// bucket engine's mc_stream_ids become `ids`, the one copy id() reads.
   Bucket(const std::vector<Id>& ids, UncertainSet points, Engine::Options options);
 
-  /// Adoption form: wraps an engine built elsewhere (SlicedBucketBuilder's
-  /// bounded steps, a loaded segment) whose mc_stream_ids are the
-  /// bucket's ascending ids. With `by_index` the bucket names the points
-  /// by index instead, whatever stream ids the engine samples under: a
-  /// static engine's one-part view (dyn::EngineView), which borrows the
-  /// engine (a no-op deleter), so the engine must outlive every call.
+  /// Adoption form: wraps an engine built elsewhere (a loaded segment, the
+  /// live tail's index-free engine) whose mc_stream_ids are the bucket's
+  /// ascending ids. With `by_index` the bucket names the points by index
+  /// instead, whatever stream ids the engine samples under: a static
+  /// engine's one-part view (dyn::EngineView), which borrows the engine (a
+  /// no-op deleter), so the engine must outlive every call.
   explicit Bucket(std::shared_ptr<const Engine> engine, bool by_index = false);
 
   /// The stable id of local point `local`.
@@ -55,26 +55,6 @@ class Bucket {
   std::shared_ptr<const Engine> engine_;  // Never null.
   // engine_'s mc_stream_ids, or null when the bucket names points by index.
   const uint64_t* ids_;
-};
-
-/// Builds a Bucket in bounded steps — the sliced-compaction unit of the
-/// dynamic engine's maintenance. Wraps EngineBuilder (each Step is at most
-/// ~chunk points of gathering, or one kd build fanning out per-subtree on
-/// the engine options' build_pool) and assembles the Bucket at Finish.
-/// The produced bucket is identical to Bucket(ids, points, options).
-class SlicedBucketBuilder {
- public:
-  /// Same preconditions as the Bucket constructor. chunk = 0 builds in
-  /// one Step per stage.
-  SlicedBucketBuilder(const std::vector<Id>& ids, UncertainSet points,
-                      Engine::Options options, size_t chunk);
-
-  bool done() const { return builder_.done(); }
-  void Step() { builder_.Step(); }
-  std::shared_ptr<const Bucket> Finish();
-
- private:
-  EngineBuilder builder_;
 };
 
 }  // namespace dyn

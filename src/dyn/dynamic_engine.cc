@@ -68,24 +68,10 @@ struct DynamicEngine::MaintenancePlan {
   UncertainSet points;           // Parallel to ids.
 };
 
-// One in-flight maintenance build, advanced a bounded step at a time by
-// MaintenanceStep: the gathered plan, the sliced bucket builder consuming
-// it, then the built bucket and its pre-splice prewarm progress.
-struct DynamicEngine::BuildJob {
-  MaintenancePlan plan;  // points are moved into the builder at creation.
-  std::unique_ptr<SlicedBucketBuilder> builder;
-  std::shared_ptr<const Bucket> built;
-  // The built bucket's Monte-Carlo sample block, drawn pre-splice.
-  std::shared_ptr<McSamples> prewarm;
-  size_t prewarm_done = 0;  // Rows drawn so far.
-};
-
 DynamicEngine::DynamicEngine(Options options) : options_(std::move(options)) {
   PNN_CHECK_MSG(options_.tail_limit >= 1, "tail_limit must be >= 1");
   PNN_CHECK_MSG(options_.max_dead_fraction > 0 && options_.max_dead_fraction < 1,
                 "max_dead_fraction must be in (0,1)");
-  PNN_CHECK_MSG(options_.maintenance_lane == nullptr || options_.pool != nullptr,
-                "maintenance_lane requires a pool");
   // Bucket kd builds fork per-subtree across the maintenance pool unless
   // the caller picked a dedicated build pool.
   if (options_.engine.build_pool == nullptr) {
@@ -380,28 +366,11 @@ void DynamicEngine::MaybeStartMaintenanceLocked(std::unique_lock<std::mutex>& lo
   if (maintenance_running_ || !MaintenanceNeededLocked()) return;
   maintenance_running_ = true;
   if (options_.pool != nullptr) {
-    ScheduleMaintenanceHop();
+    options_.pool->Submit([this] { MaintenanceLoop(); });
   } else {
     lock.unlock();
     MaintenanceLoop();
   }
-}
-
-void DynamicEngine::ScheduleMaintenanceHop() {
-  if (options_.maintenance_lane != nullptr) {
-    options_.maintenance_lane->Submit([this] { MaintenanceChain(); });
-  } else {
-    options_.pool->Submit([this] { MaintenanceChain(); });
-  }
-}
-
-void DynamicEngine::MaintenanceChain() {
-  // One bounded step per hop: between steps the job goes back through the
-  // lane (or pool) queues, so queries fanning out on the pool and other
-  // engines' maintenance interleave with a long build instead of waiting
-  // out a monolithic one. When the step below returns false the engine
-  // may be destroyed by a racing destructor — touch nothing after it.
-  if (MaintenanceStep()) ScheduleMaintenanceHop();
 }
 
 DynamicEngine::MaintenancePlan DynamicEngine::DecidePlanLocked() {
@@ -481,84 +450,46 @@ void DynamicEngine::SpliceLocked(const MaintenancePlan& plan,
 }
 
 void DynamicEngine::MaintenanceLoop() {
-  while (MaintenanceStep()) {
-  }
-}
-
-bool DynamicEngine::MaintenanceStep() {
-  if (job_ == nullptr) {
-    // Decide (or finish): cheap, under the lock.
-    std::lock_guard<std::mutex> lock(mu_);
-    MaintenancePlan plan = DecidePlanLocked();
-    if (!plan.any) {
-      maintenance_running_ = false;
-      cv_.notify_all();
-      return false;
-    }
-    job_ = std::make_unique<BuildJob>();
-    job_->plan = std::move(plan);
-    if (!job_->plan.ids.empty()) {
-      // The gathered ids and points move into the builder, whose staging
-      // arrays become the finished structures' own storage — transient
-      // build memory stays (gathered live set + one chunk), not a second
-      // copy. The splice only reads plan.absorbed/frozen_tail.
-      job_->builder = std::make_unique<SlicedBucketBuilder>(
-          std::move(job_->plan.ids), std::move(job_->plan.points), options_.engine,
-          options_.build_chunk);
-    }
-    return true;
-  }
-
-  BuildJob& job = *job_;
-  if (job.builder != nullptr && !job.builder->done()) {
-    // Build outside the lock: updates and queries proceed against the old
-    // snapshot; erases landing meanwhile are logged and folded in at the
-    // splice.
-    job.builder->Step();
-    return true;
-  }
-  if (job.builder != nullptr) {
-    job.built = job.builder->Finish();
-    job.builder.reset();
-    if (options_.prewarm_after_build) {
-      // Warm the new bucket before it is published, so the first query
-      // against it never pays the lazy Monte-Carlo construction. A merge
-      // preserves the live set, so the pre-splice aggregates give the same
-      // plan and round count the post-splice snapshot will.
-      auto snap = snapshot();
-      double eps = options_.engine.default_eps;
-      if (snap->live_count > 0 &&
-          PlanForSnapshot(*snap, options_.engine, eps) == QuantifyPlan::kMonteCarlo) {
-        job.prewarm = std::make_shared<McSamples>(
-            job.built->size(), McRoundsForSnapshot(*snap, options_.engine, eps));
+  for (;;) {
+    MaintenancePlan plan;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      plan = DecidePlanLocked();
+      if (!plan.any) {
+        maintenance_running_ = false;
+        cv_.notify_all();
+        return;
       }
     }
-    return true;
-  }
-  if (job.prewarm != nullptr) {
-    // Chunked prewarm: each step draws the rows of about one build_chunk's
-    // worth of samples; the finished block becomes the bucket's cache.
-    const Engine& e = job.built->engine();
-    size_t end = job.built->size();
-    if (options_.build_chunk > 0) {
-      size_t per = std::max<size_t>(1, options_.build_chunk / job.prewarm->rounds);
-      end = std::min(end, job.prewarm_done + per);
+    // Build outside the lock: updates and queries proceed against the old
+    // snapshot; erases landing meanwhile are logged and folded in at the
+    // splice. The gathered points move into the new engine as its own
+    // storage, so the transient is not a second copy of the live set.
+    std::shared_ptr<const Bucket> built;
+    if (!plan.ids.empty()) {
+      built = std::make_shared<const Bucket>(plan.ids, std::move(plan.points),
+                                             options_.engine);
+      if (options_.prewarm_after_build) {
+        // Warm the new bucket before it is published, so the first query
+        // against it never pays the lazy Monte-Carlo construction. A merge
+        // preserves the live set, so the pre-splice aggregates give the
+        // same plan and round count the post-splice snapshot will.
+        std::shared_ptr<const Snapshot> snap = snapshot();
+        double eps = options_.engine.default_eps;
+        if (snap->live_count > 0 &&
+            PlanForSnapshot(*snap, options_.engine, eps) == QuantifyPlan::kMonteCarlo) {
+          built->engine().EnsureRounds(McRoundsForSnapshot(*snap, options_.engine, eps));
+        }
+      }
     }
-    e.DrawRounds(nullptr, job.prewarm_done, end, job.prewarm.get());
-    job.prewarm_done = end;
-    if (end == job.built->size()) e.AdoptRounds(std::move(job.prewarm));
-    return true;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      SpliceLocked(plan, std::move(built));
+    }
+    // The splice published a fresh tail bucket: warm it too, so the whole
+    // post-build query path is construction-free.
+    if (options_.prewarm_after_build) View()->Prewarm();
   }
-
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    SpliceLocked(job.plan, std::move(job.built));
-  }
-  job_.reset();
-  // The splice published a fresh tail bucket: warm it too, so the whole
-  // post-build query path is construction-free.
-  if (options_.prewarm_after_build) View()->Prewarm();
-  return true;  // Re-check the predicate: more work may have accumulated.
 }
 
 void DynamicEngine::WaitForMaintenance() const {

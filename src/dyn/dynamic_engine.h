@@ -75,35 +75,18 @@ struct Options {
   size_t tail_limit = 64;
   /// Tombstone fraction of the structure that triggers a compaction.
   double max_dead_fraction = 0.25;
-  /// When set, merges/compactions run as background jobs here and
-  /// Monte-Carlo sample draws fan out across it. When null, maintenance
-  /// runs inline in the update that triggered it. Unless
-  /// engine.build_pool is set explicitly, it defaults to this pool, so
-  /// bucket kd builds fork per-subtree across the same workers.
+  /// When set, each maintenance round (a merge or a compaction: one bucket
+  /// build) runs as a background task here, so an update never runs a
+  /// build on its own thread, and Monte-Carlo sample draws fan out across
+  /// it. When null, maintenance runs inline in the update that triggered
+  /// it. Unless engine.build_pool is set explicitly, it defaults to this
+  /// pool, so bucket kd builds fork per-subtree across the same workers.
   exec::ThreadPool* pool = nullptr;
-  /// Serial lane for this engine's maintenance steps (requires `pool`;
-  /// the lane must be built over it and outlive the engine). With a lane,
-  /// a merge/compaction runs as a chain of bounded steps that hop through
-  /// the lane — so one engine's long build occupies at most one worker at
-  /// a time between its parallel sections, and several engines sharing a
-  /// pool (the shard router) interleave their maintenance instead of one
-  /// compaction starving the others' merges. Null = chain directly
-  /// through the pool.
-  exec::Lane* maintenance_lane = nullptr;
-  /// Points per sliced-build step: a maintenance build gathers the live
-  /// set once, then constructs the replacement bucket in units of ~this
-  /// many points (per-subtree kd construction inside each unit), yielding
-  /// between units. Bounds the transient build memory to the gathered
-  /// live set plus one unit and keeps concurrent pool work flowing. 0 =
-  /// monolithic single-pass build. The published structure is identical
-  /// either way.
-  size_t build_chunk = 8192;
   /// Prewarm as part of maintenance: when the Monte-Carlo plan is active
   /// at default_eps, a merge/compaction draws the new bucket's sample block
-  /// before publishing it (and the published view's right after, the tail
-  /// bucket's included), so the first query after a bucket build doesn't pay the lazy
-  /// construction inside its latency. The block is drawn in steps of about
-  /// build_chunk samples, like the bucket build itself.
+  /// (one EnsureRounds) before publishing it, and the published view's
+  /// right after, the tail bucket's included, so the first query after a
+  /// bucket build doesn't pay the lazy construction inside its latency.
   bool prewarm_after_build = false;
   /// Attach an AnswerCache to every published snapshot: repeated queries
   /// against the same snapshot return the memoized answer instead of
@@ -225,7 +208,6 @@ class DynamicEngine {
 
  private:
   struct MaintenancePlan;
-  struct BuildJob;
 
   void PublishLocked();
   /// Sets `s`'s tail bucket (the live tail entries as one index-free
@@ -247,16 +229,12 @@ class DynamicEngine {
   MaintenancePlan DecidePlanLocked();
   void SpliceLocked(const MaintenancePlan& plan,
                     std::shared_ptr<const Bucket> built);
-  /// One bounded unit of maintenance (plan decision, a build slice, a
-  /// prewarm batch, or the splice). Returns false once maintenance is
-  /// finished (and maintenance_running_ has been cleared).
-  bool MaintenanceStep();
-  /// Inline driver: steps back-to-back on the calling thread.
+  /// Runs maintenance rounds until none is due: each plans under the
+  /// lock, builds the new bucket outside it (updates and queries proceed
+  /// against the old snapshot meanwhile) and splices it in. Inline, or as
+  /// one pool task; ends by clearing maintenance_running_, after which the
+  /// engine may be destroyed, so it touches nothing afterwards.
   void MaintenanceLoop();
-  /// Background driver: runs one step, then re-submits itself through the
-  /// lane (or pool) — the cooperative yield between slices.
-  void MaintenanceChain();
-  void ScheduleMaintenanceHop();
 
   Options options_;
 
@@ -291,11 +269,6 @@ class DynamicEngine {
   bool maintenance_running_ = false;
   bool building_ = false;
   std::vector<Id> erased_during_build_;
-
-  // Owned by the maintenance driver (a single logical thread: the inline
-  // loop, or the chained lane/pool hops, which never overlap); not
-  // guarded by mu_.
-  std::unique_ptr<BuildJob> job_;
 };
 
 /// The spiral-vs-Monte-Carlo routing rule (pnn::PlanQuantify) over a

@@ -134,45 +134,5 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& body) 
   done_cv->wait(lock, [&] { return completed->load() == n; });
 }
 
-Lane::Lane(ThreadPool* pool) : pool_(pool) {}
-
-Lane::~Lane() { Drain(); }
-
-void Lane::Submit(std::function<void()> task) {
-  std::lock_guard<std::mutex> lock(mu_);
-  tasks_.push_back(std::move(task));
-  if (!running_) {
-    running_ = true;
-    pool_->Submit([this] { RunOne(); });
-  }
-}
-
-void Lane::RunOne() {
-  std::function<void()> task;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    task = std::move(tasks_.front());
-    tasks_.pop_front();
-  }
-  task();
-  std::lock_guard<std::mutex> lock(mu_);
-  if (tasks_.empty()) {
-    // Clear the flag before notifying: Drain observes (!running_ && empty)
-    // under mu_, so nothing can slip between.
-    running_ = false;
-    cv_.notify_all();
-  } else {
-    // Hop through the pool between tasks instead of draining in place —
-    // this is the cooperative yield that lets other pool work (queries,
-    // sibling lanes) interleave with a long chain of build slices.
-    pool_->Submit([this] { RunOne(); });
-  }
-}
-
-void Lane::Drain() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return !running_ && tasks_.empty(); });
-}
-
 }  // namespace exec
 }  // namespace pnn

@@ -83,43 +83,6 @@ void MaybeParallelFor(ThreadPool* pool, size_t n, const Body& body) {
   }
 }
 
-/// Serial execution domain ("strand") over a ThreadPool: tasks submitted
-/// to a Lane run in FIFO order, never concurrently, as ordinary pool
-/// tasks — so a lane occupies at most one worker at any moment. Between
-/// consecutive tasks the lane goes back through the pool's queues, which
-/// is the cooperative yield the sliced structure builds rely on: a long
-/// chain of build slices on one lane interleaves with queries and with
-/// other lanes' work instead of monopolizing a worker end-to-end. The
-/// shard router gives every shard its own lane so one shard's compaction
-/// cannot starve another shard's merges.
-///
-/// Thread-safe. The pool must outlive the lane; the lane must outlive its
-/// queued tasks (the destructor drains).
-class Lane {
- public:
-  explicit Lane(ThreadPool* pool);
-  ~Lane();  // Drain()s.
-
-  Lane(const Lane&) = delete;
-  Lane& operator=(const Lane&) = delete;
-
-  /// Enqueues a task; runs after every previously submitted task finished.
-  void Submit(std::function<void()> task);
-
-  /// Blocks until the queue is empty and no lane task is running. Must not
-  /// be called from inside a lane task (it would wait on itself).
-  void Drain();
-
- private:
-  void RunOne();
-
-  ThreadPool* pool_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<std::function<void()>> tasks_;
-  bool running_ = false;  // A RunOne hop is queued or executing.
-};
-
 }  // namespace exec
 }  // namespace pnn
 

@@ -19,6 +19,15 @@ double Coord(Point2 p, int axis) { return axis == 0 ? p.x : p.y; }
 
 }  // namespace
 
+dyn::Options ShardedEngine::PerShardOptions() const {
+  dyn::Options per_shard = options_.shard;
+  per_shard.pool = options_.pool;
+  // Queries read the router's union, which carries the one answer cache
+  // (options_.shard.answer_cache); a shard's own would never be read.
+  per_shard.answer_cache = false;
+  return per_shard;
+}
+
 ShardedEngine::ShardedEngine(Options options) : ShardedEngine(UncertainSet(), options) {}
 
 ShardedEngine::ShardedEngine(const UncertainSet& initial, Options options)
@@ -28,10 +37,7 @@ ShardedEngine::ShardedEngine(const UncertainSet& initial, Options options)
                 "set shard::Options::pool; the per-shard pool is managed here");
   PNN_CHECK_MSG(options_.rebalance_max_imbalance > 1,
                 "rebalance_max_imbalance must exceed 1");
-  PNN_CHECK_MSG(options_.shard.maintenance_lane == nullptr,
-                "per-shard maintenance lanes are managed here");
-  dyn::Options per_shard = options_.shard;
-  per_shard.pool = options_.pool;
+  const dyn::Options per_shard = PerShardOptions();
 
   if (options_.placement == PlacementKind::kSpatialKdMedian) {
     spatial_ = initial.empty()
@@ -50,27 +56,15 @@ ShardedEngine::ShardedEngine(const UncertainSet& initial, Options options)
   }
   next_id_ = static_cast<Id>(initial.size());
 
-  if (options_.pool != nullptr) {
-    // A dedicated maintenance lane per shard: sliced build steps hop
-    // through it, so one shard's compaction never monopolizes the pool's
-    // workers while another shard's merge waits.
-    lanes_.reserve(options_.num_shards);
-    for (uint32_t s = 0; s < options_.num_shards; ++s) {
-      lanes_.push_back(std::make_unique<exec::Lane>(options_.pool));
-    }
-  }
-
   // Bootstrap the shard engines in parallel: each builds its initial
-  // bucket through the same staged builder maintenance uses, with the kd
+  // bucket with the one Engine constructor maintenance builds use, its kd
   // builds forking per-subtree on the shared pool.
   shards_.resize(options_.num_shards);
   auto build_shard = [&](size_t s) {
-    dyn::Options opts = per_shard;
-    if (!lanes_.empty()) opts.maintenance_lane = lanes_[s].get();
     shards_[s] = points_of[s].empty()
-                     ? std::make_unique<dyn::DynamicEngine>(opts)
+                     ? std::make_unique<dyn::DynamicEngine>(per_shard)
                      : std::make_unique<dyn::DynamicEngine>(std::move(ids_of[s]),
-                                                            points_of[s], opts);
+                                                            points_of[s], per_shard);
   };
   exec::MaybeParallelFor(options_.pool, options_.num_shards, build_shard);
 }
@@ -83,27 +77,16 @@ ShardedEngine::ShardedEngine(std::vector<std::vector<dyn::RecoveredBucket>> reco
                 "one recovered-bucket list per shard");
   PNN_CHECK_MSG(options_.shard.pool == nullptr,
                 "set shard::Options::pool; the per-shard pool is managed here");
-  PNN_CHECK_MSG(options_.shard.maintenance_lane == nullptr,
-                "per-shard maintenance lanes are managed here");
-  dyn::Options per_shard = options_.shard;
-  per_shard.pool = options_.pool;
+  const dyn::Options per_shard = PerShardOptions();
   if (options_.placement == PlacementKind::kSpatialKdMedian) {
     // Placeholder partition; FinishRecovery reseeds it from the live set.
     spatial_ = std::make_unique<SpatialRouter>(options_.num_shards);
   }
-  if (options_.pool != nullptr) {
-    lanes_.reserve(options_.num_shards);
-    for (uint32_t s = 0; s < options_.num_shards; ++s) {
-      lanes_.push_back(std::make_unique<exec::Lane>(options_.pool));
-    }
-  }
   shards_.resize(options_.num_shards);
   for (uint32_t s = 0; s < options_.num_shards; ++s) {
-    dyn::Options opts = per_shard;
-    if (!lanes_.empty()) opts.maintenance_lane = lanes_[s].get();
     // next_id floor 0 per shard: FinishRecovery sets the global counter.
     shards_[s] = std::make_unique<dyn::DynamicEngine>(std::move(recovered[s]),
-                                                      /*next_id_floor=*/0, opts);
+                                                      /*next_id_floor=*/0, per_shard);
   }
 }
 

@@ -97,17 +97,18 @@ struct Options {
   /// Per-shard dynamic-engine configuration. Shared by every shard (the
   /// engine seed in particular must coincide for cross-shard Monte-Carlo
   /// recombination); its pool must be null — set `pool` below instead.
+  /// Its answer_cache applies to the router's view, the one queries read;
+  /// the shards' own publishes attach none.
   dyn::Options shard;
   /// When set: per-shard maintenance runs here, Monte-Carlo sample draws
   /// fan out, structure builds fork per-subtree, and auto_rebalance may
   /// schedule background moves. Must outlive the engine. When null,
-  /// everything runs inline on the calling thread. Query fan-out shares the pool with maintenance and rebalance
-  /// jobs; each shard's maintenance runs as sliced steps on its own
-  /// dedicated lane (see exec::Lane), so one shard's compaction occupies
-  /// at most one worker between parallel sections and cannot starve
-  /// another shard's merges; work stealing plus caller participation
-  /// keeps queries progressing alongside (a single-worker pool skips
-  /// query fan-out entirely).
+  /// everything runs inline on the calling thread. Query fan-out shares
+  /// the pool with maintenance and rebalance jobs: each shard runs at most
+  /// one maintenance task at a time (one bucket build per round, see
+  /// dyn::Options::pool), and work stealing plus caller participation
+  /// keeps queries progressing alongside (a single-worker pool skips query
+  /// fan-out entirely).
   exec::ThreadPool* pool = nullptr;
 
   // Rebalance policy:
@@ -253,6 +254,10 @@ class ShardedEngine {
   Engine::Options ReferenceEngineOptions() const;
 
  private:
+  /// The dyn::Options every shard engine is built with: options_.shard
+  /// with the router's pool and no answer cache of its own.
+  dyn::Options PerShardOptions() const;
+
   /// One seqlock-consistent gather of the shard snapshots: every live id
   /// appears in exactly one snapshot.
   std::vector<std::shared_ptr<const dyn::Snapshot>> Grab() const;
@@ -264,10 +269,6 @@ class ShardedEngine {
   void RebalanceLoop();
 
   Options options_;
-  /// One maintenance lane per shard (pool mode only). Declared before
-  /// shards_ so it outlives them during destruction: a shard's destructor
-  /// waits out maintenance steps that hop through its lane.
-  std::vector<std::unique_ptr<exec::Lane>> lanes_;
   std::vector<std::unique_ptr<dyn::DynamicEngine>> shards_;
 
   mutable std::mutex mu_;  // Serializes updates, placement and rebalance.

@@ -333,9 +333,9 @@ std::shared_ptr<const dyn::Bucket> LoadSegment(const std::string& path,
       return nullptr;
     }
     // Owners / counts / weights / max_k / rho are reconstructed from the
-    // decoded points with EngineBuilder's exact arithmetic (SetAggregates,
-    // then kGatherDiscrete's order), so they are bit-identical to a fresh
-    // build without occupying segment bytes.
+    // decoded points with the Engine constructor's exact arithmetic
+    // (SetAggregates, then its gathering order), so they are bit-identical
+    // to a fresh build without occupying segment bytes.
     std::vector<int> owners;
     std::vector<double> weights;
     std::vector<int> counts;

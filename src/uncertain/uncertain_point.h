@@ -119,8 +119,8 @@ class UncertainPoint {
 using UncertainSet = std::vector<UncertainPoint>;
 
 /// Aggregates of a point set from one scan in index order: the inputs of
-/// the plan and round-count rules. EngineBuilder derives them while it
-/// scans; dyn::Snapshot carries the same values for its live set.
+/// the plan and round-count rules. The Engine constructor derives them
+/// while it scans; dyn::Snapshot carries the same values for its live set.
 struct SetAggregates {
   size_t live_count = 0;  // Points in the set (all of a static engine's).
   size_t discrete_count = 0;

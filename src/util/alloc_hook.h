@@ -5,8 +5,8 @@
 // counters — an allocation count, the currently live byte total, and a
 // high-water mark of the live byte total. The hot-path tests and
 // bench_query_hotpath snapshot the count around a query to assert / report
-// allocations per steady-state query; bench_build_latency and the sliced-
-// build tests snapshot the peak around a maintenance build to bound its
+// allocations per steady-state query; bench_build_latency and the
+// compaction test snapshot the peak around a maintenance build to bound its
 // transient memory.
 //
 // The override lives in alloc_hook.cc and is pulled from the static

@@ -345,18 +345,17 @@ TEST(AllocHotpath, SampleBlockHoldsEachSampleOnce) {
   EXPECT_LT(per_sample, 17.0) << block_bytes << " B over " << rounds << " rounds";
 }
 
-// Transient memory of a sliced compaction: the maintenance build reuses
-// the gathered live set as the new structure's own storage, so its peak
-// must stay below a naive rebuild that copies the live set and builds an
-// engine from the copy (live set + structure + copy). This is the
-// "live set + one chunk, not 2x the structure" bound in a directly
-// measurable form.
+// Transient memory of a compaction: the maintenance round moves the
+// gathered live set into the new bucket's engine as its own storage, so
+// its peak (gathered live set + the new structure built over it) must stay
+// below a naive rebuild that copies the live set and builds an engine from
+// the copy (live set + copy + structure). The test's name predates the
+// removal of sliced maintenance builds.
 TEST(AllocHotpath, SlicedCompactionTransientPeakBounded) {
   Rng rng(515);
   dyn::Options opt = DynOptions(false);
   opt.tail_limit = 64;
   opt.max_dead_fraction = 0.25;
-  opt.build_chunk = 512;
   dyn::DynamicEngine engine(opt);
   for (int i = 0; i < 4000; ++i) engine.Insert(SmallDiscrete(&rng));
   engine.WaitForMaintenance();
@@ -371,7 +370,7 @@ TEST(AllocHotpath, SlicedCompactionTransientPeakBounded) {
   }
   int64_t naive_peak = util::PeakAllocatedBytes() - live0;
 
-  // Sliced maintenance compaction over the same live set: erase a third
+  // Maintenance compaction over the same live set: erase a third
   // (crossing max_dead_fraction) to force the full rebuild.
   size_t live = engine.live_size();
   int64_t live1 = util::LiveAllocatedBytes();
@@ -384,7 +383,7 @@ TEST(AllocHotpath, SlicedCompactionTransientPeakBounded) {
 
   EXPECT_GT(maintenance_peak, 0);
   EXPECT_LT(maintenance_peak, naive_peak)
-      << "sliced compaction transient (" << maintenance_peak
+      << "compaction transient (" << maintenance_peak
       << "B) should undercut a copy-and-rebuild (" << naive_peak << "B)";
 }
 

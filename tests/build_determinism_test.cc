@@ -1,8 +1,7 @@
-// Determinism of the parallel / sliced structure builds: a kd-tree (or a
-// whole Engine, or a dynamic engine's sliced maintenance) built with any
-// pool size, parallel cutoff, or build chunk must equal the serial
-// monolithic build — node-for-node for the kd trees, answer-for-answer for
-// every query mode.
+// Determinism of the parallel structure builds: a kd-tree (or a whole
+// Engine, or a dynamic engine's pooled maintenance) built with any pool
+// size or parallel cutoff must equal the serial build — node-for-node for
+// the kd trees, answer-for-answer for every query mode.
 
 #include <memory>
 #include <vector>
@@ -149,48 +148,24 @@ TEST(BuildDeterminism, MonteCarloParallelBuildMatchesSerial) {
   }
 }
 
-TEST(BuildDeterminism, EngineBuilderSlicedMatchesMonolithic) {
-  Rng rng(425);
-  UncertainSet points;
-  for (int i = 0; i < 300; ++i) points.push_back(RandomDiscrete(&rng));
-  Engine monolithic(points);
-  for (size_t chunk : {1u, 7u, 64u, 100000u}) {
-    EngineBuilder builder(points, Engine::Options(), chunk);
-    size_t steps = 0;
-    while (!builder.done()) {
-      builder.Step();
-      ++steps;
-    }
-    if (chunk == 1) {
-      EXPECT_GE(steps, points.size());  // Genuinely sliced.
-    }
-    std::unique_ptr<Engine> sliced = builder.Finish();
-    ExpectSameAnswers(monolithic, *sliced, &rng, 8);
-  }
-}
-
-dyn::Options SlicedDynOptions(exec::ThreadPool* pool, exec::Lane* lane,
-                              size_t chunk) {
+dyn::Options MaintenanceDynOptions(exec::ThreadPool* pool) {
   dyn::Options opt;
   opt.engine.seed = 77;
   opt.tail_limit = 24;
   opt.max_dead_fraction = 0.2;
   opt.pool = pool;
-  opt.maintenance_lane = lane;
-  opt.build_chunk = chunk;
   return opt;
 }
 
 // Interleaved inserts/erases drive merges and at least one compaction
-// through the sliced background path; after every maintenance quiescence
+// through the pooled background path; after every maintenance quiescence
 // the engine must answer exactly like a fresh static Engine over its live
-// set (and hence like the monolithic maintenance path, which satisfies
-// the same contract).
+// set (and hence like inline maintenance, which satisfies the same
+// contract).
 TEST(BuildDeterminism, SlicedCompactionAnswersMatchReferenceEngine) {
   for (size_t pool_size : {1u, 4u}) {
     exec::ThreadPool pool(pool_size);
-    exec::Lane lane(&pool);
-    dyn::DynamicEngine engine(SlicedDynOptions(&pool, &lane, 32));
+    dyn::DynamicEngine engine(MaintenanceDynOptions(&pool));
     Rng rng(431);
     std::vector<dyn::Id> live;
     for (int op = 0; op < 600; ++op) {
@@ -222,47 +197,41 @@ TEST(BuildDeterminism, SlicedCompactionAnswersMatchReferenceEngine) {
   }
 }
 
-// The sliced background build must also match the inline monolithic build
-// bucket-for-bucket in its observable answers after the same op sequence.
-TEST(BuildDeterminism, SlicedAndMonolithicMaintenanceAgree) {
+// Pooled background maintenance must also match inline maintenance in its
+// observable answers after the same op sequence, bit for bit in every mode.
+TEST(BuildDeterminism, PooledAndInlineMaintenanceAgree) {
   exec::ThreadPool pool(2);
-  exec::Lane lane(&pool);
-  dyn::DynamicEngine sliced(SlicedDynOptions(&pool, &lane, 16));
-  dyn::DynamicEngine monolithic(SlicedDynOptions(nullptr, nullptr, 0));
+  dyn::DynamicEngine pooled(MaintenanceDynOptions(&pool));
+  dyn::DynamicEngine inline_engine(MaintenanceDynOptions(nullptr));
   Rng rng_a(433), rng_q(434);
   std::vector<dyn::Id> live;
   for (int op = 0; op < 400; ++op) {
     if (live.size() < 50 || rng_a.Bernoulli(0.6)) {
       UncertainPoint p = RandomDiscrete(&rng_a);
-      dyn::Id id = sliced.Insert(p);
-      monolithic.InsertWithId(id, p);
+      dyn::Id id = pooled.Insert(p);
+      inline_engine.InsertWithId(id, p);
       live.push_back(id);
     } else {
       size_t pick = static_cast<size_t>(rng_a.UniformInt(0, live.size() - 1));
-      EXPECT_TRUE(sliced.Erase(live[pick]));
-      EXPECT_TRUE(monolithic.Erase(live[pick]));
+      EXPECT_TRUE(pooled.Erase(live[pick]));
+      EXPECT_TRUE(inline_engine.Erase(live[pick]));
       live.erase(live.begin() + static_cast<long>(pick));
     }
   }
-  sliced.WaitForMaintenance();
-  monolithic.WaitForMaintenance();
-  ASSERT_EQ(sliced.live_size(), monolithic.live_size());
+  pooled.WaitForMaintenance();
+  inline_engine.WaitForMaintenance();
+  ASSERT_EQ(pooled.live_size(), inline_engine.live_size());
   for (int t = 0; t < 20; ++t) {
     Point2 q{rng_q.Uniform(-60, 60), rng_q.Uniform(-60, 60)};
-    EXPECT_EQ(sliced.View()->NonzeroNN(q), monolithic.View()->NonzeroNN(q));
-    ExpectSameQuantifications(sliced.View()->Quantify(q, 0.1),
-                              monolithic.View()->Quantify(q, 0.1));
+    EXPECT_EQ(pooled.View()->NonzeroNN(q), inline_engine.View()->NonzeroNN(q));
+    ExpectSameQuantifications(pooled.View()->Quantify(q, 0.1),
+                              inline_engine.View()->Quantify(q, 0.1));
     // Background scheduling legitimately yields a different bucket
-    // partition than inline maintenance (plans see different tails), and
-    // the exact merge recombines products in partition order — identical
-    // only to float reassociation (~1e-12), unlike the modes above.
-    std::vector<Quantification> a = sliced.View()->QuantifyExact(q);
-    std::vector<Quantification> b = monolithic.View()->QuantifyExact(q);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].index, b[i].index);
-      EXPECT_NEAR(a[i].probability, b[i].probability, 1e-9);
-    }
+    // partition than inline maintenance (plans see different tails), but
+    // QuantifyExact evaluates the NN!=0 candidates gathered across the
+    // partition in ascending-id order, so it too is bit-identical.
+    ExpectSameQuantifications(pooled.View()->QuantifyExact(q),
+                              inline_engine.View()->QuantifyExact(q));
   }
 }
 

@@ -1,9 +1,9 @@
-// Concurrency of the sliced background builds: queries from several
-// threads race a dynamic engine's chunked merge/compaction steps hopping
-// through a maintenance lane, and the shard router's per-shard lanes race
-// each other on one shared pool. Run under ThreadSanitizer in CI (the
-// PNN_SANITIZE_THREAD build) to certify the step-chained publish protocol;
-// the assertions here pin down basic sanity of answers read mid-build.
+// Concurrency of the background builds: queries from several threads race
+// a dynamic engine's pooled merges and compactions, and the shard router's
+// shards race each other's maintenance on one shared pool. Run under
+// ThreadSanitizer in CI (the PNN_SANITIZE_THREAD build) to certify the
+// plan/build/splice publish protocol; the assertions here pin down basic
+// sanity of answers read mid-build.
 
 #include <atomic>
 #include <thread>
@@ -34,14 +34,11 @@ UncertainPoint RacePoint(Rng* rng) {
 
 TEST(SlicedBuildRace, QueriesRaceSlicedCompactions) {
   exec::ThreadPool pool(3);
-  exec::Lane lane(&pool);
   dyn::Options opt;
   opt.engine.mc_rounds_override = 16;
   opt.tail_limit = 16;
   opt.max_dead_fraction = 0.25;
   opt.pool = &pool;
-  opt.maintenance_lane = &lane;
-  opt.build_chunk = 8;  // Tiny slices: maximize step-boundary interleavings.
   opt.prewarm_after_build = true;
   dyn::DynamicEngine engine(opt);
 
@@ -100,7 +97,6 @@ TEST(SlicedBuildRace, ShardLanesRaceEachOtherAndQueries) {
   sopt.rebalance_min_points = 64;
   sopt.shard.engine.mc_rounds_override = 12;
   sopt.shard.tail_limit = 12;
-  sopt.shard.build_chunk = 8;
   shard::ShardedEngine engine(sopt);
 
   Rng seed_rng(621);

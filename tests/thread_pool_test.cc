@@ -107,61 +107,6 @@ TEST(ThreadPool, ParallelForUnderHeldLockNeverSelfDeadlocks) {
   EXPECT_EQ(done.load(), 8);
 }
 
-TEST(Lane, RunsTasksInSubmissionOrderSerially) {
-  ThreadPool pool(4);
-  Lane lane(&pool);
-  std::vector<int> order;
-  std::atomic<int> concurrent{0};
-  std::atomic<int> max_concurrent{0};
-  std::mutex mu;
-  for (int i = 0; i < 50; ++i) {
-    lane.Submit([&, i] {
-      int now = concurrent.fetch_add(1) + 1;
-      int prev = max_concurrent.load();
-      while (now > prev && !max_concurrent.compare_exchange_weak(prev, now)) {
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        order.push_back(i);
-      }
-      std::this_thread::yield();
-      concurrent.fetch_sub(1);
-    });
-  }
-  lane.Drain();
-  ASSERT_EQ(order.size(), 50u);
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(order[i], i);  // FIFO.
-  EXPECT_EQ(max_concurrent.load(), 1);  // Never two lane tasks at once.
-}
-
-TEST(Lane, InterleavesWithPoolWorkAndSiblingLanes) {
-  ThreadPool pool(2);
-  Lane a(&pool);
-  Lane b(&pool);
-  std::atomic<int> a_done{0}, b_done{0};
-  for (int i = 0; i < 20; ++i) {
-    a.Submit([&] { a_done.fetch_add(1); });
-    b.Submit([&] { b_done.fetch_add(1); });
-  }
-  a.Drain();
-  b.Drain();
-  EXPECT_EQ(a_done.load(), 20);
-  EXPECT_EQ(b_done.load(), 20);
-}
-
-TEST(Lane, SubmitFromInsideLaneTaskContinuesChain) {
-  ThreadPool pool(2);
-  Lane lane(&pool);
-  std::atomic<int> hops{0};
-  std::function<void()> chain = [&] {
-    if (hops.fetch_add(1) + 1 < 10) lane.Submit(chain);
-  };
-  lane.Submit(chain);
-  while (hops.load() < 10) std::this_thread::yield();
-  lane.Drain();
-  EXPECT_EQ(hops.load(), 10);
-}
-
 }  // namespace
 }  // namespace exec
 }  // namespace pnn
