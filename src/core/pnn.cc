@@ -11,13 +11,30 @@
 
 namespace pnn {
 
-Engine::Engine(UncertainSet points, Options options)
+Engine::Engine(UncertainSet points, Options options, std::optional<Layouts> layouts)
     : Engine(std::move(points), std::move(options), NoIndex{}) {
+  const size_t n = points_.size();
+  const bool build = !layouts.has_value();
+  if (!build) {
+    const Layouts& l = *layouts;
+    PNN_CHECK_MSG(l.disk_tree.has_value() == agg_.all_continuous() &&
+                      l.centroid_tree.has_value() == agg_.all_discrete() &&
+                      l.location_tree.has_value() == agg_.all_discrete(),
+                  "adopted layouts must be the ones of the set's kind");
+    PNN_CHECK_MSG((!l.disk_tree || l.disk_tree->size() == n) &&
+                      (!l.centroid_tree || l.centroid_tree->size() == n) &&
+                      (!l.location_tree || l.location_tree->size() == agg_.total_complexity),
+                  "adopted layouts must cover the set's points and locations");
+  }
   KdBuildOptions kd_build{options_.build_pool, options_.build_parallel_cutoff,
                           options_.kd_leaf_size};
   if (agg_.all_continuous()) {
+    if (!build) {
+      disk_index_ = std::make_unique<NonzeroNNIndex>(std::move(*layouts->disk_tree));
+      return;
+    }
     std::vector<Circle> disks;
-    disks.reserve(points_.size());
+    disks.reserve(n);
     for (const UncertainPoint& p : points_) disks.push_back(p.disk().support);
     disk_index_ = std::make_unique<NonzeroNNIndex>(disks, kd_build);
     return;
@@ -32,21 +49,30 @@ Engine::Engine(UncertainSet points, Options options)
   std::vector<Point2> hull_points;  // Every hull, point by point.
   std::vector<int> hull_begin;      // n + 1 offsets into hull_points.
   std::vector<Point2> centroids;
-  std::vector<int> counts;
   std::vector<Point2> locations;  // The shared location tree's input.
+  std::vector<int> counts;
   std::vector<int> owners;
   std::vector<double> location_weights;
-  hull_points.reserve(agg_.total_complexity);
-  hull_begin.reserve(points_.size() + 1);
-  hull_begin.push_back(0);
-  centroids.reserve(points_.size());
-  counts.reserve(points_.size());
-  locations.reserve(agg_.total_complexity);
+  if (build) {
+    hull_points.reserve(agg_.total_complexity);
+    hull_begin.reserve(n + 1);
+    hull_begin.push_back(0);
+    centroids.reserve(n);
+    locations.reserve(agg_.total_complexity);
+  } else {
+    hull_points = std::move(layouts->hull_points);
+    hull_begin = std::move(layouts->hull_begin);
+  }
+  counts.reserve(n);
   owners.reserve(agg_.total_complexity);
   location_weights.reserve(agg_.total_complexity);
-  for (size_t i = 0; i < points_.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
     const auto& d = points_[i].discrete();
     PNN_CHECK_MSG(!d.locations.empty(), "uncertain point with no locations");
+    counts.push_back(static_cast<int>(d.locations.size()));
+    owners.insert(owners.end(), d.locations.size(), static_cast<int>(i));
+    location_weights.insert(location_weights.end(), d.weights.begin(), d.weights.end());
+    if (!build) continue;
     // Same arithmetic (and order) as the scanning constructors of
     // DiscreteNonzeroNNIndex and SpiralSearchPNN, so the assembled
     // structures are bit-identical to theirs.
@@ -56,19 +82,18 @@ Engine::Engine(UncertainSet points, Options options)
     Point2 c{0, 0};
     for (Point2 p : d.locations) c = c + p;
     centroids.push_back(c / static_cast<double>(d.locations.size()));
-    counts.push_back(static_cast<int>(d.locations.size()));
-    for (size_t s = 0; s < d.locations.size(); ++s) {
-      locations.push_back(d.locations[s]);
-      owners.push_back(static_cast<int>(i));
-      location_weights.push_back(d.weights[s]);
-    }
+    locations.insert(locations.end(), d.locations.begin(), d.locations.end());
   }
-  KdTree centroid_tree(std::move(centroids), std::vector<double>(), Metric::kEuclidean,
-                       kd_build);
+  KdTree centroid_tree =
+      build ? KdTree(std::move(centroids), std::vector<double>(), Metric::kEuclidean,
+                     kd_build)
+            : std::move(*layouts->centroid_tree);
   // One location tree and one owners array, shared by the stage-2 report
   // and the spiral.
   auto location_tree = std::make_shared<const KdTree>(
-      std::move(locations), std::vector<double>(), Metric::kEuclidean, kd_build);
+      build ? KdTree(std::move(locations), std::vector<double>(), Metric::kEuclidean,
+                     kd_build)
+            : std::move(*layouts->location_tree));
   auto shared_owners = std::make_shared<const std::vector<int>>(std::move(owners));
   spiral_ = std::make_unique<SpiralSearchPNN>(location_tree, shared_owners,
                                               std::move(location_weights),
@@ -97,41 +122,6 @@ void Engine::CheckOptions(const Options& options, size_t n) {
   PNN_CHECK_MSG(options.mc_stream_ids.empty() || options.mc_stream_ids.size() == n,
                 "Options::mc_stream_ids must be empty or have one id per point");
   PNN_CHECK_MSG(options.kd_leaf_size >= 1, "Options::kd_leaf_size must be >= 1");
-}
-
-std::unique_ptr<Engine> Engine::FromParts(UncertainSet points, Options options,
-                                          Parts parts) {
-  PNN_CHECK_MSG(!points.empty(), "Engine needs at least one uncertain point");
-  CheckOptions(options, points.size());
-  std::unique_ptr<Engine> e(new Engine());
-  for (const UncertainPoint& p : points) e->agg_.Add(p);
-  if (e->agg_.all_continuous()) {
-    PNN_CHECK_MSG(parts.disk_index != nullptr && parts.disk_index->size() ==
-                      points.size(),
-                  "all-continuous parts need a disk index over the points");
-    PNN_CHECK_MSG(parts.discrete_index == nullptr && parts.spiral == nullptr,
-                  "all-continuous parts must not carry discrete structures");
-  } else if (e->agg_.all_discrete()) {
-    PNN_CHECK_MSG(parts.discrete_index != nullptr &&
-                      parts.discrete_index->num_points() == points.size(),
-                  "all-discrete parts need a discrete index over the points");
-    PNN_CHECK_MSG(parts.spiral != nullptr, "all-discrete parts need a spiral index");
-    PNN_CHECK_MSG(&parts.spiral->tree() == &parts.discrete_index->location_tree() &&
-                      &parts.spiral->owners() == &parts.discrete_index->owners(),
-                  "all-discrete parts must share one location tree and owners array");
-    PNN_CHECK_MSG(parts.disk_index == nullptr,
-                  "all-discrete parts must not carry a disk index");
-  } else {
-    PNN_CHECK_MSG(parts.disk_index == nullptr && parts.discrete_index == nullptr &&
-                      parts.spiral == nullptr,
-                  "mixed-input parts carry no indexes (brute-force queries)");
-  }
-  e->points_ = std::move(points);
-  e->options_ = std::move(options);
-  e->disk_index_ = std::move(parts.disk_index);
-  e->discrete_index_ = std::move(parts.discrete_index);
-  e->spiral_ = std::move(parts.spiral);
-  return e;
 }
 
 double ResolveEps(const Engine::Options& options, std::optional<double> eps_opt) {

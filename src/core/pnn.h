@@ -78,19 +78,41 @@ class Engine {
     int kd_leaf_size = KdBuildOptions().leaf_size;
   };
 
+  /// Index layouts for the constructor to adopt instead of building: what
+  /// a durable segment stores (src/store/segment.cc). An all-continuous
+  /// set's is its disk tree (centers weighted by radii); an all-discrete
+  /// set's is its hulls (point i's at hull_points[hull_begin[i],
+  /// hull_begin[i + 1])), its centroid tree and its unweighted Euclidean
+  /// location tree over the locations in point order; a mixed set's is
+  /// empty. Their consistency with the points is the serializer's contract
+  /// (checksummed together on disk, certified by round-trip tests); the
+  /// constructor checks their kind and sizes.
+  struct Layouts {
+    std::optional<KdTree> disk_tree;
+    std::vector<Point2> hull_points;
+    std::vector<int> hull_begin;
+    std::optional<KdTree> centroid_tree;
+    std::optional<KdTree> location_tree;
+  };
+
   /// Construction validates Options (CheckOptions) instead of producing
   /// nonsense plans later, scans the points for their aggregates, then
-  /// builds the indexes the constructor's rule picks (see Parts): the disk
-  /// tree of an all-continuous set, or the centroid and location trees of
-  /// an all-discrete one, whose one location tree and owners array the
-  /// NN!=0 index and the spiral share; a mixed set builds none. The kd
-  /// builds fork per-subtree on options.build_pool. The gathered arrays are
+  /// gives the set the indexes of its kind: the disk tree of an
+  /// all-continuous set, or the centroid and location trees of an
+  /// all-discrete one, whose one location tree and owners array the NN!=0
+  /// index and the spiral share; a mixed set gets none. Without `layouts`
+  /// the hulls and kd trees are built, forking per-subtree on
+  /// options.build_pool; with them they are adopted. Either way one loop
+  /// gathers the owners, weights and counts. The gathered arrays are
   /// reserved once and moved into the indexes (as their storage, or as a
   /// kd build's input that the tree frees once it holds its points in leaf
   /// order), so a build's transient memory stays below a copy of the set
-  /// plus the structure (asserted in tests/alloc_hotpath_test.cc).
+  /// plus the structure (asserted in tests/alloc_hotpath_test.cc), and an
+  /// adopting engine is indistinguishable from the building one whose
+  /// layouts it was given.
   explicit Engine(UncertainSet points) : Engine(std::move(points), Options()) {}
-  Engine(UncertainSet points, Options options);
+  Engine(UncertainSet points, Options options,
+         std::optional<Layouts> layouts = std::nullopt);
 
   /// An engine that builds no index: NonzeroDelta and NonzeroNNWithin
   /// scan the points (MaxDistance / MinDistance, the mixed-input path) and
@@ -105,27 +127,6 @@ class Engine {
   /// spiral_budget_fraction outside (0,1], kd_leaf_size < 1, or
   /// mc_stream_ids neither empty nor one id per each of n points.
   static void CheckOptions(const Options& options, size_t n);
-
-  /// Prebuilt index structures for FromParts — the durable store's
-  /// recovery path (src/store/segment.cc), which deserializes each index's
-  /// kd layout and adopts it instead of re-running construction. Which
-  /// pointers must be set follows the constructor's rule (disk_index iff
-  /// all continuous, discrete_index + spiral iff all discrete — sharing
-  /// one location tree, as a built engine's do — none for mixed inputs).
-  struct Parts {
-    std::unique_ptr<NonzeroNNIndex> disk_index;
-    std::unique_ptr<DiscreteNonzeroNNIndex> discrete_index;
-    std::unique_ptr<SpiralSearchPNN> spiral;
-  };
-
-  /// Assembles an engine around prebuilt structures. Scans the points for
-  /// their aggregates and validates options and the kind/part pairing; the
-  /// parts' internal consistency with `points` is the serializer's contract
-  /// (checksummed together on disk, certified by round-trip tests). The
-  /// result is indistinguishable from Engine(points, options) when the
-  /// parts came from one.
-  static std::unique_ptr<Engine> FromParts(UncertainSet points, Options options,
-                                           Parts parts);
 
   /// NN!=0(q), sorted indices (Lemma 2.1 semantics).
   std::vector<int> NonzeroNN(Point2 q) const;
@@ -207,16 +208,13 @@ class Engine {
   const SpiralSearchPNN* spiral() const { return spiral_.get(); }
 
   /// The NN!=0 indexes, for the store's layout export (null when the
-  /// constructor's presence rule says so; see Parts).
+  /// set's kind calls for none; see the constructor).
   const NonzeroNNIndex* disk_index() const { return disk_index_.get(); }
   const DiscreteNonzeroNNIndex* discrete_index() const {
     return discrete_index_.get();
   }
 
  private:
-  /// Shell for FromParts to assemble into.
-  Engine() = default;
-
   /// Monte-Carlo rounds at this eps over the engine's aggregates.
   size_t RoundsFor(double eps) const;
   std::shared_ptr<const ExpectedNNIndex> EnsureExpectedNN() const;

@@ -160,22 +160,6 @@ DynamicEngine::DynamicEngine(std::vector<RecoveredBucket> recovered,
 
 DynamicEngine::~DynamicEngine() { WaitForMaintenance(); }
 
-SnapshotIntrospection Introspect(const Snapshot& snap) {
-  SnapshotIntrospection out;
-  out.buckets.reserve(snap.buckets.size());
-  for (const Snapshot::BucketRef& bref : snap.buckets) {
-    SnapshotIntrospection::BucketView view;
-    view.bucket = bref.bucket.get();
-    view.dead = bref.dead.get();
-    view.live_count = bref.live_count;
-    out.buckets.push_back(view);
-  }
-  out.tail = snap.tail.get();
-  out.tail_dead = snap.tail_dead.get();
-  out.live_count = snap.live_count;
-  return out;
-}
-
 void DynamicEngine::PublishTailLocked(Snapshot* s) const {
   s->tail_dead = tail_dead_count_ == 0
                      ? nullptr

@@ -105,26 +105,6 @@ struct RecoveredBucket {
   std::vector<char> dead;
 };
 
-/// Read-only enumeration of a snapshot's frozen state — what the durable
-/// store serializes. Views borrow from the snapshot they were taken over;
-/// the caller keeps that snapshot alive while using them. This is the
-/// supported checkpointing surface: the serializer consumes exactly these
-/// spans instead of poking at engine internals.
-struct SnapshotIntrospection {
-  struct BucketView {
-    const Bucket* bucket = nullptr;       // id() / points() / engine().
-    const std::vector<char>* dead = nullptr;  // Null when fully alive.
-    size_t live_count = 0;
-  };
-  std::vector<BucketView> buckets;
-  const std::vector<TailEntry>* tail = nullptr;   // Insertion order.
-  const std::vector<char>* tail_dead = nullptr;   // Null when fully alive.
-  size_t live_count = 0;                          // Buckets + tail, live only.
-};
-
-/// Introspects one snapshot (grab it with DynamicEngine::snapshot()).
-SnapshotIntrospection Introspect(const Snapshot& snap);
-
 /// Thread safety: View() and the view's query methods are const and may
 /// run concurrently with each other, with updates, and with background
 /// maintenance. Updates (Insert/Erase) serialize on an internal mutex and
@@ -200,9 +180,9 @@ class DynamicEngine {
     return std::atomic_load_explicit(&view_, std::memory_order_acquire);
   }
 
-  /// The current immutable structure version: the Bentley–Saxe buckets,
-  /// the tail bucket and the tail's record (what the store serializes).
-  /// The shard router unites these across shards into its own
+  /// The current immutable structure version: the Bentley–Saxe buckets
+  /// and the tail bucket (what the store serializes), and the tail's
+  /// record. The shard router unites these across shards into its own
   /// CombinedView.
   std::shared_ptr<const Snapshot> snapshot() const { return View()->parts[0]; }
 

@@ -76,9 +76,11 @@ struct Snapshot : SetAggregates {
   /// The writer's tail as published: entries in insertion order, with a
   /// tombstone mask parallel to it (null when nothing is dead). Ids are
   /// not necessarily ascending (InsertWithId may re-add an id previously
-  /// moved out by the shard router), so deadness is positional. Only the
-  /// store's delta records (Introspect) and the engine's tail and dead
-  /// counts read it; no query does.
+  /// moved out by the shard router), so deadness is positional. Its only
+  /// readers are DynamicEngine::tail_size / dead_size and bench_suite's
+  /// AddViewCounts (the dyn.tail and dyn.dead metrics); no query and no
+  /// store read does, since checkpoints re-describe the tail from
+  /// `tail_bucket`.
   std::shared_ptr<const std::vector<TailEntry>> tail;
   std::shared_ptr<const std::vector<char>> tail_dead;
   /// Cross-query answer memoization for this snapshot (null on hand-built

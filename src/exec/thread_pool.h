@@ -69,11 +69,14 @@ class ThreadPool {
 
 /// body(i) for i in [0, n): on `pool` when it is non-null and the range
 /// has at least two iterations, serially on the calling thread otherwise —
-/// the shared optional-pool fallback of every build/fan-out site
-/// (structure builds, Monte-Carlo rounds, the shard bootstrap).
-/// Templated on the body so the serial branch calls it directly: no
-/// std::function type-erasure, hence no allocation on the null-pool query
-/// hot paths (the Monte-Carlo recombination runs through here per query).
+/// the shared optional-pool fallback of the build-time fan-outs:
+/// Engine::EnsureRounds' sample draws (a prewarm, a fresh bucket, or the
+/// first query at a tighter eps), the expected-NN precomputation, the kd
+/// round oracle's builds and the shard bootstrap. The pool's other users
+/// call it directly: kd builds fork through ParallelFor, and maintenance
+/// rounds and rebalance passes are Submit jobs. Templated on the body so
+/// the serial branch calls it directly: no std::function type-erasure,
+/// hence no allocation when a null pool draws inline.
 template <typename Body>
 void MaybeParallelFor(ThreadPool* pool, size_t n, const Body& body) {
   if (pool != nullptr && n > 1) {

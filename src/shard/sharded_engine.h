@@ -100,15 +100,14 @@ struct Options {
   /// Its answer_cache applies to the router's view, the one queries read;
   /// the shards' own publishes attach none.
   dyn::Options shard;
-  /// When set: per-shard maintenance runs here, Monte-Carlo sample draws
-  /// fan out, structure builds fork per-subtree, and auto_rebalance may
-  /// schedule background moves. Must outlive the engine. When null,
-  /// everything runs inline on the calling thread. Query fan-out shares
-  /// the pool with maintenance and rebalance jobs: each shard runs at most
-  /// one maintenance task at a time (one bucket build per round, see
-  /// dyn::Options::pool), and work stealing plus caller participation
-  /// keeps queries progressing alongside (a single-worker pool skips query
-  /// fan-out entirely).
+  /// When set, the pool's users are: the shards' maintenance rounds (each
+  /// shard runs at most one at a time, one bucket build per round, see
+  /// dyn::Options::pool), Engine::EnsureRounds' Monte-Carlo sample draws,
+  /// per-subtree kd builds, the bootstrap's per-shard builds, and the
+  /// background rebalance passes auto_rebalance schedules. Queries do not
+  /// fan out across it; one only draws there when it extends a bucket's
+  /// samples. Must outlive the engine. When null, everything runs inline
+  /// on the calling thread.
   exec::ThreadPool* pool = nullptr;
 
   // Rebalance policy:

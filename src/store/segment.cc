@@ -287,19 +287,19 @@ std::shared_ptr<const dyn::Bucket> LoadSegment(const std::string& path,
     return nullptr;
   }
 
-  Engine::Parts parts;
+  Engine::Layouts layouts;
   if (all_continuous) {
     KdBlob disk;
     if (!DecodeKdBlob(&r, &disk) || disk.points.size() != n) {
       Fail(error, "segment: bad disk-index blob");
       return nullptr;
     }
-    parts.disk_index = std::make_unique<NonzeroNNIndex>(disk.AdoptMove());
+    layouts.disk_tree = disk.AdoptMove();
   } else if (all_discrete) {
     // A hull has at most its point's locations (a larger count is
     // refused), so the vertices never outgrow the total_complexity reserve.
-    std::vector<Point2> hull_points;
-    std::vector<int> hull_begin;
+    std::vector<Point2>& hull_points = layouts.hull_points;
+    std::vector<int>& hull_begin = layouts.hull_begin;
     hull_points.reserve(total_complexity);
     hull_begin.reserve(n + 1);
     hull_begin.push_back(0);
@@ -318,7 +318,6 @@ std::shared_ptr<const dyn::Bucket> LoadSegment(const std::string& path,
       }
       hull_begin.push_back(static_cast<int>(hull_points.size()));
     }
-    hull_points.shrink_to_fit();  // Fewer vertices than locations.
     KdBlob centroid, location;
     if (!DecodeKdBlob(&r, &centroid) || centroid.points.size() != n ||
         !DecodeKdBlob(&r, &location) ||
@@ -332,32 +331,10 @@ std::shared_ptr<const dyn::Bucket> LoadSegment(const std::string& path,
       Fail(error, "segment: location blob is weighted or not Euclidean");
       return nullptr;
     }
-    // Owners / counts / weights / max_k / rho are reconstructed from the
-    // decoded points with the Engine constructor's exact arithmetic
-    // (SetAggregates, then its gathering order), so they are bit-identical
-    // to a fresh build without occupying segment bytes.
-    std::vector<int> owners;
-    std::vector<double> weights;
-    std::vector<int> counts;
-    owners.reserve(total_complexity);
-    weights.reserve(total_complexity);
-    counts.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      const DiscreteDistribution& d = points[i].discrete();
-      counts.push_back(static_cast<int>(d.locations.size()));
-      for (size_t s = 0; s < d.locations.size(); ++s) {
-        owners.push_back(static_cast<int>(i));
-        weights.push_back(d.weights[s]);
-      }
-    }
-    auto location_tree = std::make_shared<const KdTree>(location.AdoptMove());
-    auto shared_owners = std::make_shared<const std::vector<int>>(std::move(owners));
-    parts.spiral = std::make_unique<SpiralSearchPNN>(
-        location_tree, shared_owners, std::move(weights), std::move(counts), agg.max_k,
-        agg.rho());
-    parts.discrete_index = std::make_unique<DiscreteNonzeroNNIndex>(
-        std::move(hull_points), std::move(hull_begin), centroid.AdoptMove(),
-        std::move(location_tree), std::move(shared_owners));
+    // Owners, weights and counts are not stored: the Engine constructor
+    // gathers them from the points as a build does.
+    layouts.centroid_tree = centroid.AdoptMove();
+    layouts.location_tree = location.AdoptMove();
   }
   if (r.remaining() != 0 || !r.ok()) {
     Fail(error, "segment: trailing or missing payload bytes");
@@ -366,9 +343,8 @@ std::shared_ptr<const dyn::Bucket> LoadSegment(const std::string& path,
 
   Engine::Options options = engine_options;
   options.mc_stream_ids.assign(ids.begin(), ids.end());  // Buckets sample by id.
-  std::unique_ptr<Engine> engine =
-      Engine::FromParts(std::move(points), std::move(options), std::move(parts));
-  return std::make_shared<dyn::Bucket>(std::move(engine));
+  return std::make_shared<dyn::Bucket>(std::make_shared<const Engine>(
+      std::move(points), std::move(options), std::move(layouts)));
 }
 
 }  // namespace store

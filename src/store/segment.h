@@ -2,10 +2,11 @@
 // ids, full distributions, the engine's aggregate flags, and the kd node
 // layouts of every index structure — behind a CRC-32C-checksummed header.
 // Loading maps the file read-only, verifies the checksum, and rebuilds the
-// bucket through the adoption constructors (KdTree's layout ctor,
-// Engine::FromParts, Bucket's engine ctor), so recovery pays array copies
-// instead of kd construction and hull computation. That skip is where the
-// >= 5x recovery-vs-rebuild speedup in BENCH_pr7.json comes from.
+// bucket through the adoption constructors (KdTree's layout ctor, the
+// Engine constructor given Engine::Layouts, Bucket's engine ctor), so
+// recovery pays array copies instead of kd construction and hull
+// computation. That skip is where the >= 5x recovery-vs-rebuild speedup
+// in BENCH_pr7.json comes from.
 //
 // Segments are written once, fsynced, and then only ever read or deleted;
 // there is no in-place mutation to tear. See docs/persistence.md for the

@@ -297,17 +297,12 @@ util::Status StoreCore::Checkpoint(const dyn::Snapshot& snap, int64_t next_id,
   // `segments`, so the log is self-contained given the manifest. Seqnos
   // come from a local counter committed only on success (an abandoned
   // attempt leaves a gap, which replay allows).
-  dyn::SnapshotIntrospection intro = Introspect(snap);
-  uint64_t delta_count = 0;
-  for (const auto& bv : intro.buckets) {
-    if (bv.dead != nullptr) {
-      for (char d : *bv.dead) delta_count += d != 0 ? 1 : 0;
-    }
-  }
-  if (intro.tail != nullptr) {
-    for (size_t i = 0; i < intro.tail->size(); ++i) {
-      if (intro.tail_dead == nullptr || (*intro.tail_dead)[i] == 0) ++delta_count;
-    }
+  // The live tail is re-described from the snapshot's tail bucket: its
+  // live entries, ascending by id (replay order never reaches an answer).
+  const dyn::Bucket* tail = snap.tail_bucket.get();
+  uint64_t delta_count = tail != nullptr ? tail->size() : 0;
+  for (const dyn::Snapshot::BucketRef& ref : snap.buckets) {
+    delta_count += ref.bucket->size() - ref.live_count;
   }
 
   uint64_t seq = seqno_;
@@ -320,11 +315,11 @@ util::Status StoreCore::Checkpoint(const dyn::Snapshot& snap, int64_t next_id,
   cp.next_id = next_id;
   cp.delta_count = delta_count;
   AppendLogRecord(cp, &head);
-  for (size_t b = 0; b < intro.buckets.size(); ++b) {
-    const auto& bv = intro.buckets[b];
-    if (bv.dead == nullptr) continue;
-    for (size_t j = 0; j < bv.dead->size(); ++j) {
-      if ((*bv.dead)[j] == 0) continue;
+  for (size_t b = 0; b < snap.buckets.size(); ++b) {
+    const std::vector<char>* dead = snap.buckets[b].dead.get();
+    if (dead == nullptr) continue;
+    for (size_t j = 0; j < dead->size(); ++j) {
+      if ((*dead)[j] == 0) continue;
       LogRecord mask;
       mask.type = LogRecordType::kMask;
       mask.seqno = seq++;
@@ -333,16 +328,13 @@ util::Status StoreCore::Checkpoint(const dyn::Snapshot& snap, int64_t next_id,
       AppendLogRecord(mask, &head);
     }
   }
-  if (intro.tail != nullptr) {
-    for (size_t i = 0; i < intro.tail->size(); ++i) {
-      if (intro.tail_dead != nullptr && (*intro.tail_dead)[i] != 0) continue;
-      LogRecord ins;
-      ins.type = LogRecordType::kInsert;
-      ins.seqno = seq++;
-      ins.id = (*intro.tail)[i].id;
-      ins.point = *(*intro.tail)[i].point;
-      AppendLogRecord(ins, &head);
-    }
+  for (size_t j = 0; tail != nullptr && j < tail->size(); ++j) {
+    LogRecord ins;
+    ins.type = LogRecordType::kInsert;
+    ins.seqno = seq++;
+    ins.id = tail->id(j);
+    ins.point = tail->points()[j];
+    AppendLogRecord(ins, &head);
   }
 
   File next_log;

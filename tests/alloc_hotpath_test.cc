@@ -351,7 +351,7 @@ TEST(AllocHotpath, SampleBlockHoldsEachSampleOnce) {
 // below a naive rebuild that copies the live set and builds an engine from
 // the copy (live set + copy + structure). The test's name predates the
 // removal of sliced maintenance builds.
-TEST(AllocHotpath, SlicedCompactionTransientPeakBounded) {
+TEST(AllocHotpath, PooledCompactionTransientPeakBounded) {
   Rng rng(515);
   dyn::Options opt = DynOptions(false);
   opt.tail_limit = 64;

@@ -162,7 +162,7 @@ dyn::Options MaintenanceDynOptions(exec::ThreadPool* pool) {
 // the engine must answer exactly like a fresh static Engine over its live
 // set (and hence like inline maintenance, which satisfies the same
 // contract).
-TEST(BuildDeterminism, SlicedCompactionAnswersMatchReferenceEngine) {
+TEST(BuildDeterminism, PooledCompactionAnswersMatchReferenceEngine) {
   for (size_t pool_size : {1u, 4u}) {
     exec::ThreadPool pool(pool_size);
     dyn::DynamicEngine engine(MaintenanceDynOptions(&pool));

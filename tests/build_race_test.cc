@@ -32,7 +32,7 @@ UncertainPoint RacePoint(Rng* rng) {
   return UncertainPoint::Discrete(std::move(locs), std::move(w));
 }
 
-TEST(SlicedBuildRace, QueriesRaceSlicedCompactions) {
+TEST(PooledBuildRace, QueriesRacePooledCompactions) {
   exec::ThreadPool pool(3);
   dyn::Options opt;
   opt.engine.mc_rounds_override = 16;
@@ -88,7 +88,7 @@ TEST(SlicedBuildRace, QueriesRaceSlicedCompactions) {
   EXPECT_GT(queries_done.load(), 0u);
 }
 
-TEST(SlicedBuildRace, ShardLanesRaceEachOtherAndQueries) {
+TEST(PooledBuildRace, ShardMaintenanceRacesEachOtherAndQueries) {
   exec::ThreadPool pool(3);
   shard::Options sopt;
   sopt.num_shards = 3;

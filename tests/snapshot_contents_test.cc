@@ -1,8 +1,8 @@
-// The snapshot-introspection hook (dyn::Introspect) is the durable
-// store's read surface: it must enumerate exactly the frozen state — per
-// bucket the ids with their positional tombstone masks, the tail in
-// insertion order with its mask — and its live view must always equal
-// LiveSet(), across merges, compactions and interleaved erases.
+// A DynamicEngine's snapshot is the durable store's read surface: its
+// buckets with their positional tombstone masks and live counts, and its
+// live tail as one bucket (tail_bucket, ascending ids). Its live view must
+// always equal LiveSet(), across merges, compactions and interleaved
+// erases, and a pinned snapshot keeps describing its own live set.
 
 #include <algorithm>
 #include <set>
@@ -26,35 +26,35 @@ UncertainPoint TestPoint(Rng* rng) {
   return UncertainPoint::Discrete(std::move(locs), std::move(w));
 }
 
-/// Gathers the live ids an introspection view describes.
-std::vector<Id> IntrospectedLiveIds(const SnapshotIntrospection& in) {
+/// Gathers the live ids a snapshot describes: each bucket's unmasked ids,
+/// then the tail bucket's.
+std::vector<Id> SnapshotLiveIds(const Snapshot& snap) {
   std::vector<Id> live;
-  for (const SnapshotIntrospection::BucketView& bv : in.buckets) {
+  for (const Snapshot::BucketRef& ref : snap.buckets) {
     size_t bucket_live = 0;
-    for (size_t i = 0; i < bv.bucket->size(); ++i) {
-      if (bv.dead == nullptr || (*bv.dead)[i] == 0) {
-        live.push_back(bv.bucket->id(i));
+    for (size_t i = 0; i < ref.bucket->size(); ++i) {
+      if (ref.dead == nullptr || (*ref.dead)[i] == 0) {
+        live.push_back(ref.bucket->id(i));
         ++bucket_live;
       }
     }
-    EXPECT_EQ(bucket_live, bv.live_count);
-    if (bv.dead != nullptr) {
-      EXPECT_EQ(bv.dead->size(), bv.bucket->size());
+    EXPECT_EQ(bucket_live, ref.live_count);
+    if (ref.dead != nullptr) {
+      EXPECT_EQ(ref.dead->size(), ref.bucket->size());
     }
   }
-  EXPECT_NE(in.tail, nullptr);
-  for (size_t i = 0; i < in.tail->size(); ++i) {
-    if (in.tail_dead == nullptr || (*in.tail_dead)[i] == 0) {
-      live.push_back((*in.tail)[i].id);
+  if (snap.tail_bucket != nullptr) {
+    for (size_t i = 0; i < snap.tail_bucket->size(); ++i) {
+      if (i > 0) {
+        EXPECT_LT(snap.tail_bucket->id(i - 1), snap.tail_bucket->id(i));
+      }
+      live.push_back(snap.tail_bucket->id(i));
     }
-  }
-  if (in.tail_dead != nullptr) {
-    EXPECT_EQ(in.tail_dead->size(), in.tail->size());
   }
   return live;
 }
 
-TEST(DynIntrospect, MatchesLiveSetThroughChurn) {
+TEST(SnapshotContents, MatchesLiveSetThroughChurn) {
   Rng rng(77);
   Options options;
   options.tail_limit = 8;  // Frequent merges.
@@ -74,10 +74,9 @@ TEST(DynIntrospect, MatchesLiveSetThroughChurn) {
     if (op % 20 != 0) continue;
 
     std::shared_ptr<const Snapshot> snap = engine.snapshot();
-    SnapshotIntrospection in = Introspect(*snap);
-    EXPECT_EQ(in.live_count, live.size());
+    EXPECT_EQ(snap->live_count, live.size());
 
-    std::vector<Id> got = IntrospectedLiveIds(in);
+    std::vector<Id> got = SnapshotLiveIds(*snap);
     EXPECT_EQ(got.size(), live.size());
     // Each live id appears exactly once across the whole partition.
     std::set<Id> unique(got.begin(), got.end());
@@ -90,18 +89,17 @@ TEST(DynIntrospect, MatchesLiveSetThroughChurn) {
   }
 }
 
-TEST(DynIntrospect, EmptyEngine) {
+TEST(SnapshotContents, EmptyEngine) {
   DynamicEngine engine;
-  SnapshotIntrospection in = Introspect(*engine.snapshot());
-  EXPECT_EQ(in.live_count, 0u);
-  EXPECT_TRUE(in.buckets.empty());
-  ASSERT_NE(in.tail, nullptr);
-  EXPECT_TRUE(in.tail->empty());
+  std::shared_ptr<const Snapshot> snap = engine.snapshot();
+  EXPECT_EQ(snap->live_count, 0u);
+  EXPECT_TRUE(snap->buckets.empty());
+  EXPECT_EQ(snap->tail_bucket, nullptr);
 }
 
-TEST(DynIntrospect, ViewsBorrowFromAPinnedSnapshot) {
-  // The introspection stays valid against its snapshot while the engine
-  // moves on — the store serializes from a pin, not from live state.
+TEST(SnapshotContents, PinnedSnapshotKeepsItsLiveSet) {
+  // A pinned snapshot stays valid while the engine moves on — the store
+  // serializes from a pin, not from live state.
   Rng rng(5);
   Options options;
   options.tail_limit = 4;
@@ -109,16 +107,15 @@ TEST(DynIntrospect, ViewsBorrowFromAPinnedSnapshot) {
   for (int i = 0; i < 20; ++i) engine.Insert(TestPoint(&rng));
 
   std::shared_ptr<const Snapshot> pinned = engine.snapshot();
-  SnapshotIntrospection in = Introspect(*pinned);
-  std::vector<Id> before = IntrospectedLiveIds(in);
+  std::vector<Id> before = SnapshotLiveIds(*pinned);
 
   for (int i = 0; i < 50; ++i) engine.Insert(TestPoint(&rng));
   engine.Erase(0);
   engine.WaitForMaintenance();
 
-  std::vector<Id> after = IntrospectedLiveIds(in);
+  std::vector<Id> after = SnapshotLiveIds(*pinned);
   EXPECT_EQ(before, after);
-  EXPECT_EQ(in.live_count, 20u);
+  EXPECT_EQ(pinned->live_count, 20u);
 }
 
 }  // namespace

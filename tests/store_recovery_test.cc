@@ -6,6 +6,8 @@
 //     truncates replay there — a corrupt frame is never accepted;
 //   * duplicated / replayed tail records are idempotent no-ops;
 //   * an empty store recovers;
+//   * a checkpoint re-describes a tail that moves reordered and erases
+//     tombstoned as exactly its live entries;
 //   * randomized crash-point differential: a store image copied at an
 //     arbitrary acked point recovers an engine whose answers are
 //     bit-identical to a fresh static Engine over exactly the acked live
@@ -24,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include "src/api/engine_ref.h"
+#include "src/shard/placement.h"
 #include "src/store/format.h"
 #include "src/store/io.h"
 #include "src/store/log.h"
@@ -366,6 +369,71 @@ TEST(StoreRecovery, LiveTailIsLoggedNotSegmented) {
   EXPECT_EQ(reopened->stats()[0].recovered_ops, acked.size());
   EXPECT_EQ(LiveIds(reopened->engine()), acked);
   ExpectBitIdenticalToReference(reopened->engine(), 404, 10);
+}
+
+TEST(StoreRecovery, CheckpointRedescribesAMovedAndTombstonedTail) {
+  // A hash-placement rebalance appends a shard's oldest ids to the other
+  // shard's tail after that tail's newer ids, and erases leave tombstones
+  // among them. A checkpoint re-describes each tail as its live entries in
+  // ascending id order; a reopen must replay exactly the acked live set.
+  std::string dir = FreshDir("store_moved_tail");
+  ShardedStore::Options options = FastOptions();
+  options.sharded.num_shards = 2;
+  options.sharded.placement = shard::PlacementKind::kHashById;
+  options.sharded.rebalance_max_imbalance = 1.2;
+  options.sharded.rebalance_min_points = 16;
+  options.sharded.shard.tail_limit = 1024;         // Nothing merges ...
+  options.sharded.shard.max_dead_fraction = 0.95;  // ... or compacts.
+  std::set<dyn::Id> acked;
+  size_t erased_on_light = 0;
+  {
+    auto store = ShardedStore::Open(dir, options);
+    Rng rng(313);
+    dyn::Id newest_on_light = -1;
+    for (int i = 0; i < 120; ++i) {
+      dyn::Id id = store->Insert(RichPoint(&rng)).value();
+      acked.insert(id);
+      if (shard::HashShard(id, 2) == 1) newest_on_light = id;
+    }
+    // Shard 1 keeps one point in four, so shard 0 is overfull.
+    int seen = 0;
+    for (dyn::Id id : std::vector<dyn::Id>(acked.begin(), acked.end())) {
+      if (shard::HashShard(id, 2) != 1 || seen++ % 4 == 0) continue;
+      ASSERT_TRUE(store->Erase(id).value());
+      acked.erase(id);
+      ++erased_on_light;
+    }
+    store->engine().RebalanceNow();
+    std::vector<dyn::Id> moved;
+    std::shared_ptr<const dyn::Snapshot> light = store->engine().ShardSnapshot(1);
+    ASSERT_NE(light->tail_bucket, nullptr);
+    for (size_t j = 0; j < light->tail_bucket->size(); ++j) {
+      dyn::Id id = light->tail_bucket->id(j);
+      if (shard::HashShard(id, 2) == 0) moved.push_back(id);
+    }
+    ASSERT_GE(moved.size(), 4u);
+    // Moved ids sit behind newer ones in shard 1's insertion-order tail.
+    ASSERT_LT(moved.front(), newest_on_light);
+    // Erase every other moved id: more tombstones, now among moved entries.
+    for (size_t m = 0; m < moved.size(); m += 2) {
+      ASSERT_TRUE(store->Erase(moved[m]).value());
+      acked.erase(moved[m]);
+      ++erased_on_light;
+    }
+    // No bucket exists, so every erase above left a tombstone in a tail.
+    for (uint32_t s = 0; s < 2; ++s) {
+      ASSERT_TRUE(store->engine().ShardSnapshot(s)->buckets.empty());
+    }
+    ASSERT_TRUE(store->Checkpoint().ok());
+  }
+  ASSERT_GT(erased_on_light, 0u);
+  auto reopened = ShardedStore::Open(dir, options);
+  EXPECT_EQ(LiveIds(reopened->engine()),
+            std::vector<dyn::Id>(acked.begin(), acked.end()));
+  // The checkpoint heads held exactly the live entries, nothing after.
+  EXPECT_EQ(reopened->stats()[0].recovered_ops + reopened->stats()[1].recovered_ops,
+            acked.size());
+  ExpectBitIdenticalToReference(reopened->engine(), 515, 20);
 }
 
 TEST(StoreRecovery, StoreLogTruncatedAtEveryByte) {
